@@ -54,12 +54,8 @@ from .layers import (
 from .linalg import (
     Factorization,
     factorize,
-    frobenius_norm,
-    matmul,
-    matvec,
     relative_step_norm,
     solve,
-    transpose,
 )
 from .problem import (
     Direction,

@@ -182,9 +182,11 @@ SCALING_HEADER = ["n", "m_ineq", "p_eq", "factorization_ms", "per_iter_forward_m
 
 
 def _timed_factorization_ms(H: np.ndarray, target_ms: float = 20.0) -> float:
-    """Wall time of the one-time setup (factorize plus inverse formation),
-    amortized over enough repeats that the sample is not swamped by timer
-    resolution or call overhead."""
+    """Wall time of factorize plus inverse formation, the cubic set-up model
+    behind the set-up ratio of criterion 5, amortized over enough repeats
+    that the sample is not swamped by timer resolution or call overhead.
+    differentiate() itself forms no inverse: its set-up is one factorization
+    and two solves, against [A; G]' and the direct term."""
     eye = np.eye(H.shape[0])
 
     def setup():

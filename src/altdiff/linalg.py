@@ -6,6 +6,7 @@ is deterministic: identical inputs give bit-identical outputs.
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -21,14 +22,14 @@ SINGULARITY_RTOL = 1e-12
 # previous iterate, which may be the zero vector).
 NORM_FLOOR = 1e-12
 
-# Process-wide factorization counter, used by tests to confirm that solvers
-# factorize exactly as often as they claim to.
-_factorize_calls = 0
+# Per-thread factorization counter: a solve reads it before and after, so its
+# count stays exact while other threads factorize at the same time.
+_counts = threading.local()
 
 
 def factorization_count() -> int:
-    """Total number of factorize() calls made in this process."""
-    return _factorize_calls
+    """Number of factorize() calls made so far on the calling thread."""
+    return getattr(_counts, "factorize", 0)
 
 
 def as_matrix(a, rows: int | None = None, cols: int | None = None) -> np.ndarray:
@@ -87,11 +88,10 @@ def factorize(m, spd_hint: bool = False) -> Factorization:
     pivoted LU routine is used as a fallback when the matrix fails it.
     Raises SingularMatrix when a pivot falls below the relative threshold.
     """
-    global _factorize_calls
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"matrix must be square, got {a.shape}")
-    _factorize_calls += 1
+    _counts.factorize = factorization_count() + 1
     n = a.shape[0]
     if n == 0:
         return Factorization(n=0, spd=bool(spd_hint), factors=())
@@ -125,30 +125,6 @@ def solve(f: Factorization, b) -> np.ndarray:
         return scipy.linalg.cho_solve(f.factors, rhs, check_finite=False)
     lu, piv = f.factors
     return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
-
-
-def matmul(a, b) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape[-1] != b.shape[0]:
-        raise DimensionMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def matvec(a, x) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if a.shape[1] != x.shape[0]:
-        raise DimensionMismatch(f"cannot apply {a.shape} to vector of length {x.shape[0]}")
-    return a @ x
-
-
-def transpose(a) -> np.ndarray:
-    return np.asarray(a, dtype=float).T
-
-
-def frobenius_norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=float)))
 
 
 def relative_step_norm(x_new, x_old) -> float:

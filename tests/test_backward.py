@@ -225,20 +225,13 @@ def test_trace_errors_decay(suite):
     assert rep.jac_errors[0] > rep.jac_errors[-2]
 
 
-def test_fused_sweep_matches_reference_updates(suite):
-    """The buffered quadratic sweep must reproduce the composable update
-    operations step for step."""
-    p = suite.problem(8)
-    sel = ad.EqRhs()
-    cfg = ad.SolverConfig(rho=SUITE_RHO, eps=1e-6)
-    fast = ad.differentiate(p, sel, cfg)
-
+def _reference_sweeps(p, sel, cfg):
+    """The solver loop written with the composable update operations."""
     con = p.constraints
+    fact = ad.factorize(p.objective.P.T + forward.penalty_matrix(p, cfg.rho), spd_hint=True)
     pt = theta_partials(p, sel)
     st = forward.initial_state(p)
     jac = JacobianState.zeros(p.n, con.n_ineq, con.n_eq, pt.m_theta)
-    penalty = forward.penalty_matrix(p, cfg.rho)
-    fact = ad.factorize(p.objective.P.T + penalty, spd_hint=True)
     x_hits = jac_hits = 0
     for _ in range(cfg.max_outer_iters):
         x_new, _ = forward.primal_update(p, st, cfg, fact=fact)
@@ -254,14 +247,50 @@ def test_fused_sweep_matches_reference_updates(suite):
         jac.Jx, jac.Js, jac.Jlam, jac.Jnu = jx, js, jlam, jnu
         step = ad.relative_step_norm(x_new, st.x)
         st.x, st.s, st.lam, st.nu = x_new, s_new, lam_new, nu_new
+        st.k += 1
         x_hits = x_hits + 1 if step < cfg.eps else 0
         jac_hits = jac_hits + 1 if jac_step < cfg.eps else 0
         if x_hits >= forward.STEP_RULE_HITS and jac_hits >= forward.STEP_RULE_HITS:
             break
+    return st, jac
 
+
+def _assert_sweep_matches(fast, p, sel, cfg):
+    st, jac = _reference_sweeps(p, sel, cfg)
+    assert fast.forward.iterations == st.k
     assert np.allclose(fast.x, st.x, atol=1e-12)
-    assert np.allclose(fast.Jx, jac.Jx, atol=1e-10)
-    assert np.allclose(fast.jac.Jnu, jac.Jnu, atol=1e-10)
+    for name in ("Jx", "Js", "Jlam", "Jnu"):
+        assert np.allclose(getattr(fast.jac, name), getattr(jac, name), atol=1e-10), name
+
+
+def _constraint_shape(p, shape):
+    con = p.constraints
+    P, q = p.objective.P, p.objective.q
+    if shape == "eq_only":
+        return ad.ProblemSpec.quadratic(P, q, A=con.A, b=con.b)
+    if shape == "ineq_only":
+        return ad.ProblemSpec.quadratic(P, q, G=con.G, h=con.h)
+    return p
+
+
+@pytest.mark.parametrize("shape", ["eq_ineq", "eq_only", "ineq_only"])
+@pytest.mark.parametrize("sel", [ad.LinearCost(), ad.EqRhs(), ad.IneqRhs()],
+                         ids=lambda sel: type(sel).__name__)
+def test_fused_sweep_matches_reference_updates(suite, sel, shape):
+    """The buffered quadratic sweep must reproduce the composable update
+    operations step for step, in every Jacobian block."""
+    p = _constraint_shape(suite.problem(8), shape)
+    cfg = ad.SolverConfig(rho=SUITE_RHO, eps=1e-6)
+    _assert_sweep_matches(ad.differentiate(p, sel, cfg), p, sel, cfg)
+
+
+def test_layer_sweep_matches_reference_updates(suite):
+    # The hessian_factor provider path of a quadratic layer.
+    p = suite.problem(8)
+    layer = ad.QuadraticLayer(P=p.objective.P, q=p.objective.q, constraints=p.constraints)
+    cfg = ad.SolverConfig(rho=SUITE_RHO, eps=1e-6)
+    _assert_sweep_matches(ad.solve_and_diff(layer, ad.LinearCost(), cfg), p,
+                          ad.LinearCost(), cfg)
 
 
 def test_direction_selector_matches_column(suite):
@@ -274,17 +303,25 @@ def test_direction_selector_matches_column(suite):
 
 
 def test_concurrent_solves_on_separate_problems(suite):
+    import sys
     from concurrent.futures import ThreadPoolExecutor
 
-    seeds = [0, 1, 2, 3]
+    seeds = range(8)
     cfg = ad.SolverConfig(rho=SUITE_RHO, eps=1e-6)
     sequential = [ad.differentiate(suite.problem(s), ad.EqRhs(), cfg) for s in seeds]
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        parallel = list(pool.map(
-            lambda s: ad.differentiate(suite.problem(s), ad.EqRhs(), cfg), seeds))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            parallel = list(pool.map(
+                lambda s: ad.differentiate(suite.problem(s), ad.EqRhs(), cfg), seeds,
+                timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
     for a, b in zip(sequential, parallel):
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.Jx, b.Jx)
+        assert b.forward.num_factorizations == 1
 
 
 def test_zero_width_parameter():

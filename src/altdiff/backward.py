@@ -15,15 +15,24 @@ and converges to the derivative of the optimality system, so no solver
 trajectory has to be stored. Stopping early simply yields a Jacobian whose
 error tracks the error of the truncated iterate.
 
-For a quadratic objective H is constant, and the mixed partial is affine in
-Y = [Jlam; Jnu + rho Js]. Set-up therefore factorizes H once and makes two
-solves against that factorization, W = H^-1 [A; G]' and H^-1 times the
-theta-direct term. Each sweep is then Jx = -(H^-1 direct + W Y) and the
-product [A; G] Jx, about 4 n (p + m) m_theta flops, with no n x n product.
+For a quadratic objective H is constant, and the x-step and the mixed
+partial are the same affine map through W = H^-1 [A; G]': with
+z = [lam; nu + rho s] and Y = [Jlam; Jnu + rho Js],
+
+    x  = x0 - W z,          x0 = -H^-1 q + rho W [b; h]
+    Jx = -(Hd + W Y),       Hd = H^-1 dq - rho W d[b; h]/dtheta
+
+Set-up therefore factorizes H once and makes one solve against that
+factorization, H^-1 [A; G]' with the q and dq columns alongside. Each sweep
+is then one matvec with W for x, one with [A; G] for the residuals the slack
+and dual steps share, and two products with the n x (p + m) blocks for the
+Jacobian, about 4 n (p + m) m_theta flops, with no triangular solve and no
+n x n product.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -58,6 +67,16 @@ from .problem import (
 # map nondifferentiable; solves near that set are flagged, not failed.
 WEAK_ACTIVITY_TOL = 1e-6
 
+# Per-thread count of JacobianState constructions, so tests can assert that a
+# solve allocates exactly one state and overwrites it in place, also while
+# other threads solve.
+_allocs = threading.local()
+
+
+def jacobian_allocations() -> int:
+    """Number of JacobianState objects constructed so far on the calling thread."""
+    return getattr(_allocs, "count", 0)
+
 
 @dataclass
 class JacobianState:
@@ -68,12 +87,8 @@ class JacobianState:
     Jlam: np.ndarray
     Jnu: np.ndarray
 
-    # Instrumentation: number of states ever constructed, so tests can assert
-    # the recursion allocates exactly one and overwrites it in place.
-    allocations = 0
-
     def __post_init__(self):
-        JacobianState.allocations += 1
+        _allocs.count = jacobian_allocations() + 1
 
     @staticmethod
     def zeros(n: int, m_ineq: int, p_eq: int, m_theta: int) -> "JacobianState":
@@ -268,30 +283,62 @@ def dual_jacobian_update(
 
 
 class _QuadraticSweep:
-    """Jacobian sweep for constant-Hessian problems and vector parameters.
+    """Solver and Jacobian sweep for constant-Hessian problems and vector parameters.
 
     The same update algebra as the public helper operations, with H^-1
-    folded into the constraint matrix at set-up and the sweep evaluated into
-    preallocated buffers, so the per-iteration cost is two matrix products.
+    folded into the constraint matrix at set-up: one solve gives W, the
+    x-step offset x0 and H^-1 times the direct term, so the x-step is a
+    matvec and the Jacobian sweep is two matrix products, evaluated into
+    preallocated buffers.
     """
 
-    def __init__(self, p: ProblemSpec, pt: ThetaPartials, direct: np.ndarray,
-                 fact: Factorization, rho: float):
+    def __init__(self, p: ProblemSpec, pt: ThetaPartials, fact: Factorization, rho: float):
         con = p.constraints
-        mt = pt.m_theta
-        self.rho, self.p_eq = rho, con.n_eq
+        mt, p_eq = pt.m_theta, con.n_eq
+        self.rho, self.p_eq = rho, p_eq
         self.C = np.vstack([con.A, con.G])
-        self.W = fact.solve(self.C.T)  # H^-1 [A; G]'
-        self.Hd = fact.solve(direct)
+        k = self.C.shape[0]
+        self.rhs = np.concatenate([con.b, con.h])  # [b; h]
+        cols = [self.C.T, p.objective.q.reshape(-1, 1)]
+        if pt.dq is not None:
+            cols.append(pt.dq)
+        sol = fact.solve(np.hstack(cols))
+        self.W = np.ascontiguousarray(sol[:, :k])  # H^-1 [A; G]'
         # d[b; h]/dtheta, zero in the blocks theta does not enter.
-        self.d_rhs = np.zeros((self.C.shape[0], mt))
+        self.d_rhs = np.zeros((k, mt))
         if pt.db is not None:
-            self.d_rhs[:con.n_eq] = pt.db
+            self.d_rhs[:p_eq] = pt.db
         if pt.dh is not None:
-            self.d_rhs[con.n_eq:] = pt.dh
+            self.d_rhs[p_eq:] = pt.dh
+        # The x-step at z = 0, and H^-1 (dq - rho [A; G]' d[b; h]).
+        self.x0 = rho * (self.W @ self.rhs) - sol[:, k]
+        self.Hd = -rho * (self.W @ self.d_rhs)
+        if pt.dq is not None:
+            self.Hd += sol[:, k + 1:]
+        self.z = np.empty(k)
         self.y = np.empty_like(self.d_rhs)
         self.cjx = np.empty_like(self.d_rhs)
         self.jx = np.empty((p.n, mt))
+
+    def step(self, st: AdmmState) -> tuple:
+        """One solver sweep: x-step, slack step and dual step from one residual.
+
+        Returns the new (x, s, lam, nu) and the norms of A x - b and
+        G x + s - h.
+        """
+        rho, p_eq, z = self.rho, self.p_eq, self.z
+        z[:p_eq] = st.lam
+        np.multiply(st.s, rho, out=z[p_eq:])
+        z[p_eq:] += st.nu
+        x = self.x0 - self.W @ z
+        r = self.C @ x
+        r -= self.rhs
+        r_eq, r_in = r[:p_eq], r[p_eq:]
+        s = np.maximum(0.0, -st.nu / rho - r_in)
+        lam = st.lam + rho * r_eq
+        r_in += s
+        nu = st.nu + rho * r_in
+        return x, s, lam, nu, float(np.linalg.norm(r_eq)), float(np.linalg.norm(r_in))
 
     def run(self, jac: JacobianState, s_new: np.ndarray) -> np.ndarray:
         rho, p_eq, y, cjx, jx = self.rho, self.p_eq, self.y, self.cjx, self.jx
@@ -354,22 +401,25 @@ def differentiate(
     report = DiffReport(forward=fwd, jac=jac)
     count0 = linalg.factorization_count()
 
-    penalty = penalty_matrix(p, cfg.rho)
-    direct = direct_term(p, pt, cfg.rho)
+    # The constraint curvature is needed only to assemble the x-step Hessian
+    # here; a layer's factor provider brings its own.
+    penalty = penalty_matrix(p, cfg.rho) if hessian_factor is None else None
     fact = None
     sweep = None
     if quadratic:
         # One-time setup: factorize the constant Hessian. For vector
-        # parameters (the hot path) also solve against [A; G]' and the direct
-        # term, so each Jacobian sweep is two products with n x (p+m) blocks.
+        # parameters (the hot path) also make the one solve of the fused
+        # sweep, so each sweep is a matvec for x and two products with
+        # n x (p+m) blocks for the Jacobian.
         t0 = time.perf_counter()
         if hessian_factor is not None:
             fact = hessian_factor(st.x)
         else:
             fact = factorize(p.objective.P.T + penalty, spd_hint=True)
         if pt.dA is None and pt.dG is None and pt.dP is None:
-            sweep = _QuadraticSweep(p, pt, direct, fact, cfg.rho)
+            sweep = _QuadraticSweep(p, pt, fact, cfg.rho)
         fwd.factorization_ms += (time.perf_counter() - t0) * 1e3
+    direct = direct_term(p, pt, cfg.rho) if sweep is None else None
 
     dAx = dGx = None
     x_hist: list[np.ndarray] = []
@@ -382,10 +432,13 @@ def differentiate(
     x_hits = jac_hits = 0
     for _ in range(cfg.max_outer_iters):
         t0 = perf()
-        x_new, fact = primal_update(p, st, cfg, fact=fact if quadratic else None,
-                                    penalty=penalty, hessian_factor=hessian_factor)
-        s_new = slack_update(st, G, h_vec, x_new, cfg)
-        lam_new, nu_new = dual_update(st, A, b_vec, G, h_vec, x_new, s_new, cfg)
+        if sweep is not None:
+            x_new, s_new, lam_new, nu_new, eq_res, ineq_res = sweep.step(st)
+        else:
+            x_new, fact = primal_update(p, st, cfg, fact=fact if quadratic else None,
+                                        penalty=penalty, hessian_factor=hessian_factor)
+            s_new = slack_update(st, G, h_vec, x_new, cfg)
+            lam_new, nu_new = dual_update(st, A, b_vec, G, h_vec, x_new, s_new, cfg)
         t1 = perf()
         fwd.iteration_ms += (t1 - t0) * 1e3
 
@@ -416,10 +469,11 @@ def differentiate(
         report.jac_step_norms.append(jac_step)
         step = relative_step_norm(x_new, st.x)
         fwd.step_norms.append(step)
-        fwd.eq_residuals.append(float(np.linalg.norm(A @ x_new - b_vec)) if n_eq else 0.0)
-        fwd.ineq_residuals.append(
-            float(np.linalg.norm(G @ x_new + s_new - h_vec)) if n_ineq else 0.0
-        )
+        if sweep is None:
+            eq_res = float(np.linalg.norm(A @ x_new - b_vec)) if n_eq else 0.0
+            ineq_res = float(np.linalg.norm(G @ x_new + s_new - h_vec)) if n_ineq else 0.0
+        fwd.eq_residuals.append(eq_res)
+        fwd.ineq_residuals.append(ineq_res)
         if trace:
             x_hist.append(x_new.copy())
             jx_hist.append(jx_new.copy())

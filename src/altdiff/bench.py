@@ -186,7 +186,7 @@ def _timed_factorization_ms(H: np.ndarray, target_ms: float = 20.0) -> float:
     behind the set-up ratio of criterion 5, amortized over enough repeats
     that the sample is not swamped by timer resolution or call overhead.
     differentiate() itself forms no inverse: its set-up is one factorization
-    and two solves, against [A; G]' and the direct term."""
+    and one solve, against [A; G]' with q and dq alongside."""
     eye = np.eye(H.shape[0])
 
     def setup():

@@ -10,6 +10,13 @@ update of the slack s, and gradient-ascent updates of the duals lam, nu.
 The x-step Hessian f''(x) + rho A'A + rho G'G is factorized and retained:
 for quadratic objectives it is constant, so one factorization serves the
 whole solve (and the Jacobian recursion afterwards).
+
+The update steps here are the reference form of the splitting: admm_solve,
+callback objectives and matrix-direction derivatives run them, and a
+quadratic x-step costs two triangular solves per sweep. For a quadratic
+objective and a vector parameter, backward.differentiate instead folds the
+x-step into its set-up solve, so its sweeps make one matvec for x and no
+triangular solve.
 """
 
 from __future__ import annotations
@@ -168,7 +175,7 @@ def primal_update(
         return fact.solve(-g0), fact
 
     tol = cfg.resolved_newton_tol(quadratic=False)
-    if penalty is None:
+    if penalty is None and hessian_factor is None:
         penalty = penalty_matrix(p, rho)
     x = st.x.copy()
     fact = None
@@ -256,7 +263,7 @@ def admm_solve(
     count0 = linalg.factorization_count()
 
     quadratic = isinstance(p.objective, QuadraticObjective)
-    penalty = penalty_matrix(p, cfg.rho)
+    penalty = penalty_matrix(p, cfg.rho) if hessian_factor is None else None
     fact = None
     if quadratic:
         t0 = time.perf_counter()

@@ -87,9 +87,3 @@ def save_problem(p: ProblemSpec, path: Union[str, Path]) -> None:
 def load_problem(path: Union[str, Path]) -> ProblemSpec:
     return problem_from_dict(json.loads(Path(path).read_text()))
 
-
-def sparsemax_to_dict(layer: SparsemaxLayer) -> dict:
-    doc = problem_to_dict(build(layer))
-    doc["objective"] = {"type": "sparsemax", "y": np.asarray(layer.y, dtype=float).tolist(),
-                        "u": np.asarray(layer.u, dtype=float).tolist()}
-    return doc

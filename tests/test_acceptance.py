@@ -8,7 +8,7 @@ import numpy as np
 
 import altdiff as ad
 from altdiff import bench, energy
-from altdiff.backward import JacobianState
+from altdiff.backward import jacobian_allocations
 from altdiff.reference import kkt_residual
 from conftest import SUITE_RHO, SUITE_SEEDS, cosine
 from test_layers import brute_force_box_simplex_projection
@@ -168,9 +168,9 @@ def test_criterion_6_hessian_reuse(suite):
     layer = ad.SparsemaxLayer(y=np.linspace(0.0, 0.5, 6), u=np.full(6, 0.6))
     spec = ad.solve_and_diff(layer, ad.EqRhs(), ad.SolverConfig(eps=1e-8))
     counts.append(spec.forward.num_factorizations)
-    allocs_before = JacobianState.allocations
+    allocs_before = jacobian_allocations()
     ad.differentiate(suite.problem(2), ad.EqRhs(), ad.SolverConfig(rho=SUITE_RHO, eps=1e-6))
-    single_state = JacobianState.allocations == allocs_before + 1
+    single_state = jacobian_allocations() == allocs_before + 1
     ok = all(c == 1 for c in counts) and single_state
     _report(6, "hessian reuse", ok,
             f"factorizations per solve {counts} (want all 1), "

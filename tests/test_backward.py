@@ -155,9 +155,9 @@ def test_vjp_examples():
 
 
 def test_single_jacobian_state_allocation(suite):
-    before = JacobianState.allocations
+    before = backward.jacobian_allocations()
     ad.differentiate(suite.problem(1), ad.EqRhs(), ad.SolverConfig(rho=SUITE_RHO, eps=1e-6))
-    assert JacobianState.allocations == before + 1
+    assert backward.jacobian_allocations() == before + 1
 
 
 def test_no_extra_factorization_in_backward(suite):
@@ -232,12 +232,15 @@ def _reference_sweeps(p, sel, cfg):
     pt = theta_partials(p, sel)
     st = forward.initial_state(p)
     jac = JacobianState.zeros(p.n, con.n_ineq, con.n_eq, pt.m_theta)
+    eq_res, ineq_res = [], []
     x_hits = jac_hits = 0
     for _ in range(cfg.max_outer_iters):
         x_new, _ = forward.primal_update(p, st, cfg, fact=fact)
         s_new = forward.slack_update(st, con.G, con.h, x_new, cfg)
         lam_new, nu_new = forward.dual_update(st, con.A, con.b, con.G, con.h,
                                               x_new, s_new, cfg)
+        eq_res.append(np.linalg.norm(con.A @ x_new - con.b))
+        ineq_res.append(np.linalg.norm(con.G @ x_new + s_new - con.h))
         mixed = backward.mixed_partial(p, sel, st, jac, x_new, cfg.rho)
         jx = backward.primal_jacobian_update(fact, mixed)
         js = backward.slack_jacobian_update(s_new, jac.Jnu, jx, con.G, pt.dh, cfg.rho)
@@ -252,13 +255,17 @@ def _reference_sweeps(p, sel, cfg):
         jac_hits = jac_hits + 1 if jac_step < cfg.eps else 0
         if x_hits >= forward.STEP_RULE_HITS and jac_hits >= forward.STEP_RULE_HITS:
             break
-    return st, jac
+    return st, jac, eq_res, ineq_res
 
 
 def _assert_sweep_matches(fast, p, sel, cfg):
-    st, jac = _reference_sweeps(p, sel, cfg)
+    st, jac, eq_res, ineq_res = _reference_sweeps(p, sel, cfg)
     assert fast.forward.iterations == st.k
-    assert np.allclose(fast.x, st.x, atol=1e-12)
+    for name in ("x", "s", "lam", "nu"):
+        assert np.allclose(getattr(fast.forward.state, name), getattr(st, name),
+                           atol=1e-12), name
+    assert np.allclose(fast.forward.eq_residuals, eq_res, rtol=1e-10, atol=1e-12)
+    assert np.allclose(fast.forward.ineq_residuals, ineq_res, rtol=1e-10, atol=1e-12)
     for name in ("Jx", "Js", "Jlam", "Jnu"):
         assert np.allclose(getattr(fast.jac, name), getattr(jac, name), atol=1e-10), name
 
@@ -284,6 +291,17 @@ def test_fused_sweep_matches_reference_updates(suite, sel, shape):
     _assert_sweep_matches(ad.differentiate(p, sel, cfg), p, sel, cfg)
 
 
+def test_vector_direction_sweep_matches_reference_updates(suite):
+    # A direction in (q, b, h) only: the fused sweep with one dq column.
+    p = suite.problem(8)
+    con = p.constraints
+    rng = np.random.default_rng(5)
+    sel = ad.Direction(dq=rng.standard_normal(p.n), db=rng.standard_normal(con.n_eq),
+                       dh=rng.standard_normal(con.n_ineq))
+    cfg = ad.SolverConfig(rho=SUITE_RHO, eps=1e-6)
+    _assert_sweep_matches(ad.differentiate(p, sel, cfg), p, sel, cfg)
+
+
 def test_layer_sweep_matches_reference_updates(suite):
     # The hessian_factor provider path of a quadratic layer.
     p = suite.problem(8)
@@ -291,6 +309,37 @@ def test_layer_sweep_matches_reference_updates(suite):
     cfg = ad.SolverConfig(rho=SUITE_RHO, eps=1e-6)
     _assert_sweep_matches(ad.solve_and_diff(layer, ad.LinearCost(), cfg), p,
                           ad.LinearCost(), cfg)
+
+
+@pytest.fixture
+def solve_counter(monkeypatch):
+    calls = []
+    solve = ad.Factorization.solve
+
+    def counted(self, b):
+        calls.append(b)
+        return solve(self, b)
+
+    monkeypatch.setattr(ad.Factorization, "solve", counted)
+    return calls
+
+
+def _layer_solve(p, sel, cfg):
+    layer = ad.QuadraticLayer(P=p.objective.P, q=p.objective.q, constraints=p.constraints)
+    return ad.solve_and_diff(layer, sel, cfg)
+
+
+@pytest.mark.parametrize("solve, sel", [
+    (ad.differentiate, ad.EqRhs()),
+    (ad.differentiate, ad.IneqRhs()),
+    (ad.differentiate, ad.LinearCost()),
+    (_layer_solve, ad.LinearCost()),
+], ids=["EqRhs", "IneqRhs", "LinearCost", "layer-LinearCost"])
+def test_quadratic_sweep_solves_once(suite, solve_counter, solve, sel):
+    """Set-up makes the only solve; the sweeps make none."""
+    rep = solve(suite.problem(8), sel, ad.SolverConfig(rho=SUITE_RHO, eps=1e-6))
+    assert rep.forward.iterations > 1
+    assert len(solve_counter) == 1
 
 
 def test_direction_selector_matches_column(suite):
@@ -308,20 +357,26 @@ def test_concurrent_solves_on_separate_problems(suite):
 
     seeds = range(8)
     cfg = ad.SolverConfig(rho=SUITE_RHO, eps=1e-6)
-    sequential = [ad.differentiate(suite.problem(s), ad.EqRhs(), cfg) for s in seeds]
+    problems = [suite.problem(s) for s in seeds]
+    sequential = [ad.differentiate(p, ad.EqRhs(), cfg) for p in problems]
+
+    def counted_solve(p):
+        before = backward.jacobian_allocations()
+        rep = ad.differentiate(p, ad.EqRhs(), cfg)
+        return rep, backward.jacobian_allocations() - before
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            parallel = list(pool.map(
-                lambda s: ad.differentiate(suite.problem(s), ad.EqRhs(), cfg), seeds,
-                timeout=120))
+            parallel = list(pool.map(counted_solve, problems, timeout=120))
     finally:
         sys.setswitchinterval(interval)
-    for a, b in zip(sequential, parallel):
+    for a, (b, allocations) in zip(sequential, parallel):
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.Jx, b.Jx)
         assert b.forward.num_factorizations == 1
+        assert allocations == 1
 
 
 def test_zero_width_parameter():

@@ -47,11 +47,12 @@ def test_problem_json_softmax_round_trip(tmp_path):
 
 
 def test_problem_json_sparsemax_dict():
-    layer = ad.SparsemaxLayer(y=np.array([0.6, 0.4]), u=np.array([0.9, 0.9]))
-    doc = io.sparsemax_to_dict(layer)
-    assert doc["objective"]["type"] == "sparsemax"
+    # No constraint blocks in the file: the loader builds the box simplex.
+    doc = {"n": 2, "objective": {"type": "sparsemax", "y": [0.6, 0.4], "u": [0.9, 0.9]}}
     p = io.problem_from_dict(doc)
     assert np.array_equal(p.objective.q, -2.0 * np.array([0.6, 0.4]))
+    assert np.array_equal(p.objective.P, 2.0 * np.eye(2))
+    assert np.array_equal(p.constraints.h, [0.0, 0.0, 0.9, 0.9])
 
 
 def test_problem_json_rejects_unknown_type():

@@ -34,6 +34,25 @@ def test_validate_rejects_indefinite():
         ad.validate(p)
 
 
+@pytest.mark.parametrize("P, psd", [
+    (np.diag([1.0, -1e-7]), False),
+    (np.diag([1.0, -1e-9]), True),
+    (np.diag([1.0, 0.0]), True),
+], ids=["below_tol", "within_tol", "singular"])
+def test_validate_psd_boundary(P, psd):
+    p = ad.ProblemSpec.quadratic(P=P, q=np.zeros(2))
+    if psd:
+        ad.validate(p)
+    else:
+        with pytest.raises(NotPSD, match="-1.000e-07"):
+            ad.validate(p)
+
+
+def test_validate_accepts_rank_deficient_gram():
+    M = np.random.default_rng(3).standard_normal((200, 400))
+    ad.validate(ad.ProblemSpec.quadratic(P=M.T @ M, q=np.zeros(400)))
+
+
 def test_validate_gradient_probe():
     good = ad.ProblemSpec.general(
         n=2,

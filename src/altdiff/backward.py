@@ -28,6 +28,15 @@ is then one matvec with W for x, one with [A; G] for the residuals the slack
 and dual steps share, and two products with the n x (p + m) blocks for the
 Jacobian, about 4 n (p + m) m_theta flops, with no triangular solve and no
 n x n product.
+
+For theta = q with k = p + m < n, the Jacobian recursion runs on a k x k
+core instead: dq = I and d[b; h] = 0 keep every iterate of the form
+Jx = -(H^-1 + W T W') with T k x k, so each sweep makes two k x k products
+(about 4 k^3 flops, against 4 n^2 k in n-space) and Jx is formed once, at
+the end. The b and h selectors keep the n-space sweep: their direct term
+has only m_theta columns, and the same move would leave the per-iteration
+backward cost growing more slowly with n than acceptance criterion 5's
+band (its per-iteration ratio is measured on IneqRhs) allows.
 """
 
 from __future__ import annotations
@@ -282,6 +291,24 @@ def dual_jacobian_update(
     return Jlam_new, Jnu_new
 
 
+def _gated_update(jlam: np.ndarray, js: np.ndarray, jnu: np.ndarray, c: np.ndarray,
+                  s_new: np.ndarray, rho: float, p_eq: int) -> None:
+    """The slack and dual Jacobian steps, in place, from c = rho d(C x - [b; h]).
+
+    u = Jnu + rho d(Gx - h): a row with s > 0 moves it all into the slack
+    (Js = -u / rho, so Jnu + rho Js = 0); a gated row keeps Jnu = u. Only row
+    operations, so the blocks may hold any right factor of the Jacobian.
+    """
+    jlam += c[:p_eq]
+    u = c[p_eq:]
+    u += jnu
+    np.divide(u, -rho, out=js)
+    jnu[...] = u
+    active = s_new > 0.0
+    js[~active, :] = 0.0
+    jnu[active, :] = 0.0
+
+
 class _QuadraticSweep:
     """Solver and Jacobian sweep for constant-Hessian problems and vector parameters.
 
@@ -289,13 +316,14 @@ class _QuadraticSweep:
     folded into the constraint matrix at set-up: one solve gives W, the
     x-step offset x0 and H^-1 times the direct term, so the x-step is a
     matvec and the Jacobian sweep is two matrix products, evaluated into
-    preallocated buffers.
+    preallocated buffers. Jx is double-buffered: run() writes the new
+    iterate beside jac.Jx and advance() takes the step norm in place on the
+    outgoing buffer before the two swap.
     """
 
     def __init__(self, p: ProblemSpec, pt: ThetaPartials, fact: Factorization, rho: float):
         con = p.constraints
-        mt, p_eq = pt.m_theta, con.n_eq
-        self.rho, self.p_eq = rho, p_eq
+        self.rho, self.p_eq = rho, con.n_eq
         self.C = np.vstack([con.A, con.G])
         k = self.C.shape[0]
         self.rhs = np.concatenate([con.b, con.h])  # [b; h]
@@ -304,21 +332,27 @@ class _QuadraticSweep:
             cols.append(pt.dq)
         sol = fact.solve(np.hstack(cols))
         self.W = np.ascontiguousarray(sol[:, :k])  # H^-1 [A; G]'
+        # The x-step at z = 0.
+        self.x0 = rho * (self.W @ self.rhs) - sol[:, k]
+        self.z = np.empty(k)
+        self.jx_norm = 0.0  # ||jac.Jx||; the recursion starts from Jx = 0
+        self._init_jacobian(pt, sol[:, k + 1:] if pt.dq is not None else None)
+
+    def _init_jacobian(self, pt: ThetaPartials, hinv_dq: Optional[np.ndarray]) -> None:
+        k, mt = self.C.shape[0], pt.m_theta
         # d[b; h]/dtheta, zero in the blocks theta does not enter.
         self.d_rhs = np.zeros((k, mt))
         if pt.db is not None:
-            self.d_rhs[:p_eq] = pt.db
+            self.d_rhs[:self.p_eq] = pt.db
         if pt.dh is not None:
-            self.d_rhs[p_eq:] = pt.dh
-        # The x-step at z = 0, and H^-1 (dq - rho [A; G]' d[b; h]).
-        self.x0 = rho * (self.W @ self.rhs) - sol[:, k]
-        self.Hd = -rho * (self.W @ self.d_rhs)
-        if pt.dq is not None:
-            self.Hd += sol[:, k + 1:]
-        self.z = np.empty(k)
+            self.d_rhs[self.p_eq:] = pt.dh
+        # H^-1 (dq - rho [A; G]' d[b; h]).
+        self.Hd = np.zeros((self.W.shape[0], mt)) if hinv_dq is None else hinv_dq
+        if pt.db is not None or pt.dh is not None:
+            self.Hd = self.Hd - self.rho * (self.W @ self.d_rhs)
         self.y = np.empty_like(self.d_rhs)
         self.cjx = np.empty_like(self.d_rhs)
-        self.jx = np.empty((p.n, mt))
+        self.jx = np.empty((self.W.shape[0], mt))
 
     def step(self, st: AdmmState) -> tuple:
         """One solver sweep: x-step, slack step and dual step from one residual.
@@ -340,7 +374,8 @@ class _QuadraticSweep:
         nu = st.nu + rho * r_in
         return x, s, lam, nu, float(np.linalg.norm(r_eq)), float(np.linalg.norm(r_in))
 
-    def run(self, jac: JacobianState, s_new: np.ndarray) -> np.ndarray:
+    def run(self, jac: JacobianState, s_new: np.ndarray) -> None:
+        """One Jacobian sweep: the new Jx into the spare buffer, Js/Jlam/Jnu in place."""
         rho, p_eq, y, cjx, jx = self.rho, self.p_eq, self.y, self.cjx, self.jx
         y[:p_eq] = jac.Jlam
         np.multiply(jac.Js, rho, out=y[p_eq:])
@@ -351,17 +386,107 @@ class _QuadraticSweep:
         np.matmul(self.C, jx, out=cjx)
         cjx -= self.d_rhs
         cjx *= rho
-        jac.Jlam += cjx[:p_eq]
-        # u = Jnu + rho d(Gx - h): a row with s > 0 moves it all into the slack
-        # (Js = -u / rho, so Jnu + rho Js = 0); a gated row keeps Jnu = u.
-        u = cjx[p_eq:]
-        u += jac.Jnu
-        np.divide(u, -rho, out=jac.Js)
-        jac.Jnu[...] = u
-        active = s_new > 0.0
-        jac.Js[~active, :] = 0.0
-        jac.Jnu[active, :] = 0.0
-        return jx
+        _gated_update(jac.Jlam, jac.Js, jac.Jnu, cjx, s_new, rho, p_eq)
+
+    def advance(self, jac: JacobianState) -> float:
+        """The step ||Jx_new - Jx|| / (1 + ||Jx||) of the last run(); the new
+        iterate then becomes jac.Jx."""
+        old, new = jac.Jx, self.jx
+        old -= new
+        step = float(np.linalg.norm(old) / (1.0 + self.jx_norm))
+        self.jx_norm = float(np.linalg.norm(new))
+        jac.Jx, self.jx = new, old
+        return step
+
+    def finish(self, jac: JacobianState) -> None:
+        """Write the final Jacobian blocks into jac (here they already are)."""
+
+    def trace_point(self, jac: JacobianState) -> np.ndarray:
+        """A copy of what a trace keeps of the current Jacobian iterate: an
+        array whose distances to the others are those of the Jx iterates."""
+        return jac.Jx.copy()
+
+
+class _CostCoreSweep(_QuadraticSweep):
+    """The sweep w.r.t. the linear cost on k x k blocks, k = p + m < n.
+
+    With dq = I and d[b; h] = 0, H^-1 dq = H^-1 and C H^-1 = W', so every
+    block of the recursion keeps the form T W' with a k x k T: with
+    Y = [Jlam; Jnu + rho Js] = T_Y W', the iterate is Jx = -(H^-1 + W T_Y W')
+    and rho C Jx = -rho (I + M T_Y) W' with M = C W. Taking the thin QR
+    W = Q R and V = T R' (so W' = R' Q' and T W' = V Q'), one sweep is
+
+        V_Y = [V_lam; V_nu + rho V_s]
+        c   = -rho (R' + M V_Y)        in place of rho (C Jx - d[b; h])
+
+    followed by the same gated update on the V blocks: one k x k product.
+    The step norms need a second: ||Jx_new - Jx|| = ||R (V_Y,new - V_Y)||, and
+    ||Jx||^2 = ||H^-1||^2 + 2 <W' H^-1 Q, V_Y> + ||R V_Y||^2. The zero start
+    Jx = 0 is not of this form, so the first step is ||Jx_1||. Jx and the
+    n-space blocks are formed once, by finish(). R is never inverted, so a
+    rank-deficient [A; G] is fine.
+    """
+
+    def _init_jacobian(self, pt: ThetaPartials, hinv_dq: Optional[np.ndarray]) -> None:
+        k, p_eq = self.C.shape[0], self.p_eq
+        self.hinv = hinv_dq  # dq = I
+        self.Q, self.R = np.linalg.qr(self.W)
+        self.Rt = np.ascontiguousarray(self.R.T)
+        self.M = self.C @ self.W
+        self.K = (self.W.T @ self.hinv) @ self.Q  # W' H^-1 Q
+        self.hinv_sq = float(np.vdot(self.hinv, self.hinv))
+        self.V_lam = np.zeros((p_eq, k))
+        self.V_s = np.zeros((k - p_eq, k))
+        self.V_nu = np.zeros((k - p_eq, k))
+        self.vy = np.zeros((k, k))
+        self.c = np.empty((k, k))
+        self.rv = np.empty((k, k))
+        self.rv_prev: Optional[np.ndarray] = None  # R V_Y of the previous sweep
+
+    def run(self, jac: JacobianState, s_new: np.ndarray) -> None:
+        """One Jacobian sweep on the V blocks; jac is written by finish()."""
+        rho, p_eq, vy, c = self.rho, self.p_eq, self.vy, self.c
+        vy[:p_eq] = self.V_lam
+        np.multiply(self.V_s, rho, out=vy[p_eq:])
+        vy[p_eq:] += self.V_nu
+        np.matmul(self.M, vy, out=c)
+        c += self.Rt
+        c *= -rho
+        _gated_update(self.V_lam, self.V_s, self.V_nu, c, s_new, rho, p_eq)
+
+    def advance(self, jac: JacobianState) -> float:
+        rv = self.rv
+        np.matmul(self.R, self.vy, out=rv)
+        norm = float(np.sqrt(max(
+            self.hinv_sq + 2.0 * np.vdot(self.K, self.vy) + np.vdot(rv, rv), 0.0)))
+        prev = self.rv_prev
+        if prev is None:
+            step = norm
+            self.rv_prev = np.empty_like(rv)
+        else:
+            prev -= rv
+            step = float(np.linalg.norm(prev) / (1.0 + self.jx_norm))
+        self.rv, self.rv_prev = self.rv_prev, rv
+        self.jx_norm = norm
+        return step
+
+    def finish(self, jac: JacobianState) -> None:
+        qt = self.Q.T
+        np.matmul(self.W @ self.vy, qt, out=jac.Jx)
+        jac.Jx += self.hinv
+        np.negative(jac.Jx, out=jac.Jx)
+        np.matmul(self.V_lam, qt, out=jac.Jlam)
+        np.matmul(self.V_s, qt, out=jac.Js)
+        np.matmul(self.V_nu, qt, out=jac.Jnu)
+
+    def trace_point(self, jac: JacobianState) -> np.ndarray:
+        # R V_Y, k x k: ||Jx_i - Jx_j|| = ||R V_Y,i - R V_Y,j||
+        return self.rv_prev.copy()
+
+
+def _distances_to_last(points: list) -> np.ndarray:
+    last = points[-1]
+    return np.array([np.linalg.norm(v - last) for v in points])
 
 
 def _weakly_active(p: ProblemSpec, st: AdmmState) -> bool:
@@ -385,7 +510,9 @@ def differentiate(
     solver's stopping rule (relative x-step below cfg.eps), so loosening eps
     truncates both consistently. With trace=True the report additionally
     carries per-iteration distances of (x_k, Jx_k) to the run's own final
-    iterate, at the cost of storing one trajectory copy.
+    iterate, at the cost of storing one trajectory copy: the n x m_theta Jx
+    per sweep, or on the k x k core of a theta = q solve one k x k block
+    per sweep (R V_Y, whose distances are those of the Jx iterates).
     """
     from . import linalg
 
@@ -417,7 +544,12 @@ def differentiate(
         else:
             fact = factorize(p.objective.P.T + penalty, spd_hint=True)
         if pt.dA is None and pt.dG is None and pt.dP is None:
-            sweep = _QuadraticSweep(p, pt, fact, cfg.rho)
+            # w.r.t. q with fewer constraint rows than variables, the
+            # recursion runs on k x k blocks (k = p + m); that needs
+            # C H^-1 = W', which a Cholesky factorization gives exactly.
+            core = (isinstance(sel, LinearCost) and fact.spd
+                    and con.n_eq + con.n_ineq < p.n)
+            sweep = (_CostCoreSweep if core else _QuadraticSweep)(p, pt, fact, cfg.rho)
         fwd.factorization_ms += (time.perf_counter() - t0) * 1e3
     direct = direct_term(p, pt, cfg.rho) if sweep is None else None
 
@@ -445,7 +577,7 @@ def differentiate(
         # Jacobian sweep: the mixed partial uses the pre-update slack/duals
         # and their Jacobians, exactly as the linearized updates require.
         if sweep is not None:
-            jx_new = sweep.run(jac, s_new)
+            sweep.run(jac, s_new)
         else:
             if pt.dA is not None:
                 dAx = (pt.dA @ x_new).reshape(-1, 1)
@@ -465,7 +597,10 @@ def differentiate(
 
         # Diagnostics sit outside the timed recursion. The Jacobian step is
         # measured against 1 + ||Jx|| so it still converges when Jx -> 0.
-        jac_step = float(np.linalg.norm(jx_new - jac.Jx) / (1.0 + np.linalg.norm(jac.Jx)))
+        if sweep is not None:
+            jac_step = sweep.advance(jac)
+        else:
+            jac_step = float(np.linalg.norm(jx_new - jac.Jx) / (1.0 + np.linalg.norm(jac.Jx)))
         report.jac_step_norms.append(jac_step)
         step = relative_step_norm(x_new, st.x)
         fwd.step_norms.append(step)
@@ -476,16 +611,16 @@ def differentiate(
         fwd.ineq_residuals.append(ineq_res)
         if trace:
             x_hist.append(x_new.copy())
-            jx_hist.append(jx_new.copy())
+            jx_hist.append(jx_new.copy() if sweep is None else sweep.trace_point(jac))
 
-        # Overwrite in place: the recursion never holds more than one state.
-        t3 = perf()
-        jac.Jx[...] = jx_new
         if sweep is None:
+            # Overwrite in place: the recursion never holds more than one state.
+            t3 = perf()
+            jac.Jx[...] = jx_new
             jac.Js[...] = js_new
             jac.Jlam[...] = jlam_new
             jac.Jnu[...] = jnu_new
-        report.jacobian_ms += (perf() - t3) * 1e3
+            report.jacobian_ms += (perf() - t3) * 1e3
 
         st.x, st.s, st.lam, st.nu = x_new, s_new, lam_new, nu_new
         st.k += 1
@@ -498,13 +633,16 @@ def differentiate(
             fwd.converged = True
             break
 
+    if sweep is not None:
+        t0 = perf()
+        sweep.finish(jac)
+        report.jacobian_ms += (perf() - t0) * 1e3
     fwd.hessian_factorization = fact
     fwd.num_factorizations = linalg.factorization_count() - count0
     report.weakly_active_warning = _weakly_active(p, st)
-    if trace and x_hist:
-        xf, jf = x_hist[-1], jx_hist[-1]
-        report.x_errors = np.array([np.linalg.norm(xk - xf) for xk in x_hist])
-        report.jac_errors = np.array([np.linalg.norm(jk - jf) for jk in jx_hist])
+    if trace:
+        report.x_errors = _distances_to_last(x_hist)
+        report.jac_errors = _distances_to_last(jx_hist)
     return report
 
 

@@ -1,11 +1,16 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 import altdiff as ad
 from altdiff import backward, forward
 from altdiff.backward import JacobianState, theta_partials
 from altdiff.errors import DimensionMismatch
-from conftest import SUITE_RHO, cosine
+from altdiff.reference import KKT_POINT_RTOL
+from conftest import SUITE_RHO, cosine, make_suite_qp
 
 
 def _toy_active():
@@ -216,13 +221,22 @@ def test_weak_activity_warning():
     assert rep.weakly_active_warning
 
 
-def test_trace_errors_decay(suite):
-    rep = ad.differentiate(suite.problem(5), ad.EqRhs(),
-                           ad.SolverConfig(rho=SUITE_RHO, eps=1e-8), trace=True)
+@pytest.mark.parametrize("sel", [ad.EqRhs(), ad.LinearCost()],
+                         ids=lambda sel: type(sel).__name__)
+def test_trace_errors_decay(suite, sel):
+    p = suite.problem(5)
+    cfg = ad.SolverConfig(rho=SUITE_RHO, eps=1e-8)
+    rep = ad.differentiate(p, sel, cfg, trace=True)
     assert rep.x_errors is not None
     assert rep.x_errors[-1] == 0.0
     assert rep.x_errors[0] > rep.x_errors[-2]
     assert rep.jac_errors[0] > rep.jac_errors[-2]
+    # The k x k core keeps a k x k block per sweep, not Jx: its distances
+    # must still be those of the Jx iterates.
+    ref = _reference_sweeps(p, sel, cfg)
+    dist = lambda hist: [np.linalg.norm(v - hist[-1]) for v in hist]
+    assert np.allclose(rep.x_errors, dist(ref.x_hist), rtol=1e-8, atol=1e-12)
+    assert np.allclose(rep.jac_errors, dist(ref.jx_hist), rtol=1e-8, atol=1e-12)
 
 
 def _reference_sweeps(p, sel, cfg):
@@ -232,15 +246,16 @@ def _reference_sweeps(p, sel, cfg):
     pt = theta_partials(p, sel)
     st = forward.initial_state(p)
     jac = JacobianState.zeros(p.n, con.n_ineq, con.n_eq, pt.m_theta)
-    eq_res, ineq_res = [], []
+    out = SimpleNamespace(eq_res=[], ineq_res=[], steps=[], jac_steps=[],
+                          x_hist=[], jx_hist=[])
     x_hits = jac_hits = 0
     for _ in range(cfg.max_outer_iters):
         x_new, _ = forward.primal_update(p, st, cfg, fact=fact)
         s_new = forward.slack_update(st, con.G, con.h, x_new, cfg)
         lam_new, nu_new = forward.dual_update(st, con.A, con.b, con.G, con.h,
                                               x_new, s_new, cfg)
-        eq_res.append(np.linalg.norm(con.A @ x_new - con.b))
-        ineq_res.append(np.linalg.norm(con.G @ x_new + s_new - con.h))
+        out.eq_res.append(np.linalg.norm(con.A @ x_new - con.b))
+        out.ineq_res.append(np.linalg.norm(con.G @ x_new + s_new - con.h))
         mixed = backward.mixed_partial(p, sel, st, jac, x_new, cfg.rho)
         jx = backward.primal_jacobian_update(fact, mixed)
         js = backward.slack_jacobian_update(s_new, jac.Jnu, jx, con.G, pt.dh, cfg.rho)
@@ -249,25 +264,32 @@ def _reference_sweeps(p, sel, cfg):
         jac_step = np.linalg.norm(jx - jac.Jx) / (1.0 + np.linalg.norm(jac.Jx))
         jac.Jx, jac.Js, jac.Jlam, jac.Jnu = jx, js, jlam, jnu
         step = ad.relative_step_norm(x_new, st.x)
+        out.steps.append(step)
+        out.jac_steps.append(jac_step)
+        out.x_hist.append(x_new)
+        out.jx_hist.append(jx)
         st.x, st.s, st.lam, st.nu = x_new, s_new, lam_new, nu_new
         st.k += 1
         x_hits = x_hits + 1 if step < cfg.eps else 0
         jac_hits = jac_hits + 1 if jac_step < cfg.eps else 0
         if x_hits >= forward.STEP_RULE_HITS and jac_hits >= forward.STEP_RULE_HITS:
             break
-    return st, jac, eq_res, ineq_res
+    out.st, out.jac = st, jac
+    return out
 
 
 def _assert_sweep_matches(fast, p, sel, cfg):
-    st, jac, eq_res, ineq_res = _reference_sweeps(p, sel, cfg)
-    assert fast.forward.iterations == st.k
+    ref = _reference_sweeps(p, sel, cfg)
+    assert fast.forward.iterations == ref.st.k
     for name in ("x", "s", "lam", "nu"):
-        assert np.allclose(getattr(fast.forward.state, name), getattr(st, name),
+        assert np.allclose(getattr(fast.forward.state, name), getattr(ref.st, name),
                            atol=1e-12), name
-    assert np.allclose(fast.forward.eq_residuals, eq_res, rtol=1e-10, atol=1e-12)
-    assert np.allclose(fast.forward.ineq_residuals, ineq_res, rtol=1e-10, atol=1e-12)
+    assert np.allclose(fast.forward.eq_residuals, ref.eq_res, rtol=1e-10, atol=1e-12)
+    assert np.allclose(fast.forward.ineq_residuals, ref.ineq_res, rtol=1e-10, atol=1e-12)
+    assert np.allclose(fast.forward.step_norms, ref.steps, rtol=1e-8, atol=1e-14)
+    assert np.allclose(fast.jac_step_norms, ref.jac_steps, rtol=1e-8, atol=1e-14)
     for name in ("Jx", "Js", "Jlam", "Jnu"):
-        assert np.allclose(getattr(fast.jac, name), getattr(jac, name), atol=1e-10), name
+        assert np.allclose(getattr(fast.jac, name), getattr(ref.jac, name), atol=1e-10), name
 
 
 def _constraint_shape(p, shape):
@@ -277,18 +299,54 @@ def _constraint_shape(p, shape):
         return ad.ProblemSpec.quadratic(P, q, A=con.A, b=con.b)
     if shape == "ineq_only":
         return ad.ProblemSpec.quadratic(P, q, G=con.G, h=con.h)
+    if shape == "eq_ineq_box":
+        # |x_i| <= 1 on top: p + m >= n, so LinearCost keeps the n-space sweep.
+        G = np.vstack([con.G, np.eye(p.n), -np.eye(p.n)])
+        h = np.concatenate([con.h, np.ones(2 * p.n)])
+        return ad.ProblemSpec.quadratic(P, q, A=con.A, b=con.b, G=G, h=h)
     return p
 
 
-@pytest.mark.parametrize("shape", ["eq_ineq", "eq_only", "ineq_only"])
+@pytest.fixture
+def core_sweeps(monkeypatch):
+    """Records each Jacobian sweep run on the k x k core."""
+    calls = []
+    run = backward._CostCoreSweep.run
+
+    def counted(self, jac, s_new):
+        calls.append(s_new)
+        return run(self, jac, s_new)
+
+    monkeypatch.setattr(backward._CostCoreSweep, "run", counted)
+    return calls
+
+
+@pytest.mark.parametrize("shape", ["eq_ineq", "eq_only", "ineq_only", "eq_ineq_box"])
 @pytest.mark.parametrize("sel", [ad.LinearCost(), ad.EqRhs(), ad.IneqRhs()],
                          ids=lambda sel: type(sel).__name__)
-def test_fused_sweep_matches_reference_updates(suite, sel, shape):
+def test_fused_sweep_matches_reference_updates(suite, core_sweeps, sel, shape):
     """The buffered quadratic sweep must reproduce the composable update
-    operations step for step, in every Jacobian block."""
+    operations step for step, in every Jacobian block. LinearCost with
+    p + m < n runs on the k x k core, every other case in n-space."""
     p = _constraint_shape(suite.problem(8), shape)
     cfg = ad.SolverConfig(rho=SUITE_RHO, eps=1e-6)
-    _assert_sweep_matches(ad.differentiate(p, sel, cfg), p, sel, cfg)
+    rep = ad.differentiate(p, sel, cfg)
+    con = p.constraints
+    core = isinstance(sel, ad.LinearCost) and con.n_eq + con.n_ineq < p.n
+    assert len(core_sweeps) == (rep.forward.iterations if core else 0)
+    _assert_sweep_matches(rep, p, sel, cfg)
+
+
+def test_lu_factor_keeps_nspace_sweep(suite, core_sweeps):
+    # The core needs C H^-1 = W', exact for a Cholesky factor only; a
+    # provider handing back LU factors keeps the n-space sweep.
+    p = suite.problem(8)
+    cfg = ad.SolverConfig(rho=SUITE_RHO, eps=1e-6)
+    H = p.objective.P.T + forward.penalty_matrix(p, cfg.rho)
+    rep = ad.differentiate(p, ad.LinearCost(), cfg, hessian_factor=lambda _x: ad.factorize(H))
+    assert not rep.forward.hessian_factorization.spd
+    assert not core_sweeps
+    _assert_sweep_matches(rep, p, ad.LinearCost(), cfg)
 
 
 def test_vector_direction_sweep_matches_reference_updates(suite):
@@ -411,3 +469,36 @@ def test_direction_all_blocks_matches_reference(suite):
     assert np.abs(rep.Jx - ref).max() <= 1e-5 * (1 + np.abs(ref).max())
     fd = ad.finite_diff_jacobian(p, sel, ad.SolverConfig(rho=SUITE_RHO), step=1e-6)
     assert np.abs(rep.Jx - fd).max() <= 1e-4 * (1 + np.abs(fd).max())
+
+
+@hst.composite
+def _feasible_qps(draw):
+    """Strictly feasible unit-scale QPs with p + m < n or p + m >= n."""
+    n = draw(hst.integers(2, 20))
+    p_eq = draw(hst.integers(0, n - 1))
+    if draw(hst.booleans()):
+        m = draw(hst.integers(n - p_eq, 2 * n))
+    else:
+        m = draw(hst.integers(0, n - p_eq - 1))
+    return make_suite_qp(n, m, p_eq, draw(hst.integers(0, 2**32 - 1)))
+
+
+@given(_feasible_qps())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_random_qp_cost_derivative_matches_oracle(p):
+    """Both sides of the core selection agree with the implicit derivative."""
+    tight = ad.admm_solve(p, ad.SolverConfig(rho=SUITE_RHO, eps=1e-10,
+                                             max_outer_iters=200000))
+    st = tight.state
+    # admm_solve's step rule can stop on a transient far from the optimum;
+    # the oracle is defined only at a point that passes its KKT test.
+    kkt = np.linalg.norm(ad.kkt_residual(p, st.x, st.lam, st.nu))
+    assume(kkt <= KKT_POINT_RTOL * (1.0 + np.linalg.norm(st.x)))
+    rep = ad.differentiate(p, ad.LinearCost(), ad.SolverConfig(rho=SUITE_RHO, eps=1e-8,
+                                                               max_outer_iters=200000))
+    assume(not rep.weakly_active_warning)
+    ref = ad.implicit_diff_solve(p, st.x, st.lam, st.nu, ad.LinearCost())
+    # At a vertex (p + active rows = n) dx/dq = 0 and a relative error is
+    # noise; there the error is held to 1e-4, against derivatives of order 1
+    # elsewhere (P's eigenvalues are at least 0.1).
+    assert np.linalg.norm(rep.Jx - ref) <= 1e-3 * max(np.linalg.norm(ref), 0.1)

@@ -22,9 +22,13 @@ z = [lam; nu + rho s] and Y = [Jlam; Jnu + rho Js],
     x  = x0 - W z,          x0 = -H^-1 q + rho W [b; h]
     Jx = -(Hd + W Y),       Hd = H^-1 dq - rho W d[b; h]/dtheta
 
-Set-up therefore factorizes H once and makes one solve against that
-factorization, H^-1 [A; G]' with the q and dq columns alongside. Each sweep
-is then one matvec with W for x, one with [A; G] for the residuals the slack
+Set-up therefore factorizes H once. For theta = q, dq = I makes H^-1 dq
+H^-1 itself, so set-up takes H^-1 from the factor (linalg.inverse: LAPACK
+potri on a Cholesky factor) and forms W and H^-1 q as products, with no
+solve. For every other selector it makes one solve against the factor,
+H^-1 [A; G]' with the q and dq columns alongside; the b and h selectors
+read W d[b; h] off the columns of W that db and dh select. Each sweep is
+then one matvec with W for x, one with [A; G] for the residuals the slack
 and dual steps share, and two products with the n x (p + m) blocks for the
 Jacobian, about 4 n (p + m) m_theta flops, with no triangular solve and no
 n x n product.
@@ -313,43 +317,56 @@ class _QuadraticSweep:
     """Solver and Jacobian sweep for constant-Hessian problems and vector parameters.
 
     The same update algebra as the public helper operations, with H^-1
-    folded into the constraint matrix at set-up: one solve gives W, the
-    x-step offset x0 and H^-1 times the direct term, so the x-step is a
-    matvec and the Jacobian sweep is two matrix products, evaluated into
+    folded into the constraint matrix at set-up: W, the x-step offset x0
+    and H^-1 times the direct term come from H^-1 and two products when
+    theta = q (cost=True), else from one solve, so the x-step is a matvec
+    and the Jacobian sweep is two matrix products, evaluated into
     preallocated buffers. Jx is double-buffered: run() writes the new
     iterate beside jac.Jx and advance() takes the step norm in place on the
     outgoing buffer before the two swap.
     """
 
-    def __init__(self, p: ProblemSpec, pt: ThetaPartials, fact: Factorization, rho: float):
+    def __init__(self, p: ProblemSpec, pt: ThetaPartials, fact: Factorization, rho: float,
+                 cost: bool):
         con = p.constraints
         self.rho, self.p_eq = rho, con.n_eq
         self.C = np.vstack([con.A, con.G])
         k = self.C.shape[0]
         self.rhs = np.concatenate([con.b, con.h])  # [b; h]
-        cols = [self.C.T, p.objective.q.reshape(-1, 1)]
-        if pt.dq is not None:
-            cols.append(pt.dq)
-        sol = fact.solve(np.hstack(cols))
-        self.W = np.ascontiguousarray(sol[:, :k])  # H^-1 [A; G]'
+        q = p.objective.q
+        if cost:
+            # theta = q: dq = I, so H^-1 dq is H^-1 itself; take it from the
+            # factor and get the rest as products.
+            hinv = hinv_dq = fact.inverse()
+            self.W = hinv @ self.C.T  # H^-1 [A; G]'
+            hinv_q = hinv @ q
+        else:
+            cols = [self.C.T, q.reshape(-1, 1)]
+            if pt.dq is not None:
+                cols.append(pt.dq)
+            sol = fact.solve(np.hstack(cols))
+            self.W = np.ascontiguousarray(sol[:, :k])
+            hinv_q = sol[:, k]
+            hinv_dq = sol[:, k + 1:] if pt.dq is not None else None
         # The x-step at z = 0.
-        self.x0 = rho * (self.W @ self.rhs) - sol[:, k]
+        self.x0 = rho * (self.W @ self.rhs) - hinv_q
         self.z = np.empty(k)
         self.jx_norm = 0.0  # ||jac.Jx||; the recursion starts from Jx = 0
-        self._init_jacobian(pt, sol[:, k + 1:] if pt.dq is not None else None)
+        self._init_jacobian(pt, hinv_dq)
 
     def _init_jacobian(self, pt: ThetaPartials, hinv_dq: Optional[np.ndarray]) -> None:
-        k, mt = self.C.shape[0], pt.m_theta
+        k, mt, p_eq, rho = self.C.shape[0], pt.m_theta, self.p_eq, self.rho
         # d[b; h]/dtheta, zero in the blocks theta does not enter.
         self.d_rhs = np.zeros((k, mt))
-        if pt.db is not None:
-            self.d_rhs[:self.p_eq] = pt.db
-        if pt.dh is not None:
-            self.d_rhs[self.p_eq:] = pt.dh
-        # H^-1 (dq - rho [A; G]' d[b; h]).
+        # H^-1 (dq - rho [A; G]' d[b; h]), with W d[b; h] taken from the
+        # columns of W that db and dh select.
         self.Hd = np.zeros((self.W.shape[0], mt)) if hinv_dq is None else hinv_dq
-        if pt.db is not None or pt.dh is not None:
-            self.Hd = self.Hd - self.rho * (self.W @ self.d_rhs)
+        if pt.db is not None:
+            self.d_rhs[:p_eq] = pt.db
+            self.Hd = self.Hd - rho * (self.W[:, :p_eq] @ pt.db)
+        if pt.dh is not None:
+            self.d_rhs[p_eq:] = pt.dh
+            self.Hd = self.Hd - rho * (self.W[:, p_eq:] @ pt.dh)
         self.y = np.empty_like(self.d_rhs)
         self.cjx = np.empty_like(self.d_rhs)
         self.jx = np.empty((self.W.shape[0], mt))
@@ -528,17 +545,16 @@ def differentiate(
     report = DiffReport(forward=fwd, jac=jac)
     count0 = linalg.factorization_count()
 
-    # The constraint curvature is needed only to assemble the x-step Hessian
-    # here; a layer's factor provider brings its own.
+    # One-time set-up, timed as a whole. The constraint curvature is needed
+    # only to assemble the x-step Hessian here; a layer's factor provider
+    # brings its own. A quadratic objective factorizes its constant Hessian
+    # once, and for vector parameters (the hot path) the fused sweep takes
+    # what it needs from that factor: H^-1 for theta = q, else one solve.
+    t0 = time.perf_counter()
     penalty = penalty_matrix(p, cfg.rho) if hessian_factor is None else None
     fact = None
     sweep = None
     if quadratic:
-        # One-time setup: factorize the constant Hessian. For vector
-        # parameters (the hot path) also make the one solve of the fused
-        # sweep, so each sweep is a matvec for x and two products with
-        # n x (p+m) blocks for the Jacobian.
-        t0 = time.perf_counter()
         if hessian_factor is not None:
             fact = hessian_factor(st.x)
         else:
@@ -547,10 +563,10 @@ def differentiate(
             # w.r.t. q with fewer constraint rows than variables, the
             # recursion runs on k x k blocks (k = p + m); that needs
             # C H^-1 = W', which a Cholesky factorization gives exactly.
-            core = (isinstance(sel, LinearCost) and fact.spd
-                    and con.n_eq + con.n_ineq < p.n)
-            sweep = (_CostCoreSweep if core else _QuadraticSweep)(p, pt, fact, cfg.rho)
-        fwd.factorization_ms += (time.perf_counter() - t0) * 1e3
+            cost = isinstance(sel, LinearCost)
+            core = cost and fact.spd and con.n_eq + con.n_ineq < p.n
+            sweep = (_CostCoreSweep if core else _QuadraticSweep)(p, pt, fact, cfg.rho, cost)
+    fwd.factorization_ms += (time.perf_counter() - t0) * 1e3
     direct = direct_term(p, pt, cfg.rho) if sweep is None else None
 
     dAx = dGx = None

@@ -185,7 +185,8 @@ def _timed_factorization_ms(H: np.ndarray, target_ms: float = 20.0) -> float:
     """Wall time of factorize plus inverse formation, the cubic set-up model
     behind the set-up ratio of criterion 5, amortized over enough repeats
     that the sample is not swamped by timer resolution or call overhead.
-    differentiate() itself forms no inverse: its set-up is one factorization
+    differentiate() w.r.t. q forms the same inverse, from the Cholesky factor
+    by LAPACK potri; for the other selectors its set-up is one factorization
     and one solve, against [A; G]' with q and dq alongside."""
     eye = np.eye(H.shape[0])
 

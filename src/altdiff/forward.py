@@ -15,8 +15,9 @@ The update steps here are the reference form of the splitting: admm_solve,
 callback objectives and matrix-direction derivatives run them, and a
 quadratic x-step costs two triangular solves per sweep. For a quadratic
 objective and a vector parameter, backward.differentiate instead folds the
-x-step into its set-up solve, so its sweeps make one matvec for x and no
-triangular solve.
+x-step into its set-up (one solve against the factorization, or for
+theta = q the inverse taken from it), so its sweeps make one matvec for x
+and no triangular solve.
 """
 
 from __future__ import annotations
@@ -101,13 +102,16 @@ class ForwardReport:
 
 
 def penalty_matrix(p: ProblemSpec, rho: float) -> np.ndarray:
-    """rho A'A + rho G'G, the constraint curvature added to the x-step Hessian."""
+    """rho A'A + rho G'G, the constraint curvature added to the x-step Hessian.
+
+    Formed as rho C'C from the stacked C = [A; G] in one product, which numpy
+    evaluates as a symmetric rank-k update, so the result is exactly
+    symmetric. With no constraint rows it is the n x n zero matrix.
+    """
     con = p.constraints
-    out = np.zeros((p.n, p.n))
-    if con.n_eq:
-        out += rho * (con.A.T @ con.A)
-    if con.n_ineq:
-        out += rho * (con.G.T @ con.G)
+    C = np.vstack([con.A, con.G])
+    out = C.T @ C
+    out *= rho
     return out
 
 
@@ -263,15 +267,17 @@ def admm_solve(
     count0 = linalg.factorization_count()
 
     quadratic = isinstance(p.objective, QuadraticObjective)
+    # Set-up: the constraint curvature (unless a factor provider brings its
+    # own) and, for a constant Hessian, its one factorization.
+    t0 = time.perf_counter()
     penalty = penalty_matrix(p, cfg.rho) if hessian_factor is None else None
     fact = None
     if quadratic:
-        t0 = time.perf_counter()
         if hessian_factor is not None:
             fact = hessian_factor(st.x)
         else:
             fact = factorize(p.objective.P.T + penalty, spd_hint=True)
-        report.factorization_ms += (time.perf_counter() - t0) * 1e3
+    report.factorization_ms += (time.perf_counter() - t0) * 1e3
 
     t_loop = time.perf_counter()
     hits = 0

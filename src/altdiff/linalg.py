@@ -1,4 +1,9 @@
-"""Dense linear-algebra kernels: factorizations, reusable solves, and norms.
+"""Dense linear-algebra kernels: factorizations, reusable solves, inverses, norms.
+
+A factorization serves many right-hand sides. When the whole inverse is
+wanted (the x-step Hessian's H^-1 when differentiating w.r.t. the linear
+cost), inverse() takes it from the factor: LAPACK potri for a Cholesky
+factor, a solve against I for an LU one.
 
 Matrices are plain float64 numpy arrays in row-major order. Everything here
 is deterministic: identical inputs give bit-identical outputs.
@@ -71,6 +76,9 @@ class Factorization:
     def solve(self, b: np.ndarray) -> np.ndarray:
         return solve(self, b)
 
+    def inverse(self) -> np.ndarray:
+        return inverse(self)
+
 
 def _pivot_check(pivots: np.ndarray, scale: float) -> None:
     threshold = SINGULARITY_RTOL * scale
@@ -125,6 +133,29 @@ def solve(f: Factorization, b) -> np.ndarray:
         return scipy.linalg.cho_solve(f.factors, rhs, check_finite=False)
     lu, piv = f.factors
     return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+
+
+def inverse(f: Factorization) -> np.ndarray:
+    """M^-1 from a precomputed factorization of M.
+
+    A Cholesky factor gives it through LAPACK potri, which fills one triangle;
+    the other is mirrored from it in one pass, so the result is exactly
+    symmetric. An LU factor solves against the identity.
+    """
+    if f.n == 0:
+        return np.zeros((0, 0))
+    if not f.spd:
+        return solve(f, np.eye(f.n))
+    c, lower = f.factors
+    inv, info = scipy.linalg.lapack.dpotri(c, lower=lower)
+    if info:
+        raise SingularMatrix(f"potri found a zero pivot (info={info})")
+    # Mirror the filled triangle, one row at a time; tri's lower one is it.
+    tri = inv if lower else inv.T
+    for i in range(1, f.n):
+        tri[:i, i] = tri[i, :i]
+    # potri's result is column-major; its transpose is the same matrix, row-major.
+    return inv.T
 
 
 def relative_step_norm(x_new, x_old) -> float:

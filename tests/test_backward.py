@@ -370,15 +370,21 @@ def test_layer_sweep_matches_reference_updates(suite):
 
 
 @pytest.fixture
-def solve_counter(monkeypatch):
+def factor_calls(monkeypatch):
+    """Names of the Factorization.solve/.inverse calls made, in order."""
     calls = []
-    solve = ad.Factorization.solve
+    solve, inverse = ad.Factorization.solve, ad.Factorization.inverse
 
-    def counted(self, b):
-        calls.append(b)
+    def counted_solve(self, b):
+        calls.append("solve")
         return solve(self, b)
 
-    monkeypatch.setattr(ad.Factorization, "solve", counted)
+    def counted_inverse(self):
+        calls.append("inverse")
+        return inverse(self)
+
+    monkeypatch.setattr(ad.Factorization, "solve", counted_solve)
+    monkeypatch.setattr(ad.Factorization, "inverse", counted_inverse)
     return calls
 
 
@@ -393,11 +399,13 @@ def _layer_solve(p, sel, cfg):
     (ad.differentiate, ad.LinearCost()),
     (_layer_solve, ad.LinearCost()),
 ], ids=["EqRhs", "IneqRhs", "LinearCost", "layer-LinearCost"])
-def test_quadratic_sweep_solves_once(suite, solve_counter, solve, sel):
-    """Set-up makes the only solve; the sweeps make none."""
+def test_quadratic_sweep_solves_once(suite, factor_calls, solve, sel):
+    """Set-up makes the only use of the factor, the sweeps none: H^-1 from it
+    for theta = q, else one solve."""
     rep = solve(suite.problem(8), sel, ad.SolverConfig(rho=SUITE_RHO, eps=1e-6))
     assert rep.forward.iterations > 1
-    assert len(solve_counter) == 1
+    expected = ["inverse"] if isinstance(sel, ad.LinearCost) else ["solve"]
+    assert factor_calls == expected
 
 
 def test_direction_selector_matches_column(suite):

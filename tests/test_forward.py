@@ -189,3 +189,49 @@ def test_report_timing_fields_populated(suite):
     assert rep.factorization_ms > 0
     assert rep.iteration_ms > 0
     assert len(rep.eq_residuals) == rep.iterations
+
+
+@pytest.mark.parametrize("shape", ["eq_ineq", "eq_only", "ineq_only", "unconstrained"])
+def test_penalty_matrix_is_rho_gram_of_constraints(shape):
+    rng = np.random.default_rng(3)
+    n = 12
+    A = rng.standard_normal((5, n)) if shape in ("eq_ineq", "eq_only") else None
+    G = rng.standard_normal((9, n)) if shape in ("eq_ineq", "ineq_only") else None
+    p = ad.ProblemSpec.quadratic(
+        P=np.eye(n), q=np.zeros(n),
+        A=A, b=None if A is None else np.zeros(5),
+        G=G, h=None if G is None else np.ones(9),
+    )
+    rho = 1.7
+    out = forward.penalty_matrix(p, rho)
+    expected = np.zeros((n, n))
+    for block in (A, G):
+        if block is not None:
+            expected += rho * (block.T @ block)
+    assert out.shape == (n, n)
+    assert np.array_equal(out, out.T)
+    if shape == "unconstrained":
+        assert np.array_equal(out, np.zeros((n, n)))
+    else:
+        np.testing.assert_allclose(out, expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("solve", ["admm_solve", "differentiate"])
+def test_setup_time_includes_penalty_assembly(suite, monkeypatch, solve):
+    import time
+
+    penalty = forward.penalty_matrix
+
+    def slow_penalty(p, rho):
+        time.sleep(0.02)
+        return penalty(p, rho)
+
+    # Both modules hold a binding of the function.
+    monkeypatch.setattr(forward, "penalty_matrix", slow_penalty)
+    monkeypatch.setattr(ad.backward, "penalty_matrix", slow_penalty)
+    cfg = ad.SolverConfig(rho=SUITE_RHO, eps=1e-6)
+    if solve == "admm_solve":
+        rep = ad.admm_solve(suite.problem(4), cfg)
+    else:
+        rep = ad.differentiate(suite.problem(4), ad.EqRhs(), cfg).forward
+    assert rep.factorization_ms >= 20.0

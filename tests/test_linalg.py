@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from altdiff import linalg
 from altdiff.errors import DimensionMismatch, SingularMatrix
@@ -118,4 +119,52 @@ def test_factorization_counter_is_per_thread():
     worker.start()
     worker.join(timeout=30)
     assert not worker.is_alive()
+    assert linalg.factorization_count() == before
+
+
+def _spd(n, seed=0):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n))
+    return m @ m.T + n * np.eye(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 30])
+def test_inverse_from_cholesky_matches_solve(n):
+    f = linalg.factorize(_spd(n), spd_hint=True)
+    assert f.spd
+    inv = f.inverse()
+    np.testing.assert_allclose(inv, f.solve(np.eye(n)), rtol=1e-12, atol=0)
+    assert np.array_equal(inv, inv.T)
+    assert inv.flags.c_contiguous
+
+
+def test_inverse_from_lower_cholesky_factor():
+    m = _spd(6, seed=1)
+    f = linalg.Factorization(n=6, spd=True, factors=scipy.linalg.cho_factor(m, lower=True))
+    inv = f.inverse()
+    np.testing.assert_allclose(inv, np.linalg.inv(m), rtol=1e-12, atol=1e-15)
+    assert np.array_equal(inv, inv.T)
+
+
+def test_inverse_from_lu_factor():
+    rng = np.random.default_rng(2)
+    m = rng.standard_normal((8, 8)) + 16 * np.eye(8)  # nonsymmetric
+    f = linalg.factorize(m, spd_hint=False)
+    assert not f.spd
+    np.testing.assert_allclose(f.inverse() @ m, np.eye(8), atol=1e-13)
+    np.testing.assert_allclose(f.inverse(), f.solve(np.eye(8)), rtol=1e-12)
+
+
+def test_inverse_of_empty_matrix():
+    for spd in (True, False):
+        inv = linalg.factorize(np.zeros((0, 0)), spd_hint=spd).inverse()
+        assert inv.shape == (0, 0)
+
+
+def test_inverse_makes_no_factorization():
+    f = linalg.factorize(_spd(5), spd_hint=True)
+    g = linalg.factorize(_spd(5) + np.triu(np.ones((5, 5)), 1))
+    before = linalg.factorization_count()
+    f.inverse()
+    g.inverse()
     assert linalg.factorization_count() == before

@@ -12,10 +12,6 @@ from .backward import (
     DiffReport,
     JacobianState,
     differentiate,
-    dual_jacobian_update,
-    mixed_partial,
-    primal_jacobian_update,
-    slack_jacobian_update,
     theta_partials,
     truncated_differentiate,
     vjp,

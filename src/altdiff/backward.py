@@ -41,6 +41,12 @@ the end. The b and h selectors keep the n-space sweep: their direct term
 has only m_theta columns, and the same move would leave the per-iteration
 backward cost growing more slowly with n than acceptance criterion 5's
 band (its per-iteration ratio is measured on IneqRhs) allows.
+
+Every solve runs one loop (_solve) over one of three sweeps, picked at
+set-up: the two above, and _GeneralSweep, which runs the helper operations
+below for callback objectives (damped Newton) and matrix directions (dP,
+dA, dG). forward.admm_solve is the same loop with a zero-width parameter:
+its n x 0 Jacobian steps have norm 0, which leaves the x-step rule.
 """
 
 from __future__ import annotations
@@ -313,23 +319,49 @@ def _gated_update(jlam: np.ndarray, js: np.ndarray, jnu: np.ndarray, c: np.ndarr
     jnu[active, :] = 0.0
 
 
-class _QuadraticSweep:
+class _Sweep:
+    """The protocol of the solver loop. Per iteration: step(st), the solver
+    sweep, returns (x, s, lam, nu, ||Ax - b||, ||Gx + s - h||); run(jac, s)
+    is the Jacobian sweep, writing the new Jx to self.jx; advance(jac)
+    returns ||Jx_new - Jx|| / (1 + ||Jx||), taken in place on the outgoing
+    buffer, and swaps the two. After the loop, finish(jac) writes the final
+    blocks. fact is the x-step factorization the report keeps.
+    """
+
+    jx_norm = 0.0  # ||jac.Jx||; the recursion starts from Jx = 0
+
+    def advance(self, jac: JacobianState) -> float:
+        old, new = jac.Jx, self.jx
+        old -= new
+        step = float(np.linalg.norm(old) / (1.0 + self.jx_norm))
+        self.jx_norm = float(np.linalg.norm(new))
+        jac.Jx, self.jx = new, old
+        return step
+
+    def finish(self, jac: JacobianState) -> None:
+        """Write the final Jacobian blocks into jac (here they already are)."""
+
+    def trace_point(self, jac: JacobianState) -> np.ndarray:
+        """A copy of what a trace keeps of the current Jacobian iterate: an
+        array whose distances to the others are those of the Jx iterates."""
+        return jac.Jx.copy()
+
+
+class _QuadraticSweep(_Sweep):
     """Solver and Jacobian sweep for constant-Hessian problems and vector parameters.
 
-    The same update algebra as the public helper operations, with H^-1
-    folded into the constraint matrix at set-up: W, the x-step offset x0
-    and H^-1 times the direct term come from H^-1 and two products when
-    theta = q (cost=True), else from one solve, so the x-step is a matvec
-    and the Jacobian sweep is two matrix products, evaluated into
-    preallocated buffers. Jx is double-buffered: run() writes the new
-    iterate beside jac.Jx and advance() takes the step norm in place on the
-    outgoing buffer before the two swap.
+    The same update algebra as the helper operations, with H^-1 folded into
+    the constraint matrix at set-up: W, the x-step offset x0 and H^-1 times
+    the direct term come from H^-1 and two products when theta = q
+    (cost=True), else from one solve, so the x-step is a matvec and the
+    Jacobian sweep is two matrix products, evaluated into preallocated
+    buffers.
     """
 
     def __init__(self, p: ProblemSpec, pt: ThetaPartials, fact: Factorization, rho: float,
                  cost: bool):
         con = p.constraints
-        self.rho, self.p_eq = rho, con.n_eq
+        self.fact, self.rho, self.p_eq = fact, rho, con.n_eq
         self.C = np.vstack([con.A, con.G])
         k = self.C.shape[0]
         self.rhs = np.concatenate([con.b, con.h])  # [b; h]
@@ -351,7 +383,6 @@ class _QuadraticSweep:
         # The x-step at z = 0.
         self.x0 = rho * (self.W @ self.rhs) - hinv_q
         self.z = np.empty(k)
-        self.jx_norm = 0.0  # ||jac.Jx||; the recursion starts from Jx = 0
         self._init_jacobian(pt, hinv_dq)
 
     def _init_jacobian(self, pt: ThetaPartials, hinv_dq: Optional[np.ndarray]) -> None:
@@ -404,24 +435,6 @@ class _QuadraticSweep:
         cjx -= self.d_rhs
         cjx *= rho
         _gated_update(jac.Jlam, jac.Js, jac.Jnu, cjx, s_new, rho, p_eq)
-
-    def advance(self, jac: JacobianState) -> float:
-        """The step ||Jx_new - Jx|| / (1 + ||Jx||) of the last run(); the new
-        iterate then becomes jac.Jx."""
-        old, new = jac.Jx, self.jx
-        old -= new
-        step = float(np.linalg.norm(old) / (1.0 + self.jx_norm))
-        self.jx_norm = float(np.linalg.norm(new))
-        jac.Jx, self.jx = new, old
-        return step
-
-    def finish(self, jac: JacobianState) -> None:
-        """Write the final Jacobian blocks into jac (here they already are)."""
-
-    def trace_point(self, jac: JacobianState) -> np.ndarray:
-        """A copy of what a trace keeps of the current Jacobian iterate: an
-        array whose distances to the others are those of the Jx iterates."""
-        return jac.Jx.copy()
 
 
 class _CostCoreSweep(_QuadraticSweep):
@@ -501,6 +514,71 @@ class _CostCoreSweep(_QuadraticSweep):
         return self.rv_prev.copy()
 
 
+class _GeneralSweep(_Sweep):
+    """Solver and Jacobian sweep through the helper operations.
+
+    Runs what the folded sweeps cannot: callback objectives, whose damped
+    Newton x-step factorizes H(x) again every sweep (the Jacobian step
+    reuses that sweep's factor), and matrix directions (dP, dA, dG), whose
+    mixed partial depends on x. run() takes the mixed partial at the new x
+    and the pre-update slack and duals, so step() keeps both.
+    """
+
+    def __init__(self, p: ProblemSpec, pt: ThetaPartials, cfg: SolverConfig,
+                 fact: Optional[Factorization], penalty: Optional[np.ndarray],
+                 hessian_factor: Optional[Callable[[np.ndarray], Factorization]]):
+        self.p, self.pt, self.cfg, self.fact = p, pt, cfg, fact
+        self.penalty, self.hessian_factor = penalty, hessian_factor
+        self.direct = direct_term(p, pt, cfg.rho)
+
+    def step(self, st: AdmmState) -> tuple:
+        p, cfg, con = self.p, self.cfg, self.p.constraints
+        # A quadratic objective solves with the set-up factor; Newton ignores it.
+        x, self.fact = primal_update(p, st, cfg, fact=self.fact, penalty=self.penalty,
+                                     hessian_factor=self.hessian_factor)
+        s = slack_update(st, con.G, con.h, x, cfg)
+        lam, nu = dual_update(st, con.A, con.b, con.G, con.h, x, s, cfg)
+        self.st, self.x = st, x
+        return (x, s, lam, nu, float(np.linalg.norm(con.A @ x - con.b)),
+                float(np.linalg.norm(con.G @ x + s - con.h)))
+
+    def run(self, jac: JacobianState, s_new: np.ndarray) -> None:
+        pt, rho, x, con = self.pt, self.cfg.rho, self.x, self.p.constraints
+        dAx = None if pt.dA is None else (pt.dA @ x).reshape(-1, 1)
+        dGx = None if pt.dG is None else (pt.dG @ x).reshape(-1, 1)
+        mixed = mixed_partial(self.p, None, self.st, jac, x, rho, partials=pt, direct=self.direct)
+        self.jx = jx = primal_jacobian_update(self.fact, mixed)
+        g_jx = con.G @ jx
+        js = slack_jacobian_update(s_new, jac.Jnu, jx, con.G, pt.dh, rho, dGx=dGx, GJx=g_jx)
+        jac.Jlam, jac.Jnu = dual_jacobian_update(jac.Jlam, jac.Jnu, jx, js, con.A, con.G, pt,
+                                                 rho, dAx=dAx, dGx=dGx, GJx=g_jx)
+        jac.Js = js
+
+
+def _make_sweep(p: ProblemSpec, pt: ThetaPartials, cfg: SolverConfig,
+                hessian_factor: Optional[Callable[[np.ndarray], Factorization]],
+                cost: bool) -> _Sweep:
+    """The set-up of a solve: the constraint curvature (a layer's factor
+    provider brings its own), for a quadratic objective the one
+    factorization of its constant Hessian, and the sweep. Vector parameters
+    of a quadratic take the folded sweep, on the k x k core for theta = q
+    with k = p + m < n (that needs C H^-1 = W', exact for a Cholesky
+    factor); the rest run the helper operations.
+    """
+    penalty = penalty_matrix(p, cfg.rho) if hessian_factor is None else None
+    if not isinstance(p.objective, QuadraticObjective):
+        return _GeneralSweep(p, pt, cfg, None, penalty, hessian_factor)
+    if hessian_factor is not None:
+        fact = hessian_factor(np.zeros(p.n))
+    else:
+        fact = factorize(p.objective.P.T + penalty, spd_hint=True)
+    if pt.dP is not None or pt.dA is not None or pt.dG is not None:
+        return _GeneralSweep(p, pt, cfg, fact, penalty, hessian_factor)
+    con = p.constraints
+    core = cost and fact.spd and con.n_eq + con.n_ineq < p.n
+    return (_CostCoreSweep if core else _QuadraticSweep)(p, pt, fact, cfg.rho, cost)
+
+
 def _distances_to_last(points: list) -> np.ndarray:
     last = points[-1]
     return np.array([np.linalg.norm(v - last) for v in points])
@@ -508,10 +586,83 @@ def _distances_to_last(points: list) -> np.ndarray:
 
 def _weakly_active(p: ProblemSpec, st: AdmmState) -> bool:
     con = p.constraints
-    if not con.n_ineq:
-        return False
     margin = np.abs(con.G @ st.x - con.h)
     return bool(np.any((np.abs(st.nu) <= WEAK_ACTIVITY_TOL) & (margin <= WEAK_ACTIVITY_TOL)))
+
+
+def _solve(
+    p: ProblemSpec,
+    pt: ThetaPartials,
+    cfg: SolverConfig,
+    hessian_factor: Optional[Callable[[np.ndarray], Factorization]] = None,
+    cost: bool = False,
+    trace: bool = False,
+) -> DiffReport:
+    """The solver loop of every solve, on a validated problem. Timers:
+    factorization_ms covers the set-up, iteration_ms the solver steps,
+    jacobian_ms the Jacobian steps and finish()."""
+    from . import linalg
+
+    con = p.constraints
+    st = initial_state(p)
+    jac = JacobianState.zeros(p.n, con.n_ineq, con.n_eq, pt.m_theta)
+    fwd = ForwardReport(state=st, converged=False)
+    report = DiffReport(forward=fwd, jac=jac)
+    count0 = linalg.factorization_count()
+    perf = time.perf_counter
+
+    t0 = perf()
+    sweep = _make_sweep(p, pt, cfg, hessian_factor, cost)
+    fwd.factorization_ms += (perf() - t0) * 1e3
+
+    x_hist: list[np.ndarray] = []
+    jx_hist: list[np.ndarray] = []
+    x_hits = jac_hits = 0
+    for _ in range(cfg.max_outer_iters):
+        t0 = perf()
+        x_new, s_new, lam_new, nu_new, eq_res, ineq_res = sweep.step(st)
+        t1 = perf()
+        fwd.iteration_ms += (t1 - t0) * 1e3
+
+        # Jacobian sweep: the mixed partial uses the pre-update slack/duals
+        # and their Jacobians, exactly as the linearized updates require.
+        sweep.run(jac, s_new)
+        report.jacobian_ms += (perf() - t1) * 1e3
+
+        # Diagnostics sit outside the timed recursion. The Jacobian step is
+        # measured against 1 + ||Jx|| so it still converges when Jx -> 0.
+        jac_step = sweep.advance(jac)
+        report.jac_step_norms.append(jac_step)
+        step = relative_step_norm(x_new, st.x)
+        fwd.step_norms.append(step)
+        fwd.eq_residuals.append(eq_res)
+        fwd.ineq_residuals.append(ineq_res)
+        if trace:
+            x_hist.append(x_new.copy())
+            jx_hist.append(sweep.trace_point(jac))
+
+        st.x, st.s, st.lam, st.nu = x_new, s_new, lam_new, nu_new
+        st.k += 1
+        # Both recursions must settle: an x iterate can be stationary from
+        # the first sweep (inactive constraints) while its Jacobian is still
+        # iterating toward the implicit derivative. With zero width the
+        # Jacobian step is 0 and this is the x rule alone.
+        x_hits = x_hits + 1 if step < cfg.eps else 0
+        jac_hits = jac_hits + 1 if jac_step < cfg.eps else 0
+        if x_hits >= STEP_RULE_HITS and jac_hits >= STEP_RULE_HITS:
+            fwd.converged = True
+            break
+
+    t0 = perf()
+    sweep.finish(jac)
+    report.jacobian_ms += (perf() - t0) * 1e3
+    fwd.hessian_factorization = sweep.fact
+    fwd.num_factorizations = linalg.factorization_count() - count0
+    report.weakly_active_warning = _weakly_active(p, st)
+    if trace:
+        report.x_errors = _distances_to_last(x_hist)
+        report.jac_errors = _distances_to_last(jx_hist)
+    return report
 
 
 def differentiate(
@@ -531,135 +682,9 @@ def differentiate(
     per sweep, or on the k x k core of a theta = q solve one k x k block
     per sweep (R V_Y, whose distances are those of the Jx iterates).
     """
-    from . import linalg
-
-    cfg = cfg or SolverConfig()
     validate(p)
-    con = p.constraints
-    pt = theta_partials(p, sel)
-    quadratic = isinstance(p.objective, QuadraticObjective)
-
-    st = initial_state(p)
-    jac = JacobianState.zeros(p.n, con.n_ineq, con.n_eq, pt.m_theta)
-    fwd = ForwardReport(state=st, converged=False)
-    report = DiffReport(forward=fwd, jac=jac)
-    count0 = linalg.factorization_count()
-
-    # One-time set-up, timed as a whole. The constraint curvature is needed
-    # only to assemble the x-step Hessian here; a layer's factor provider
-    # brings its own. A quadratic objective factorizes its constant Hessian
-    # once, and for vector parameters (the hot path) the fused sweep takes
-    # what it needs from that factor: H^-1 for theta = q, else one solve.
-    t0 = time.perf_counter()
-    penalty = penalty_matrix(p, cfg.rho) if hessian_factor is None else None
-    fact = None
-    sweep = None
-    if quadratic:
-        if hessian_factor is not None:
-            fact = hessian_factor(st.x)
-        else:
-            fact = factorize(p.objective.P.T + penalty, spd_hint=True)
-        if pt.dA is None and pt.dG is None and pt.dP is None:
-            # w.r.t. q with fewer constraint rows than variables, the
-            # recursion runs on k x k blocks (k = p + m); that needs
-            # C H^-1 = W', which a Cholesky factorization gives exactly.
-            cost = isinstance(sel, LinearCost)
-            core = cost and fact.spd and con.n_eq + con.n_ineq < p.n
-            sweep = (_CostCoreSweep if core else _QuadraticSweep)(p, pt, fact, cfg.rho, cost)
-    fwd.factorization_ms += (time.perf_counter() - t0) * 1e3
-    direct = direct_term(p, pt, cfg.rho) if sweep is None else None
-
-    dAx = dGx = None
-    x_hist: list[np.ndarray] = []
-    jx_hist: list[np.ndarray] = []
-
-    A, b_vec, G, h_vec = con.A, con.b, con.G, con.h
-    n_eq, n_ineq = con.n_eq, con.n_ineq
-    perf = time.perf_counter
-
-    x_hits = jac_hits = 0
-    for _ in range(cfg.max_outer_iters):
-        t0 = perf()
-        if sweep is not None:
-            x_new, s_new, lam_new, nu_new, eq_res, ineq_res = sweep.step(st)
-        else:
-            x_new, fact = primal_update(p, st, cfg, fact=fact if quadratic else None,
-                                        penalty=penalty, hessian_factor=hessian_factor)
-            s_new = slack_update(st, G, h_vec, x_new, cfg)
-            lam_new, nu_new = dual_update(st, A, b_vec, G, h_vec, x_new, s_new, cfg)
-        t1 = perf()
-        fwd.iteration_ms += (t1 - t0) * 1e3
-
-        # Jacobian sweep: the mixed partial uses the pre-update slack/duals
-        # and their Jacobians, exactly as the linearized updates require.
-        if sweep is not None:
-            sweep.run(jac, s_new)
-        else:
-            if pt.dA is not None:
-                dAx = (pt.dA @ x_new).reshape(-1, 1)
-            if pt.dG is not None:
-                dGx = (pt.dG @ x_new).reshape(-1, 1)
-            mixed = mixed_partial(p, sel, st, jac, x_new, cfg.rho, partials=pt, direct=direct)
-            jx_new = primal_jacobian_update(fact, mixed)
-            g_jx = G @ jx_new if n_ineq else None
-            js_new = slack_jacobian_update(s_new, jac.Jnu, jx_new, G, pt.dh, cfg.rho,
-                                           dGx=dGx, GJx=g_jx)
-            jlam_new, jnu_new = dual_jacobian_update(
-                jac.Jlam, jac.Jnu, jx_new, js_new, A, G, pt, cfg.rho,
-                dAx=dAx, dGx=dGx, GJx=g_jx
-            )
-        t2 = perf()
-        report.jacobian_ms += (t2 - t1) * 1e3
-
-        # Diagnostics sit outside the timed recursion. The Jacobian step is
-        # measured against 1 + ||Jx|| so it still converges when Jx -> 0.
-        if sweep is not None:
-            jac_step = sweep.advance(jac)
-        else:
-            jac_step = float(np.linalg.norm(jx_new - jac.Jx) / (1.0 + np.linalg.norm(jac.Jx)))
-        report.jac_step_norms.append(jac_step)
-        step = relative_step_norm(x_new, st.x)
-        fwd.step_norms.append(step)
-        if sweep is None:
-            eq_res = float(np.linalg.norm(A @ x_new - b_vec)) if n_eq else 0.0
-            ineq_res = float(np.linalg.norm(G @ x_new + s_new - h_vec)) if n_ineq else 0.0
-        fwd.eq_residuals.append(eq_res)
-        fwd.ineq_residuals.append(ineq_res)
-        if trace:
-            x_hist.append(x_new.copy())
-            jx_hist.append(jx_new.copy() if sweep is None else sweep.trace_point(jac))
-
-        if sweep is None:
-            # Overwrite in place: the recursion never holds more than one state.
-            t3 = perf()
-            jac.Jx[...] = jx_new
-            jac.Js[...] = js_new
-            jac.Jlam[...] = jlam_new
-            jac.Jnu[...] = jnu_new
-            report.jacobian_ms += (perf() - t3) * 1e3
-
-        st.x, st.s, st.lam, st.nu = x_new, s_new, lam_new, nu_new
-        st.k += 1
-        # Both recursions must settle: an x iterate can be stationary from
-        # the first sweep (inactive constraints) while its Jacobian is still
-        # iterating toward the implicit derivative.
-        x_hits = x_hits + 1 if step < cfg.eps else 0
-        jac_hits = jac_hits + 1 if jac_step < cfg.eps else 0
-        if x_hits >= STEP_RULE_HITS and jac_hits >= STEP_RULE_HITS:
-            fwd.converged = True
-            break
-
-    if sweep is not None:
-        t0 = perf()
-        sweep.finish(jac)
-        report.jacobian_ms += (perf() - t0) * 1e3
-    fwd.hessian_factorization = fact
-    fwd.num_factorizations = linalg.factorization_count() - count0
-    report.weakly_active_warning = _weakly_active(p, st)
-    if trace:
-        report.x_errors = _distances_to_last(x_hist)
-        report.jac_errors = _distances_to_last(jx_hist)
-    return report
+    return _solve(p, theta_partials(p, sel), cfg or SolverConfig(), hessian_factor,
+                  cost=isinstance(sel, LinearCost), trace=trace)
 
 
 def truncated_differentiate(

@@ -11,25 +11,23 @@ The x-step Hessian f''(x) + rho A'A + rho G'G is factorized and retained:
 for quadratic objectives it is constant, so one factorization serves the
 whole solve (and the Jacobian recursion afterwards).
 
-The update steps here are the reference form of the splitting: admm_solve,
-callback objectives and matrix-direction derivatives run them, and a
-quadratic x-step costs two triangular solves per sweep. For a quadratic
-objective and a vector parameter, backward.differentiate instead folds the
-x-step into its set-up (one solve against the factorization, or for
-theta = q the inverse taken from it), so its sweeps make one matvec for x
-and no triangular solve.
+The update steps here are the reference form of the splitting; callback
+objectives and matrix-direction derivatives run them. admm_solve runs
+backward's solver loop with a zero-width parameter, so for a quadratic
+objective it shares differentiate's folded x-step: one solve against the
+factorization at set-up, then one matvec for x and no triangular solve per
+sweep.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import NewtonDiverged
-from .linalg import Factorization, factorize, relative_step_norm
+from .linalg import Factorization, factorize
 from .problem import ProblemSpec, QuadraticObjective, validate
 
 # Outer-loop and Newton defaults. The inner tolerance is resolved per
@@ -84,7 +82,13 @@ class AdmmState:
 
 @dataclass
 class ForwardReport:
-    """Solve outcome plus the retained x-step factorization and diagnostics."""
+    """Solve outcome plus the retained x-step factorization and diagnostics.
+
+    The same for admm_solve and differentiate: factorization_ms times the
+    set-up (penalty, factorization and what the sweep derives from it),
+    iteration_ms the solver steps with their residual norms, not the
+    Jacobian steps or the step norms.
+    """
 
     state: AdmmState
     converged: bool
@@ -254,53 +258,12 @@ def admm_solve(
 ) -> ForwardReport:
     """Iterate the splitting until the relative x-step falls below cfg.eps.
 
-    Never raises on slow convergence: the report carries converged=False when
-    max_outer_iters is exhausted.
+    This is differentiate's loop with a zero-width parameter: the Jacobian
+    blocks are n x 0 and their step norm is exactly 0, which leaves the
+    x-step rule. Never raises on slow convergence: the report carries
+    converged=False when max_outer_iters is exhausted.
     """
-    from . import linalg
+    from .backward import ThetaPartials, _solve  # backward imports this module
 
-    cfg = cfg or SolverConfig()
     validate(p)
-    con = p.constraints
-    st = initial_state(p)
-    report = ForwardReport(state=st, converged=False)
-    count0 = linalg.factorization_count()
-
-    quadratic = isinstance(p.objective, QuadraticObjective)
-    # Set-up: the constraint curvature (unless a factor provider brings its
-    # own) and, for a constant Hessian, its one factorization.
-    t0 = time.perf_counter()
-    penalty = penalty_matrix(p, cfg.rho) if hessian_factor is None else None
-    fact = None
-    if quadratic:
-        if hessian_factor is not None:
-            fact = hessian_factor(st.x)
-        else:
-            fact = factorize(p.objective.P.T + penalty, spd_hint=True)
-    report.factorization_ms += (time.perf_counter() - t0) * 1e3
-
-    t_loop = time.perf_counter()
-    hits = 0
-    for _ in range(cfg.max_outer_iters):
-        x_new, fact = primal_update(p, st, cfg, fact=fact if quadratic else None,
-                                    penalty=penalty, hessian_factor=hessian_factor)
-        s_new = slack_update(st, con.G, con.h, x_new, cfg)
-        lam_new, nu_new = dual_update(st, con.A, con.b, con.G, con.h, x_new, s_new, cfg)
-
-        step = relative_step_norm(x_new, st.x)
-        report.step_norms.append(step)
-        report.eq_residuals.append(float(np.linalg.norm(con.A @ x_new - con.b)) if con.n_eq else 0.0)
-        report.ineq_residuals.append(
-            float(np.linalg.norm(con.G @ x_new + s_new - con.h)) if con.n_ineq else 0.0
-        )
-
-        st.x, st.s, st.lam, st.nu = x_new, s_new, lam_new, nu_new
-        st.k += 1
-        hits = hits + 1 if step < cfg.eps else 0
-        if hits >= STEP_RULE_HITS:
-            report.converged = True
-            break
-    report.iteration_ms = (time.perf_counter() - t_loop) * 1e3
-    report.hessian_factorization = fact
-    report.num_factorizations = linalg.factorization_count() - count0
-    return report
+    return _solve(p, ThetaPartials(m_theta=0), cfg or SolverConfig(), hessian_factor).forward

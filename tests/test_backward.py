@@ -10,7 +10,7 @@ from altdiff import backward, forward
 from altdiff.backward import JacobianState, theta_partials
 from altdiff.errors import DimensionMismatch
 from altdiff.reference import KKT_POINT_RTOL
-from conftest import SUITE_RHO, cosine, make_suite_qp
+from conftest import SUITE_M, SUITE_N, SUITE_P, SUITE_RHO, cosine, make_suite_qp
 
 
 def _toy_active():
@@ -221,7 +221,18 @@ def test_weak_activity_warning():
     assert rep.weakly_active_warning
 
 
-@pytest.mark.parametrize("sel", [ad.EqRhs(), ad.LinearCost()],
+def _suite_direction(matrix):
+    """A Direction on the suite's shape in (q, b, h), with dA and dG too if matrix."""
+    rng = np.random.default_rng(5)
+    blocks = dict(dq=rng.standard_normal(SUITE_N), db=rng.standard_normal(SUITE_P),
+                  dh=rng.standard_normal(SUITE_M))
+    if matrix:
+        blocks.update(dA=rng.standard_normal((SUITE_P, SUITE_N)),
+                      dG=rng.standard_normal((SUITE_M, SUITE_N)))
+    return ad.Direction(**blocks)
+
+
+@pytest.mark.parametrize("sel", [ad.EqRhs(), ad.LinearCost(), _suite_direction(matrix=True)],
                          ids=lambda sel: type(sel).__name__)
 def test_trace_errors_decay(suite, sel):
     p = suite.problem(5)
@@ -240,34 +251,43 @@ def test_trace_errors_decay(suite, sel):
 
 
 def _reference_sweeps(p, sel, cfg):
-    """The solver loop written with the composable update operations."""
+    """The solver loop written with the composable update operations; with
+    sel=None its forward half alone, which stops on the x rule."""
     con = p.constraints
-    fact = ad.factorize(p.objective.P.T + forward.penalty_matrix(p, cfg.rho), spd_hint=True)
-    pt = theta_partials(p, sel)
+    fact = None
+    if isinstance(p.objective, ad.QuadraticObjective):
+        fact = ad.factorize(p.objective.P.T + forward.penalty_matrix(p, cfg.rho), spd_hint=True)
+    pt = theta_partials(p, sel) if sel is not None else None
     st = forward.initial_state(p)
-    jac = JacobianState.zeros(p.n, con.n_ineq, con.n_eq, pt.m_theta)
+    jac = JacobianState.zeros(p.n, con.n_ineq, con.n_eq, pt.m_theta) if pt is not None else None
     out = SimpleNamespace(eq_res=[], ineq_res=[], steps=[], jac_steps=[],
                           x_hist=[], jx_hist=[])
     x_hits = jac_hits = 0
     for _ in range(cfg.max_outer_iters):
-        x_new, _ = forward.primal_update(p, st, cfg, fact=fact)
+        # A quadratic reuses the factor; Newton on a callback ignores it.
+        x_new, fact = forward.primal_update(p, st, cfg, fact=fact)
         s_new = forward.slack_update(st, con.G, con.h, x_new, cfg)
         lam_new, nu_new = forward.dual_update(st, con.A, con.b, con.G, con.h,
                                               x_new, s_new, cfg)
         out.eq_res.append(np.linalg.norm(con.A @ x_new - con.b))
         out.ineq_res.append(np.linalg.norm(con.G @ x_new + s_new - con.h))
-        mixed = backward.mixed_partial(p, sel, st, jac, x_new, cfg.rho)
-        jx = backward.primal_jacobian_update(fact, mixed)
-        js = backward.slack_jacobian_update(s_new, jac.Jnu, jx, con.G, pt.dh, cfg.rho)
-        jlam, jnu = backward.dual_jacobian_update(jac.Jlam, jac.Jnu, jx, js,
-                                                  con.A, con.G, pt, cfg.rho)
-        jac_step = np.linalg.norm(jx - jac.Jx) / (1.0 + np.linalg.norm(jac.Jx))
-        jac.Jx, jac.Js, jac.Jlam, jac.Jnu = jx, js, jlam, jnu
+        jac_step = 0.0
+        if pt is not None:
+            dAx = None if pt.dA is None else (pt.dA @ x_new).reshape(-1, 1)
+            dGx = None if pt.dG is None else (pt.dG @ x_new).reshape(-1, 1)
+            mixed = backward.mixed_partial(p, sel, st, jac, x_new, cfg.rho)
+            jx = backward.primal_jacobian_update(fact, mixed)
+            js = backward.slack_jacobian_update(s_new, jac.Jnu, jx, con.G, pt.dh, cfg.rho,
+                                                dGx=dGx)
+            jlam, jnu = backward.dual_jacobian_update(jac.Jlam, jac.Jnu, jx, js, con.A,
+                                                      con.G, pt, cfg.rho, dAx=dAx, dGx=dGx)
+            jac_step = np.linalg.norm(jx - jac.Jx) / (1.0 + np.linalg.norm(jac.Jx))
+            jac.Jx, jac.Js, jac.Jlam, jac.Jnu = jx, js, jlam, jnu
+            out.jac_steps.append(jac_step)
+            out.jx_hist.append(jx)
         step = ad.relative_step_norm(x_new, st.x)
         out.steps.append(step)
-        out.jac_steps.append(jac_step)
         out.x_hist.append(x_new)
-        out.jx_hist.append(jx)
         st.x, st.s, st.lam, st.nu = x_new, s_new, lam_new, nu_new
         st.k += 1
         x_hits = x_hits + 1 if step < cfg.eps else 0
@@ -278,15 +298,18 @@ def _reference_sweeps(p, sel, cfg):
     return out
 
 
+def _assert_forward_matches(fwd, ref):
+    assert fwd.iterations == ref.st.k
+    for name in ("x", "s", "lam", "nu"):
+        assert np.allclose(getattr(fwd.state, name), getattr(ref.st, name), atol=1e-12), name
+    assert np.allclose(fwd.eq_residuals, ref.eq_res, rtol=1e-10, atol=1e-12)
+    assert np.allclose(fwd.ineq_residuals, ref.ineq_res, rtol=1e-10, atol=1e-12)
+    assert np.allclose(fwd.step_norms, ref.steps, rtol=1e-8, atol=1e-14)
+
+
 def _assert_sweep_matches(fast, p, sel, cfg):
     ref = _reference_sweeps(p, sel, cfg)
-    assert fast.forward.iterations == ref.st.k
-    for name in ("x", "s", "lam", "nu"):
-        assert np.allclose(getattr(fast.forward.state, name), getattr(ref.st, name),
-                           atol=1e-12), name
-    assert np.allclose(fast.forward.eq_residuals, ref.eq_res, rtol=1e-10, atol=1e-12)
-    assert np.allclose(fast.forward.ineq_residuals, ref.ineq_res, rtol=1e-10, atol=1e-12)
-    assert np.allclose(fast.forward.step_norms, ref.steps, rtol=1e-8, atol=1e-14)
+    _assert_forward_matches(fast.forward, ref)
     assert np.allclose(fast.jac_step_norms, ref.jac_steps, rtol=1e-8, atol=1e-14)
     for name in ("Jx", "Js", "Jlam", "Jnu"):
         assert np.allclose(getattr(fast.jac, name), getattr(ref.jac, name), atol=1e-10), name
@@ -349,15 +372,34 @@ def test_lu_factor_keeps_nspace_sweep(suite, core_sweeps):
     _assert_sweep_matches(rep, p, ad.LinearCost(), cfg)
 
 
-def test_vector_direction_sweep_matches_reference_updates(suite):
-    # A direction in (q, b, h) only: the fused sweep with one dq column.
+@pytest.mark.parametrize("matrix", [False, True], ids=["vector", "matrix"])
+def test_vector_direction_sweep_matches_reference_updates(suite, matrix):
+    # A direction in (q, b, h) only runs the fused sweep with one dq column;
+    # with dA and dG as well, the helper-operation sweep.
     p = suite.problem(8)
-    con = p.constraints
-    rng = np.random.default_rng(5)
-    sel = ad.Direction(dq=rng.standard_normal(p.n), db=rng.standard_normal(con.n_eq),
-                       dh=rng.standard_normal(con.n_ineq))
+    sel = _suite_direction(matrix)
     cfg = ad.SolverConfig(rho=SUITE_RHO, eps=1e-6)
     _assert_sweep_matches(ad.differentiate(p, sel, cfg), p, sel, cfg)
+
+
+@pytest.mark.parametrize("case", ["eq_ineq", "eq_only", "ineq_only", "eq_ineq_box",
+                                  "layer", "callback"])
+def test_admm_solve_matches_reference_forward_loop(suite, case):
+    """admm_solve is the solver loop at zero width: the forward half of the
+    reference loop, stopping on the x rule alone."""
+    cfg = ad.SolverConfig(rho=SUITE_RHO, eps=1e-6)
+    hessian_factor = None
+    if case == "callback":
+        p = ad.build(ad.SoftmaxLayer(y=np.linspace(-1.0, 1.0, 8), u=np.full(8, 0.3)))
+    elif case == "layer":
+        p = suite.problem(8)
+        layer = ad.QuadraticLayer(P=p.objective.P, q=p.objective.q, constraints=p.constraints)
+        hessian_factor = lambda _x: ad.specialized_hessian_factor(layer, None, cfg.rho)
+    else:
+        p = _constraint_shape(suite.problem(8), case)
+    rep = ad.admm_solve(p, cfg, hessian_factor=hessian_factor)
+    assert rep.converged
+    _assert_forward_matches(rep, _reference_sweeps(p, None, cfg))
 
 
 def test_layer_sweep_matches_reference_updates(suite):
@@ -393,15 +435,20 @@ def _layer_solve(p, sel, cfg):
     return ad.solve_and_diff(layer, sel, cfg)
 
 
+def _forward_solve(p, _sel, cfg):
+    return SimpleNamespace(forward=ad.admm_solve(p, cfg))
+
+
 @pytest.mark.parametrize("solve, sel", [
     (ad.differentiate, ad.EqRhs()),
     (ad.differentiate, ad.IneqRhs()),
     (ad.differentiate, ad.LinearCost()),
     (_layer_solve, ad.LinearCost()),
-], ids=["EqRhs", "IneqRhs", "LinearCost", "layer-LinearCost"])
+    (_forward_solve, None),
+], ids=["EqRhs", "IneqRhs", "LinearCost", "layer-LinearCost", "admm_solve"])
 def test_quadratic_sweep_solves_once(suite, factor_calls, solve, sel):
     """Set-up makes the only use of the factor, the sweeps none: H^-1 from it
-    for theta = q, else one solve."""
+    for theta = q, else one solve (admm_solve: against [A; G]' and q)."""
     rep = solve(suite.problem(8), sel, ad.SolverConfig(rho=SUITE_RHO, eps=1e-6))
     assert rep.forward.iterations > 1
     expected = ["inverse"] if isinstance(sel, ad.LinearCost) else ["solve"]

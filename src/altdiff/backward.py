@@ -43,10 +43,12 @@ backward cost growing more slowly with n than acceptance criterion 5's
 band (its per-iteration ratio is measured on IneqRhs) allows.
 
 Every solve runs one loop (_solve) over one of three sweeps, picked at
-set-up: the two above, and _GeneralSweep, which runs the helper operations
-below for callback objectives (damped Newton) and matrix directions (dP,
-dA, dG). forward.admm_solve is the same loop with a zero-width parameter:
-its n x 0 Jacobian steps have norm 0, which leaves the x-step rule.
+set-up: the two above, and _GeneralSweep, which solves with the x-step
+factor against the mixed partial, for callback objectives (damped Newton)
+and matrix directions (dP, dA, dG). All three write the slack and dual
+steps through one routine, _gated_update. forward.admm_solve is the same
+loop with a zero-width parameter: its n x 0 Jacobian steps have norm 0,
+which leaves the x-step rule.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -196,6 +198,16 @@ def direct_term(p: ProblemSpec, pt: ThetaPartials, rho: float) -> np.ndarray:
     return out
 
 
+def _rhs_partial(p_eq: int, m_ineq: int, pt: ThetaPartials) -> np.ndarray:
+    """d[b; h]/dtheta, zero in the blocks theta does not enter."""
+    out = np.zeros((p_eq + m_ineq, pt.m_theta))
+    if pt.db is not None:
+        out[:p_eq] = pt.db
+    if pt.dh is not None:
+        out[p_eq:] = pt.dh
+    return out
+
+
 def mixed_partial(
     p: ProblemSpec,
     sel: ParamSelector,
@@ -232,73 +244,6 @@ def mixed_partial(
         out += (pt.dG.T @ st.nu).reshape(-1, 1)
         out += rho * (pt.dG.T @ res_in + con.G.T @ (pt.dG @ x_new)).reshape(-1, 1)
     return out
-
-
-def primal_jacobian_update(fact: Factorization, mixed: np.ndarray) -> np.ndarray:
-    """Jx = -H^-1 * mixed, reusing the x-step factorization of H."""
-    return -fact.solve(mixed)
-
-
-def slack_jacobian_update(
-    s_new: np.ndarray,
-    Jnu: np.ndarray,
-    Jx_new: np.ndarray,
-    G: np.ndarray,
-    h_jac: Optional[np.ndarray],
-    rho: float,
-    dGx: Optional[np.ndarray] = None,
-    GJx: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Rows of -(1/rho)(Jnu + rho d(Gx - h)/dtheta), gated by s > 0.
-
-    The gate is strict: a row with s_i = 0 is zeroed, which is what makes
-    the recursion reproduce the complementary-slackness derivative.
-    """
-    if s_new.shape[0] == 0:
-        return np.zeros_like(Jnu)
-    d_gxh = (G @ Jx_new) if GJx is None else GJx
-    if dGx is not None:
-        d_gxh = d_gxh + dGx
-    if h_jac is not None:
-        d_gxh = d_gxh - h_jac
-    js = -(Jnu + rho * d_gxh) / rho
-    js[s_new <= 0.0, :] = 0.0
-    return js
-
-
-def dual_jacobian_update(
-    Jlam: np.ndarray,
-    Jnu: np.ndarray,
-    Jx_new: np.ndarray,
-    Js_new: np.ndarray,
-    A: np.ndarray,
-    G: np.ndarray,
-    pt: ThetaPartials,
-    rho: float,
-    dAx: Optional[np.ndarray] = None,
-    dGx: Optional[np.ndarray] = None,
-    GJx: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Jlam += rho d(Ax - b)/dtheta; Jnu += rho d(Gx + s - h)/dtheta."""
-    if A.shape[0]:
-        d_ab = A @ Jx_new
-        if dAx is not None:
-            d_ab = d_ab + dAx
-        if pt.db is not None:
-            d_ab = d_ab - pt.db
-        Jlam_new = Jlam + rho * d_ab
-    else:
-        Jlam_new = Jlam
-    if G.shape[0]:
-        d_gh = ((G @ Jx_new) if GJx is None else GJx) + Js_new
-        if dGx is not None:
-            d_gh = d_gh + dGx
-        if pt.dh is not None:
-            d_gh = d_gh - pt.dh
-        Jnu_new = Jnu + rho * d_gh
-    else:
-        Jnu_new = Jnu
-    return Jlam_new, Jnu_new
 
 
 def _gated_update(jlam: np.ndarray, js: np.ndarray, jnu: np.ndarray, c: np.ndarray,
@@ -350,7 +295,7 @@ class _Sweep:
 class _QuadraticSweep(_Sweep):
     """Solver and Jacobian sweep for constant-Hessian problems and vector parameters.
 
-    The same update algebra as the helper operations, with H^-1 folded into
+    The same update algebra as _GeneralSweep, with H^-1 folded into
     the constraint matrix at set-up: W, the x-step offset x0 and H^-1 times
     the direct term come from H^-1 and two products when theta = q
     (cost=True), else from one solve, so the x-step is a matvec and the
@@ -387,16 +332,13 @@ class _QuadraticSweep(_Sweep):
 
     def _init_jacobian(self, pt: ThetaPartials, hinv_dq: Optional[np.ndarray]) -> None:
         k, mt, p_eq, rho = self.C.shape[0], pt.m_theta, self.p_eq, self.rho
-        # d[b; h]/dtheta, zero in the blocks theta does not enter.
-        self.d_rhs = np.zeros((k, mt))
+        self.d_rhs = _rhs_partial(p_eq, k - p_eq, pt)
         # H^-1 (dq - rho [A; G]' d[b; h]), with W d[b; h] taken from the
         # columns of W that db and dh select.
         self.Hd = np.zeros((self.W.shape[0], mt)) if hinv_dq is None else hinv_dq
         if pt.db is not None:
-            self.d_rhs[:p_eq] = pt.db
             self.Hd = self.Hd - rho * (self.W[:, :p_eq] @ pt.db)
         if pt.dh is not None:
-            self.d_rhs[p_eq:] = pt.dh
             self.Hd = self.Hd - rho * (self.W[:, p_eq:] @ pt.dh)
         self.y = np.empty_like(self.d_rhs)
         self.cjx = np.empty_like(self.d_rhs)
@@ -515,7 +457,7 @@ class _CostCoreSweep(_QuadraticSweep):
 
 
 class _GeneralSweep(_Sweep):
-    """Solver and Jacobian sweep through the helper operations.
+    """Solver and Jacobian sweep through the forward update steps.
 
     Runs what the folded sweeps cannot: callback objectives, whose damped
     Newton x-step factorizes H(x) again every sweep (the Jacobian step
@@ -525,17 +467,17 @@ class _GeneralSweep(_Sweep):
     """
 
     def __init__(self, p: ProblemSpec, pt: ThetaPartials, cfg: SolverConfig,
-                 fact: Optional[Factorization], penalty: Optional[np.ndarray],
-                 hessian_factor: Optional[Callable[[np.ndarray], Factorization]]):
-        self.p, self.pt, self.cfg, self.fact = p, pt, cfg, fact
-        self.penalty, self.hessian_factor = penalty, hessian_factor
+                 fact: Optional[Factorization], penalty: np.ndarray):
+        con = p.constraints
+        self.p, self.pt, self.cfg, self.fact, self.penalty = p, pt, cfg, fact, penalty
         self.direct = direct_term(p, pt, cfg.rho)
+        self.C = np.vstack([con.A, con.G])
+        self.d_rhs = _rhs_partial(con.n_eq, con.n_ineq, pt)
 
     def step(self, st: AdmmState) -> tuple:
         p, cfg, con = self.p, self.cfg, self.p.constraints
         # A quadratic objective solves with the set-up factor; Newton ignores it.
-        x, self.fact = primal_update(p, st, cfg, fact=self.fact, penalty=self.penalty,
-                                     hessian_factor=self.hessian_factor)
+        x, self.fact = primal_update(p, st, cfg, fact=self.fact, penalty=self.penalty)
         s = slack_update(st, con.G, con.h, x, cfg)
         lam, nu = dual_update(st, con.A, con.b, con.G, con.h, x, s, cfg)
         self.st, self.x = st, x
@@ -543,37 +485,33 @@ class _GeneralSweep(_Sweep):
                 float(np.linalg.norm(con.G @ x + s - con.h)))
 
     def run(self, jac: JacobianState, s_new: np.ndarray) -> None:
-        pt, rho, x, con = self.pt, self.cfg.rho, self.x, self.p.constraints
-        dAx = None if pt.dA is None else (pt.dA @ x).reshape(-1, 1)
-        dGx = None if pt.dG is None else (pt.dG @ x).reshape(-1, 1)
+        pt, rho, x, p_eq = self.pt, self.cfg.rho, self.x, self.p.constraints.n_eq
         mixed = mixed_partial(self.p, None, self.st, jac, x, rho, partials=pt, direct=self.direct)
-        self.jx = jx = primal_jacobian_update(self.fact, mixed)
-        g_jx = con.G @ jx
-        js = slack_jacobian_update(s_new, jac.Jnu, jx, con.G, pt.dh, rho, dGx=dGx, GJx=g_jx)
-        jac.Jlam, jac.Jnu = dual_jacobian_update(jac.Jlam, jac.Jnu, jx, js, con.A, con.G, pt,
-                                                 rho, dAx=dAx, dGx=dGx, GJx=g_jx)
-        jac.Js = js
+        self.jx = jx = -self.fact.solve(mixed)
+        # c = rho d(C x - [b; h]), with the dA x and dG x terms of a direction.
+        c = self.C @ jx
+        if pt.dA is not None:
+            c[:p_eq] += (pt.dA @ x).reshape(-1, 1)
+        if pt.dG is not None:
+            c[p_eq:] += (pt.dG @ x).reshape(-1, 1)
+        c -= self.d_rhs
+        c *= rho
+        _gated_update(jac.Jlam, jac.Js, jac.Jnu, c, s_new, rho, p_eq)
 
 
-def _make_sweep(p: ProblemSpec, pt: ThetaPartials, cfg: SolverConfig,
-                hessian_factor: Optional[Callable[[np.ndarray], Factorization]],
-                cost: bool) -> _Sweep:
-    """The set-up of a solve: the constraint curvature (a layer's factor
-    provider brings its own), for a quadratic objective the one
-    factorization of its constant Hessian, and the sweep. Vector parameters
-    of a quadratic take the folded sweep, on the k x k core for theta = q
-    with k = p + m < n (that needs C H^-1 = W', exact for a Cholesky
-    factor); the rest run the helper operations.
+def _make_sweep(p: ProblemSpec, pt: ThetaPartials, cfg: SolverConfig, cost: bool) -> _Sweep:
+    """The set-up of a solve: the constraint curvature, for a quadratic
+    objective the one factorization of its constant Hessian, and the sweep.
+    Vector parameters of a quadratic take the folded sweep, on the k x k
+    core for theta = q with k = p + m < n (that needs C H^-1 = W', exact for
+    a Cholesky factor); the rest run _GeneralSweep.
     """
-    penalty = penalty_matrix(p, cfg.rho) if hessian_factor is None else None
+    penalty = penalty_matrix(p, cfg.rho)
     if not isinstance(p.objective, QuadraticObjective):
-        return _GeneralSweep(p, pt, cfg, None, penalty, hessian_factor)
-    if hessian_factor is not None:
-        fact = hessian_factor(np.zeros(p.n))
-    else:
-        fact = factorize(p.objective.P.T + penalty, spd_hint=True)
+        return _GeneralSweep(p, pt, cfg, None, penalty)
+    fact = factorize(p.objective.P.T + penalty, spd_hint=True)
     if pt.dP is not None or pt.dA is not None or pt.dG is not None:
-        return _GeneralSweep(p, pt, cfg, fact, penalty, hessian_factor)
+        return _GeneralSweep(p, pt, cfg, fact, penalty)
     con = p.constraints
     core = cost and fact.spd and con.n_eq + con.n_ineq < p.n
     return (_CostCoreSweep if core else _QuadraticSweep)(p, pt, fact, cfg.rho, cost)
@@ -594,7 +532,6 @@ def _solve(
     p: ProblemSpec,
     pt: ThetaPartials,
     cfg: SolverConfig,
-    hessian_factor: Optional[Callable[[np.ndarray], Factorization]] = None,
     cost: bool = False,
     trace: bool = False,
 ) -> DiffReport:
@@ -612,7 +549,7 @@ def _solve(
     perf = time.perf_counter
 
     t0 = perf()
-    sweep = _make_sweep(p, pt, cfg, hessian_factor, cost)
+    sweep = _make_sweep(p, pt, cfg, cost)
     fwd.factorization_ms += (perf() - t0) * 1e3
 
     x_hist: list[np.ndarray] = []
@@ -669,7 +606,6 @@ def differentiate(
     p: ProblemSpec,
     sel: ParamSelector,
     cfg: Optional[SolverConfig] = None,
-    hessian_factor: Optional[Callable[[np.ndarray], Factorization]] = None,
     trace: bool = False,
 ) -> DiffReport:
     """Solve the problem and its Jacobian w.r.t. the selected parameter.
@@ -683,7 +619,7 @@ def differentiate(
     per sweep (R V_Y, whose distances are those of the Jx iterates).
     """
     validate(p)
-    return _solve(p, theta_partials(p, sel), cfg or SolverConfig(), hessian_factor,
+    return _solve(p, theta_partials(p, sel), cfg or SolverConfig(),
                   cost=isinstance(sel, LinearCost), trace=trace)
 
 
@@ -692,7 +628,6 @@ def truncated_differentiate(
     sel: ParamSelector,
     cfg: Optional[SolverConfig] = None,
     eps_list=(1e-1, 1e-2, 1e-3),
-    hessian_factor: Optional[Callable[[np.ndarray], Factorization]] = None,
 ) -> list[DiffReport]:
     """One fresh differentiate() per tolerance, loosest first.
 
@@ -706,10 +641,7 @@ def truncated_differentiate(
     if any(a < b for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be nonincreasing (loosest first)")
     cfg = cfg or SolverConfig()
-    reports = [
-        differentiate(p, sel, replace(cfg, eps=e), hessian_factor=hessian_factor)
-        for e in eps_list
-    ]
+    reports = [differentiate(p, sel, replace(cfg, eps=e)) for e in eps_list]
     ref = reports[-1]
     for r in reports:
         r.x_error_vs_ref = float(np.linalg.norm(r.x - ref.x))

@@ -22,7 +22,7 @@ sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -30,10 +30,9 @@ from .errors import NewtonDiverged
 from .linalg import Factorization, factorize
 from .problem import ProblemSpec, QuadraticObjective, validate
 
-# Outer-loop and Newton defaults. The inner tolerance is resolved per
-# objective kind: quadratic x-steps are exact linear solves.
-DEFAULT_NEWTON_TOL_QUADRATIC = 1e-10
-DEFAULT_NEWTON_TOL_GENERAL = 1e-8
+# Damped Newton on callback objectives: stop at this gradient norm; Armijo
+# backtracking from the full step. Quadratic x-steps are exact linear solves.
+NEWTON_TOL = 1e-8
 ARMIJO_SLOPE = 1e-4
 
 # The x iterate can repeat for one sweep while the duals still move (the
@@ -49,9 +48,7 @@ class SolverConfig:
     rho: float = 1.0
     eps: float = 1e-6
     max_outer_iters: int = 10000
-    newton_tol: Optional[float] = None
     newton_max_iters: int = 50
-    alpha0: float = 1.0
 
     def __post_init__(self):
         if self.rho <= 0:
@@ -60,13 +57,6 @@ class SolverConfig:
             raise ValueError("eps must be positive")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be at least 1")
-        if not (0 < self.alpha0 <= 1):
-            raise ValueError("alpha0 must lie in (0, 1]")
-
-    def resolved_newton_tol(self, quadratic: bool) -> float:
-        if self.newton_tol is not None:
-            return self.newton_tol
-        return DEFAULT_NEWTON_TOL_QUADRATIC if quadratic else DEFAULT_NEWTON_TOL_GENERAL
 
 
 @dataclass
@@ -155,25 +145,22 @@ def primal_update(
     cfg: SolverConfig,
     fact: Optional[Factorization] = None,
     penalty: Optional[np.ndarray] = None,
-    hessian_factor: Optional[Callable[[np.ndarray], Factorization]] = None,
 ) -> tuple[np.ndarray, Factorization]:
     """Minimize the augmented Lagrangian in x; return the new x and the
-    factorization of its Hessian.
+    factorization of its Hessian f''(x) + rho A'A + rho G'G.
 
     Quadratic objectives reduce to one linear solve with the constant matrix
     P' + rho A'A + rho G'G; pass fact to reuse a factorization computed
-    earlier in the same solve. Callback objectives run damped Newton with
-    Armijo backtracking, and the factorization of the last Newton step is
-    returned for the Jacobian recursion to inherit.
+    earlier in the same solve. Callback objectives run damped Newton (Armijo
+    backtracking from the full step); pass penalty (penalty_matrix) to reuse
+    the constraint curvature across calls. The factorization of the last
+    Newton step is returned for the Jacobian recursion to inherit.
     """
     con = p.constraints
     rho = cfg.rho
     if isinstance(p.objective, QuadraticObjective):
         if fact is None:
-            if hessian_factor is not None:
-                fact = hessian_factor(st.x)
-            else:
-                fact = factorize(p.objective.P.T + penalty_matrix(p, rho), spd_hint=True)
+            fact = factorize(p.objective.P.T + penalty_matrix(p, rho), spd_hint=True)
         # Gradient at x = 0 gives the constant part of the linear system.
         g0 = p.objective.q.copy()
         if con.n_eq:
@@ -182,8 +169,7 @@ def primal_update(
             g0 += con.G.T @ (st.nu + rho * (st.s - con.h))
         return fact.solve(-g0), fact
 
-    tol = cfg.resolved_newton_tol(quadratic=False)
-    if penalty is None and hessian_factor is None:
+    if penalty is None:
         penalty = penalty_matrix(p, rho)
     x = st.x.copy()
     fact = None
@@ -191,19 +177,16 @@ def primal_update(
     g0_norm = float(np.linalg.norm(g))
     for _ in range(cfg.newton_max_iters):
         gnorm = float(np.linalg.norm(g))
-        if gnorm <= tol:
+        if gnorm <= NEWTON_TOL:
             break
-        if hessian_factor is not None:
-            fact = hessian_factor(x)
-        else:
-            fact = factorize(lagrangian_hessian(p, x, rho, penalty), spd_hint=True)
+        fact = factorize(lagrangian_hessian(p, x, rho, penalty), spd_hint=True)
         dx = -fact.solve(g)
         # Armijo backtracking on the augmented Lagrangian value in x. Near
         # the optimum the predicted decrease drops below the resolution of
         # the merit value itself; the pure step is safe there (convex f).
         slope = float(g @ dx)
         base = _lagrangian_value(p, x, st.s, st.lam, st.nu, rho)
-        alpha = cfg.alpha0
+        alpha = 1.0
         if abs(slope) > 1e-12 * (1.0 + abs(base)):
             for _ in range(60):
                 x_try = x + alpha * dx
@@ -222,10 +205,7 @@ def primal_update(
             )
     if fact is None:
         # Zero Newton steps were taken; the recursion still needs curvature here.
-        if hessian_factor is not None:
-            fact = hessian_factor(x)
-        else:
-            fact = factorize(lagrangian_hessian(p, x, rho, penalty), spd_hint=True)
+        fact = factorize(lagrangian_hessian(p, x, rho, penalty), spd_hint=True)
     return x, fact
 
 
@@ -251,11 +231,7 @@ def initial_state(p: ProblemSpec) -> AdmmState:
     return AdmmState(x=x0, s=s0, lam=np.zeros(con.n_eq), nu=np.zeros(con.n_ineq), k=0)
 
 
-def admm_solve(
-    p: ProblemSpec,
-    cfg: Optional[SolverConfig] = None,
-    hessian_factor: Optional[Callable[[np.ndarray], Factorization]] = None,
-) -> ForwardReport:
+def admm_solve(p: ProblemSpec, cfg: Optional[SolverConfig] = None) -> ForwardReport:
     """Iterate the splitting until the relative x-step falls below cfg.eps.
 
     This is differentiate's loop with a zero-width parameter: the Jacobian
@@ -266,4 +242,4 @@ def admm_solve(
     from .backward import ThetaPartials, _solve  # backward imports this module
 
     validate(p)
-    return _solve(p, ThetaPartials(m_theta=0), cfg or SolverConfig(), hessian_factor).forward
+    return _solve(p, ThetaPartials(m_theta=0), cfg or SolverConfig()).forward

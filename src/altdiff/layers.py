@@ -6,16 +6,17 @@ Three layer kinds are provided:
   * SparsemaxLayer     min ||x - y||^2        s.t. 1'x = 1, 0 <= x <= u
   * SoftmaxLayer       min -y'x + sum x log x s.t. 1'x = 1, 0 <= x <= u
 
-For the two quadratic kinds the x-step Hessian is constant, so the layer can
-hand the solver one factorization for the whole solve. The entropy layer's
-Hessian diag(1/x) + 2 rho I + rho 11' is rebuilt per Newton step from the
-closed form.
+A layer is its parametrized problem: build() writes out the data and
+solve_and_diff() differentiates it like any other problem. For the two
+quadratic kinds the x-step Hessian is constant, so the solver factorizes it
+once per solve; the entropy layer's Hessian diag(1/x) + 2 rho I + rho 11' is
+refactorized per Newton step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -123,11 +124,11 @@ def specialized_hessian_factor(
 ) -> Factorization:
     """Factorization of the layer's x-step Hessian at x.
 
-    Quadratic and sparsemax kinds ignore x (their matrix is constant) and the
-    result can be cached across a whole solve. The matrix is assembled through
-    the same generic path the solver uses (f''(x) + rho A'A + rho G'G), so
-    routing it through the solver changes nothing numerically; for sparsemax
+    Quadratic and sparsemax kinds ignore x (their matrix is constant). The
+    matrix is assembled through the same generic path the solver uses
+    (f''(x) + rho A'A + rho G'G), so it equals the solver's; for sparsemax
     that is (2 + 2 rho) I + rho 11', for softmax diag(1/x) + 2 rho I + rho 11'.
+    The solver does not call this: it factorizes the built problem's Hessian.
     """
     p = build(kind)
     if isinstance(kind, (QuadraticLayer, SparsemaxLayer)):
@@ -139,32 +140,8 @@ def specialized_hessian_factor(
     return factorize(H, spd_hint=True)
 
 
-def _factor_provider(kind: LayerKind, rho: float) -> Callable[[np.ndarray], Factorization]:
-    if isinstance(kind, (QuadraticLayer, SparsemaxLayer)):
-        cache: list[Factorization] = []
-
-        def constant_factor(_x: np.ndarray) -> Factorization:
-            if not cache:
-                cache.append(specialized_hessian_factor(kind, None, rho))
-            return cache[0]
-
-        return constant_factor
-
-    # Entropy kind: same arithmetic as the one-shot operation, with the
-    # constraint curvature precomputed once and iterates clipped into the
-    # domain the way the objective callbacks clip them.
-    penalty = penalty_matrix(build(kind), rho)
-
-    def entropy_factor(x: np.ndarray) -> Factorization:
-        xc = np.maximum(x, ENTROPY_CLIP)
-        return factorize(np.diag(1.0 / xc) + penalty, spd_hint=True)
-
-    return entropy_factor
-
-
 def solve_and_diff(
     kind: LayerKind, sel: ParamSelector, cfg: Optional[SolverConfig] = None
 ) -> DiffReport:
-    """differentiate() on the built problem, routing the layer's curvature."""
-    cfg = cfg or SolverConfig()
-    return differentiate(build(kind), sel, cfg, hessian_factor=_factor_provider(kind, cfg.rho))
+    """differentiate() on the built problem."""
+    return differentiate(build(kind), sel, cfg)

@@ -49,54 +49,39 @@ def test_mixed_partial_ineq_rhs():
     assert np.allclose(out, [[-2.0]])
 
 
-def test_primal_jacobian_update_examples():
-    fact = ad.factorize(np.array([[2.0]]))
-    assert np.allclose(backward.primal_jacobian_update(fact, np.array([[-1.0]])), [[0.5]])
-    assert np.allclose(backward.primal_jacobian_update(fact, np.zeros((1, 1))), [[0.0]])
-    fact2 = ad.factorize(np.diag([2.0, 4.0]))
-    out = backward.primal_jacobian_update(fact2, np.array([[2.0], [4.0]]))
-    assert np.allclose(out, [[-1.0], [-1.0]])
+def _gated(jlam, jnu, c, s, rho):
+    jlam, jnu = np.array(jlam, float), np.array(jnu, float)
+    js = np.empty_like(jnu)
+    backward._gated_update(jlam, js, jnu, np.array(c, float), np.array(s, float), rho,
+                           jlam.shape[0])
+    return jlam, js, jnu
 
 
-def test_slack_jacobian_update_examples():
-    G = np.array([[1.0]])
-    # closed gate
-    out = backward.slack_jacobian_update(
-        np.array([0.0]), np.array([[5.0]]), np.array([[1.0]]), G, None, rho=1.0)
-    assert np.array_equal(out, [[0.0]])
-    # open gate: s=2, Jnu=0, G Jx = 0.5 -> -0.5
-    out = backward.slack_jacobian_update(
-        np.array([2.0]), np.array([[0.0]]), np.array([[0.5]]), G, None, rho=1.0)
-    assert np.allclose(out, [[-0.5]])
-    # rho=2, Jnu=2, dh=1, G Jx=0 -> -(1/2)(2 + 2(0-1)) = 0
-    out = backward.slack_jacobian_update(
-        np.array([1.0]), np.array([[2.0]]), np.array([[0.0]]), G,
-        np.array([[1.0]]), rho=2.0)
-    assert np.allclose(out, [[0.0]])
-
-
-def test_dual_jacobian_update_examples():
-    A = np.array([[1.0]])
-    G = np.zeros((0, 1))
-    p = ad.ProblemSpec.quadratic(P=[[1.0]], q=[0.0], A=A, b=[0.0])
-    pt = theta_partials(p, ad.EqRhs())
-    # fixed point: A Jx == db leaves Jlam unchanged
-    jlam, _ = backward.dual_jacobian_update(
-        np.array([[7.0]]), np.zeros((0, 1)), np.array([[1.0]]), np.zeros((0, 1)),
-        A, G, pt, rho=1.0)
-    assert np.allclose(jlam, [[7.0]])
-    # Jlam=0, rho=1, Jx=0.5, db=1 -> -0.5
-    jlam, _ = backward.dual_jacobian_update(
-        np.zeros((1, 1)), np.zeros((0, 1)), np.array([[0.5]]), np.zeros((0, 1)),
-        A, G, pt, rho=1.0)
-    assert np.allclose(jlam, [[-0.5]])
-    # Jnu=0, rho=2, G Jx + Js - dh = 0.25 -> 0.5
-    p2 = ad.ProblemSpec.quadratic(P=[[1.0]], q=[0.0], G=[[1.0]], h=[0.0])
-    pt2 = theta_partials(p2, ad.LinearCost())
-    _, jnu = backward.dual_jacobian_update(
-        np.zeros((0, 1)), np.zeros((1, 1)), np.array([[0.25]]), np.zeros((1, 1)),
-        np.zeros((0, 1)), np.array([[1.0]]), pt2, rho=2.0)
+def test_gated_update_examples():
+    # c = rho d(C x - [b; h]); on an inequality row u = Jnu + c.
+    none = np.zeros((0, 1))
+    # closed gate: s=0, Jnu=5, G Jx=1, rho=1 -> Js = 0, Jnu = u = 6
+    _, js, jnu = _gated(none, [[5.0]], [[1.0]], [0.0], rho=1.0)
+    assert np.array_equal(js, [[0.0]])
+    assert np.array_equal(jnu, [[6.0]])
+    # closed gate: Jnu=0, rho=2, G Jx - dh = 0.25 -> Jnu = 0.5
+    _, js, jnu = _gated(none, [[0.0]], [[2.0 * 0.25]], [0.0], rho=2.0)
+    assert np.array_equal(js, [[0.0]])
     assert np.allclose(jnu, [[0.5]])
+    # open gate: s=2, Jnu=0, G Jx = 0.5 -> Js = -0.5, Jnu = 0
+    _, js, jnu = _gated(none, [[0.0]], [[0.5]], [2.0], rho=1.0)
+    assert np.allclose(js, [[-0.5]])
+    assert np.array_equal(jnu, [[0.0]])
+    # rho=2, Jnu=2, dh=1, G Jx=0 -> Js = -(1/2)(2 + 2(0 - 1)) = 0
+    _, js, jnu = _gated(none, [[2.0]], [[2.0 * (0.0 - 1.0)]], [1.0], rho=2.0)
+    assert np.allclose(js, [[0.0]])
+    assert np.array_equal(jnu, [[0.0]])
+    # fixed point: A Jx == db leaves Jlam unchanged
+    jlam, _, _ = _gated([[7.0]], none, [[1.0 * (1.0 - 1.0)]], [], rho=1.0)
+    assert np.allclose(jlam, [[7.0]])
+    # Jlam=0, rho=1, A Jx=0.5, db=1 -> -0.5
+    jlam, _, _ = _gated([[0.0]], none, [[1.0 * (0.5 - 1.0)]], [], rho=1.0)
+    assert np.allclose(jlam, [[-0.5]])
 
 
 def test_differentiate_equality_sensitivity():
@@ -251,8 +236,9 @@ def test_trace_errors_decay(suite, sel):
 
 
 def _reference_sweeps(p, sel, cfg):
-    """The solver loop written with the composable update operations; with
-    sel=None its forward half alone, which stops on the x rule."""
+    """The solver loop written with the forward update steps and the
+    linearized Jacobian updates spelled out; with sel=None its forward half
+    alone, which stops on the x rule."""
     con = p.constraints
     fact = None
     if isinstance(p.objective, ad.QuadraticObjective):
@@ -273,14 +259,20 @@ def _reference_sweeps(p, sel, cfg):
         out.ineq_res.append(np.linalg.norm(con.G @ x_new + s_new - con.h))
         jac_step = 0.0
         if pt is not None:
-            dAx = None if pt.dA is None else (pt.dA @ x_new).reshape(-1, 1)
-            dGx = None if pt.dG is None else (pt.dG @ x_new).reshape(-1, 1)
+            # altdiff.backward's linearized updates written out, apart from
+            # the solver's own routines.
             mixed = backward.mixed_partial(p, sel, st, jac, x_new, cfg.rho)
-            jx = backward.primal_jacobian_update(fact, mixed)
-            js = backward.slack_jacobian_update(s_new, jac.Jnu, jx, con.G, pt.dh, cfg.rho,
-                                                dGx=dGx)
-            jlam, jnu = backward.dual_jacobian_update(jac.Jlam, jac.Jnu, jx, js, con.A,
-                                                      con.G, pt, cfg.rho, dAx=dAx, dGx=dGx)
+            jx = -fact.solve(mixed)
+            d_eq = con.A @ jx - (0.0 if pt.db is None else pt.db)
+            d_in = con.G @ jx - (0.0 if pt.dh is None else pt.dh)
+            if pt.dA is not None:
+                d_eq += (pt.dA @ x_new).reshape(-1, 1)
+            if pt.dG is not None:
+                d_in += (pt.dG @ x_new).reshape(-1, 1)
+            js = -(jac.Jnu + cfg.rho * d_in) / cfg.rho
+            js[s_new <= 0.0, :] = 0.0
+            jlam = jac.Jlam + cfg.rho * d_eq
+            jnu = jac.Jnu + cfg.rho * (d_in + js)
             jac_step = np.linalg.norm(jx - jac.Jx) / (1.0 + np.linalg.norm(jac.Jx))
             jac.Jx, jac.Js, jac.Jlam, jac.Jnu = jx, js, jlam, jnu
             out.jac_steps.append(jac_step)
@@ -348,8 +340,8 @@ def core_sweeps(monkeypatch):
 @pytest.mark.parametrize("sel", [ad.LinearCost(), ad.EqRhs(), ad.IneqRhs()],
                          ids=lambda sel: type(sel).__name__)
 def test_fused_sweep_matches_reference_updates(suite, core_sweeps, sel, shape):
-    """The buffered quadratic sweep must reproduce the composable update
-    operations step for step, in every Jacobian block. LinearCost with
+    """The buffered quadratic sweep must reproduce the reference loop's
+    linearized updates step for step, in every Jacobian block. LinearCost with
     p + m < n runs on the k x k core, every other case in n-space."""
     p = _constraint_shape(suite.problem(8), shape)
     cfg = ad.SolverConfig(rho=SUITE_RHO, eps=1e-6)
@@ -360,13 +352,13 @@ def test_fused_sweep_matches_reference_updates(suite, core_sweeps, sel, shape):
     _assert_sweep_matches(rep, p, sel, cfg)
 
 
-def test_lu_factor_keeps_nspace_sweep(suite, core_sweeps):
-    # The core needs C H^-1 = W', exact for a Cholesky factor only; a
-    # provider handing back LU factors keeps the n-space sweep.
+def test_lu_factor_keeps_nspace_sweep(suite, core_sweeps, monkeypatch):
+    # The core needs C H^-1 = W', exact for a Cholesky factor only; an LU
+    # factor of the same Hessian keeps the n-space sweep.
+    monkeypatch.setattr(backward, "factorize", lambda m, spd_hint=False: ad.factorize(m))
     p = suite.problem(8)
     cfg = ad.SolverConfig(rho=SUITE_RHO, eps=1e-6)
-    H = p.objective.P.T + forward.penalty_matrix(p, cfg.rho)
-    rep = ad.differentiate(p, ad.LinearCost(), cfg, hessian_factor=lambda _x: ad.factorize(H))
+    rep = ad.differentiate(p, ad.LinearCost(), cfg)
     assert not rep.forward.hessian_factorization.spd
     assert not core_sweeps
     _assert_sweep_matches(rep, p, ad.LinearCost(), cfg)
@@ -375,7 +367,7 @@ def test_lu_factor_keeps_nspace_sweep(suite, core_sweeps):
 @pytest.mark.parametrize("matrix", [False, True], ids=["vector", "matrix"])
 def test_vector_direction_sweep_matches_reference_updates(suite, matrix):
     # A direction in (q, b, h) only runs the fused sweep with one dq column;
-    # with dA and dG as well, the helper-operation sweep.
+    # with dA and dG as well, _GeneralSweep.
     p = suite.problem(8)
     sel = _suite_direction(matrix)
     cfg = ad.SolverConfig(rho=SUITE_RHO, eps=1e-6)
@@ -388,22 +380,21 @@ def test_admm_solve_matches_reference_forward_loop(suite, case):
     """admm_solve is the solver loop at zero width: the forward half of the
     reference loop, stopping on the x rule alone."""
     cfg = ad.SolverConfig(rho=SUITE_RHO, eps=1e-6)
-    hessian_factor = None
+    y, u = np.linspace(-1.0, 1.0, 8), np.full(8, 0.3)
     if case == "callback":
-        p = ad.build(ad.SoftmaxLayer(y=np.linspace(-1.0, 1.0, 8), u=np.full(8, 0.3)))
+        p = ad.build(ad.SoftmaxLayer(y=y, u=u))
     elif case == "layer":
-        p = suite.problem(8)
-        layer = ad.QuadraticLayer(P=p.objective.P, q=p.objective.q, constraints=p.constraints)
-        hessian_factor = lambda _x: ad.specialized_hessian_factor(layer, None, cfg.rho)
+        # A box simplex: an equality row and k = 2n + 1 >= n.
+        p = ad.build(ad.SparsemaxLayer(y=y, u=u))
     else:
         p = _constraint_shape(suite.problem(8), case)
-    rep = ad.admm_solve(p, cfg, hessian_factor=hessian_factor)
+    rep = ad.admm_solve(p, cfg)
     assert rep.converged
     _assert_forward_matches(rep, _reference_sweeps(p, None, cfg))
 
 
 def test_layer_sweep_matches_reference_updates(suite):
-    # The hessian_factor provider path of a quadratic layer.
+    # A quadratic layer runs the sweep of its built problem.
     p = suite.problem(8)
     layer = ad.QuadraticLayer(P=p.objective.P, q=p.objective.q, constraints=p.constraints)
     cfg = ad.SolverConfig(rho=SUITE_RHO, eps=1e-6)

@@ -180,8 +180,6 @@ def test_solver_config_validation():
         ad.SolverConfig(eps=-1.0)
     with pytest.raises(ValueError):
         ad.SolverConfig(max_outer_iters=0)
-    with pytest.raises(ValueError):
-        ad.SolverConfig(alpha0=1.5)
 
 
 def test_report_timing_fields_populated(suite):

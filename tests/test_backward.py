@@ -57,17 +57,13 @@ def _gated(jlam, jnu, c, s, rho):
     return jlam, js, jnu
 
 
-def test_gated_update_examples():
+def test_slack_jacobian_update_examples():
     # c = rho d(C x - [b; h]); on an inequality row u = Jnu + c.
     none = np.zeros((0, 1))
     # closed gate: s=0, Jnu=5, G Jx=1, rho=1 -> Js = 0, Jnu = u = 6
     _, js, jnu = _gated(none, [[5.0]], [[1.0]], [0.0], rho=1.0)
     assert np.array_equal(js, [[0.0]])
     assert np.array_equal(jnu, [[6.0]])
-    # closed gate: Jnu=0, rho=2, G Jx - dh = 0.25 -> Jnu = 0.5
-    _, js, jnu = _gated(none, [[0.0]], [[2.0 * 0.25]], [0.0], rho=2.0)
-    assert np.array_equal(js, [[0.0]])
-    assert np.allclose(jnu, [[0.5]])
     # open gate: s=2, Jnu=0, G Jx = 0.5 -> Js = -0.5, Jnu = 0
     _, js, jnu = _gated(none, [[0.0]], [[0.5]], [2.0], rho=1.0)
     assert np.allclose(js, [[-0.5]])
@@ -76,12 +72,25 @@ def test_gated_update_examples():
     _, js, jnu = _gated(none, [[2.0]], [[2.0 * (0.0 - 1.0)]], [1.0], rho=2.0)
     assert np.allclose(js, [[0.0]])
     assert np.array_equal(jnu, [[0.0]])
+
+
+def test_dual_jacobian_update_examples():
+    none = np.zeros((0, 1))
     # fixed point: A Jx == db leaves Jlam unchanged
     jlam, _, _ = _gated([[7.0]], none, [[1.0 * (1.0 - 1.0)]], [], rho=1.0)
     assert np.allclose(jlam, [[7.0]])
     # Jlam=0, rho=1, A Jx=0.5, db=1 -> -0.5
     jlam, _, _ = _gated([[0.0]], none, [[1.0 * (0.5 - 1.0)]], [], rho=1.0)
     assert np.allclose(jlam, [[-0.5]])
+    # closed gate: Jnu=0, rho=2, G Jx - dh = 0.25 -> Js = 0, Jnu = 0.5
+    _, js, jnu = _gated(none, [[0.0]], [[2.0 * 0.25]], [0.0], rho=2.0)
+    assert np.array_equal(js, [[0.0]])
+    assert np.allclose(jnu, [[0.5]])
+    # equality and inequality rows in one call: Jlam += c, gate on the rest
+    jlam, js, jnu = _gated([[1.0]], [[3.0]], [[0.5], [1.0]], [0.0], rho=1.0)
+    assert np.allclose(jlam, [[1.5]])
+    assert np.array_equal(js, [[0.0]])
+    assert np.array_equal(jnu, [[4.0]])
 
 
 def test_differentiate_equality_sensitivity():

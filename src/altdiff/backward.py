@@ -47,8 +47,13 @@ set-up: the two above, and _GeneralSweep, which solves with the x-step
 factor against the mixed partial, for callback objectives (damped Newton)
 and matrix directions (dP, dA, dG). All three write the slack and dual
 steps through one routine, _gated_update. forward.admm_solve is the same
-loop with a zero-width parameter: its n x 0 Jacobian steps have norm 0,
-which leaves the x-step rule.
+loop with a zero-width parameter: it runs no Jacobian sweep, which leaves
+the x-step rule.
+
+The stopping rule reads the Jacobian step norm only on sweeps whose x step
+is already below eps, so the loop takes it only there (on the k x k core it
+costs a product as large as the sweep's own) and records nan elsewhere; the
+stopping sweep is the one every step would give.
 """
 
 from __future__ import annotations
@@ -72,7 +77,7 @@ from .forward import (
     primal_update,
     slack_update,
 )
-from .linalg import Factorization, factorize, relative_step_norm
+from .linalg import NORM_FLOOR, Factorization, factorize
 from .problem import (
     EqRhs,
     IneqRhs,
@@ -127,6 +132,9 @@ class DiffReport:
 
     forward: ForwardReport
     jac: JacobianState
+    # ||Jx_k - Jx_{k-1}|| / (1 + ||Jx_{k-1}||) per sweep, nan on a sweep whose
+    # x step was at least eps (the stopping rule does not read it there);
+    # differentiate(trace=True) takes every one. 0.0 at zero width.
     jac_step_norms: list = field(default_factory=list)
     weakly_active_warning: bool = False
     jacobian_ms: float = 0.0
@@ -267,20 +275,31 @@ def _gated_update(jlam: np.ndarray, js: np.ndarray, jnu: np.ndarray, c: np.ndarr
 class _Sweep:
     """The protocol of the solver loop. Per iteration: step(st), the solver
     sweep, returns (x, s, lam, nu, ||Ax - b||, ||Gx + s - h||); run(jac, s)
-    is the Jacobian sweep, writing the new Jx to self.jx; advance(jac)
-    returns ||Jx_new - Jx|| / (1 + ||Jx||), taken in place on the outgoing
-    buffer, and swaps the two. After the loop, finish(jac) writes the final
-    blocks. fact is the x-step factorization the report keeps.
+    is the Jacobian sweep, writing the new Jx to self.jx; advance(jac, need)
+    swaps the two Jx buffers and, if need, returns the Jacobian step
+    ||Jx_new - Jx|| / (1 + ||Jx||), taken in place on the outgoing buffer;
+    else it returns nan and takes no norm. The loop needs the step only on
+    sweeps whose x step is below eps, so most sweeps skip it; the first
+    sweep taken after skipped ones rebuilds ||Jx||. After the loop,
+    finish(jac) writes the final blocks. fact is the x-step factorization
+    the report keeps.
     """
 
-    jx_norm = 0.0  # ||jac.Jx||; the recursion starts from Jx = 0
+    # ||jac.Jx||, None when a skipped sweep left it unknown; the recursion
+    # starts from Jx = 0.
+    jx_norm: Optional[float] = 0.0
 
-    def advance(self, jac: JacobianState) -> float:
+    def advance(self, jac: JacobianState, need: bool) -> float:
         old, new = jac.Jx, self.jx
+        jac.Jx, self.jx = new, old
+        if not need:
+            self.jx_norm = None
+            return np.nan
+        if self.jx_norm is None:
+            self.jx_norm = float(np.linalg.norm(old))
         old -= new
         step = float(np.linalg.norm(old) / (1.0 + self.jx_norm))
         self.jx_norm = float(np.linalg.norm(new))
-        jac.Jx, self.jx = new, old
         return step
 
     def finish(self, jac: JacobianState) -> None:
@@ -392,10 +411,12 @@ class _CostCoreSweep(_QuadraticSweep):
         c   = -rho (R' + M V_Y)        in place of rho (C Jx - d[b; h])
 
     followed by the same gated update on the V blocks: one k x k product.
-    The step norms need a second: ||Jx_new - Jx|| = ||R (V_Y,new - V_Y)||, and
+    A step norm needs a second: ||Jx_new - Jx|| = ||R (V_Y,new - V_Y)||, and
     ||Jx||^2 = ||H^-1||^2 + 2 <W' H^-1 Q, V_Y> + ||R V_Y||^2. The zero start
-    Jx = 0 is not of this form, so the first step is ||Jx_1||. Jx and the
-    n-space blocks are formed once, by finish(). R is never inverted, so a
+    Jx = 0 is not of this form, so the first step is ||Jx_1||. run() keeps
+    the previous sweep's V_Y, so a step taken after skipped ones rebuilds
+    R V_Y of the previous iterate with a third product. Jx and the n-space
+    blocks are formed once, by finish(). R is never inverted, so a
     rank-deficient [A; G] is fine.
     """
 
@@ -411,12 +432,15 @@ class _CostCoreSweep(_QuadraticSweep):
         self.V_s = np.zeros((k - p_eq, k))
         self.V_nu = np.zeros((k - p_eq, k))
         self.vy = np.zeros((k, k))
+        self.vy_prev = np.zeros((k, k))  # V_Y of the previous sweep
         self.c = np.empty((k, k))
         self.rv = np.empty((k, k))
-        self.rv_prev: Optional[np.ndarray] = None  # R V_Y of the previous sweep
+        self.rv_prev = np.empty((k, k))  # R V_Y of the previous sweep, if taken
+        self.first = True
 
     def run(self, jac: JacobianState, s_new: np.ndarray) -> None:
         """One Jacobian sweep on the V blocks; jac is written by finish()."""
+        self.vy, self.vy_prev = self.vy_prev, self.vy
         rho, p_eq, vy, c = self.rho, self.p_eq, self.vy, self.c
         vy[:p_eq] = self.V_lam
         np.multiply(self.V_s, rho, out=vy[p_eq:])
@@ -426,19 +450,28 @@ class _CostCoreSweep(_QuadraticSweep):
         c *= -rho
         _gated_update(self.V_lam, self.V_s, self.V_nu, c, s_new, rho, p_eq)
 
-    def advance(self, jac: JacobianState) -> float:
-        rv = self.rv
+    def _norm(self, vy: np.ndarray, rv: np.ndarray) -> float:
+        """||Jx|| of the iterate with V_Y = vy, from rv = R V_Y."""
+        return float(np.sqrt(max(
+            self.hinv_sq + 2.0 * np.vdot(self.K, vy) + np.vdot(rv, rv), 0.0)))
+
+    def advance(self, jac: JacobianState, need: bool) -> float:
+        first, self.first = self.first, False
+        if not need:
+            self.jx_norm = None
+            return np.nan
+        rv, prev = self.rv, self.rv_prev
         np.matmul(self.R, self.vy, out=rv)
-        norm = float(np.sqrt(max(
-            self.hinv_sq + 2.0 * np.vdot(self.K, self.vy) + np.vdot(rv, rv), 0.0)))
-        prev = self.rv_prev
-        if prev is None:
+        norm = self._norm(self.vy, rv)
+        if first:
             step = norm
-            self.rv_prev = np.empty_like(rv)
         else:
+            if self.jx_norm is None:
+                np.matmul(self.R, self.vy_prev, out=prev)
+                self.jx_norm = self._norm(self.vy_prev, prev)
             prev -= rv
             step = float(np.linalg.norm(prev) / (1.0 + self.jx_norm))
-        self.rv, self.rv_prev = self.rv_prev, rv
+        self.rv, self.rv_prev = prev, rv
         self.jx_norm = norm
         return step
 
@@ -555,22 +588,30 @@ def _solve(
     x_hist: list[np.ndarray] = []
     jx_hist: list[np.ndarray] = []
     x_hits = jac_hits = 0
+    x_norm = float(np.linalg.norm(st.x))
+    jac_step = 0.0  # with zero width there is no Jacobian to step
     for _ in range(cfg.max_outer_iters):
         t0 = perf()
         x_new, s_new, lam_new, nu_new, eq_res, ineq_res = sweep.step(st)
         t1 = perf()
         fwd.iteration_ms += (t1 - t0) * 1e3
 
-        # Jacobian sweep: the mixed partial uses the pre-update slack/duals
-        # and their Jacobians, exactly as the linearized updates require.
-        sweep.run(jac, s_new)
-        report.jacobian_ms += (perf() - t1) * 1e3
+        if pt.m_theta:
+            # Jacobian sweep: the mixed partial uses the pre-update slack/duals
+            # and their Jacobians, exactly as the linearized updates require.
+            sweep.run(jac, s_new)
+            report.jacobian_ms += (perf() - t1) * 1e3
 
-        # Diagnostics sit outside the timed recursion. The Jacobian step is
-        # measured against 1 + ||Jx|| so it still converges when Jx -> 0.
-        jac_step = sweep.advance(jac)
+        # Diagnostics sit outside the timed recursion. The x step is
+        # relative_step_norm(x_new, st.x) with ||x|| carried over. The rule
+        # reads the Jacobian step only where the x step is below eps, so
+        # only a trace takes it elsewhere; it is measured against
+        # 1 + ||Jx|| so it still converges when Jx -> 0.
+        step = float(np.linalg.norm(x_new - st.x) / max(x_norm, NORM_FLOOR))
+        x_norm = float(np.linalg.norm(x_new))
+        if pt.m_theta:
+            jac_step = sweep.advance(jac, trace or step < cfg.eps)
         report.jac_step_norms.append(jac_step)
-        step = relative_step_norm(x_new, st.x)
         fwd.step_norms.append(step)
         fwd.eq_residuals.append(eq_res)
         fwd.ineq_residuals.append(ineq_res)
@@ -582,8 +623,10 @@ def _solve(
         st.k += 1
         # Both recursions must settle: an x iterate can be stationary from
         # the first sweep (inactive constraints) while its Jacobian is still
-        # iterating toward the implicit derivative. With zero width the
-        # Jacobian step is 0 and this is the x rule alone.
+        # iterating toward the implicit derivative. A skipped Jacobian step
+        # (nan) resets jac_hits only where x_hits is reset too, so the rule
+        # stops on the sweep it would with every step taken. With zero width
+        # this is the x rule alone.
         x_hits = x_hits + 1 if step < cfg.eps else 0
         jac_hits = jac_hits + 1 if jac_step < cfg.eps else 0
         if x_hits >= STEP_RULE_HITS and jac_hits >= STEP_RULE_HITS:
@@ -616,7 +659,10 @@ def differentiate(
     carries per-iteration distances of (x_k, Jx_k) to the run's own final
     iterate, at the cost of storing one trajectory copy: the n x m_theta Jx
     per sweep, or on the k x k core of a theta = q solve one k x k block
-    per sweep (R V_Y, whose distances are those of the Jx iterates).
+    per sweep (R V_Y, whose distances are those of the Jx iterates). A
+    traced run also takes the Jacobian step norm on every sweep, where an
+    untraced one leaves nan on sweeps the stopping rule does not read; the
+    iterates and the stopping sweep are the same either way.
     """
     validate(p)
     return _solve(p, theta_partials(p, sel), cfg or SolverConfig(),

@@ -235,8 +235,8 @@ def admm_solve(p: ProblemSpec, cfg: Optional[SolverConfig] = None) -> ForwardRep
     """Iterate the splitting until the relative x-step falls below cfg.eps.
 
     This is differentiate's loop with a zero-width parameter: the Jacobian
-    blocks are n x 0 and their step norm is exactly 0, which leaves the
-    x-step rule. Never raises on slow convergence: the report carries
+    blocks are n x 0, so no Jacobian sweep runs and the x-step rule alone
+    stops it. Never raises on slow convergence: the report carries
     converged=False when max_outer_iters is exhausted.
     """
     from .backward import ThetaPartials, _solve  # backward imports this module

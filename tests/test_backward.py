@@ -311,7 +311,14 @@ def _assert_forward_matches(fwd, ref):
 def _assert_sweep_matches(fast, p, sel, cfg):
     ref = _reference_sweeps(p, sel, cfg)
     _assert_forward_matches(fast.forward, ref)
-    assert np.allclose(fast.jac_step_norms, ref.jac_steps, rtol=1e-8, atol=1e-14)
+    # The loop takes the Jacobian step only where the stopping rule reads it,
+    # on sweeps whose x step is below eps; at zero width it is 0.0.
+    jac_steps, ref_steps = np.array(fast.jac_step_norms), np.array(ref.jac_steps)
+    width = fast.Jx.shape[1]
+    skipped = (np.array(ref.steps) >= cfg.eps) & (width > 0)
+    assert np.array_equal(np.isnan(jac_steps), skipped)
+    assert width or not jac_steps.any()
+    assert np.allclose(jac_steps[~skipped], ref_steps[~skipped], rtol=1e-8, atol=1e-14)
     for name in ("Jx", "Js", "Jlam", "Jnu"):
         assert np.allclose(getattr(fast.jac, name), getattr(ref.jac, name), atol=1e-10), name
 
@@ -400,6 +407,61 @@ def test_admm_solve_matches_reference_forward_loop(suite, case):
     rep = ad.admm_solve(p, cfg)
     assert rep.converged
     _assert_forward_matches(rep, _reference_sweeps(p, None, cfg))
+
+
+def test_admm_solve_runs_no_jacobian_sweep(suite, monkeypatch):
+    """A zero-width parameter has no Jacobian to step: admm_solve never calls
+    a sweep's run() or advance()."""
+    def refuse(*args):
+        raise AssertionError("Jacobian sweep at zero width")
+
+    for kind in (backward._QuadraticSweep, backward._CostCoreSweep, backward._GeneralSweep):
+        monkeypatch.setattr(kind, "run", refuse)
+        monkeypatch.setattr(kind, "advance", refuse)
+    y, u = np.linspace(-1.0, 1.0, 8), np.full(8, 0.3)
+    cfg = ad.SolverConfig(rho=SUITE_RHO, eps=1e-6)
+    for p in (suite.problem(8), ad.build(ad.SoftmaxLayer(y=y, u=u))):
+        rep = ad.admm_solve(p, cfg)
+        assert rep.converged and rep.iterations > 1
+
+
+@pytest.mark.parametrize("kind", ["core", "nspace", "callback", "matrix"])
+def test_untraced_run_matches_traced(suite, monkeypatch, kind):
+    """Skipping the unread Jacobian step norms changes nothing else: with and
+    without trace every sweep kind gives the same iterations, x, x steps and
+    Jacobian blocks bit for bit, and the steps an untraced run takes."""
+    cfg = ad.SolverConfig(rho=SUITE_RHO, eps=1e-6)
+    p, sel = suite.problem(8), ad.LinearCost()
+    if kind == "nspace":
+        p = _constraint_shape(p, "eq_ineq_box")
+    elif kind == "callback":
+        y = np.linspace(-1.0, 1.0, 8)
+        p = ad.build(ad.SoftmaxLayer(y=y, u=np.full(8, 0.3)))
+    elif kind == "matrix":
+        sel = _suite_direction(matrix=True)
+    expected = {"core": backward._CostCoreSweep, "nspace": backward._QuadraticSweep,
+                "callback": backward._GeneralSweep, "matrix": backward._GeneralSweep}[kind]
+    made, make = [], backward._make_sweep
+
+    def spy(*args):
+        made.append(make(*args))
+        return made[-1]
+
+    monkeypatch.setattr(backward, "_make_sweep", spy)
+    plain = ad.differentiate(p, sel, cfg)
+    traced = ad.differentiate(p, sel, cfg, trace=True)
+    assert [type(sw) for sw in made] == [expected, expected]
+    assert plain.forward.iterations == traced.forward.iterations
+    assert np.array_equal(plain.x, traced.x)
+    assert plain.forward.step_norms == traced.forward.step_norms
+    for name in ("Jx", "Js", "Jlam", "Jnu"):
+        assert np.array_equal(getattr(plain.jac, name), getattr(traced.jac, name)), name
+    full = np.array(traced.jac_step_norms)
+    lazy = np.array(plain.jac_step_norms)
+    assert not np.isnan(full).any()
+    taken = ~np.isnan(lazy)
+    assert taken.sum() >= forward.STEP_RULE_HITS
+    assert np.array_equal(lazy[taken], full[taken])
 
 
 def test_layer_sweep_matches_reference_updates(suite):

@@ -2,62 +2,60 @@
 
 Writing J* for the derivative of an iterate with respect to the selected
 parameter theta, each solver sweep is followed by one sweep of the
-linearized updates:
+linearized updates. With C = [A; G], Y = [Jlam; Jnu + rho Js] and
+c = rho d(C x - [b; h]) at the new Jx,
 
-    Jx   <- -H(x)^-1 * d/dtheta grad_x L(x, s, lam, nu)
-    Js_i <- -(1/rho) [Jnu + rho (G Jx - dh)]_i   if s_i > 0, else 0
-    Jlam <- Jlam + rho (A Jx - db)
-    Jnu  <- Jnu + rho (G Jx + Js - dh)
+    Jx <- -H(x)^-1 * d/dtheta grad_x L(x, s, lam, nu)
+    Y  <- sigma (g Y + c)        (row by row)
 
-where H(x) is the factorization already produced by the x-step. The
-recursion keeps a single Jacobian state (previous iterates are overwritten)
-and converges to the derivative of the optimality system, so no solver
-trajectory has to be stored. Stopping early simply yields a Jacobian whose
-error tracks the error of the truncated iterate.
+where H(x) is the factorization already produced by the x-step. The slack
+step is a ReLU, and its derivative a sign gate: sigma is +1 on rows whose
+new slack is 0 and -1 on the others, g is 1 on rows whose slack was 0 on
+the previous sweep (else 0), both are 1 on equality rows. Y is the only
+dual-side state; at the end Jlam = Y_eq, a closed row has Jnu = Y_in and
+Js = 0, an open one Js = Y_in / rho and Jnu = 0. The recursion keeps a
+single Jacobian state (previous iterates are overwritten) and converges to
+the derivative of the optimality system, so no solver trajectory is stored,
+and stopping early yields a Jacobian whose error tracks the iterate's.
 
 For a quadratic objective H is constant, and the x-step and the mixed
-partial are the same affine map through W = H^-1 [A; G]': with
-z = [lam; nu + rho s] and Y = [Jlam; Jnu + rho Js],
+partial are the same affine map through W = H^-1 C': with
+z = [lam; nu + rho s],
 
     x  = x0 - W z,          x0 = -H^-1 q + rho W [b; h]
     Jx = -(Hd + W Y),       Hd = H^-1 dq - rho W d[b; h]/dtheta
 
-Set-up therefore factorizes H once. For theta = q, dq = I makes H^-1 dq
-H^-1 itself, so set-up takes H^-1 from the factor (linalg.inverse: LAPACK
-potri on a Cholesky factor) and forms W and H^-1 q as products, with no
-solve. For every other selector it makes one solve against the factor,
-H^-1 [A; G]' with the q and dq columns alongside; the b and h selectors
-read W d[b; h] off the columns of W that db and dh select. Each sweep is
-then one matvec with W for x, one with [A; G] for the residuals the slack
-and dual steps share, and two products with the n x (p + m) blocks for the
-Jacobian, about 4 n (p + m) m_theta flops, with no triangular solve and no
-n x n product.
+and the forward step takes the same gate: with u = nu + rho (G x - h), the
+new nu is max(u, 0), the new s is (nu - u) / rho, and z_in = |u| = sigma u.
+Set-up factorizes H once (_QuadraticSweep). Each sweep is then one matvec
+with W for x, one with C for the residuals the slack and dual steps share,
+and two products with the n x (p + m) blocks for the Jacobian, about
+4 n (p + m) m_theta flops, with no triangular solve and no n x n product.
 
 For theta = q with k = p + m < n, the Jacobian recursion runs on a k x k
-core instead: dq = I and d[b; h] = 0 keep every iterate of the form
-Jx = -(H^-1 + W T W') with T k x k, so each sweep makes two k x k products
-(about 4 k^3 flops, against 4 n^2 k in n-space) and Jx is formed once, at
-the end. The b and h selectors keep the n-space sweep: their direct term
-has only m_theta columns, and the same move would leave the per-iteration
-backward cost growing more slowly with n than acceptance criterion 5's
-band (its per-iteration ratio is measured on IneqRhs) allows.
+core instead (_CostCoreSweep): every iterate has the form
+Jx = -(H^-1 + W T W') with T k x k, and the gate folds into one k x k
+product per sweep (about 2 k^3 flops, against 4 n^2 k in n-space); Jx is
+formed once, at the end. The b and h selectors keep the n-space sweep:
+their direct term has only m_theta columns, and the same move would leave
+the per-iteration backward cost growing more slowly with n than acceptance
+criterion 5's band (its per-iteration ratio is measured on IneqRhs) allows.
 
 Every solve runs one loop (_solve) over one of three sweeps, picked at
 set-up: the two above, and _GeneralSweep, which solves with the x-step
 factor against the mixed partial, for callback objectives (damped Newton)
-and matrix directions (dP, dA, dG). All three write the slack and dual
-steps through one routine, _gated_update. forward.admm_solve is the same
-loop with a zero-width parameter: it runs no Jacobian sweep, which leaves
-the x-step rule.
+and matrix directions (dP, dA, dG). forward.admm_solve is the same loop
+with a zero-width parameter: it runs no Jacobian sweep.
 
 The stopping rule reads the Jacobian step norm only on sweeps whose x step
 is already below eps, so the loop takes it only there (on the k x k core it
-costs a product as large as the sweep's own) and records nan elsewhere; the
-stopping sweep is the one every step would give.
+costs two products as large as the sweep's own) and records nan elsewhere;
+the stopping sweep is the one every step would give.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -216,31 +214,11 @@ def _rhs_partial(p_eq: int, m_ineq: int, pt: ThetaPartials) -> np.ndarray:
     return out
 
 
-def mixed_partial(
-    p: ProblemSpec,
-    sel: ParamSelector,
-    st: AdmmState,
-    jac: JacobianState,
-    x_new: np.ndarray,
-    rho: float,
-    partials: Optional[ThetaPartials] = None,
-    direct: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """d/dtheta of grad_x L(x_new, s, lam, nu; theta) with x_new held fixed.
-
-    The slack and duals carry their stored Jacobians, so their contribution
-    is A'Jlam + G'Jnu + rho G'Js; the explicit theta dependence of q, b, h
-    (and, in Direction mode, of P, A, G) adds the direct terms.
-    """
+def _direction_terms(p: ProblemSpec, pt: ThetaPartials, st: AdmmState, x_new: np.ndarray,
+                     rho: float, out: np.ndarray) -> np.ndarray:
+    """Add the x-dependent part of the mixed partial, the terms of a matrix
+    Direction (dP, dA, dG), to out, at x_new and the pre-update s, lam, nu."""
     con = p.constraints
-    pt = partials if partials is not None else theta_partials(p, sel)
-    if direct is None:
-        direct = direct_term(p, pt, rho)
-    out = direct.copy()
-    if con.n_eq:
-        out += con.A.T @ jac.Jlam
-    if con.n_ineq:
-        out += con.G.T @ (jac.Jnu + rho * jac.Js)
     if pt.dP is not None:
         out += (pt.dP @ x_new).reshape(-1, 1)
     if pt.dA is not None:
@@ -254,40 +232,67 @@ def mixed_partial(
     return out
 
 
-def _gated_update(jlam: np.ndarray, js: np.ndarray, jnu: np.ndarray, c: np.ndarray,
-                  s_new: np.ndarray, rho: float, p_eq: int) -> None:
-    """The slack and dual Jacobian steps, in place, from c = rho d(C x - [b; h]).
+def mixed_partial(p: ProblemSpec, sel: ParamSelector, st: AdmmState, jac: JacobianState,
+                  x_new: np.ndarray, rho: float) -> np.ndarray:
+    """d/dtheta of grad_x L(x_new, s, lam, nu; theta) with x_new held fixed.
 
-    u = Jnu + rho d(Gx - h): a row with s > 0 moves it all into the slack
-    (Js = -u / rho, so Jnu + rho Js = 0); a gated row keeps Jnu = u. Only row
-    operations, so the blocks may hold any right factor of the Jacobian.
+    The slack and duals carry their stored Jacobians, so their contribution
+    is A'Jlam + G'Jnu + rho G'Js; the explicit theta dependence of q, b, h
+    (and, in Direction mode, of P, A, G) adds the direct terms. The sweeps
+    take it as direct + [A; G]'Y; the tests keep this form as reference.
     """
-    jlam += c[:p_eq]
-    u = c[p_eq:]
-    u += jnu
-    np.divide(u, -rho, out=js)
-    jnu[...] = u
-    active = s_new > 0.0
-    js[~active, :] = 0.0
-    jnu[active, :] = 0.0
+    con = p.constraints
+    pt = theta_partials(p, sel)
+    out = direct_term(p, pt, rho)
+    if con.n_eq:
+        out += con.A.T @ jac.Jlam
+    if con.n_ineq:
+        out += con.G.T @ (jac.Jnu + rho * jac.Js)
+    return _direction_terms(p, pt, st, x_new, rho, out)
+
+
+def _norm(v: np.ndarray) -> float:
+    """||v|| of a real 1-D array, as np.linalg.norm computes it, without its wrapper."""
+    return math.sqrt(v.dot(v))
 
 
 class _Sweep:
     """The protocol of the solver loop. Per iteration: step(st), the solver
     sweep, returns (x, s, lam, nu, ||Ax - b||, ||Gx + s - h||); run(jac, s)
-    is the Jacobian sweep, writing the new Jx to self.jx; advance(jac, need)
-    swaps the two Jx buffers and, if need, returns the Jacobian step
-    ||Jx_new - Jx|| / (1 + ||Jx||), taken in place on the outgoing buffer;
-    else it returns nan and takes no norm. The loop needs the step only on
-    sweeps whose x step is below eps, so most sweeps skip it; the first
-    sweep taken after skipped ones rebuilds ||Jx||. After the loop,
-    finish(jac) writes the final blocks. fact is the x-step factorization
-    the report keeps.
+    is the Jacobian sweep: it gates on the new slack, writes the new Jx to
+    self.jx and steps Y (k x m_theta); advance(jac, need) swaps the two Jx
+    buffers and, if need, returns the Jacobian step ||Jx_new - Jx|| /
+    (1 + ||Jx||), taken in place on the outgoing buffer, else nan. The loop
+    needs the step only on sweeps whose x step is below eps; the first step
+    taken after skipped ones rebuilds ||Jx||. After the loop, finish(jac)
+    writes the final blocks. fact is the x-step factorization the report
+    keeps.
     """
 
     # ||jac.Jx||, None when a skipped sweep left it unknown; the recursion
     # starts from Jx = 0.
     jx_norm: Optional[float] = 0.0
+
+    def __init__(self, p_eq: int, k: int, rho: float, m_theta: int):
+        self.p_eq, self.rho, self.y = p_eq, rho, np.zeros((k, m_theta))
+        # sigma, sigma g and rho sigma over all k rows
+        self.sigma, self.sg, self.rs = np.ones(k), np.ones(k), np.full(k, rho)
+
+    def gate(self, s_new: np.ndarray) -> None:
+        """sigma from the new slack, g from the previous sweep's sigma."""
+        sigma = self.sigma[self.p_eq:]
+        closed = sigma > 0.0
+        sigma[...] = np.where(s_new > 0.0, -1.0, 1.0)
+        np.multiply(sigma, closed, out=self.sg[self.p_eq:])
+        np.multiply(sigma, self.rho, out=self.rs[self.p_eq:])
+
+    def dual_step(self, c: np.ndarray, s_new: np.ndarray) -> None:
+        """Gate on s_new, then Y <- sigma (g Y + rho c) rowwise, from
+        c = d(C x - [b; h]), which is overwritten."""
+        self.gate(s_new)
+        c *= self.rs[:, None]
+        self.y *= self.sg[:, None]
+        self.y += c
 
     def advance(self, jac: JacobianState, need: bool) -> float:
         old, new = jac.Jx, self.jx
@@ -303,7 +308,11 @@ class _Sweep:
         return step
 
     def finish(self, jac: JacobianState) -> None:
-        """Write the final Jacobian blocks into jac (here they already are)."""
+        """Write the final blocks: Jx is there; Jlam, Jnu, Js come off Y and the last gate."""
+        y, p, closed = self.y, self.p_eq, self.sigma[self.p_eq:, None] > 0.0
+        jac.Jlam[...] = y[:p]
+        jac.Jnu[...] = np.where(closed, y[p:], 0.0)
+        jac.Js[...] = np.where(closed, 0.0, y[p:] / self.rho)
 
     def trace_point(self, jac: JacobianState) -> np.ndarray:
         """A copy of what a trace keeps of the current Jacobian iterate: an
@@ -316,18 +325,19 @@ class _QuadraticSweep(_Sweep):
 
     The same update algebra as _GeneralSweep, with H^-1 folded into
     the constraint matrix at set-up: W, the x-step offset x0 and H^-1 times
-    the direct term come from H^-1 and two products when theta = q
-    (cost=True), else from one solve, so the x-step is a matvec and the
-    Jacobian sweep is two matrix products, evaluated into preallocated
-    buffers.
+    the direct term come from H^-1 (LAPACK potri on a Cholesky factor) and
+    two products when theta = q (cost=True), else from one solve against
+    [C' | q | dq]. So the x-step is a matvec and the Jacobian sweep is two
+    matrix products, evaluated into preallocated buffers. step() carries z
+    from sweep to sweep.
     """
 
     def __init__(self, p: ProblemSpec, pt: ThetaPartials, fact: Factorization, rho: float,
                  cost: bool):
         con = p.constraints
-        self.fact, self.rho, self.p_eq = fact, rho, con.n_eq
-        self.C = np.vstack([con.A, con.G])
+        self.fact, self.C = fact, np.vstack([con.A, con.G])
         k = self.C.shape[0]
+        super().__init__(con.n_eq, k, rho, pt.m_theta)
         self.rhs = np.concatenate([con.b, con.h])  # [b; h]
         q = p.objective.q
         if cost:
@@ -351,7 +361,6 @@ class _QuadraticSweep(_Sweep):
 
     def _init_jacobian(self, pt: ThetaPartials, hinv_dq: Optional[np.ndarray]) -> None:
         k, mt, p_eq, rho = self.C.shape[0], pt.m_theta, self.p_eq, self.rho
-        self.d_rhs = _rhs_partial(p_eq, k - p_eq, pt)
         # H^-1 (dq - rho [A; G]' d[b; h]), with W d[b; h] taken from the
         # columns of W that db and dh select.
         self.Hd = np.zeros((self.W.shape[0], mt)) if hinv_dq is None else hinv_dq
@@ -359,8 +368,9 @@ class _QuadraticSweep(_Sweep):
             self.Hd = self.Hd - rho * (self.W[:, :p_eq] @ pt.db)
         if pt.dh is not None:
             self.Hd = self.Hd - rho * (self.W[:, p_eq:] @ pt.dh)
-        self.y = np.empty_like(self.d_rhs)
-        self.cjx = np.empty_like(self.d_rhs)
+        self.d_rhs = None if pt.db is None and pt.dh is None else _rhs_partial(p_eq, k - p_eq, pt)
+        self.Wn = -self.W  # so that Jx = -(Hd + W Y) takes no negation pass
+        self.c = np.empty((k, mt))
         self.jx = np.empty((self.W.shape[0], mt))
 
     def step(self, st: AdmmState) -> tuple:
@@ -370,123 +380,111 @@ class _QuadraticSweep(_Sweep):
         G x + s - h.
         """
         rho, p_eq, z = self.rho, self.p_eq, self.z
-        z[:p_eq] = st.lam
-        np.multiply(st.s, rho, out=z[p_eq:])
-        z[p_eq:] += st.nu
+        if st.k == 0:
+            z[:] = np.concatenate([st.lam, st.nu + rho * st.s])
         x = self.x0 - self.W @ z
         r = self.C @ x
         r -= self.rhs
         r_eq, r_in = r[:p_eq], r[p_eq:]
-        s = np.maximum(0.0, -st.nu / rho - r_in)
         lam = st.lam + rho * r_eq
+        u = st.nu + rho * r_in
+        nu = np.maximum(u, 0.0)
+        s = nu - u
+        s /= rho
+        z[:p_eq] = lam
+        np.abs(u, out=z[p_eq:])
         r_in += s
-        nu = st.nu + rho * r_in
-        return x, s, lam, nu, float(np.linalg.norm(r_eq)), float(np.linalg.norm(r_in))
+        return x, s, lam, nu, _norm(r_eq), _norm(r_in)
 
     def run(self, jac: JacobianState, s_new: np.ndarray) -> None:
-        """One Jacobian sweep: the new Jx into the spare buffer, Js/Jlam/Jnu in place."""
-        rho, p_eq, y, cjx, jx = self.rho, self.p_eq, self.y, self.cjx, self.jx
-        y[:p_eq] = jac.Jlam
-        np.multiply(jac.Js, rho, out=y[p_eq:])
-        y[p_eq:] += jac.Jnu
-        np.matmul(self.W, y, out=jx)
-        jx += self.Hd
-        np.negative(jx, out=jx)
-        np.matmul(self.C, jx, out=cjx)
-        cjx -= self.d_rhs
-        cjx *= rho
-        _gated_update(jac.Jlam, jac.Js, jac.Jnu, cjx, s_new, rho, p_eq)
+        """One Jacobian sweep: the new Jx into the spare buffer, then Y."""
+        jx, c = self.jx, self.c
+        np.matmul(self.Wn, self.y, out=jx)
+        jx -= self.Hd
+        np.matmul(self.C, jx, out=c)
+        if self.d_rhs is not None:
+            c -= self.d_rhs
+        self.dual_step(c, s_new)
 
 
 class _CostCoreSweep(_QuadraticSweep):
     """The sweep w.r.t. the linear cost on k x k blocks, k = p + m < n.
 
-    With dq = I and d[b; h] = 0, H^-1 dq = H^-1 and C H^-1 = W', so every
-    block of the recursion keeps the form T W' with a k x k T: with
-    Y = [Jlam; Jnu + rho Js] = T_Y W', the iterate is Jx = -(H^-1 + W T_Y W')
-    and rho C Jx = -rho (I + M T_Y) W' with M = C W. Taking the thin QR
-    W = Q R and V = T R' (so W' = R' Q' and T W' = V Q'), one sweep is
+    With dq = I and d[b; h] = 0, C H^-1 = W' keeps every iterate of the form
+    Y = T W' and Jx = -(H^-1 + W T W') with a k x k T, and the gated step is,
+    on T, with M = C W,
 
-        V_Y = [V_lam; V_nu + rho V_s]
-        c   = -rho (R' + M V_Y)        in place of rho (C Jx - d[b; h])
+        T <- B T - rho diag(sigma),    B = diag(sigma) (-rho M) + diag(sigma g):
 
-    followed by the same gated update on the V blocks: one k x k product.
-    A step norm needs a second: ||Jx_new - Jx|| = ||R (V_Y,new - V_Y)||, and
-    ||Jx||^2 = ||H^-1||^2 + 2 <W' H^-1 Q, V_Y> + ||R V_Y||^2. The zero start
-    Jx = 0 is not of this form, so the first step is ||Jx_1||. run() keeps
-    the previous sweep's V_Y, so a step taken after skipped ones rebuilds
-    R V_Y of the previous iterate with a third product. Jx and the n-space
-    blocks are formed once, by finish(). R is never inverted, so a
-    rank-deficient [A; G] is fine.
+    a row scaling, two diagonal writes and one k x k product. A sweep's Jx
+    comes from T before its step, so three buffers rotate: t (after this
+    sweep's step), t_prev (this sweep's Jx) and t_spare (the previous one's).
+    Nothing factors W, so a rank-deficient [A; G] needs no care. Step norms
+    use G = W'W and K = W' H^-1 W: ||Jx||^2 = ||H^-1||^2 + 2 <K, T> + <GT, TG>
+    and ||dJx||^2 = <G dT, dT G>, two products per step taken (two more after
+    skipped sweeps); the first step is ||Jx_1||, as Jx_0 = 0 is not of this
+    form. finish() forms Jx and the blocks with W' as the right factor.
     """
 
     def _init_jacobian(self, pt: ThetaPartials, hinv_dq: Optional[np.ndarray]) -> None:
-        k, p_eq = self.C.shape[0], self.p_eq
+        k, W = self.C.shape[0], self.W
         self.hinv = hinv_dq  # dq = I
-        self.Q, self.R = np.linalg.qr(self.W)
-        self.Rt = np.ascontiguousarray(self.R.T)
-        self.M = self.C @ self.W
-        self.K = (self.W.T @ self.hinv) @ self.Q  # W' H^-1 Q
+        self.Mr = -self.rho * (self.C @ W)
+        self.G = W.T @ W
+        self.K = W.T @ (self.hinv @ W)
         self.hinv_sq = float(np.vdot(self.hinv, self.hinv))
-        self.V_lam = np.zeros((p_eq, k))
-        self.V_s = np.zeros((k - p_eq, k))
-        self.V_nu = np.zeros((k - p_eq, k))
-        self.vy = np.zeros((k, k))
-        self.vy_prev = np.zeros((k, k))  # V_Y of the previous sweep
-        self.c = np.empty((k, k))
-        self.rv = np.empty((k, k))
-        self.rv_prev = np.empty((k, k))  # R V_Y of the previous sweep, if taken
+        self.B = np.empty((k, k))
+        self.t, self.t_prev, self.t_spare = (np.zeros((k, k)) for _ in range(3))
+        # G T and T G of the current and of the previous iterate
+        self.gt, self.tg, self.gt_prev, self.tg_prev = (np.empty((k, k)) for _ in range(4))
         self.first = True
 
     def run(self, jac: JacobianState, s_new: np.ndarray) -> None:
-        """One Jacobian sweep on the V blocks; jac is written by finish()."""
-        self.vy, self.vy_prev = self.vy_prev, self.vy
-        rho, p_eq, vy, c = self.rho, self.p_eq, self.vy, self.c
-        vy[:p_eq] = self.V_lam
-        np.multiply(self.V_s, rho, out=vy[p_eq:])
-        vy[p_eq:] += self.V_nu
-        np.matmul(self.M, vy, out=c)
-        c += self.Rt
-        c *= -rho
-        _gated_update(self.V_lam, self.V_s, self.V_nu, c, s_new, rho, p_eq)
+        """One Jacobian sweep on T; jac is written by finish()."""
+        self.gate(s_new)
+        B, t, k = self.B, self.t_spare, len(self.sigma)
+        np.multiply(self.Mr, self.sigma[:, None], out=B)
+        B.reshape(-1)[:: k + 1] += self.sg  # its diagonal
+        np.matmul(B, self.t, out=t)
+        t.reshape(-1)[:: k + 1] -= self.rs
+        self.t_prev, self.t, self.t_spare = self.t, t, self.t_prev
 
-    def _norm(self, vy: np.ndarray, rv: np.ndarray) -> float:
-        """||Jx|| of the iterate with V_Y = vy, from rv = R V_Y."""
-        return float(np.sqrt(max(
-            self.hinv_sq + 2.0 * np.vdot(self.K, vy) + np.vdot(rv, rv), 0.0)))
+    def _sq_norm(self, t: np.ndarray, gt: np.ndarray, tg: np.ndarray) -> float:
+        """||Jx||^2 of the iterate T = t, writing G T to gt and T G to tg."""
+        np.matmul(self.G, t, out=gt)
+        np.matmul(t, self.G, out=tg)
+        return max(self.hinv_sq + 2.0 * np.vdot(self.K, t) + np.vdot(gt, tg), 0.0)
 
     def advance(self, jac: JacobianState, need: bool) -> float:
         first, self.first = self.first, False
         if not need:
             self.jx_norm = None
             return np.nan
-        rv, prev = self.rv, self.rv_prev
-        np.matmul(self.R, self.vy, out=rv)
-        norm = self._norm(self.vy, rv)
+        gt, tg, gt_prev, tg_prev = self.gt, self.tg, self.gt_prev, self.tg_prev
+        norm = math.sqrt(self._sq_norm(self.t_prev, gt, tg))
         if first:
             step = norm
         else:
             if self.jx_norm is None:
-                np.matmul(self.R, self.vy_prev, out=prev)
-                self.jx_norm = self._norm(self.vy_prev, prev)
-            prev -= rv
-            step = float(np.linalg.norm(prev) / (1.0 + self.jx_norm))
-        self.rv, self.rv_prev = prev, rv
+                self.jx_norm = math.sqrt(self._sq_norm(self.t_spare, gt_prev, tg_prev))
+            gt_prev -= gt
+            tg_prev -= tg
+            step = math.sqrt(max(np.vdot(gt_prev, tg_prev), 0.0)) / (1.0 + self.jx_norm)
+        self.gt, self.tg, self.gt_prev, self.tg_prev = gt_prev, tg_prev, gt, tg
         self.jx_norm = norm
         return step
 
     def finish(self, jac: JacobianState) -> None:
-        qt = self.Q.T
-        np.matmul(self.W @ self.vy, qt, out=jac.Jx)
+        wt = self.W.T
+        np.matmul(self.W, self.t_prev @ wt, out=jac.Jx)
         jac.Jx += self.hinv
         np.negative(jac.Jx, out=jac.Jx)
-        np.matmul(self.V_lam, qt, out=jac.Jlam)
-        np.matmul(self.V_s, qt, out=jac.Js)
-        np.matmul(self.V_nu, qt, out=jac.Jnu)
+        np.matmul(self.t, wt, out=self.y)  # Y = T W'
+        super().finish(jac)
 
     def trace_point(self, jac: JacobianState) -> np.ndarray:
-        # R V_Y, k x k: ||Jx_i - Jx_j|| = ||R V_Y,i - R V_Y,j||
-        return self.rv_prev.copy()
+        # W T W' = -(Jx + H^-1): its distances are those of the Jx iterates.
+        return self.W @ self.t_prev @ self.W.T
 
 
 class _GeneralSweep(_Sweep):
@@ -495,8 +493,9 @@ class _GeneralSweep(_Sweep):
     Runs what the folded sweeps cannot: callback objectives, whose damped
     Newton x-step factorizes H(x) again every sweep (the Jacobian step
     reuses that sweep's factor), and matrix directions (dP, dA, dG), whose
-    mixed partial depends on x. run() takes the mixed partial at the new x
-    and the pre-update slack and duals, so step() keeps both.
+    mixed partial depends on x. run() takes the mixed partial, direct + C'Y
+    plus the direction terms, at the new x and the pre-update slack and
+    duals, so step() keeps both.
     """
 
     def __init__(self, p: ProblemSpec, pt: ThetaPartials, cfg: SolverConfig,
@@ -506,6 +505,7 @@ class _GeneralSweep(_Sweep):
         self.direct = direct_term(p, pt, cfg.rho)
         self.C = np.vstack([con.A, con.G])
         self.d_rhs = _rhs_partial(con.n_eq, con.n_ineq, pt)
+        super().__init__(con.n_eq, self.C.shape[0], cfg.rho, pt.m_theta)
 
     def step(self, st: AdmmState) -> tuple:
         p, cfg, con = self.p, self.cfg, self.p.constraints
@@ -514,22 +514,21 @@ class _GeneralSweep(_Sweep):
         s = slack_update(st, con.G, con.h, x, cfg)
         lam, nu = dual_update(st, con.A, con.b, con.G, con.h, x, s, cfg)
         self.st, self.x = st, x
-        return (x, s, lam, nu, float(np.linalg.norm(con.A @ x - con.b)),
-                float(np.linalg.norm(con.G @ x + s - con.h)))
+        return x, s, lam, nu, _norm(con.A @ x - con.b), _norm(con.G @ x + s - con.h)
 
     def run(self, jac: JacobianState, s_new: np.ndarray) -> None:
-        pt, rho, x, p_eq = self.pt, self.cfg.rho, self.x, self.p.constraints.n_eq
-        mixed = mixed_partial(self.p, None, self.st, jac, x, rho, partials=pt, direct=self.direct)
+        pt, x, p_eq = self.pt, self.x, self.p_eq
+        mixed = self.direct + self.C.T @ self.y
+        _direction_terms(self.p, pt, self.st, x, self.rho, mixed)
         self.jx = jx = -self.fact.solve(mixed)
-        # c = rho d(C x - [b; h]), with the dA x and dG x terms of a direction.
+        # d(C x - [b; h]), with the dA x and dG x terms of a direction.
         c = self.C @ jx
         if pt.dA is not None:
             c[:p_eq] += (pt.dA @ x).reshape(-1, 1)
         if pt.dG is not None:
             c[p_eq:] += (pt.dG @ x).reshape(-1, 1)
         c -= self.d_rhs
-        c *= rho
-        _gated_update(jac.Jlam, jac.Js, jac.Jnu, c, s_new, rho, p_eq)
+        self.dual_step(c, s_new)
 
 
 def _make_sweep(p: ProblemSpec, pt: ThetaPartials, cfg: SolverConfig, cost: bool) -> _Sweep:
@@ -588,7 +587,7 @@ def _solve(
     x_hist: list[np.ndarray] = []
     jx_hist: list[np.ndarray] = []
     x_hits = jac_hits = 0
-    x_norm = float(np.linalg.norm(st.x))
+    x_norm = _norm(st.x)
     jac_step = 0.0  # with zero width there is no Jacobian to step
     for _ in range(cfg.max_outer_iters):
         t0 = perf()
@@ -597,8 +596,8 @@ def _solve(
         fwd.iteration_ms += (t1 - t0) * 1e3
 
         if pt.m_theta:
-            # Jacobian sweep: the mixed partial uses the pre-update slack/duals
-            # and their Jacobians, exactly as the linearized updates require.
+            # Jacobian sweep: the gate takes the new slack, the mixed partial
+            # the pre-update slack and duals, as the linearized updates require.
             sweep.run(jac, s_new)
             report.jacobian_ms += (perf() - t1) * 1e3
 
@@ -607,8 +606,8 @@ def _solve(
         # reads the Jacobian step only where the x step is below eps, so
         # only a trace takes it elsewhere; it is measured against
         # 1 + ||Jx|| so it still converges when Jx -> 0.
-        step = float(np.linalg.norm(x_new - st.x) / max(x_norm, NORM_FLOOR))
-        x_norm = float(np.linalg.norm(x_new))
+        step = _norm(x_new - st.x) / max(x_norm, NORM_FLOOR)
+        x_norm = _norm(x_new)
         if pt.m_theta:
             jac_step = sweep.advance(jac, trace or step < cfg.eps)
         report.jac_step_norms.append(jac_step)
@@ -657,9 +656,10 @@ def differentiate(
     solver's stopping rule (relative x-step below cfg.eps), so loosening eps
     truncates both consistently. With trace=True the report additionally
     carries per-iteration distances of (x_k, Jx_k) to the run's own final
-    iterate, at the cost of storing one trajectory copy: the n x m_theta Jx
-    per sweep, or on the k x k core of a theta = q solve one k x k block
-    per sweep (R V_Y, whose distances are those of the Jx iterates). A
+    iterate, at the cost of storing one trajectory copy: an n x m_theta
+    block per sweep, Jx, or on the k x k core of a theta = q solve W T W'
+    (formed for the trace with two products; its distances are those of
+    the Jx iterates). A
     traced run also takes the Jacobian step norm on every sweep, where an
     untraced one leaves nan on sweeps the stopping rule does not read; the
     iterates and the stopping sweep are the same either way.

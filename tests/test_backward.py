@@ -49,16 +49,24 @@ def test_mixed_partial_ineq_rhs():
     assert np.allclose(out, [[-2.0]])
 
 
-def _gated(jlam, jnu, c, s, rho):
+def _gated(jlam, jnu, d, s, rho, js=None, closed_before=True):
+    """One gated dual step, then finish()'s split of Y. The blocks are those
+    of the previous sweep, whose slack was 0 (closed_before) or positive;
+    Js defaults to 0. d = d(C x - [b; h]), so c = rho d."""
     jlam, jnu = np.array(jlam, float), np.array(jnu, float)
-    js = np.empty_like(jnu)
-    backward._gated_update(jlam, js, jnu, np.array(c, float), np.array(s, float), rho,
-                           jlam.shape[0])
-    return jlam, js, jnu
+    js = np.zeros_like(jnu) if js is None else np.array(js, float)
+    p_eq, m = jlam.shape[0], jnu.shape[0]
+    sweep = backward._Sweep(p_eq, p_eq + m, rho, jnu.shape[1])
+    sweep.gate(np.full(m, 0.0 if closed_before else 1.0))
+    sweep.y[...] = np.vstack([jlam, jnu + rho * js])
+    sweep.dual_step(np.array(d, float), np.array(s, float))
+    jac = JacobianState.zeros(0, m, p_eq, sweep.y.shape[1])
+    sweep.finish(jac)
+    return jac.Jlam, jac.Js, jac.Jnu
 
 
 def test_slack_jacobian_update_examples():
-    # c = rho d(C x - [b; h]); on an inequality row u = Jnu + c.
+    # On an inequality row u = Jnu + rho d: Y <- sigma (g Y + rho d).
     none = np.zeros((0, 1))
     # closed gate: s=0, Jnu=5, G Jx=1, rho=1 -> Js = 0, Jnu = u = 6
     _, js, jnu = _gated(none, [[5.0]], [[1.0]], [0.0], rho=1.0)
@@ -69,21 +77,33 @@ def test_slack_jacobian_update_examples():
     assert np.allclose(js, [[-0.5]])
     assert np.array_equal(jnu, [[0.0]])
     # rho=2, Jnu=2, dh=1, G Jx=0 -> Js = -(1/2)(2 + 2(0 - 1)) = 0
-    _, js, jnu = _gated(none, [[2.0]], [[2.0 * (0.0 - 1.0)]], [1.0], rho=2.0)
+    _, js, jnu = _gated(none, [[2.0]], [[0.0 - 1.0]], [1.0], rho=2.0)
     assert np.allclose(js, [[0.0]])
+    assert np.array_equal(jnu, [[0.0]])
+    # rho=2, an open row before and after: its Jnu = 0 is dropped from u
+    # (g = 0, though Y = rho Js = 3), G Jx - dh = 0.25 -> Y = -0.5 and
+    # Js = Y / rho = -(1/2)(0 + 2 * 0.25) = -0.25, Jnu = 0
+    _, js, jnu = _gated(none, [[0.0]], [[0.25]], [1.0], rho=2.0, js=[[1.5]],
+                        closed_before=False)
+    assert np.array_equal(js, [[-0.25]])
+    assert np.array_equal(jnu, [[0.0]])
+    # rho=2, a closed row that opens: Jnu=1, G Jx - dh = 0.5 -> Y = -(1 + 1)
+    # and Js = Y / rho = -1, Jnu = 0
+    _, js, jnu = _gated(none, [[1.0]], [[0.5]], [3.0], rho=2.0)
+    assert np.array_equal(js, [[-1.0]])
     assert np.array_equal(jnu, [[0.0]])
 
 
 def test_dual_jacobian_update_examples():
     none = np.zeros((0, 1))
     # fixed point: A Jx == db leaves Jlam unchanged
-    jlam, _, _ = _gated([[7.0]], none, [[1.0 * (1.0 - 1.0)]], [], rho=1.0)
+    jlam, _, _ = _gated([[7.0]], none, [[1.0 - 1.0]], [], rho=1.0)
     assert np.allclose(jlam, [[7.0]])
     # Jlam=0, rho=1, A Jx=0.5, db=1 -> -0.5
-    jlam, _, _ = _gated([[0.0]], none, [[1.0 * (0.5 - 1.0)]], [], rho=1.0)
+    jlam, _, _ = _gated([[0.0]], none, [[0.5 - 1.0]], [], rho=1.0)
     assert np.allclose(jlam, [[-0.5]])
     # closed gate: Jnu=0, rho=2, G Jx - dh = 0.25 -> Js = 0, Jnu = 0.5
-    _, js, jnu = _gated(none, [[0.0]], [[2.0 * 0.25]], [0.0], rho=2.0)
+    _, js, jnu = _gated(none, [[0.0]], [[0.25]], [0.0], rho=2.0)
     assert np.array_equal(js, [[0.0]])
     assert np.allclose(jnu, [[0.5]])
     # equality and inequality rows in one call: Jlam += c, gate on the rest
@@ -91,6 +111,12 @@ def test_dual_jacobian_update_examples():
     assert np.allclose(jlam, [[1.5]])
     assert np.array_equal(js, [[0.0]])
     assert np.array_equal(jnu, [[4.0]])
+    # rho=2, an equality row and an open one: Jlam += 2 * 0.5; the open row's
+    # Y = -(3 + 2 * 1) = -5 gives Js = Y / rho = -2.5 and Jnu = 0
+    jlam, js, jnu = _gated([[1.0]], [[3.0]], [[0.5], [1.0]], [4.0], rho=2.0)
+    assert np.array_equal(jlam, [[2.0]])
+    assert np.array_equal(js, [[-2.5]])
+    assert np.array_equal(jnu, [[0.0]])
 
 
 def test_differentiate_equality_sensitivity():
@@ -335,6 +361,11 @@ def _constraint_shape(p, shape):
         G = np.vstack([con.G, np.eye(p.n), -np.eye(p.n)])
         h = np.concatenate([con.h, np.ones(2 * p.n)])
         return ad.ProblemSpec.quadratic(P, q, A=con.A, b=con.b, G=G, h=h)
+    if shape == "dup_rows":
+        # The first A row and the first G row twice: [A; G] is rank-deficient.
+        return ad.ProblemSpec.quadratic(
+            P, q, A=np.vstack([con.A, con.A[:1]]), b=np.concatenate([con.b, con.b[:1]]),
+            G=np.vstack([con.G, con.G[:1]]), h=np.concatenate([con.h, con.h[:1]]))
     return p
 
 
@@ -352,7 +383,7 @@ def core_sweeps(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("shape", ["eq_ineq", "eq_only", "ineq_only", "eq_ineq_box"])
+@pytest.mark.parametrize("shape", ["eq_ineq", "eq_only", "ineq_only", "eq_ineq_box", "dup_rows"])
 @pytest.mark.parametrize("sel", [ad.LinearCost(), ad.EqRhs(), ad.IneqRhs()],
                          ids=lambda sel: type(sel).__name__)
 def test_fused_sweep_matches_reference_updates(suite, core_sweeps, sel, shape):
@@ -378,6 +409,23 @@ def test_lu_factor_keeps_nspace_sweep(suite, core_sweeps, monkeypatch):
     assert not rep.forward.hessian_factorization.spd
     assert not core_sweeps
     _assert_sweep_matches(rep, p, ad.LinearCost(), cfg)
+
+
+def test_core_factors_nothing_of_rank_deficient_constraints(suite, core_sweeps, monkeypatch):
+    """The core takes no QR (or any other factor) of W = H^-1 [A; G]', so
+    repeated constraint rows (k < n) run it like any other problem, and its
+    derivative matches finite differences."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("QR factorization in a solve")
+
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    p = _constraint_shape(suite.problem(8), "dup_rows")
+    rep = ad.differentiate(p, ad.LinearCost(), ad.SolverConfig(rho=SUITE_RHO, eps=1e-8))
+    assert len(core_sweeps) == rep.forward.iterations
+    assert not rep.weakly_active_warning
+    fd = ad.finite_diff_jacobian(p, ad.LinearCost(), ad.SolverConfig(rho=SUITE_RHO))
+    err = np.abs(rep.Jx - fd)
+    assert ((err <= 1e-4 * np.abs(fd)) | (err <= 1e-8)).all()
 
 
 @pytest.mark.parametrize("matrix", [False, True], ids=["vector", "matrix"])
@@ -600,10 +648,7 @@ def _feasible_qps(draw):
     return make_suite_qp(n, m, p_eq, draw(hst.integers(0, 2**32 - 1)))
 
 
-@given(_feasible_qps())
-@settings(max_examples=30, deadline=None, derandomize=True)
-def test_random_qp_cost_derivative_matches_oracle(p):
-    """Both sides of the core selection agree with the implicit derivative."""
+def _check_random_qp_derivative(p, sel):
     tight = ad.admm_solve(p, ad.SolverConfig(rho=SUITE_RHO, eps=1e-10,
                                              max_outer_iters=200000))
     st = tight.state
@@ -611,11 +656,27 @@ def test_random_qp_cost_derivative_matches_oracle(p):
     # the oracle is defined only at a point that passes its KKT test.
     kkt = np.linalg.norm(ad.kkt_residual(p, st.x, st.lam, st.nu))
     assume(kkt <= KKT_POINT_RTOL * (1.0 + np.linalg.norm(st.x)))
-    rep = ad.differentiate(p, ad.LinearCost(), ad.SolverConfig(rho=SUITE_RHO, eps=1e-8,
-                                                               max_outer_iters=200000))
+    rep = ad.differentiate(p, sel, ad.SolverConfig(rho=SUITE_RHO, eps=1e-8,
+                                                   max_outer_iters=200000))
     assume(not rep.weakly_active_warning)
-    ref = ad.implicit_diff_solve(p, st.x, st.lam, st.nu, ad.LinearCost())
+    ref = ad.implicit_diff_solve(p, st.x, st.lam, st.nu, sel)
     # At a vertex (p + active rows = n) dx/dq = 0 and a relative error is
     # noise; there the error is held to 1e-4, against derivatives of order 1
     # elsewhere (P's eigenvalues are at least 0.1).
     assert np.linalg.norm(rep.Jx - ref) <= 1e-3 * max(np.linalg.norm(ref), 0.1)
+
+
+@given(_feasible_qps())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_random_qp_cost_derivative_matches_oracle(p):
+    """Both sides of the core selection agree with the implicit derivative."""
+    _check_random_qp_derivative(p, ad.LinearCost())
+
+
+@pytest.mark.parametrize("sel", [ad.EqRhs(), ad.IneqRhs()], ids=lambda sel: type(sel).__name__)
+@given(p=_feasible_qps())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_random_qp_rhs_derivative_matches_oracle(sel, p):
+    """The n-space sweep of the b and h selectors agrees with the implicit
+    derivative, with k < n and k >= n, under the same bound."""
+    _check_random_qp_derivative(p, sel)

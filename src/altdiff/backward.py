@@ -51,6 +51,19 @@ The stopping rule reads the Jacobian step norm only on sweeps whose x step
 is already below eps, so the loop takes it only there (on the k x k core it
 costs two products as large as the sweep's own) and records nan elsewhere;
 the stopping sweep is the one every step would give.
+
+Precision. Stopped at tolerance eps, the recursion leaves a Jacobian error
+of the iterate's order, about eps and up. Float32 round-off (6e-8) is far
+below that once eps >= FLOAT32_MIN_EPS, so there the two folded sweeps hold
+their Jacobian state (W, C, Hd, d[b; h], Y and the Jx buffers; on the core
+M, B, T, G and K) in float32 and each product runs at single precision, at
+about twice the speed. Their set-up products are formed in float64 and cast
+once. The solver step stays float64 (x, the slack and so the sign gate, the
+residuals), so every iterate is the float64 one; only the Jacobian step the
+stopping rule reads carries float32 noise, about 1e-7 (1 + ||Jx||).
+_GeneralSweep runs in float64. Every block a report returns, the step norms
+and the trace distances are float64. Below the constant every solve runs
+in float64.
 """
 
 from __future__ import annotations
@@ -91,6 +104,12 @@ from .problem import (
 # map nondifferentiable; solves near that set are flagged, not failed.
 WEAK_ACTIVITY_TOL = 1e-6
 
+# Tolerances from this one up run the folded Jacobian sweeps in float32.
+# Float32 round-off moves each Jacobian step by about 1e-7 (1 + ||Jx||), a
+# ten-thousandth of this threshold, so the stopping sweep stays put: on random
+# QPs it never moved at 1e-3, where at 1e-4 it moved in about 2% of solves.
+FLOAT32_MIN_EPS = 1e-3
+
 # Per-thread count of JacobianState constructions, so tests can assert that a
 # solve allocates exactly one state and overwrites it in place, also while
 # other threads solve.
@@ -115,9 +134,11 @@ class JacobianState:
         _allocs.count = jacobian_allocations() + 1
 
     @staticmethod
-    def zeros(n: int, m_ineq: int, p_eq: int, m_theta: int) -> "JacobianState":
+    def zeros(n: int, m_ineq: int, p_eq: int, m_theta: int,
+              jx_dtype=np.float64) -> "JacobianState":
+        # A solve's Jx starts in its sweep's dtype, as the buffers rotate.
         return JacobianState(
-            Jx=np.zeros((n, m_theta)),
+            Jx=np.zeros((n, m_theta), jx_dtype),
             Js=np.zeros((m_ineq, m_theta)),
             Jlam=np.zeros((p_eq, m_theta)),
             Jnu=np.zeros((m_ineq, m_theta)),
@@ -165,16 +186,19 @@ class ThetaPartials:
     dP: Optional[np.ndarray] = None  # direction only
     dA: Optional[np.ndarray] = None
     dG: Optional[np.ndarray] = None
+    # The one partial set (dq, db or dh) is the identity: the LinearCost,
+    # EqRhs and IneqRhs selectors.
+    eye: bool = False
 
 
 def theta_partials(p: ProblemSpec, sel: ParamSelector) -> ThetaPartials:
     m_theta = theta_dim(p, sel)
     if isinstance(sel, LinearCost):
-        return ThetaPartials(m_theta=m_theta, dq=np.eye(p.n))
+        return ThetaPartials(m_theta=m_theta, dq=np.eye(p.n), eye=True)
     if isinstance(sel, EqRhs):
-        return ThetaPartials(m_theta=m_theta, db=np.eye(p.constraints.n_eq))
+        return ThetaPartials(m_theta=m_theta, db=np.eye(p.constraints.n_eq), eye=True)
     if isinstance(sel, IneqRhs):
-        return ThetaPartials(m_theta=m_theta, dh=np.eye(p.constraints.n_ineq))
+        return ThetaPartials(m_theta=m_theta, dh=np.eye(p.constraints.n_ineq), eye=True)
     col = lambda v: None if v is None else np.asarray(v, dtype=float).reshape(-1, 1)
     return ThetaPartials(
         m_theta=1,
@@ -267,16 +291,24 @@ class _Sweep:
     taken after skipped ones rebuilds ||Jx||. After the loop, finish(jac)
     writes the final blocks. fact is the x-step factorization the report
     keeps.
+
+    dtype is the precision of the Jacobian state: Y, the gate's sigma, sigma g
+    and rho sigma, and the sweep's Jx buffers, which jac.Jx rotates with.
+    _make_sweep picks float32 for the folded sweeps when eps >= FLOAT32_MIN_EPS
+    (the module docstring says why); finish() and trace_point() hand out
+    float64 either way.
     """
 
     # ||jac.Jx||, None when a skipped sweep left it unknown; the recursion
     # starts from Jx = 0.
     jx_norm: Optional[float] = 0.0
 
-    def __init__(self, p_eq: int, k: int, rho: float, m_theta: int):
-        self.p_eq, self.rho, self.y = p_eq, rho, np.zeros((k, m_theta))
+    def __init__(self, p_eq: int, k: int, rho: float, m_theta: int, dtype=np.float64):
+        self.p_eq, self.rho, self.dtype = p_eq, rho, dtype
+        self.y = np.zeros((k, m_theta), dtype)
         # sigma, sigma g and rho sigma over all k rows
-        self.sigma, self.sg, self.rs = np.ones(k), np.ones(k), np.full(k, rho)
+        self.sigma, self.sg = np.ones(k, dtype), np.ones(k, dtype)
+        self.rs = np.full(k, rho, dtype)
 
     def gate(self, s_new: np.ndarray) -> None:
         """sigma from the new slack, g from the previous sweep's sigma."""
@@ -308,8 +340,10 @@ class _Sweep:
         return step
 
     def finish(self, jac: JacobianState) -> None:
-        """Write the final blocks: Jx is there; Jlam, Jnu, Js come off Y and the last gate."""
+        """Write the final blocks in float64: Jx is there; Jlam, Jnu, Js come
+        off Y and the last gate."""
         y, p, closed = self.y, self.p_eq, self.sigma[self.p_eq:, None] > 0.0
+        jac.Jx = jac.Jx.astype(np.float64, copy=False)
         jac.Jlam[...] = y[:p]
         jac.Jnu[...] = np.where(closed, y[p:], 0.0)
         jac.Js[...] = np.where(closed, 0.0, y[p:] / self.rho)
@@ -317,7 +351,7 @@ class _Sweep:
     def trace_point(self, jac: JacobianState) -> np.ndarray:
         """A copy of what a trace keeps of the current Jacobian iterate: an
         array whose distances to the others are those of the Jx iterates."""
-        return jac.Jx.copy()
+        return jac.Jx.astype(np.float64)
 
 
 class _QuadraticSweep(_Sweep):
@@ -326,21 +360,22 @@ class _QuadraticSweep(_Sweep):
     The same update algebra as _GeneralSweep, with H^-1 folded into
     the constraint matrix at set-up: W, the x-step offset x0 and H^-1 times
     the direct term come from H^-1 (LAPACK potri on a Cholesky factor) and
-    two products when theta = q (cost=True), else from one solve against
-    [C' | q | dq]. So the x-step is a matvec and the Jacobian sweep is two
-    matrix products, evaluated into preallocated buffers. step() carries z
-    from sweep to sweep.
+    two products when theta = q, else from one solve against [C' | q | dq].
+    So the x-step is a matvec and the Jacobian sweep is two matrix products,
+    evaluated into preallocated buffers. step() carries z from sweep to
+    sweep, in float64; the Jacobian sweep runs on its own dtype copies of W
+    and C.
     """
 
     def __init__(self, p: ProblemSpec, pt: ThetaPartials, fact: Factorization, rho: float,
-                 cost: bool):
+                 dtype=np.float64):
         con = p.constraints
         self.fact, self.C = fact, np.vstack([con.A, con.G])
         k = self.C.shape[0]
-        super().__init__(con.n_eq, k, rho, pt.m_theta)
+        super().__init__(con.n_eq, k, rho, pt.m_theta, dtype)
         self.rhs = np.concatenate([con.b, con.h])  # [b; h]
         q = p.objective.q
-        if cost:
+        if pt.eye and pt.dq is not None:
             # theta = q: dq = I, so H^-1 dq is H^-1 itself; take it from the
             # factor and get the rest as products.
             hinv = hinv_dq = fact.inverse()
@@ -360,18 +395,27 @@ class _QuadraticSweep(_Sweep):
         self._init_jacobian(pt, hinv_dq)
 
     def _init_jacobian(self, pt: ThetaPartials, hinv_dq: Optional[np.ndarray]) -> None:
-        k, mt, p_eq, rho = self.C.shape[0], pt.m_theta, self.p_eq, self.rho
+        W, k, mt, dt = self.W, self.C.shape[0], pt.m_theta, self.dtype
+        p_eq, rho = self.p_eq, self.rho
         # H^-1 (dq - rho [A; G]' d[b; h]), with W d[b; h] taken from the
-        # columns of W that db and dh select.
-        self.Hd = np.zeros((self.W.shape[0], mt)) if hinv_dq is None else hinv_dq
-        if pt.db is not None:
-            self.Hd = self.Hd - rho * (self.W[:, :p_eq] @ pt.db)
-        if pt.dh is not None:
-            self.Hd = self.Hd - rho * (self.W[:, p_eq:] @ pt.dh)
-        self.d_rhs = None if pt.db is None and pt.dh is None else _rhs_partial(p_eq, k - p_eq, pt)
-        self.Wn = -self.W  # so that Jx = -(Hd + W Y) takes no negation pass
-        self.c = np.empty((k, mt))
-        self.jx = np.empty((self.W.shape[0], mt))
+        # columns of W that db and dh select: for the b and h selectors
+        # those columns themselves.
+        if pt.eye and pt.dq is None:
+            Hd = -rho * (W[:, :p_eq] if pt.db is not None else W[:, p_eq:])
+        else:
+            Hd = np.zeros((W.shape[0], mt)) if hinv_dq is None else hinv_dq
+            if pt.db is not None:
+                Hd = Hd - rho * (W[:, :p_eq] @ pt.db)
+            if pt.dh is not None:
+                Hd = Hd - rho * (W[:, p_eq:] @ pt.dh)
+        self.Hd = Hd.astype(dt, copy=False)
+        self.d_rhs = None
+        if pt.db is not None or pt.dh is not None:
+            self.d_rhs = _rhs_partial(p_eq, k - p_eq, pt).astype(dt, copy=False)
+        self.Wn = np.negative(W, dtype=dt)  # so that Jx = -(Hd + W Y) takes no negation pass
+        self.Cj = self.C.astype(dt, copy=False)  # C on the Jacobian side
+        self.c = np.empty((k, mt), dt)
+        self.jx = np.empty((W.shape[0], mt), dt)
 
     def step(self, st: AdmmState) -> tuple:
         """One solver sweep: x-step, slack step and dual step from one residual.
@@ -401,7 +445,7 @@ class _QuadraticSweep(_Sweep):
         jx, c = self.jx, self.c
         np.matmul(self.Wn, self.y, out=jx)
         jx -= self.Hd
-        np.matmul(self.C, jx, out=c)
+        np.matmul(self.Cj, jx, out=c)
         if self.d_rhs is not None:
             c -= self.d_rhs
         self.dual_step(c, s_new)
@@ -424,19 +468,24 @@ class _CostCoreSweep(_QuadraticSweep):
     and ||dJx||^2 = <G dT, dT G>, two products per step taken (two more after
     skipped sweeps); the first step is ||Jx_1||, as Jx_0 = 0 is not of this
     form. finish() forms Jx and the blocks with W' as the right factor.
+
+    In float32 (eps >= FLOAT32_MIN_EPS) M, B, the T buffers, G, K and the
+    G T, T G buffers are float32, cast once from float64 set-up products, so
+    the sweep and the step norms run as SGEMM. W and H^-1 stay float64:
+    finish() and trace_point() form W T W' from them in float64.
     """
 
     def _init_jacobian(self, pt: ThetaPartials, hinv_dq: Optional[np.ndarray]) -> None:
-        k, W = self.C.shape[0], self.W
+        k, W, dt = self.C.shape[0], self.W, self.dtype
         self.hinv = hinv_dq  # dq = I
-        self.Mr = -self.rho * (self.C @ W)
-        self.G = W.T @ W
-        self.K = W.T @ (self.hinv @ W)
+        self.Mr = (-self.rho * (self.C @ W)).astype(dt, copy=False)
+        self.G = (W.T @ W).astype(dt, copy=False)
+        self.K = (W.T @ (self.hinv @ W)).astype(dt, copy=False)
         self.hinv_sq = float(np.vdot(self.hinv, self.hinv))
-        self.B = np.empty((k, k))
-        self.t, self.t_prev, self.t_spare = (np.zeros((k, k)) for _ in range(3))
+        self.B = np.empty((k, k), dt)
+        self.t, self.t_prev, self.t_spare = (np.zeros((k, k), dt) for _ in range(3))
         # G T and T G of the current and of the previous iterate
-        self.gt, self.tg, self.gt_prev, self.tg_prev = (np.empty((k, k)) for _ in range(4))
+        self.gt, self.tg, self.gt_prev, self.tg_prev = (np.empty((k, k), dt) for _ in range(4))
         self.first = True
 
     def run(self, jac: JacobianState, s_new: np.ndarray) -> None:
@@ -476,10 +525,10 @@ class _CostCoreSweep(_QuadraticSweep):
 
     def finish(self, jac: JacobianState) -> None:
         wt = self.W.T
-        np.matmul(self.W, self.t_prev @ wt, out=jac.Jx)
-        jac.Jx += self.hinv
-        np.negative(jac.Jx, out=jac.Jx)
-        np.matmul(self.t, wt, out=self.y)  # Y = T W'
+        jx = self.W @ (self.t_prev @ wt)
+        jx += self.hinv
+        jac.Jx = np.negative(jx, out=jx)
+        self.y = self.t @ wt  # Y = T W'
         super().finish(jac)
 
     def trace_point(self, jac: JacobianState) -> np.ndarray:
@@ -531,12 +580,13 @@ class _GeneralSweep(_Sweep):
         self.dual_step(c, s_new)
 
 
-def _make_sweep(p: ProblemSpec, pt: ThetaPartials, cfg: SolverConfig, cost: bool) -> _Sweep:
+def _make_sweep(p: ProblemSpec, pt: ThetaPartials, cfg: SolverConfig) -> _Sweep:
     """The set-up of a solve: the constraint curvature, for a quadratic
     objective the one factorization of its constant Hessian, and the sweep.
     Vector parameters of a quadratic take the folded sweep, on the k x k
     core for theta = q with k = p + m < n (that needs C H^-1 = W', exact for
-    a Cholesky factor); the rest run _GeneralSweep.
+    a Cholesky factor), in float32 when eps >= FLOAT32_MIN_EPS (zero width
+    keeps float64); the rest run _GeneralSweep, in float64.
     """
     penalty = penalty_matrix(p, cfg.rho)
     if not isinstance(p.objective, QuadraticObjective):
@@ -545,8 +595,9 @@ def _make_sweep(p: ProblemSpec, pt: ThetaPartials, cfg: SolverConfig, cost: bool
     if pt.dP is not None or pt.dA is not None or pt.dG is not None:
         return _GeneralSweep(p, pt, cfg, fact, penalty)
     con = p.constraints
-    core = cost and fact.spd and con.n_eq + con.n_ineq < p.n
-    return (_CostCoreSweep if core else _QuadraticSweep)(p, pt, fact, cfg.rho, cost)
+    core = pt.eye and pt.dq is not None and fact.spd and con.n_eq + con.n_ineq < p.n
+    dtype = np.float32 if pt.m_theta and cfg.eps >= FLOAT32_MIN_EPS else np.float64
+    return (_CostCoreSweep if core else _QuadraticSweep)(p, pt, fact, cfg.rho, dtype)
 
 
 def _distances_to_last(points: list) -> np.ndarray:
@@ -564,7 +615,6 @@ def _solve(
     p: ProblemSpec,
     pt: ThetaPartials,
     cfg: SolverConfig,
-    cost: bool = False,
     trace: bool = False,
 ) -> DiffReport:
     """The solver loop of every solve, on a validated problem. Timers:
@@ -574,15 +624,14 @@ def _solve(
 
     con = p.constraints
     st = initial_state(p)
-    jac = JacobianState.zeros(p.n, con.n_ineq, con.n_eq, pt.m_theta)
-    fwd = ForwardReport(state=st, converged=False)
-    report = DiffReport(forward=fwd, jac=jac)
     count0 = linalg.factorization_count()
     perf = time.perf_counter
 
     t0 = perf()
-    sweep = _make_sweep(p, pt, cfg, cost)
-    fwd.factorization_ms += (perf() - t0) * 1e3
+    sweep = _make_sweep(p, pt, cfg)
+    fwd = ForwardReport(state=st, converged=False, factorization_ms=(perf() - t0) * 1e3)
+    jac = JacobianState.zeros(p.n, con.n_ineq, con.n_eq, pt.m_theta, sweep.dtype)
+    report = DiffReport(forward=fwd, jac=jac)
 
     x_hist: list[np.ndarray] = []
     jx_hist: list[np.ndarray] = []
@@ -665,8 +714,7 @@ def differentiate(
     iterates and the stopping sweep are the same either way.
     """
     validate(p)
-    return _solve(p, theta_partials(p, sel), cfg or SolverConfig(),
-                  cost=isinstance(sel, LinearCost), trace=trace)
+    return _solve(p, theta_partials(p, sel), cfg or SolverConfig(), trace=trace)
 
 
 def truncated_differentiate(

@@ -103,7 +103,9 @@ def factorize(m, spd_hint: bool = False) -> Factorization:
     n = a.shape[0]
     if n == 0:
         return Factorization(n=0, spd=bool(spd_hint), factors=())
-    scale = float(np.max(np.sum(np.abs(a), axis=1)))
+    # The largest absolute row sum, taken by LAPACK as the 1-norm of the
+    # transpose (an F-ordered view of a, so no copy and no |a| temporary).
+    scale = float(scipy.linalg.lapack.dlange("1", a.T))
     if spd_hint:
         try:
             c, lower = scipy.linalg.cho_factor(a, check_finite=False)
@@ -139,8 +141,8 @@ def inverse(f: Factorization) -> np.ndarray:
     """M^-1 from a precomputed factorization of M.
 
     A Cholesky factor gives it through LAPACK potri, which fills one triangle;
-    the other is mirrored from it in one pass, so the result is exactly
-    symmetric. An LU factor solves against the identity.
+    the other is mirrored from it in one masked copy, so the result is
+    exactly symmetric. An LU factor solves against the identity.
     """
     if f.n == 0:
         return np.zeros((0, 0))
@@ -150,10 +152,9 @@ def inverse(f: Factorization) -> np.ndarray:
     inv, info = scipy.linalg.lapack.dpotri(c, lower=lower)
     if info:
         raise SingularMatrix(f"potri found a zero pivot (info={info})")
-    # Mirror the filled triangle, one row at a time; tri's lower one is it.
+    # Mirror the filled triangle, tri's lower one, into its strict upper one.
     tri = inv if lower else inv.T
-    for i in range(1, f.n):
-        tri[:i, i] = tri[i, :i]
+    np.copyto(tri, tri.T, where=np.tri(f.n, k=-1, dtype=bool).T)
     # potri's result is column-major; its transpose is the same matrix, row-major.
     return inv.T
 

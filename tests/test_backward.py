@@ -680,3 +680,102 @@ def test_random_qp_rhs_derivative_matches_oracle(sel, p):
     """The n-space sweep of the b and h selectors agrees with the implicit
     derivative, with k < n and k >= n, under the same bound."""
     _check_random_qp_derivative(p, sel)
+
+
+# Precision of the folded sweeps: float32 Jacobian state from eps >=
+# FLOAT32_MIN_EPS; patching the constant to inf runs the same solve in float64.
+
+F32_BOUND = 1e-6  # on max |float32 - float64| / (1 + ||Jx||)
+
+
+@pytest.fixture
+def sweep_dtypes(monkeypatch):
+    """Records the Jacobian dtype of each sweep made."""
+    made, make = [], backward._make_sweep
+
+    def record(*args):
+        sweep = make(*args)
+        made.append(sweep.dtype)
+        return sweep
+
+    monkeypatch.setattr(backward, "_make_sweep", record)
+    return made
+
+
+def _float64_run(monkeypatch, p, sel, cfg, trace=False):
+    with monkeypatch.context() as m:
+        m.setattr(backward, "FLOAT32_MIN_EPS", np.inf)
+        return ad.differentiate(p, sel, cfg, trace=trace)
+
+
+def _assert_f32_close(rep32, rep64):
+    """Same iterations and x; each block within F32_BOUND of the float64 one,
+    relative to 1 + its norm (the dual blocks can be far larger than Jx)."""
+    assert rep32.forward.iterations == rep64.forward.iterations
+    assert np.array_equal(rep32.x, rep64.x)
+    for name in ("Jx", "Js", "Jlam", "Jnu"):
+        a, b = getattr(rep32.jac, name), getattr(rep64.jac, name)
+        assert a.dtype == np.float64, name
+        if a.size:
+            assert np.abs(a - b).max() <= F32_BOUND * (1.0 + np.linalg.norm(b)), name
+
+
+def _precision_problem(suite, shape):
+    if shape == "sparsemax":
+        rng = np.random.default_rng(3)
+        return ad.build(ad.SparsemaxLayer(y=rng.standard_normal(30), u=np.full(30, 0.2)))
+    return _constraint_shape(suite.problem(4), "eq_ineq_box" if shape == "k>=n" else "eq_ineq")
+
+
+@pytest.mark.parametrize("shape", ["k<n", "k>=n", "sparsemax"])
+@pytest.mark.parametrize("sel", [ad.LinearCost(), ad.EqRhs(), ad.IneqRhs()],
+                         ids=lambda sel: type(sel).__name__)
+def test_float32_sweep_matches_float64(suite, monkeypatch, sweep_dtypes, sel, shape):
+    """At eps = 1e-3 every folded sweep (the k x k core for LinearCost with
+    k < n, else n-space) runs in float32 and stays within float32 round-off
+    of its float64 run, with the same iterations and the same x."""
+    p = _precision_problem(suite, shape)
+    cfg = ad.SolverConfig(rho=SUITE_RHO, eps=1e-3)
+    rep32 = ad.differentiate(p, sel, cfg)
+    rep64 = _float64_run(monkeypatch, p, sel, cfg)
+    assert sweep_dtypes == [np.float32, np.float64]
+    _assert_f32_close(rep32, rep64)
+
+
+@pytest.mark.parametrize("sel", [ad.LinearCost(), ad.IneqRhs()],
+                         ids=lambda sel: type(sel).__name__)
+def test_float32_sweep_returns_float64(suite, sweep_dtypes, sel):
+    rep = ad.differentiate(suite.problem(4), sel, ad.SolverConfig(rho=SUITE_RHO, eps=1e-3),
+                           trace=True)
+    assert sweep_dtypes == [np.float32]
+    for name in ("Jx", "Js", "Jlam", "Jnu"):
+        assert getattr(rep.jac, name).dtype == np.float64, name
+    assert rep.jac_errors.dtype == np.float64 and rep.x_errors.dtype == np.float64
+    assert all(type(v) is float for v in rep.jac_step_norms)
+
+
+@pytest.mark.parametrize("sel", [ad.LinearCost(), ad.EqRhs()], ids=lambda sel: type(sel).__name__)
+def test_float64_below_float32_floor(suite, monkeypatch, sweep_dtypes, sel):
+    """Below FLOAT32_MIN_EPS a solve is bit for bit the float64 one."""
+    p = suite.problem(4)
+    cfg = ad.SolverConfig(rho=SUITE_RHO, eps=backward.FLOAT32_MIN_EPS / 2)
+    plain = ad.differentiate(p, sel, cfg, trace=True)
+    ref = _float64_run(monkeypatch, p, sel, cfg, trace=True)
+    assert sweep_dtypes == [np.float64, np.float64]
+    assert plain.forward.iterations == ref.forward.iterations
+    assert np.array_equal(plain.x, ref.x)
+    for name in ("Jx", "Js", "Jlam", "Jnu"):
+        assert np.array_equal(getattr(plain.jac, name), getattr(ref.jac, name)), name
+    assert np.array_equal(plain.jac_errors, ref.jac_errors)
+    assert plain.jac_step_norms == ref.jac_step_norms
+
+
+@given(p=_feasible_qps(), sel=hst.sampled_from([ad.LinearCost(), ad.EqRhs(), ad.IneqRhs()]))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_random_qp_float32_sweep_matches_float64(p, sel):
+    cfg = ad.SolverConfig(rho=SUITE_RHO, eps=1e-3)
+    rep32 = ad.differentiate(p, sel, cfg)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(backward, "FLOAT32_MIN_EPS", np.inf)
+        rep64 = ad.differentiate(p, sel, cfg)
+    _assert_f32_close(rep32, rep64)

@@ -146,6 +146,29 @@ def test_inverse_from_lower_cholesky_factor():
     assert np.array_equal(inv, inv.T)
 
 
+@pytest.mark.parametrize("lower", [False, True])
+def test_inverse_mirror_matches_row_copies(lower):
+    """The masked mirror writes potri's triangle over the other one exactly as
+    copying it row by row does; the other triangle of cho_factor's output
+    holds the input's entries, which must not leak through."""
+    m = _spd(40, seed=3)
+    factors = scipy.linalg.cho_factor(m, lower=lower)
+    ref, _ = scipy.linalg.lapack.dpotri(*factors)
+    tri = ref if lower else ref.T
+    for i in range(1, 40):
+        tri[:i, i] = tri[i, :i]
+    inv = linalg.Factorization(n=40, spd=True, factors=factors).inverse()
+    assert np.array_equal(inv, ref.T)
+    assert np.array_equal(inv, inv.T)
+
+
+def test_factorize_scale_is_max_row_sum():
+    # Row sums 6 and 6 + 1e-13, column sums 2 and 10 + 1e-13; the second LU
+    # pivot, 1e-13, falls below 1e-12 times the largest row sum.
+    with pytest.raises(SingularMatrix, match=r"max row norm 6\.000e\+00"):
+        linalg.factorize(np.array([[1.0, -5.0], [-1.0, 5.0 + 1e-13]]))
+
+
 def test_inverse_from_lu_factor():
     rng = np.random.default_rng(2)
     m = rng.standard_normal((8, 8)) + 16 * np.eye(8)  # nonsymmetric

@@ -59,11 +59,14 @@ their Jacobian state (W, C, Hd, d[b; h], Y and the Jx buffers; on the core
 M, B, T, G and K) in float32 and each product runs at single precision, at
 about twice the speed. Their set-up products are formed in float64 and cast
 once. The solver step stays float64 (x, the slack and so the sign gate, the
-residuals), so every iterate is the float64 one; only the Jacobian step the
-stopping rule reads carries float32 noise, about 1e-7 (1 + ||Jx||).
-_GeneralSweep runs in float64. Every block a report returns, the step norms
-and the trace distances are float64. Below the constant every solve runs
-in float64.
+residuals), so every x iterate is the float64 one; the Jacobian blocks and
+the Jacobian step the stopping rule reads carry float32 noise, about
+1e-7 (1 + ||Jx||) at unit scale and more for a flat H. _GeneralSweep runs
+in float64. Every block a report returns and the trace distances are
+float64 arrays and the step norms Python floats, though on the float32 path
+the norms come from float32 products; the core sums the terms of its
+||Jx||^2, which cancel near a vertex, in float64. Below the constant every
+solve runs in float64.
 """
 
 from __future__ import annotations
@@ -105,9 +108,11 @@ from .problem import (
 WEAK_ACTIVITY_TOL = 1e-6
 
 # Tolerances from this one up run the folded Jacobian sweeps in float32.
-# Float32 round-off moves each Jacobian step by about 1e-7 (1 + ||Jx||), a
-# ten-thousandth of this threshold, so the stopping sweep stays put: on random
-# QPs it never moved at 1e-3, where at 1e-4 it moved in about 2% of solves.
+# On unit-scale QPs float32 round-off moves each Jacobian step by about
+# 1e-7 (1 + ||Jx||), a ten-thousandth of this threshold, so the stopping sweep
+# stays put: on random QPs it never moved at 1e-3, where at 1e-4 it moved in
+# about 2% of solves. The round-off grows with ||H^-1|| and the sweep count
+# (P / 1000: up to 5e-4), still far below those solves' truncation error.
 FLOAT32_MIN_EPS = 1e-3
 
 # Per-thread count of JacobianState constructions, so tests can assert that a
@@ -398,16 +403,12 @@ class _QuadraticSweep(_Sweep):
         W, k, mt, dt = self.W, self.C.shape[0], pt.m_theta, self.dtype
         p_eq, rho = self.p_eq, self.rho
         # H^-1 (dq - rho [A; G]' d[b; h]), with W d[b; h] taken from the
-        # columns of W that db and dh select: for the b and h selectors
-        # those columns themselves.
-        if pt.eye and pt.dq is None:
-            Hd = -rho * (W[:, :p_eq] if pt.db is not None else W[:, p_eq:])
-        else:
-            Hd = np.zeros((W.shape[0], mt)) if hinv_dq is None else hinv_dq
-            if pt.db is not None:
-                Hd = Hd - rho * (W[:, :p_eq] @ pt.db)
-            if pt.dh is not None:
-                Hd = Hd - rho * (W[:, p_eq:] @ pt.dh)
+        # columns of W that db and dh select.
+        Hd = np.zeros((W.shape[0], mt)) if hinv_dq is None else hinv_dq
+        if pt.db is not None:
+            Hd = Hd - rho * (W[:, :p_eq] @ pt.db)
+        if pt.dh is not None:
+            Hd = Hd - rho * (W[:, p_eq:] @ pt.dh)
         self.Hd = Hd.astype(dt, copy=False)
         self.d_rhs = None
         if pt.db is not None or pt.dh is not None:
@@ -502,7 +503,8 @@ class _CostCoreSweep(_QuadraticSweep):
         """||Jx||^2 of the iterate T = t, writing G T to gt and T G to tg."""
         np.matmul(self.G, t, out=gt)
         np.matmul(t, self.G, out=tg)
-        return max(self.hinv_sq + 2.0 * np.vdot(self.K, t) + np.vdot(gt, tg), 0.0)
+        # The terms cancel near a vertex, so they are summed in float64.
+        return max(self.hinv_sq + 2.0 * float(np.vdot(self.K, t)) + float(np.vdot(gt, tg)), 0.0)
 
     def advance(self, jac: JacobianState, need: bool) -> float:
         first, self.first = self.first, False

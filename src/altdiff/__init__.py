@@ -47,12 +47,7 @@ from .layers import (
     solve_and_diff,
     specialized_hessian_factor,
 )
-from .linalg import (
-    Factorization,
-    factorize,
-    relative_step_norm,
-    solve,
-)
+from .linalg import Factorization, factorize, relative_step_norm
 from .problem import (
     Direction,
     EqRhs,

@@ -45,7 +45,7 @@ Every solve runs one loop (_solve) over one of three sweeps, picked at
 set-up: the two above, and _GeneralSweep, which solves with the x-step
 factor against the mixed partial, for callback objectives (damped Newton)
 and matrix directions (dP, dA, dG). forward.admm_solve is the same loop
-with a zero-width parameter: it runs no Jacobian sweep.
+with a zero-width parameter: it builds no Jacobian half and no JacobianState.
 
 The stopping rule reads the Jacobian step norm only on sweeps whose x step
 is already below eps, so the loop takes it only there (on the k x k core it
@@ -139,11 +139,9 @@ class JacobianState:
         _allocs.count = jacobian_allocations() + 1
 
     @staticmethod
-    def zeros(n: int, m_ineq: int, p_eq: int, m_theta: int,
-              jx_dtype=np.float64) -> "JacobianState":
-        # A solve's Jx starts in its sweep's dtype, as the buffers rotate.
+    def zeros(n: int, m_ineq: int, p_eq: int, m_theta: int) -> "JacobianState":
         return JacobianState(
-            Jx=np.zeros((n, m_theta), jx_dtype),
+            Jx=np.zeros((n, m_theta)),
             Js=np.zeros((m_ineq, m_theta)),
             Jlam=np.zeros((p_eq, m_theta)),
             Jnu=np.zeros((m_ineq, m_theta)),
@@ -155,7 +153,7 @@ class DiffReport:
     """Solution, its Jacobian, and per-iteration diagnostics."""
 
     forward: ForwardReport
-    jac: JacobianState
+    jac: Optional[JacobianState] = None  # None only inside admm_solve
     # ||Jx_k - Jx_{k-1}|| / (1 + ||Jx_{k-1}||) per sweep, nan on a sweep whose
     # x step was at least eps (the stopping rule does not read it there);
     # differentiate(trace=True) takes every one. 0.0 at zero width.
@@ -287,30 +285,30 @@ def _norm(v: np.ndarray) -> float:
 
 class _Sweep:
     """The protocol of the solver loop. Per iteration: step(st), the solver
-    sweep, returns (x, s, lam, nu, ||Ax - b||, ||Gx + s - h||); run(jac, s)
-    is the Jacobian sweep: it gates on the new slack, writes the new Jx to
-    self.jx and steps Y (k x m_theta); advance(jac, need) swaps the two Jx
-    buffers and, if need, returns the Jacobian step ||Jx_new - Jx|| /
-    (1 + ||Jx||), taken in place on the outgoing buffer, else nan. The loop
-    needs the step only on sweeps whose x step is below eps; the first step
-    taken after skipped ones rebuilds ||Jx||. After the loop, finish(jac)
-    writes the final blocks. fact is the x-step factorization the report
-    keeps.
+    sweep, returns (x, s, lam, nu, ||Ax - b||, ||Gx + s - h||). At nonzero
+    width, run(s) is the Jacobian sweep: it gates on the new slack, writes
+    the new Jx to self.jx_next and steps Y (k x m_theta); advance(need) swaps
+    self.jx_next in as the current iterate self.jx and, if need, returns the
+    Jacobian step ||Jx_new - Jx|| / (1 + ||Jx||), taken in place on the
+    outgoing buffer, else nan. The loop needs the step only on sweeps whose
+    x step is below eps; the first step taken after skipped ones rebuilds
+    ||Jx||. After the loop, finish() builds the solve's one JacobianState.
+    fact is the x-step factorization the report keeps.
 
-    dtype is the precision of the Jacobian state: Y, the gate's sigma, sigma g
-    and rho sigma, and the sweep's Jx buffers, which jac.Jx rotates with.
-    _make_sweep picks float32 for the folded sweeps when eps >= FLOAT32_MIN_EPS
-    (the module docstring says why); finish() and trace_point() hand out
-    float64 either way.
+    The sweep owns the Jacobian iterate: each subclass allocates the Y and
+    Jx buffers it steps (self.jx starts at Jx = 0), at nonzero width only.
+    dtype is their precision and that of sigma, sigma g and rho sigma:
+    _make_sweep picks float32 for the folded sweeps when eps >=
+    FLOAT32_MIN_EPS (the module docstring says why); finish() and
+    trace_point() hand out float64 either way.
     """
 
-    # ||jac.Jx||, None when a skipped sweep left it unknown; the recursion
+    # ||self.jx||, None when a skipped sweep left it unknown; the recursion
     # starts from Jx = 0.
     jx_norm: Optional[float] = 0.0
 
-    def __init__(self, p_eq: int, k: int, rho: float, m_theta: int, dtype=np.float64):
+    def __init__(self, p_eq: int, k: int, rho: float, dtype=np.float64):
         self.p_eq, self.rho, self.dtype = p_eq, rho, dtype
-        self.y = np.zeros((k, m_theta), dtype)
         # sigma, sigma g and rho sigma over all k rows
         self.sigma, self.sg = np.ones(k, dtype), np.ones(k, dtype)
         self.rs = np.full(k, rho, dtype)
@@ -331,9 +329,9 @@ class _Sweep:
         self.y *= self.sg[:, None]
         self.y += c
 
-    def advance(self, jac: JacobianState, need: bool) -> float:
-        old, new = jac.Jx, self.jx
-        jac.Jx, self.jx = new, old
+    def advance(self, need: bool) -> float:
+        old, new = self.jx, self.jx_next
+        self.jx, self.jx_next = new, old
         if not need:
             self.jx_norm = None
             return np.nan
@@ -344,19 +342,18 @@ class _Sweep:
         self.jx_norm = float(np.linalg.norm(new))
         return step
 
-    def finish(self, jac: JacobianState) -> None:
-        """Write the final blocks in float64: Jx is there; Jlam, Jnu, Js come
-        off Y and the last gate."""
+    def finish(self) -> JacobianState:
+        """The final blocks in float64: Jx is self.jx; Jlam, Jnu, Js come off
+        Y and the last gate, each formed in dtype and then cast."""
         y, p, closed = self.y, self.p_eq, self.sigma[self.p_eq:, None] > 0.0
-        jac.Jx = jac.Jx.astype(np.float64, copy=False)
-        jac.Jlam[...] = y[:p]
-        jac.Jnu[...] = np.where(closed, y[p:], 0.0)
-        jac.Js[...] = np.where(closed, 0.0, y[p:] / self.rho)
+        f64 = lambda a: a.astype(np.float64, copy=False)
+        return JacobianState(Jx=f64(self.jx), Js=f64(np.where(closed, 0.0, y[p:] / self.rho)),
+                             Jlam=y[:p].astype(np.float64), Jnu=f64(np.where(closed, y[p:], 0.0)))
 
-    def trace_point(self, jac: JacobianState) -> np.ndarray:
+    def trace_point(self) -> np.ndarray:
         """A copy of what a trace keeps of the current Jacobian iterate: an
         array whose distances to the others are those of the Jx iterates."""
-        return jac.Jx.astype(np.float64)
+        return self.jx.astype(np.float64)
 
 
 class _QuadraticSweep(_Sweep):
@@ -377,7 +374,7 @@ class _QuadraticSweep(_Sweep):
         con = p.constraints
         self.fact, self.C = fact, np.vstack([con.A, con.G])
         k = self.C.shape[0]
-        super().__init__(con.n_eq, k, rho, pt.m_theta, dtype)
+        super().__init__(con.n_eq, k, rho, dtype)
         self.rhs = np.concatenate([con.b, con.h])  # [b; h]
         q = p.objective.q
         if pt.eye and pt.dq is not None:
@@ -397,7 +394,8 @@ class _QuadraticSweep(_Sweep):
         # The x-step at z = 0.
         self.x0 = rho * (self.W @ self.rhs) - hinv_q
         self.z = np.empty(k)
-        self._init_jacobian(pt, hinv_dq)
+        if pt.m_theta:
+            self._init_jacobian(pt, hinv_dq)
 
     def _init_jacobian(self, pt: ThetaPartials, hinv_dq: Optional[np.ndarray]) -> None:
         W, k, mt, dt = self.W, self.C.shape[0], pt.m_theta, self.dtype
@@ -415,8 +413,8 @@ class _QuadraticSweep(_Sweep):
             self.d_rhs = _rhs_partial(p_eq, k - p_eq, pt).astype(dt, copy=False)
         self.Wn = np.negative(W, dtype=dt)  # so that Jx = -(Hd + W Y) takes no negation pass
         self.Cj = self.C.astype(dt, copy=False)  # C on the Jacobian side
-        self.c = np.empty((k, mt), dt)
-        self.jx = np.empty((W.shape[0], mt), dt)
+        self.y, self.c = np.zeros((k, mt), dt), np.empty((k, mt), dt)
+        self.jx, self.jx_next = np.zeros((W.shape[0], mt), dt), np.empty((W.shape[0], mt), dt)
 
     def step(self, st: AdmmState) -> tuple:
         """One solver sweep: x-step, slack step and dual step from one residual.
@@ -441,9 +439,9 @@ class _QuadraticSweep(_Sweep):
         r_in += s
         return x, s, lam, nu, _norm(r_eq), _norm(r_in)
 
-    def run(self, jac: JacobianState, s_new: np.ndarray) -> None:
+    def run(self, s_new: np.ndarray) -> None:
         """One Jacobian sweep: the new Jx into the spare buffer, then Y."""
-        jx, c = self.jx, self.c
+        jx, c = self.jx_next, self.c
         np.matmul(self.Wn, self.y, out=jx)
         jx -= self.Hd
         np.matmul(self.Cj, jx, out=c)
@@ -489,8 +487,8 @@ class _CostCoreSweep(_QuadraticSweep):
         self.gt, self.tg, self.gt_prev, self.tg_prev = (np.empty((k, k), dt) for _ in range(4))
         self.first = True
 
-    def run(self, jac: JacobianState, s_new: np.ndarray) -> None:
-        """One Jacobian sweep on T; jac is written by finish()."""
+    def run(self, s_new: np.ndarray) -> None:
+        """One Jacobian sweep on T; Jx and Y are formed by finish()."""
         self.gate(s_new)
         B, t, k = self.B, self.t_spare, len(self.sigma)
         np.multiply(self.Mr, self.sigma[:, None], out=B)
@@ -506,7 +504,7 @@ class _CostCoreSweep(_QuadraticSweep):
         # The terms cancel near a vertex, so they are summed in float64.
         return max(self.hinv_sq + 2.0 * float(np.vdot(self.K, t)) + float(np.vdot(gt, tg)), 0.0)
 
-    def advance(self, jac: JacobianState, need: bool) -> float:
+    def advance(self, need: bool) -> float:
         first, self.first = self.first, False
         if not need:
             self.jx_norm = None
@@ -525,15 +523,15 @@ class _CostCoreSweep(_QuadraticSweep):
         self.jx_norm = norm
         return step
 
-    def finish(self, jac: JacobianState) -> None:
+    def finish(self) -> JacobianState:
         wt = self.W.T
         jx = self.W @ (self.t_prev @ wt)
         jx += self.hinv
-        jac.Jx = np.negative(jx, out=jx)
+        self.jx = np.negative(jx, out=jx)
         self.y = self.t @ wt  # Y = T W'
-        super().finish(jac)
+        return super().finish()
 
-    def trace_point(self, jac: JacobianState) -> np.ndarray:
+    def trace_point(self) -> np.ndarray:
         # W T W' = -(Jx + H^-1): its distances are those of the Jx iterates.
         return self.W @ self.t_prev @ self.W.T
 
@@ -553,10 +551,13 @@ class _GeneralSweep(_Sweep):
                  fact: Optional[Factorization], penalty: np.ndarray):
         con = p.constraints
         self.p, self.pt, self.cfg, self.fact, self.penalty = p, pt, cfg, fact, penalty
-        self.direct = direct_term(p, pt, cfg.rho)
-        self.C = np.vstack([con.A, con.G])
-        self.d_rhs = _rhs_partial(con.n_eq, con.n_ineq, pt)
-        super().__init__(con.n_eq, self.C.shape[0], cfg.rho, pt.m_theta)
+        k = con.n_eq + con.n_ineq
+        super().__init__(con.n_eq, k, cfg.rho)
+        if pt.m_theta:
+            self.direct = direct_term(p, pt, cfg.rho)
+            self.C = np.vstack([con.A, con.G])
+            self.d_rhs = _rhs_partial(con.n_eq, con.n_ineq, pt)
+            self.y, self.jx = np.zeros((k, pt.m_theta)), np.zeros((p.n, pt.m_theta))
 
     def step(self, st: AdmmState) -> tuple:
         p, cfg, con = self.p, self.cfg, self.p.constraints
@@ -567,11 +568,11 @@ class _GeneralSweep(_Sweep):
         self.st, self.x = st, x
         return x, s, lam, nu, _norm(con.A @ x - con.b), _norm(con.G @ x + s - con.h)
 
-    def run(self, jac: JacobianState, s_new: np.ndarray) -> None:
+    def run(self, s_new: np.ndarray) -> None:
         pt, x, p_eq = self.pt, self.x, self.p_eq
         mixed = self.direct + self.C.T @ self.y
         _direction_terms(self.p, pt, self.st, x, self.rho, mixed)
-        self.jx = jx = -self.fact.solve(mixed)
+        self.jx_next = jx = -self.fact.solve(mixed)
         # d(C x - [b; h]), with the dA x and dG x terms of a direction.
         c = self.C @ jx
         if pt.dA is not None:
@@ -621,10 +622,9 @@ def _solve(
 ) -> DiffReport:
     """The solver loop of every solve, on a validated problem. Timers:
     factorization_ms covers the set-up, iteration_ms the solver steps,
-    jacobian_ms the Jacobian steps and finish()."""
+    jacobian_ms the Jacobian steps and finish(), which runs at width only."""
     from . import linalg
 
-    con = p.constraints
     st = initial_state(p)
     count0 = linalg.factorization_count()
     perf = time.perf_counter
@@ -632,8 +632,7 @@ def _solve(
     t0 = perf()
     sweep = _make_sweep(p, pt, cfg)
     fwd = ForwardReport(state=st, converged=False, factorization_ms=(perf() - t0) * 1e3)
-    jac = JacobianState.zeros(p.n, con.n_ineq, con.n_eq, pt.m_theta, sweep.dtype)
-    report = DiffReport(forward=fwd, jac=jac)
+    report = DiffReport(forward=fwd)
 
     x_hist: list[np.ndarray] = []
     jx_hist: list[np.ndarray] = []
@@ -649,7 +648,7 @@ def _solve(
         if pt.m_theta:
             # Jacobian sweep: the gate takes the new slack, the mixed partial
             # the pre-update slack and duals, as the linearized updates require.
-            sweep.run(jac, s_new)
+            sweep.run(s_new)
             report.jacobian_ms += (perf() - t1) * 1e3
 
         # Diagnostics sit outside the timed recursion. The x step is
@@ -660,14 +659,15 @@ def _solve(
         step = _norm(x_new - st.x) / max(x_norm, NORM_FLOOR)
         x_norm = _norm(x_new)
         if pt.m_theta:
-            jac_step = sweep.advance(jac, trace or step < cfg.eps)
+            jac_step = sweep.advance(trace or step < cfg.eps)
+            if trace:
+                jx_hist.append(sweep.trace_point())
         report.jac_step_norms.append(jac_step)
         fwd.step_norms.append(step)
         fwd.eq_residuals.append(eq_res)
         fwd.ineq_residuals.append(ineq_res)
         if trace:
             x_hist.append(x_new.copy())
-            jx_hist.append(sweep.trace_point(jac))
 
         st.x, st.s, st.lam, st.nu = x_new, s_new, lam_new, nu_new
         st.k += 1
@@ -683,15 +683,16 @@ def _solve(
             fwd.converged = True
             break
 
-    t0 = perf()
-    sweep.finish(jac)
-    report.jacobian_ms += (perf() - t0) * 1e3
+    if pt.m_theta:
+        t0 = perf()
+        report.jac = sweep.finish()
+        report.jacobian_ms += (perf() - t0) * 1e3
     fwd.hessian_factorization = sweep.fact
     fwd.num_factorizations = linalg.factorization_count() - count0
     report.weakly_active_warning = _weakly_active(p, st)
     if trace:
         report.x_errors = _distances_to_last(x_hist)
-        report.jac_errors = _distances_to_last(jx_hist)
+        report.jac_errors = _distances_to_last(jx_hist) if jx_hist else np.zeros(len(x_hist))
     return report
 
 
@@ -716,7 +717,10 @@ def differentiate(
     iterates and the stopping sweep are the same either way.
     """
     validate(p)
-    return _solve(p, theta_partials(p, sel), cfg or SolverConfig(), trace=trace)
+    report = _solve(p, theta_partials(p, sel), cfg or SolverConfig(), trace=trace)
+    if report.jac is None:  # zero width: empty blocks
+        report.jac = JacobianState.zeros(p.n, p.constraints.n_ineq, p.constraints.n_eq, 0)
+    return report
 
 
 def truncated_differentiate(

@@ -278,16 +278,19 @@ TRUNCATION_HEADER = ["eps", "iterations", "wall_ms", "x_error", "jac_error", "er
 
 
 def truncation_report(case: BenchCase, eps_list: Sequence[float]) -> list[TruncationRecord]:
-    """One run per tolerance (loosest first); errors are measured against the
-    tightest run's final solution and Jacobian."""
+    """One record per tolerance (loosest first); errors are measured against
+    the tightest run's final solution and Jacobian. Each wall time is the
+    minimum over REPEATS rounds that interleave the tolerances, so one noisy
+    sample of a millisecond solve cannot reorder them."""
     prob = case_problem(case)
     cfg = SolverConfig(rho=case.rho, eps=case.eps)
     differentiate(prob, EqRhs(), replace(cfg, eps=float(eps_list[0])))  # warmup
-    walls = []
-    for e in eps_list:
-        t0 = time.perf_counter()
-        differentiate(prob, EqRhs(), replace(cfg, eps=float(e)))
-        walls.append((time.perf_counter() - t0) * 1e3)
+    walls = [float("inf")] * len(eps_list)
+    for _ in range(REPEATS):
+        for i, e in enumerate(eps_list):
+            t0 = time.perf_counter()
+            differentiate(prob, EqRhs(), replace(cfg, eps=float(e)))
+            walls[i] = min(walls[i], (time.perf_counter() - t0) * 1e3)
     reports = truncated_differentiate(prob, EqRhs(), cfg, eps_list=eps_list)
     return [
         TruncationRecord(

@@ -30,9 +30,10 @@ from .errors import NewtonDiverged
 from .linalg import Factorization, factorize
 from .problem import ProblemSpec, QuadraticObjective, validate
 
-# Damped Newton on callback objectives: stop at this gradient norm; Armijo
-# backtracking from the full step. Quadratic x-steps are exact linear solves.
+# Damped Newton on callback objectives: stop at this gradient norm or step
+# count; Armijo backtracking from the full step. Quadratic x-steps are exact.
 NEWTON_TOL = 1e-8
+NEWTON_MAX_ITERS = 50
 ARMIJO_SLOPE = 1e-4
 
 # The x iterate can repeat for one sweep while the duals still move (the
@@ -43,12 +44,12 @@ STEP_RULE_HITS = 3
 
 @dataclass
 class SolverConfig:
-    """Hyperparameters of the solver loop."""
+    """Penalty, step-rule tolerance and sweep budget of the solver loop; the
+    inner Newton solve's limits are the constants NEWTON_TOL, NEWTON_MAX_ITERS."""
 
     rho: float = 1.0
     eps: float = 1e-6
     max_outer_iters: int = 10000
-    newton_max_iters: int = 50
 
     def __post_init__(self):
         if self.rho <= 0:
@@ -175,7 +176,7 @@ def primal_update(
     fact = None
     g = lagrangian_gradient(p, x, st.s, st.lam, st.nu, rho)
     g0_norm = float(np.linalg.norm(g))
-    for _ in range(cfg.newton_max_iters):
+    for _ in range(NEWTON_MAX_ITERS):
         gnorm = float(np.linalg.norm(g))
         if gnorm <= NEWTON_TOL:
             break
@@ -200,7 +201,7 @@ def primal_update(
         # Stagnation at a tiny gradient is rounding, not divergence.
         if gnorm >= max(g0_norm, 1e-7):
             raise NewtonDiverged(
-                f"inner solve made no progress in {cfg.newton_max_iters} iterations "
+                f"inner solve made no progress in {NEWTON_MAX_ITERS} iterations "
                 f"(gradient norm {gnorm:.3e})"
             )
     if fact is None:
@@ -234,10 +235,10 @@ def initial_state(p: ProblemSpec) -> AdmmState:
 def admm_solve(p: ProblemSpec, cfg: Optional[SolverConfig] = None) -> ForwardReport:
     """Iterate the splitting until the relative x-step falls below cfg.eps.
 
-    This is differentiate's loop with a zero-width parameter: the Jacobian
-    blocks are n x 0, so no Jacobian sweep runs and the x-step rule alone
-    stops it. Never raises on slow convergence: the report carries
-    converged=False when max_outer_iters is exhausted.
+    This is differentiate's loop with a zero-width parameter: it builds no
+    Jacobian half and no JacobianState, and the x-step rule alone stops it.
+    Never raises on slow convergence: the report carries converged=False
+    when max_outer_iters is exhausted.
     """
     from .backward import ThetaPartials, _solve  # backward imports this module
 

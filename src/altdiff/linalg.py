@@ -73,11 +73,40 @@ class Factorization:
     spd: bool
     factors: tuple
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        return solve(self, b)
+    def solve(self, b) -> np.ndarray:
+        """Solve M x = b column-wise with this factorization of M."""
+        rhs = np.asarray(b, dtype=float)
+        if rhs.ndim not in (1, 2) or rhs.shape[0] != self.n:
+            raise DimensionMismatch(
+                f"right-hand side shape {rhs.shape} does not match a {self.n}x{self.n} factorization"
+            )
+        if self.n == 0:
+            return np.zeros_like(rhs)
+        if self.spd:
+            return scipy.linalg.cho_solve(self.factors, rhs, check_finite=False)
+        return scipy.linalg.lu_solve(self.factors, rhs, check_finite=False)
 
     def inverse(self) -> np.ndarray:
-        return inverse(self)
+        """M^-1 from this factorization of M.
+
+        A Cholesky factor gives it through LAPACK potri, which fills one
+        triangle; the other is mirrored from it in one masked copy, so the
+        result is exactly symmetric. An LU factor solves against the identity.
+        """
+        n = self.n
+        if n == 0:
+            return np.zeros((0, 0))
+        if not self.spd:
+            return scipy.linalg.lu_solve(self.factors, np.eye(n), check_finite=False)
+        c, lower = self.factors
+        inv, info = scipy.linalg.lapack.dpotri(c, lower=lower)
+        if info:
+            raise SingularMatrix(f"potri found a zero pivot (info={info})")
+        # Mirror the filled triangle, tri's lower one, into its strict upper one.
+        tri = inv if lower else inv.T
+        np.copyto(tri, tri.T, where=np.tri(n, k=-1, dtype=bool).T)
+        # potri's result is column-major; its transpose is the same matrix, row-major.
+        return inv.T
 
 
 def _pivot_check(pivots: np.ndarray, scale: float) -> None:
@@ -120,43 +149,6 @@ def factorize(m, spd_hint: bool = False) -> Factorization:
         lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
     _pivot_check(np.diagonal(lu), scale)
     return Factorization(n=n, spd=False, factors=(lu, piv))
-
-
-def solve(f: Factorization, b) -> np.ndarray:
-    """Solve M x = b column-wise using a precomputed factorization of M."""
-    rhs = np.asarray(b, dtype=float)
-    if rhs.ndim not in (1, 2) or rhs.shape[0] != f.n:
-        raise DimensionMismatch(
-            f"right-hand side shape {rhs.shape} does not match a {f.n}x{f.n} factorization"
-        )
-    if f.n == 0:
-        return np.zeros_like(rhs)
-    if f.spd:
-        return scipy.linalg.cho_solve(f.factors, rhs, check_finite=False)
-    lu, piv = f.factors
-    return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
-
-
-def inverse(f: Factorization) -> np.ndarray:
-    """M^-1 from a precomputed factorization of M.
-
-    A Cholesky factor gives it through LAPACK potri, which fills one triangle;
-    the other is mirrored from it in one masked copy, so the result is
-    exactly symmetric. An LU factor solves against the identity.
-    """
-    if f.n == 0:
-        return np.zeros((0, 0))
-    if not f.spd:
-        return solve(f, np.eye(f.n))
-    c, lower = f.factors
-    inv, info = scipy.linalg.lapack.dpotri(c, lower=lower)
-    if info:
-        raise SingularMatrix(f"potri found a zero pivot (info={info})")
-    # Mirror the filled triangle, tri's lower one, into its strict upper one.
-    tri = inv if lower else inv.T
-    np.copyto(tri, tri.T, where=np.tri(f.n, k=-1, dtype=bool).T)
-    # potri's result is column-major; its transpose is the same matrix, row-major.
-    return inv.T
 
 
 def relative_step_norm(x_new, x_old) -> float:

@@ -5,6 +5,7 @@ see the lines as they complete."""
 import time
 
 import numpy as np
+import pytest
 
 import altdiff as ad
 from altdiff import bench, energy
@@ -109,6 +110,7 @@ def test_criterion_3_fixed_point_identities(suite):
             f"slack rows {worst_rows:.3f} (1.0 is the bound)")
 
 
+@pytest.mark.timing
 def test_criterion_4_truncation_bound(suite):
     worst_factor = 0.0
     for seed in SUITE_SEEDS:
@@ -143,6 +145,7 @@ def test_criterion_4_truncation_bound(suite):
             f"wall seconds loosest->tightest {[f'{w:.2f}' for w in walls]}")
 
 
+@pytest.mark.timing
 def test_criterion_5_backward_scaling():
     t0 = time.perf_counter()
     records = bench.scaling_sweep(

@@ -56,12 +56,11 @@ def _gated(jlam, jnu, d, s, rho, js=None, closed_before=True):
     jlam, jnu = np.array(jlam, float), np.array(jnu, float)
     js = np.zeros_like(jnu) if js is None else np.array(js, float)
     p_eq, m = jlam.shape[0], jnu.shape[0]
-    sweep = backward._Sweep(p_eq, p_eq + m, rho, jnu.shape[1])
+    sweep = backward._Sweep(p_eq, p_eq + m, rho)
     sweep.gate(np.full(m, 0.0 if closed_before else 1.0))
-    sweep.y[...] = np.vstack([jlam, jnu + rho * js])
+    sweep.y, sweep.jx = np.vstack([jlam, jnu + rho * js]), np.zeros((0, jnu.shape[1]))
     sweep.dual_step(np.array(d, float), np.array(s, float))
-    jac = JacobianState.zeros(0, m, p_eq, sweep.y.shape[1])
-    sweep.finish(jac)
+    jac = sweep.finish()
     return jac.Jlam, jac.Js, jac.Jnu
 
 
@@ -375,9 +374,9 @@ def core_sweeps(monkeypatch):
     calls = []
     run = backward._CostCoreSweep.run
 
-    def counted(self, jac, s_new):
+    def counted(self, s_new):
         calls.append(s_new)
-        return run(self, jac, s_new)
+        return run(self, s_new)
 
     monkeypatch.setattr(backward._CostCoreSweep, "run", counted)
     return calls
@@ -471,6 +470,45 @@ def test_admm_solve_runs_no_jacobian_sweep(suite, monkeypatch):
     for p in (suite.problem(8), ad.build(ad.SoftmaxLayer(y=y, u=u))):
         rep = ad.admm_solve(p, cfg)
         assert rep.converged and rep.iterations > 1
+
+
+def test_admm_solve_builds_no_jacobian_half(suite, monkeypatch):
+    """At zero width the sweep holds no Jacobian buffers (no -W copy, Hd, Y
+    or Jx) and the solve constructs no JacobianState."""
+    made, make = [], backward._make_sweep
+
+    def spy(*args):
+        made.append(make(*args))
+        return made[-1]
+
+    monkeypatch.setattr(backward, "_make_sweep", spy)
+    y, u = np.linspace(-1.0, 1.0, 8), np.full(8, 0.3)
+    for p, kind in ((suite.problem(8), backward._QuadraticSweep),
+                    (ad.build(ad.SoftmaxLayer(y=y, u=u)), backward._GeneralSweep)):
+        for eps in (1e-3, 1e-6):
+            before = backward.jacobian_allocations()
+            ad.admm_solve(p, ad.SolverConfig(rho=SUITE_RHO, eps=eps))
+            assert backward.jacobian_allocations() == before
+            assert type(made[-1]) is kind
+            held = {"Wn", "Cj", "Hd", "d_rhs", "direct", "y", "c", "jx", "jx_next"}
+            assert not held & set(vars(made[-1]))
+
+
+def test_core_forms_y_only_in_finish(suite, monkeypatch):
+    """The k x k core steps T alone: no k-row Y and no Jx buffer exists
+    before finish() forms them."""
+    held, finish = [], backward._CostCoreSweep.finish
+
+    def spy(self):
+        held.append({"y", "jx", "jx_next"} & set(vars(self)))
+        return finish(self)
+
+    monkeypatch.setattr(backward._CostCoreSweep, "finish", spy)
+    for eps in (1e-3, 1e-6):
+        rep = ad.differentiate(suite.problem(8), ad.LinearCost(),
+                               ad.SolverConfig(rho=SUITE_RHO, eps=eps))
+        assert rep.Jx.shape == (SUITE_N, SUITE_N)
+    assert held == [set(), set()]
 
 
 @pytest.mark.parametrize("kind", ["core", "nspace", "callback", "matrix"])
@@ -736,16 +774,28 @@ def _precision_problem(suite, shape):
     return _constraint_shape(p, "eq_ineq_box" if shape == "k>=n" else "eq_ineq")
 
 
-@pytest.mark.parametrize("shape", ["k<n", "k>=n", "sparsemax", "flat"])
+# rho = 1 makes finish()'s Js = Y_in / rho exact; 0.7 rounds it in float32.
+# Flat curvature at rho = 0.7 exceeds F32_BOUND in Js for IneqRhs: the float32
+# difference grows with ||H^-1|| and the sweep count, which the precision gate
+# (eps alone) does not read.
+_F32_FLAT_DRIFT = pytest.mark.xfail(strict=True, reason="float32 drift on flat H")
+
+
+@pytest.mark.parametrize("shape, rho", [
+    pytest.param(shape, rho, id=shape if rho == SUITE_RHO else f"{shape}-rho{rho}")
+    for rho in (SUITE_RHO, 0.7) for shape in ("k<n", "k>=n", "sparsemax", "flat")])
 @pytest.mark.parametrize("sel", [ad.LinearCost(), ad.EqRhs(), ad.IneqRhs()],
                          ids=lambda sel: type(sel).__name__)
-def test_float32_sweep_matches_float64(suite, monkeypatch, sweep_dtypes, sel, shape):
+def test_float32_sweep_matches_float64(request, suite, monkeypatch, sweep_dtypes, sel, shape,
+                                      rho):
     """At eps = 1e-3 every folded sweep (the k x k core for LinearCost with
     k < n, else n-space) runs in float32 and stays within float32 round-off
     of its float64 run, with the same iterations and the same x; also with
-    flat curvature (large ||H^-1||)."""
+    flat curvature (large ||H^-1||) and at a rho other than 1."""
+    if (shape, rho, type(sel)) == ("flat", 0.7, ad.IneqRhs):
+        request.applymarker(_F32_FLAT_DRIFT)
     p = _precision_problem(suite, shape)
-    cfg = ad.SolverConfig(rho=SUITE_RHO, eps=1e-3)
+    cfg = ad.SolverConfig(rho=rho, eps=1e-3)
     rep32 = ad.differentiate(p, sel, cfg)
     rep64 = _float64_run(monkeypatch, p, sel, cfg)
     assert sweep_dtypes == [np.float32, np.float64]

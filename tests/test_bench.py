@@ -108,6 +108,7 @@ def test_run_cases_parallel_matches_sequential():
         assert not b.timing_reliable
 
 
+@pytest.mark.timing
 def test_truncation_report_ordering():
     case = bench.BenchCase(name="tr", n=30, m_ineq=12, p_eq=6, seed=0)
     # wall times at this size are single milliseconds; min over repeats

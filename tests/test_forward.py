@@ -159,7 +159,7 @@ def test_objective_matches_reference(seed, suite):
     assert abs(f_hat - f_ref) <= 1e-6 * max(abs(f_ref), 1.0)
 
 
-def test_newton_diverged_raised_without_progress():
+def test_newton_diverged_raised_without_progress(monkeypatch):
     p = ad.ProblemSpec.general(
         n=1,
         value=lambda x: float(np.exp(x[0]) - x[0]),
@@ -168,9 +168,9 @@ def test_newton_diverged_raised_without_progress():
     )
     ad.validate(p)
     from altdiff.errors import NewtonDiverged
+    monkeypatch.setattr(forward, "NEWTON_MAX_ITERS", 0)
     with pytest.raises(NewtonDiverged):
-        forward.primal_update(p, _state([5.0], [], [], []),
-                              ad.SolverConfig(newton_max_iters=0))
+        forward.primal_update(p, _state([5.0], [], [], []), ad.SolverConfig())
 
 
 def test_solver_config_validation():

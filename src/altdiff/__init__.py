@@ -24,6 +24,7 @@ from .errors import (
     InfeasibleLayer,
     NewtonDiverged,
     NotConverged,
+    NotOptimal,
     NotPSD,
     NotSymmetric,
     SingularKkt,
@@ -47,7 +48,7 @@ from .layers import (
     solve_and_diff,
     specialized_hessian_factor,
 )
-from .linalg import Factorization, factorize, relative_step_norm
+from .linalg import Factorization, factorize
 from .problem import (
     Direction,
     EqRhs,

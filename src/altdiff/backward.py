@@ -31,6 +31,9 @@ Set-up factorizes H once (_QuadraticSweep). Each sweep is then one matvec
 with W for x, one with C for the residuals the slack and dual steps share,
 and two products with the n x (p + m) blocks for the Jacobian, about
 4 n (p + m) m_theta flops, with no triangular solve and no n x n product.
+A matrix Direction (dP, dA, dG) takes the same x-step; its mixed partial
+has terms in x as well, so its Jacobian sweep adds H^-1 times them, one
+one-column solve per sweep, and their rows dA x, dG x to d(C x - [b; h]).
 
 For theta = q with k = p + m < n, the Jacobian recursion runs on a k x k
 core instead (_CostCoreSweep): every iterate has the form
@@ -42,10 +45,11 @@ the per-iteration backward cost growing more slowly with n than acceptance
 criterion 5's band (its per-iteration ratio is measured on IneqRhs) allows.
 
 Every solve runs one loop (_solve) over one of three sweeps, picked at
-set-up: the two above, and _GeneralSweep, which solves with the x-step
-factor against the mixed partial, for callback objectives (damped Newton)
-and matrix directions (dP, dA, dG). forward.admm_solve is the same loop
-with a zero-width parameter: it builds no Jacobian half and no JacobianState.
+set-up: the two above for a quadratic objective, and _GeneralSweep for a
+callback one, whose damped Newton x-step factorizes H(x) every sweep. All
+three share one slack and dual step (_Sweep). forward.admm_solve is the
+same loop with a zero-width parameter: it builds no Jacobian half and no
+JacobianState.
 
 The stopping rule reads the Jacobian step norm only on sweeps whose x step
 is already below eps, so the loop takes it only there (on the k x k core it
@@ -61,12 +65,12 @@ about twice the speed. Their set-up products are formed in float64 and cast
 once. The solver step stays float64 (x, the slack and so the sign gate, the
 residuals), so every x iterate is the float64 one; the Jacobian blocks and
 the Jacobian step the stopping rule reads carry float32 noise, about
-1e-7 (1 + ||Jx||) at unit scale and more for a flat H. _GeneralSweep runs
-in float64. Every block a report returns and the trace distances are
-float64 arrays and the step norms Python floats, though on the float32 path
-the norms come from float32 products; the core sums the terms of its
-||Jx||^2, which cancel near a vertex, in float64. Below the constant every
-solve runs in float64.
+1e-7 (1 + ||Jx||) at unit scale and more for a flat H. _GeneralSweep and
+matrix Directions run in float64. Every block a report returns and the
+trace distances are float64 arrays and the step norms Python floats,
+though on the float32 path the norms come from float32 products; the core
+sums the terms of its ||Jx||^2, which cancel near a vertex, in float64.
+Below the constant every solve runs in float64.
 """
 
 from __future__ import annotations
@@ -85,11 +89,9 @@ from .forward import (
     AdmmState,
     ForwardReport,
     SolverConfig,
-    dual_update,
     initial_state,
     penalty_matrix,
     primal_update,
-    slack_update,
 )
 from .linalg import NORM_FLOOR, Factorization, factorize
 from .problem import (
@@ -97,6 +99,7 @@ from .problem import (
     IneqRhs,
     LinearCost,
     ParamSelector,
+    Polyhedron,
     ProblemSpec,
     QuadraticObjective,
     theta_dim,
@@ -193,6 +196,11 @@ class ThetaPartials:
     # EqRhs and IneqRhs selectors.
     eye: bool = False
 
+    @property
+    def matrix(self) -> bool:
+        """A Direction with a matrix block: its mixed partial has terms in x."""
+        return self.dP is not None or self.dA is not None or self.dG is not None
+
 
 def theta_partials(p: ProblemSpec, sel: ParamSelector) -> ThetaPartials:
     m_theta = theta_dim(p, sel)
@@ -231,21 +239,10 @@ def direct_term(p: ProblemSpec, pt: ThetaPartials, rho: float) -> np.ndarray:
     return out
 
 
-def _rhs_partial(p_eq: int, m_ineq: int, pt: ThetaPartials) -> np.ndarray:
-    """d[b; h]/dtheta, zero in the blocks theta does not enter."""
-    out = np.zeros((p_eq + m_ineq, pt.m_theta))
-    if pt.db is not None:
-        out[:p_eq] = pt.db
-    if pt.dh is not None:
-        out[p_eq:] = pt.dh
-    return out
-
-
-def _direction_terms(p: ProblemSpec, pt: ThetaPartials, st: AdmmState, x_new: np.ndarray,
+def _direction_terms(con: Polyhedron, pt: ThetaPartials, st: AdmmState, x_new: np.ndarray,
                      rho: float, out: np.ndarray) -> np.ndarray:
     """Add the x-dependent part of the mixed partial, the terms of a matrix
     Direction (dP, dA, dG), to out, at x_new and the pre-update s, lam, nu."""
-    con = p.constraints
     if pt.dP is not None:
         out += (pt.dP @ x_new).reshape(-1, 1)
     if pt.dA is not None:
@@ -275,7 +272,7 @@ def mixed_partial(p: ProblemSpec, sel: ParamSelector, st: AdmmState, jac: Jacobi
         out += con.A.T @ jac.Jlam
     if con.n_ineq:
         out += con.G.T @ (jac.Jnu + rho * jac.Js)
-    return _direction_terms(p, pt, st, x_new, rho, out)
+    return _direction_terms(con, pt, st, x_new, rho, out)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -285,9 +282,10 @@ def _norm(v: np.ndarray) -> float:
 
 class _Sweep:
     """The protocol of the solver loop. Per iteration: step(st), the solver
-    sweep, returns (x, s, lam, nu, ||Ax - b||, ||Gx + s - h||). At nonzero
-    width, run(s) is the Jacobian sweep: it gates on the new slack, writes
-    the new Jx to self.jx_next and steps Y (k x m_theta); advance(need) swaps
+    sweep, returns (x, s, lam, nu, ||Ax - b||, ||Gx + s - h||), every sweep
+    through slack_dual(). At nonzero width, run(s) is the Jacobian sweep: it
+    gates on the new slack, writes the new Jx to self.jx_next and steps Y
+    (k x m_theta), in n-space through dual_tail(); advance(need) swaps
     self.jx_next in as the current iterate self.jx and, if need, returns the
     Jacobian step ||Jx_new - Jx|| / (1 + ||Jx||), taken in place on the
     outgoing buffer, else nan. The loop needs the step only on sweeps whose
@@ -298,20 +296,55 @@ class _Sweep:
     The sweep owns the Jacobian iterate: each subclass allocates the Y and
     Jx buffers it steps (self.jx starts at Jx = 0), at nonzero width only.
     dtype is their precision and that of sigma, sigma g and rho sigma:
-    _make_sweep picks float32 for the folded sweeps when eps >=
-    FLOAT32_MIN_EPS (the module docstring says why); finish() and
-    trace_point() hand out float64 either way.
+    _make_sweep picks float32 for the folded sweeps of vector parameters
+    when eps >= FLOAT32_MIN_EPS (the module docstring says why); finish()
+    and trace_point() hand out float64 either way.
     """
 
     # ||self.jx||, None when a skipped sweep left it unknown; the recursion
     # starts from Jx = 0.
     jx_norm: Optional[float] = 0.0
 
-    def __init__(self, p_eq: int, k: int, rho: float, dtype=np.float64):
-        self.p_eq, self.rho, self.dtype = p_eq, rho, dtype
+    def __init__(self, con: Polyhedron, rho: float, dtype=np.float64):
+        self.con, self.p_eq, self.rho, self.dtype = con, con.n_eq, rho, dtype
+        self.C = np.vstack([con.A, con.G])
+        self.rhs = np.concatenate([con.b, con.h])  # [b; h]
+        k = self.C.shape[0]
         # sigma, sigma g and rho sigma over all k rows
         self.sigma, self.sg = np.ones(k, dtype), np.ones(k, dtype)
         self.rs = np.full(k, rho, dtype)
+
+    def slack_dual(self, st: AdmmState, x: np.ndarray) -> tuple:
+        """The slack and dual steps at the new x, from one residual
+        r = C x - [b; h]: lam + rho r_eq, and with u = nu + rho r_in the new
+        nu = max(u, 0) and s = (nu - u) / rho. Returns step()'s tuple. Keeps
+        u, x and the pre-update st, where a Direction's terms in x are taken."""
+        rho, p_eq = self.rho, self.p_eq
+        self.st, self.x = st, x
+        r = self.C @ x
+        r -= self.rhs
+        r_eq, r_in = r[:p_eq], r[p_eq:]
+        lam = st.lam + rho * r_eq
+        self.u = u = st.nu + rho * r_in
+        nu = np.maximum(u, 0.0)
+        s = nu - u
+        s /= rho
+        r_in += s
+        return x, s, lam, nu, _norm(r_eq), _norm(r_in)
+
+    def _init_dual_side(self, pt: ThetaPartials, n: int) -> None:
+        """What dual_tail() reads and steps: d[b; h] (or None), C, Y, c, Jx."""
+        k, mt, dt, p_eq = self.C.shape[0], pt.m_theta, self.dtype, self.p_eq
+        self.pt, self.d_rhs = pt, None
+        if pt.db is not None or pt.dh is not None:
+            self.d_rhs = np.zeros((k, mt), dt)
+            if pt.db is not None:
+                self.d_rhs[:p_eq] = pt.db
+            if pt.dh is not None:
+                self.d_rhs[p_eq:] = pt.dh
+        self.Cj = self.C.astype(dt, copy=False)  # C on the Jacobian side
+        self.y, self.c = np.zeros((k, mt), dt), np.empty((k, mt), dt)
+        self.jx, self.jx_next = np.zeros((n, mt), dt), np.empty((n, mt), dt)
 
     def gate(self, s_new: np.ndarray) -> None:
         """sigma from the new slack, g from the previous sweep's sigma."""
@@ -328,6 +361,19 @@ class _Sweep:
         c *= self.rs[:, None]
         self.y *= self.sg[:, None]
         self.y += c
+
+    def dual_tail(self, s_new: np.ndarray) -> None:
+        """The dual side of a Jacobian sweep from the new Jx (self.jx_next):
+        c = C Jx + [dA x; dG x] - d[b; h], then dual_step()."""
+        pt, p_eq, x, c = self.pt, self.p_eq, self.x, self.c
+        np.matmul(self.Cj, self.jx_next, out=c)
+        if pt.dA is not None:
+            c[:p_eq] += (pt.dA @ x).reshape(-1, 1)
+        if pt.dG is not None:
+            c[p_eq:] += (pt.dG @ x).reshape(-1, 1)
+        if self.d_rhs is not None:
+            c -= self.d_rhs
+        self.dual_step(c, s_new)
 
     def advance(self, need: bool) -> float:
         old, new = self.jx, self.jx_next
@@ -357,25 +403,22 @@ class _Sweep:
 
 
 class _QuadraticSweep(_Sweep):
-    """Solver and Jacobian sweep for constant-Hessian problems and vector parameters.
+    """Solver and Jacobian sweep for constant-Hessian problems, every selector.
 
-    The same update algebra as _GeneralSweep, with H^-1 folded into
-    the constraint matrix at set-up: W, the x-step offset x0 and H^-1 times
-    the direct term come from H^-1 (LAPACK potri on a Cholesky factor) and
-    two products when theta = q, else from one solve against [C' | q | dq].
-    So the x-step is a matvec and the Jacobian sweep is two matrix products,
-    evaluated into preallocated buffers. step() carries z from sweep to
-    sweep, in float64; the Jacobian sweep runs on its own dtype copies of W
-    and C.
+    H^-1 is folded into the constraint matrix at set-up: W, the x-step
+    offset x0 and H^-1 times the direct term come from H^-1 (LAPACK potri
+    on a Cholesky factor) and two products when theta = q, else from one
+    solve against [C' | q | dq]. So the x-step is a matvec and the Jacobian
+    sweep is two matrix products, evaluated into preallocated buffers; a
+    matrix Direction adds one one-column solve for H^-1 times its terms in
+    x. step() carries z from sweep to sweep, in float64; the Jacobian sweep
+    runs on its own dtype copies of W and C.
     """
 
     def __init__(self, p: ProblemSpec, pt: ThetaPartials, fact: Factorization, rho: float,
                  dtype=np.float64):
-        con = p.constraints
-        self.fact, self.C = fact, np.vstack([con.A, con.G])
-        k = self.C.shape[0]
-        super().__init__(con.n_eq, k, rho, dtype)
-        self.rhs = np.concatenate([con.b, con.h])  # [b; h]
+        super().__init__(p.constraints, rho, dtype)
+        self.fact, k = fact, self.C.shape[0]
         q = p.objective.q
         if pt.eye and pt.dq is not None:
             # theta = q: dq = I, so H^-1 dq is H^-1 itself; take it from the
@@ -398,56 +441,38 @@ class _QuadraticSweep(_Sweep):
             self._init_jacobian(pt, hinv_dq)
 
     def _init_jacobian(self, pt: ThetaPartials, hinv_dq: Optional[np.ndarray]) -> None:
-        W, k, mt, dt = self.W, self.C.shape[0], pt.m_theta, self.dtype
-        p_eq, rho = self.p_eq, self.rho
+        W, p_eq, rho, dt = self.W, self.p_eq, self.rho, self.dtype
         # H^-1 (dq - rho [A; G]' d[b; h]), with W d[b; h] taken from the
         # columns of W that db and dh select.
-        Hd = np.zeros((W.shape[0], mt)) if hinv_dq is None else hinv_dq
+        Hd = np.zeros((W.shape[0], pt.m_theta)) if hinv_dq is None else hinv_dq
         if pt.db is not None:
             Hd = Hd - rho * (W[:, :p_eq] @ pt.db)
         if pt.dh is not None:
             Hd = Hd - rho * (W[:, p_eq:] @ pt.dh)
         self.Hd = Hd.astype(dt, copy=False)
-        self.d_rhs = None
-        if pt.db is not None or pt.dh is not None:
-            self.d_rhs = _rhs_partial(p_eq, k - p_eq, pt).astype(dt, copy=False)
         self.Wn = np.negative(W, dtype=dt)  # so that Jx = -(Hd + W Y) takes no negation pass
-        self.Cj = self.C.astype(dt, copy=False)  # C on the Jacobian side
-        self.y, self.c = np.zeros((k, mt), dt), np.empty((k, mt), dt)
-        self.jx, self.jx_next = np.zeros((W.shape[0], mt), dt), np.empty((W.shape[0], mt), dt)
+        self._init_dual_side(pt, W.shape[0])
 
     def step(self, st: AdmmState) -> tuple:
-        """One solver sweep: x-step, slack step and dual step from one residual.
-
-        Returns the new (x, s, lam, nu) and the norms of A x - b and
-        G x + s - h.
-        """
-        rho, p_eq, z = self.rho, self.p_eq, self.z
+        """One solver sweep: the x-step x0 - W z, then slack_dual()."""
+        p_eq, z = self.p_eq, self.z
         if st.k == 0:
-            z[:] = np.concatenate([st.lam, st.nu + rho * st.s])
-        x = self.x0 - self.W @ z
-        r = self.C @ x
-        r -= self.rhs
-        r_eq, r_in = r[:p_eq], r[p_eq:]
-        lam = st.lam + rho * r_eq
-        u = st.nu + rho * r_in
-        nu = np.maximum(u, 0.0)
-        s = nu - u
-        s /= rho
-        z[:p_eq] = lam
-        np.abs(u, out=z[p_eq:])
-        r_in += s
-        return x, s, lam, nu, _norm(r_eq), _norm(r_in)
+            z[:] = np.concatenate([st.lam, st.nu + self.rho * st.s])
+        out = self.slack_dual(st, self.x0 - self.W @ z)
+        z[:p_eq] = out[2]  # lam
+        np.abs(self.u, out=z[p_eq:])
+        return out
 
     def run(self, s_new: np.ndarray) -> None:
         """One Jacobian sweep: the new Jx into the spare buffer, then Y."""
-        jx, c = self.jx_next, self.c
+        jx = self.jx_next
         np.matmul(self.Wn, self.y, out=jx)
         jx -= self.Hd
-        np.matmul(self.Cj, jx, out=c)
-        if self.d_rhs is not None:
-            c -= self.d_rhs
-        self.dual_step(c, s_new)
+        if self.pt.matrix:
+            terms = np.zeros((jx.shape[0], 1))
+            jx -= self.fact.solve(_direction_terms(self.con, self.pt, self.st, self.x,
+                                                   self.rho, terms))
+        self.dual_tail(s_new)
 
 
 class _CostCoreSweep(_QuadraticSweep):
@@ -537,70 +562,49 @@ class _CostCoreSweep(_QuadraticSweep):
 
 
 class _GeneralSweep(_Sweep):
-    """Solver and Jacobian sweep through the forward update steps.
+    """Solver and Jacobian sweep of a callback objective.
 
-    Runs what the folded sweeps cannot: callback objectives, whose damped
-    Newton x-step factorizes H(x) again every sweep (the Jacobian step
-    reuses that sweep's factor), and matrix directions (dP, dA, dG), whose
-    mixed partial depends on x. run() takes the mixed partial, direct + C'Y
-    plus the direction terms, at the new x and the pre-update slack and
-    duals, so step() keeps both.
+    Its damped Newton x-step factorizes H(x) again every sweep, and the
+    Jacobian step solves with that sweep's factor against the mixed
+    partial, direct + C'Y plus a Direction's terms in x, taken at the new x
+    and the pre-update slack and duals. It runs in float64.
     """
 
-    def __init__(self, p: ProblemSpec, pt: ThetaPartials, cfg: SolverConfig,
-                 fact: Optional[Factorization], penalty: np.ndarray):
-        con = p.constraints
-        self.p, self.pt, self.cfg, self.fact, self.penalty = p, pt, cfg, fact, penalty
-        k = con.n_eq + con.n_ineq
-        super().__init__(con.n_eq, k, cfg.rho)
+    def __init__(self, p: ProblemSpec, pt: ThetaPartials, cfg: SolverConfig):
+        super().__init__(p.constraints, cfg.rho)
+        self.p, self.cfg, self.penalty = p, cfg, penalty_matrix(p, cfg.rho)
         if pt.m_theta:
             self.direct = direct_term(p, pt, cfg.rho)
-            self.C = np.vstack([con.A, con.G])
-            self.d_rhs = _rhs_partial(con.n_eq, con.n_ineq, pt)
-            self.y, self.jx = np.zeros((k, pt.m_theta)), np.zeros((p.n, pt.m_theta))
+            self._init_dual_side(pt, p.n)
 
     def step(self, st: AdmmState) -> tuple:
-        p, cfg, con = self.p, self.cfg, self.p.constraints
-        # A quadratic objective solves with the set-up factor; Newton ignores it.
-        x, self.fact = primal_update(p, st, cfg, fact=self.fact, penalty=self.penalty)
-        s = slack_update(st, con.G, con.h, x, cfg)
-        lam, nu = dual_update(st, con.A, con.b, con.G, con.h, x, s, cfg)
-        self.st, self.x = st, x
-        return x, s, lam, nu, _norm(con.A @ x - con.b), _norm(con.G @ x + s - con.h)
+        x, self.fact = primal_update(self.p, st, self.cfg, penalty=self.penalty)
+        return self.slack_dual(st, x)
 
     def run(self, s_new: np.ndarray) -> None:
-        pt, x, p_eq = self.pt, self.x, self.p_eq
         mixed = self.direct + self.C.T @ self.y
-        _direction_terms(self.p, pt, self.st, x, self.rho, mixed)
-        self.jx_next = jx = -self.fact.solve(mixed)
-        # d(C x - [b; h]), with the dA x and dG x terms of a direction.
-        c = self.C @ jx
-        if pt.dA is not None:
-            c[:p_eq] += (pt.dA @ x).reshape(-1, 1)
-        if pt.dG is not None:
-            c[p_eq:] += (pt.dG @ x).reshape(-1, 1)
-        c -= self.d_rhs
-        self.dual_step(c, s_new)
+        _direction_terms(self.con, self.pt, self.st, self.x, self.rho, mixed)
+        np.negative(self.fact.solve(mixed), out=self.jx_next)
+        self.dual_tail(s_new)
 
 
 def _make_sweep(p: ProblemSpec, pt: ThetaPartials, cfg: SolverConfig) -> _Sweep:
     """The set-up of a solve: the constraint curvature, for a quadratic
     objective the one factorization of its constant Hessian, and the sweep.
-    Vector parameters of a quadratic take the folded sweep, on the k x k
-    core for theta = q with k = p + m < n (that needs C H^-1 = W', exact for
-    a Cholesky factor), in float32 when eps >= FLOAT32_MIN_EPS (zero width
-    keeps float64); the rest run _GeneralSweep, in float64.
+    A quadratic takes the folded sweep, on the k x k core for theta = q with
+    k = p + m < n (that needs C H^-1 = W', exact for a Cholesky factor); its
+    vector parameters run in float32 when eps >= FLOAT32_MIN_EPS (zero width
+    keeps float64), matrix Directions in float64. Callback objectives run
+    _GeneralSweep, in float64.
     """
-    penalty = penalty_matrix(p, cfg.rho)
     if not isinstance(p.objective, QuadraticObjective):
-        return _GeneralSweep(p, pt, cfg, None, penalty)
-    fact = factorize(p.objective.P.T + penalty, spd_hint=True)
-    if pt.dP is not None or pt.dA is not None or pt.dG is not None:
-        return _GeneralSweep(p, pt, cfg, fact, penalty)
+        return _GeneralSweep(p, pt, cfg)
+    fact = factorize(p.objective.P.T + penalty_matrix(p, cfg.rho), spd_hint=True)
     con = p.constraints
     core = pt.eye and pt.dq is not None and fact.spd and con.n_eq + con.n_ineq < p.n
-    dtype = np.float32 if pt.m_theta and cfg.eps >= FLOAT32_MIN_EPS else np.float64
-    return (_CostCoreSweep if core else _QuadraticSweep)(p, pt, fact, cfg.rho, dtype)
+    f32 = pt.m_theta and not pt.matrix and cfg.eps >= FLOAT32_MIN_EPS
+    sweep = _CostCoreSweep if core else _QuadraticSweep
+    return sweep(p, pt, fact, cfg.rho, np.float32 if f32 else np.float64)
 
 
 def _distances_to_last(points: list) -> np.ndarray:
@@ -652,7 +656,7 @@ def _solve(
             report.jacobian_ms += (perf() - t1) * 1e3
 
         # Diagnostics sit outside the timed recursion. The x step is
-        # relative_step_norm(x_new, st.x) with ||x|| carried over. The rule
+        # ||x_new - x|| / max(||x||, NORM_FLOOR), ||x|| carried over. The rule
         # reads the Jacobian step only where the x step is below eps, so
         # only a trace takes it elsewhere; it is measured against
         # 1 + ||Jx|| so it still converges when Jx -> 0.

@@ -33,6 +33,10 @@ class NotConverged(AltdiffError):
     """A solve that was required to converge did not."""
 
 
+class NotOptimal(AltdiffError, ValueError):
+    """A point fails the optimality test that differentiating at it needs."""
+
+
 class SingularKkt(AltdiffError):
     """The linearized optimality system is singular (degenerate active set)."""
 

@@ -11,12 +11,12 @@ The x-step Hessian f''(x) + rho A'A + rho G'G is factorized and retained:
 for quadratic objectives it is constant, so one factorization serves the
 whole solve (and the Jacobian recursion afterwards).
 
-The update steps here are the reference form of the splitting; callback
-objectives and matrix-direction derivatives run them. admm_solve runs
-backward's solver loop with a zero-width parameter, so for a quadratic
-objective it shares differentiate's folded x-step: one solve against the
-factorization at set-up, then one matvec for x and no triangular solve per
-sweep.
+The update steps here are the reference form of the splitting, which the
+tests run. The solver loop (backward) takes primal_update's damped Newton
+step for callback objectives, and its own slack and dual step. admm_solve
+runs that loop with a zero-width parameter, so a quadratic objective gets
+differentiate's folded x-step: one solve at set-up, then one matvec for x
+and no triangular solve per sweep.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernels: factorizations, reusable solves, inverses, norms.
+"""Dense linear-algebra kernels: factorizations, reusable solves, inverses.
 
 A factorization serves many right-hand sides. When the whole inverse is
 wanted (the x-step Hessian's H^-1 when differentiating w.r.t. the linear
@@ -23,8 +23,8 @@ from .errors import DimensionMismatch, SingularMatrix
 # Relative pivot threshold below which factorize declares the matrix singular.
 SINGULARITY_RTOL = 1e-12
 
-# Denominator guard for relative_step_norm (the step norm divides by the
-# previous iterate, which may be the zero vector).
+# Denominator guard for the solver's relative x step, which divides by the
+# norm of the previous iterate, the zero vector on the first sweep.
 NORM_FLOOR = 1e-12
 
 # Per-thread factorization counter: a solve reads it before and after, so its
@@ -149,12 +149,3 @@ def factorize(m, spd_hint: bool = False) -> Factorization:
         lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
     _pivot_check(np.diagonal(lu), scale)
     return Factorization(n=n, spd=False, factors=(lu, piv))
-
-
-def relative_step_norm(x_new, x_old) -> float:
-    """||x_new - x_old||_2 / max(||x_old||_2, NORM_FLOOR)."""
-    xn = np.asarray(x_new, dtype=float).reshape(-1)
-    xo = np.asarray(x_old, dtype=float).reshape(-1)
-    if xn.shape != xo.shape:
-        raise DimensionMismatch(f"shapes {xn.shape} and {xo.shape} differ")
-    return float(np.linalg.norm(xn - xo) / max(np.linalg.norm(xo), NORM_FLOOR))

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .backward import ThetaPartials, theta_partials
-from .errors import NotConverged, SingularKkt, SingularMatrix
+from .errors import NotConverged, NotOptimal, SingularKkt, SingularMatrix
 from .forward import SolverConfig, admm_solve
 from .linalg import as_vector, factorize
 from .problem import ParamSelector, ProblemSpec, perturb, theta_dim, validate
@@ -95,7 +95,7 @@ def implicit_diff_solve(
 
     res = np.linalg.norm(kkt_residual(p, x, lam, nu))
     if res > KKT_POINT_RTOL * (1.0 + np.linalg.norm(x)):
-        raise ValueError(
+        raise NotOptimal(
             f"point is not optimal enough to differentiate at "
             f"(residual {res:.3e})"
         )

@@ -58,6 +58,16 @@ def test_run_case_tiny_qp():
     assert record.iterations > 0
 
 
+def test_run_case_records_refused_reference():
+    # The tight solve of this case stops short of the optimality test the
+    # reference route needs; the row carries the named refusal and no cosine.
+    case = bench.BenchCase(name="sparsemax-30", n=30, m_ineq=10, p_eq=3, kind="sparsemax")
+    record = bench.run_case(case)
+    assert record.error.startswith("NotOptimal: point is not optimal enough")
+    assert record.cosine is None
+    assert record.alt_total_ms > 0 and record.iterations > 0
+
+
 def test_run_case_tight_tolerance():
     case = bench.BenchCase(name="tight", n=50, m_ineq=20, p_eq=10, seed=0, eps=1e-6)
     record = bench.run_case(case)

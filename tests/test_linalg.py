@@ -62,17 +62,6 @@ def test_factorize_rejects_nonfinite():
         linalg.factorize(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
-def test_relative_step_norm_examples():
-    assert linalg.relative_step_norm([1.0, 1.0], [1.0, 1.0]) == 0.0
-    assert linalg.relative_step_norm([2.0, 0.0], [1.0, 0.0]) == 1.0
-    assert linalg.relative_step_norm([1.0, 0.0], [0.0, 0.0]) == 1e12
-
-
-def test_relative_step_norm_shape_check():
-    with pytest.raises(DimensionMismatch):
-        linalg.relative_step_norm([1.0], [1.0, 2.0])
-
-
 @pytest.mark.parametrize("seed", range(10))
 def test_solve_residual_well_conditioned(seed):
     # Random SPD-shifted matrices are well inside the 1e6 condition budget.

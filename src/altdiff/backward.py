@@ -33,16 +33,19 @@ and two products with the n x (p + m) blocks for the Jacobian, about
 4 n (p + m) m_theta flops, with no triangular solve and no n x n product.
 A matrix Direction (dP, dA, dG) takes the same x-step; its mixed partial
 has terms in x as well, so its Jacobian sweep adds H^-1 times them, one
-one-column solve per sweep, and their rows dA x, dG x to d(C x - [b; h]).
+one-column solve per sweep, and d[A; G] x to d(C x - [b; h]).
+
+The partials come in the same stacked layout (ThetaPartials): d[b; h] is
+one k x m_theta block and a Direction's dA, dG the rows of one k x n block
+d[A; G], so no sweep splits them; only the oracle reads their rows apart.
 
 For theta = q with k = p + m < n, the Jacobian recursion runs on a k x k
 core instead (_CostCoreSweep): every iterate has the form
 Jx = -(H^-1 + W T W') with T k x k, and the gate folds into one k x k
 product per sweep (about 2 k^3 flops, against 4 n^2 k in n-space); Jx is
-formed once, at the end. The b and h selectors keep the n-space sweep:
-their direct term has only m_theta columns, and the same move would leave
-the per-iteration backward cost growing more slowly with n than acceptance
-criterion 5's band (its per-iteration ratio is measured on IneqRhs) allows.
+formed once, at the end. The b and h selectors keep the n-space sweep: on
+a k x k core their per-iteration cost would grow with n more slowly than
+acceptance criterion 5's band (measured on IneqRhs) allows.
 
 Every solve runs one loop (_solve) over one of three sweeps, picked at
 set-up: the two above for a quadratic objective, and _GeneralSweep for a
@@ -58,19 +61,20 @@ the stopping sweep is the one every step would give.
 
 Precision. Stopped at tolerance eps, the recursion leaves a Jacobian error
 of the iterate's order, about eps and up. Float32 round-off (6e-8) is far
-below that once eps >= FLOAT32_MIN_EPS, so there the two folded sweeps hold
-their Jacobian state (W, C, Hd, d[b; h], Y and the Jx buffers; on the core
-M, B, T, G and K) in float32 and each product runs at single precision, at
-about twice the speed. Their set-up products are formed in float64 and cast
-once. The solver step stays float64 (x, the slack and so the sign gate, the
+below that once eps >= FLOAT32_MIN_EPS, though what the sweeps gather of it
+grows with ||H^-1||; so there, for an estimated ||H^-1||_1 at most
+FLOAT32_MAX_INV_NORM, the two folded sweeps hold their Jacobian state (W,
+C, Hd, d[b; h], Y and the Jx buffers; on the core M, B, T, G and K) in
+float32 and each product runs at single precision, at about twice the
+speed. Their set-up products are formed in float64 and cast once. The
+solver step stays float64 (x, the slack and so the sign gate, the
 residuals), so every x iterate is the float64 one; the Jacobian blocks and
-the Jacobian step the stopping rule reads carry float32 noise, about
-1e-7 (1 + ||Jx||) at unit scale and more for a flat H. _GeneralSweep and
-matrix Directions run in float64. Every block a report returns and the
-trace distances are float64 arrays and the step norms Python floats,
-though on the float32 path the norms come from float32 products; the core
-sums the terms of its ||Jx||^2, which cancel near a vertex, in float64.
-Below the constant every solve runs in float64.
+the Jacobian step the stopping rule reads carry float32 noise, about 1e-7
+(1 + ||Jx||). Every block a report returns and the trace distances are
+float64 arrays and the step norms Python floats, though on the float32
+path the norms come from float32 products; the core sums the terms of its
+||Jx||^2, which cancel near a vertex, in float64. Every other solve, and
+_GeneralSweep and matrix Directions always, run in float64.
 """
 
 from __future__ import annotations
@@ -92,8 +96,9 @@ from .forward import (
     initial_state,
     penalty_matrix,
     primal_update,
+    xstep_factor,
 )
-from .linalg import NORM_FLOOR, Factorization, factorize
+from .linalg import NORM_FLOOR, Factorization
 from .problem import (
     EqRhs,
     IneqRhs,
@@ -113,10 +118,12 @@ WEAK_ACTIVITY_TOL = 1e-6
 # Tolerances from this one up run the folded Jacobian sweeps in float32.
 # On unit-scale QPs float32 round-off moves each Jacobian step by about
 # 1e-7 (1 + ||Jx||), a ten-thousandth of this threshold, so the stopping sweep
-# stays put: on random QPs it never moved at 1e-3, where at 1e-4 it moved in
-# about 2% of solves. The round-off grows with ||H^-1|| and the sweep count
-# (P / 1000: up to 5e-4), still far below those solves' truncation error.
+# rarely moves: on random QPs at 1e-3 by one sweep in 2 of 682 solves, at
+# 1e-4 in about 2%. The round-off grows with ||H^-1||, so float32 also needs
+# pocon's estimate of ||H^-1||_1 within the cap: with P / 1 to P / 100 the
+# solves under it stayed within 2.2e-7 (flat P with k >= n still drifts).
 FLOAT32_MIN_EPS = 1e-3
+FLOAT32_MAX_INV_NORM = 100.0
 
 # Per-thread count of JacobianState constructions, so tests can assert that a
 # solve allocates exactly one state and overwrites it in place, also while
@@ -143,12 +150,8 @@ class JacobianState:
 
     @staticmethod
     def zeros(n: int, m_ineq: int, p_eq: int, m_theta: int) -> "JacobianState":
-        return JacobianState(
-            Jx=np.zeros((n, m_theta)),
-            Js=np.zeros((m_ineq, m_theta)),
-            Jlam=np.zeros((p_eq, m_theta)),
-            Jnu=np.zeros((m_ineq, m_theta)),
-        )
+        z = lambda rows: np.zeros((rows, m_theta))
+        return JacobianState(Jx=z(n), Js=z(m_ineq), Jlam=z(p_eq), Jnu=z(m_ineq))
 
 
 @dataclass
@@ -183,76 +186,77 @@ class DiffReport:
 
 @dataclass(frozen=True)
 class ThetaPartials:
-    """Derivatives of the raw parameter blocks w.r.t. theta (None means zero)."""
+    """Derivatives of the raw parameter blocks w.r.t. theta (None means zero).
+
+    The constraint side is stacked over the k = p + m rows of C = [A; G], as
+    every sweep holds it: d_rhs = d[b; h] (None only at zero width), and the
+    dA, dG of a Direction as the rows of dC = d[A; G].
+    """
 
     m_theta: int
     dq: Optional[np.ndarray] = None  # d(linear cost)/dtheta, n x m_theta
-    db: Optional[np.ndarray] = None  # p x m_theta
-    dh: Optional[np.ndarray] = None  # m x m_theta
+    d_rhs: Optional[np.ndarray] = None  # k x m_theta
     dP: Optional[np.ndarray] = None  # direction only
-    dA: Optional[np.ndarray] = None
-    dG: Optional[np.ndarray] = None
-    # The one partial set (dq, db or dh) is the identity: the LinearCost,
-    # EqRhs and IneqRhs selectors.
-    eye: bool = False
+    dC: Optional[np.ndarray] = None  # k x n, direction only
+    eye: bool = False  # dq = I: the LinearCost selector
 
     @property
     def matrix(self) -> bool:
         """A Direction with a matrix block: its mixed partial has terms in x."""
-        return self.dP is not None or self.dA is not None or self.dG is not None
+        return self.dP is not None or self.dC is not None
 
 
 def theta_partials(p: ProblemSpec, sel: ParamSelector) -> ThetaPartials:
-    m_theta = theta_dim(p, sel)
+    n, p_eq, m = p.n, p.constraints.n_eq, p.constraints.n_ineq
+    k, m_theta = p_eq + m, theta_dim(p, sel)
     if isinstance(sel, LinearCost):
-        return ThetaPartials(m_theta=m_theta, dq=np.eye(p.n), eye=True)
-    if isinstance(sel, EqRhs):
-        return ThetaPartials(m_theta=m_theta, db=np.eye(p.constraints.n_eq), eye=True)
-    if isinstance(sel, IneqRhs):
-        return ThetaPartials(m_theta=m_theta, dh=np.eye(p.constraints.n_ineq), eye=True)
-    col = lambda v: None if v is None else np.asarray(v, dtype=float).reshape(-1, 1)
+        return ThetaPartials(m_theta, dq=np.eye(n), d_rhs=np.zeros((k, n)), eye=True)
+    if isinstance(sel, (EqRhs, IneqRhs)):
+        d_rhs = np.eye(k, p_eq) if isinstance(sel, EqRhs) else np.eye(k, m, -p_eq)
+        return ThetaPartials(m_theta, d_rhs=d_rhs)
+    # A Direction's blocks, absent ones as zeros of their shape
+    part = lambda v, *shape: np.zeros(shape) if v is None else np.reshape(v, shape).astype(float)
     return ThetaPartials(
         m_theta=1,
-        dq=col(sel.dq),
-        db=col(sel.db),
-        dh=col(sel.dh),
-        dP=None if sel.dP is None else np.asarray(sel.dP, dtype=float),
-        dA=None if sel.dA is None else np.asarray(sel.dA, dtype=float),
-        dG=None if sel.dG is None else np.asarray(sel.dG, dtype=float),
+        dq=None if sel.dq is None else part(sel.dq, n, 1),
+        d_rhs=np.vstack([part(sel.db, p_eq, 1), part(sel.dh, m, 1)]),
+        dP=None if sel.dP is None else part(sel.dP, n, n),
+        dC=None if sel.dA is None and sel.dG is None else np.vstack(
+            [part(sel.dA, p_eq, n), part(sel.dG, m, n)]),
     )
 
 
+def _times_d_rhs(M: np.ndarray, d_rhs: np.ndarray) -> np.ndarray:
+    """M d[b; h], summed over the nonzero rows of d[b; h] only."""
+    rows = d_rhs.any(axis=1)
+    return M[:, rows] @ d_rhs[rows]
+
+
 def direct_term(p: ProblemSpec, pt: ThetaPartials, rho: float) -> np.ndarray:
-    """The x-independent part of the mixed partial: dq - rho A'db - rho G'dh.
+    """The x-independent part of the mixed partial: dq - rho C' d[b; h].
 
     Constant across iterations for every selector, so it is computed once per
     differentiation run.
     """
     con = p.constraints
-    out = np.zeros((p.n, pt.m_theta))
+    out = -rho * _times_d_rhs(np.vstack([con.A, con.G]).T, pt.d_rhs)
     if pt.dq is not None:
         out += pt.dq
-    if pt.db is not None:
-        out -= rho * (con.A.T @ pt.db)
-    if pt.dh is not None:
-        out -= rho * (con.G.T @ pt.dh)
     return out
 
 
-def _direction_terms(con: Polyhedron, pt: ThetaPartials, st: AdmmState, x_new: np.ndarray,
-                     rho: float, out: np.ndarray) -> np.ndarray:
-    """Add the x-dependent part of the mixed partial, the terms of a matrix
-    Direction (dP, dA, dG), to out, at x_new and the pre-update s, lam, nu."""
+def _direction_terms(C: np.ndarray, rhs: np.ndarray, pt: ThetaPartials, st: AdmmState,
+                     x_new: np.ndarray, rho: float, out: np.ndarray) -> np.ndarray:
+    """Add a matrix Direction's terms in x of the mixed partial to out, at x_new
+    and the pre-update s, lam, nu: dP x + dC'(z + rho r) + rho C'(dC x) with
+    z = [lam; nu] and r = C x - [b; h] + [0; s]."""
     if pt.dP is not None:
         out += (pt.dP @ x_new).reshape(-1, 1)
-    if pt.dA is not None:
-        res_eq = con.A @ x_new - con.b
-        out += (pt.dA.T @ st.lam).reshape(-1, 1)
-        out += rho * (pt.dA.T @ res_eq + con.A.T @ (pt.dA @ x_new)).reshape(-1, 1)
-    if pt.dG is not None:
-        res_in = con.G @ x_new + st.s - con.h
-        out += (pt.dG.T @ st.nu).reshape(-1, 1)
-        out += rho * (pt.dG.T @ res_in + con.G.T @ (pt.dG @ x_new)).reshape(-1, 1)
+    if pt.dC is not None:
+        r = C @ x_new - rhs
+        r[len(st.lam):] += st.s
+        z = np.concatenate([st.lam, st.nu])
+        out += (pt.dC.T @ (z + rho * r) + rho * (C.T @ (pt.dC @ x_new))).reshape(-1, 1)
     return out
 
 
@@ -272,7 +276,8 @@ def mixed_partial(p: ProblemSpec, sel: ParamSelector, st: AdmmState, jac: Jacobi
         out += con.A.T @ jac.Jlam
     if con.n_ineq:
         out += con.G.T @ (jac.Jnu + rho * jac.Js)
-    return _direction_terms(con, pt, st, x_new, rho, out)
+    C, rhs = np.vstack([con.A, con.G]), np.concatenate([con.b, con.h])
+    return _direction_terms(C, rhs, pt, st, x_new, rho, out)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -296,9 +301,8 @@ class _Sweep:
     The sweep owns the Jacobian iterate: each subclass allocates the Y and
     Jx buffers it steps (self.jx starts at Jx = 0), at nonzero width only.
     dtype is their precision and that of sigma, sigma g and rho sigma:
-    _make_sweep picks float32 for the folded sweeps of vector parameters
-    when eps >= FLOAT32_MIN_EPS (the module docstring says why); finish()
-    and trace_point() hand out float64 either way.
+    _make_sweep picks float32 for some folded sweeps (the module docstring
+    says which and why); finish() and trace_point() hand out float64.
     """
 
     # ||self.jx||, None when a skipped sweep left it unknown; the recursion
@@ -306,7 +310,7 @@ class _Sweep:
     jx_norm: Optional[float] = 0.0
 
     def __init__(self, con: Polyhedron, rho: float, dtype=np.float64):
-        self.con, self.p_eq, self.rho, self.dtype = con, con.n_eq, rho, dtype
+        self.p_eq, self.rho, self.dtype = con.n_eq, rho, dtype
         self.C = np.vstack([con.A, con.G])
         self.rhs = np.concatenate([con.b, con.h])  # [b; h]
         k = self.C.shape[0]
@@ -333,15 +337,9 @@ class _Sweep:
         return x, s, lam, nu, _norm(r_eq), _norm(r_in)
 
     def _init_dual_side(self, pt: ThetaPartials, n: int) -> None:
-        """What dual_tail() reads and steps: d[b; h] (or None), C, Y, c, Jx."""
-        k, mt, dt, p_eq = self.C.shape[0], pt.m_theta, self.dtype, self.p_eq
-        self.pt, self.d_rhs = pt, None
-        if pt.db is not None or pt.dh is not None:
-            self.d_rhs = np.zeros((k, mt), dt)
-            if pt.db is not None:
-                self.d_rhs[:p_eq] = pt.db
-            if pt.dh is not None:
-                self.d_rhs[p_eq:] = pt.dh
+        """What dual_tail() reads and steps: d[b; h], C, Y, c, Jx."""
+        k, mt, dt = self.C.shape[0], pt.m_theta, self.dtype
+        self.pt, self.d_rhs = pt, pt.d_rhs.astype(dt, copy=False)
         self.Cj = self.C.astype(dt, copy=False)  # C on the Jacobian side
         self.y, self.c = np.zeros((k, mt), dt), np.empty((k, mt), dt)
         self.jx, self.jx_next = np.zeros((n, mt), dt), np.empty((n, mt), dt)
@@ -364,15 +362,12 @@ class _Sweep:
 
     def dual_tail(self, s_new: np.ndarray) -> None:
         """The dual side of a Jacobian sweep from the new Jx (self.jx_next):
-        c = C Jx + [dA x; dG x] - d[b; h], then dual_step()."""
-        pt, p_eq, x, c = self.pt, self.p_eq, self.x, self.c
+        c = C Jx + dC x - d[b; h], then dual_step()."""
+        c = self.c
         np.matmul(self.Cj, self.jx_next, out=c)
-        if pt.dA is not None:
-            c[:p_eq] += (pt.dA @ x).reshape(-1, 1)
-        if pt.dG is not None:
-            c[p_eq:] += (pt.dG @ x).reshape(-1, 1)
-        if self.d_rhs is not None:
-            c -= self.d_rhs
+        if self.pt.dC is not None:
+            c += (self.pt.dC @ self.x).reshape(-1, 1)
+        c -= self.d_rhs
         self.dual_step(c, s_new)
 
     def advance(self, need: bool) -> float:
@@ -420,7 +415,7 @@ class _QuadraticSweep(_Sweep):
         super().__init__(p.constraints, rho, dtype)
         self.fact, k = fact, self.C.shape[0]
         q = p.objective.q
-        if pt.eye and pt.dq is not None:
+        if pt.eye:
             # theta = q: dq = I, so H^-1 dq is H^-1 itself; take it from the
             # factor and get the rest as products.
             hinv = hinv_dq = fact.inverse()
@@ -441,14 +436,11 @@ class _QuadraticSweep(_Sweep):
             self._init_jacobian(pt, hinv_dq)
 
     def _init_jacobian(self, pt: ThetaPartials, hinv_dq: Optional[np.ndarray]) -> None:
-        W, p_eq, rho, dt = self.W, self.p_eq, self.rho, self.dtype
-        # H^-1 (dq - rho [A; G]' d[b; h]), with W d[b; h] taken from the
-        # columns of W that db and dh select.
-        Hd = np.zeros((W.shape[0], pt.m_theta)) if hinv_dq is None else hinv_dq
-        if pt.db is not None:
-            Hd = Hd - rho * (W[:, :p_eq] @ pt.db)
-        if pt.dh is not None:
-            Hd = Hd - rho * (W[:, p_eq:] @ pt.dh)
+        W, dt = self.W, self.dtype
+        # H^-1 (dq - rho C' d[b; h]) = H^-1 dq - rho W d[b; h]
+        Hd = -self.rho * _times_d_rhs(W, pt.d_rhs)
+        if hinv_dq is not None:
+            Hd += hinv_dq
         self.Hd = Hd.astype(dt, copy=False)
         self.Wn = np.negative(W, dtype=dt)  # so that Jx = -(Hd + W Y) takes no negation pass
         self._init_dual_side(pt, W.shape[0])
@@ -470,7 +462,7 @@ class _QuadraticSweep(_Sweep):
         jx -= self.Hd
         if self.pt.matrix:
             terms = np.zeros((jx.shape[0], 1))
-            jx -= self.fact.solve(_direction_terms(self.con, self.pt, self.st, self.x,
+            jx -= self.fact.solve(_direction_terms(self.C, self.rhs, self.pt, self.st, self.x,
                                                    self.rho, terms))
         self.dual_tail(s_new)
 
@@ -493,7 +485,7 @@ class _CostCoreSweep(_QuadraticSweep):
     skipped sweeps); the first step is ||Jx_1||, as Jx_0 = 0 is not of this
     form. finish() forms Jx and the blocks with W' as the right factor.
 
-    In float32 (eps >= FLOAT32_MIN_EPS) M, B, the T buffers, G, K and the
+    In float32 (see _make_sweep) M, B, the T buffers, G, K and the
     G T, T G buffers are float32, cast once from float64 set-up products, so
     the sweep and the step norms run as SGEMM. W and H^-1 stay float64:
     finish() and trace_point() form W T W' from them in float64.
@@ -583,7 +575,7 @@ class _GeneralSweep(_Sweep):
 
     def run(self, s_new: np.ndarray) -> None:
         mixed = self.direct + self.C.T @ self.y
-        _direction_terms(self.con, self.pt, self.st, self.x, self.rho, mixed)
+        _direction_terms(self.C, self.rhs, self.pt, self.st, self.x, self.rho, mixed)
         np.negative(self.fact.solve(mixed), out=self.jx_next)
         self.dual_tail(s_new)
 
@@ -592,17 +584,18 @@ def _make_sweep(p: ProblemSpec, pt: ThetaPartials, cfg: SolverConfig) -> _Sweep:
     """The set-up of a solve: the constraint curvature, for a quadratic
     objective the one factorization of its constant Hessian, and the sweep.
     A quadratic takes the folded sweep, on the k x k core for theta = q with
-    k = p + m < n (that needs C H^-1 = W', exact for a Cholesky factor); its
-    vector parameters run in float32 when eps >= FLOAT32_MIN_EPS (zero width
-    keeps float64), matrix Directions in float64. Callback objectives run
-    _GeneralSweep, in float64.
+    k = p + m < n (that needs C H^-1 = W', exact for a Cholesky factor); for
+    a vector parameter it runs in float32 from eps >= FLOAT32_MIN_EPS when
+    pocon estimates ||H^-1||_1 <= FLOAT32_MAX_INV_NORM from a Cholesky
+    factor. Callback objectives run _GeneralSweep, in float64.
     """
     if not isinstance(p.objective, QuadraticObjective):
         return _GeneralSweep(p, pt, cfg)
-    fact = factorize(p.objective.P.T + penalty_matrix(p, cfg.rho), spd_hint=True)
+    fact = xstep_factor(p, cfg.rho)
     con = p.constraints
-    core = pt.eye and pt.dq is not None and fact.spd and con.n_eq + con.n_ineq < p.n
-    f32 = pt.m_theta and not pt.matrix and cfg.eps >= FLOAT32_MIN_EPS
+    core = pt.eye and fact.spd and con.n_eq + con.n_ineq < p.n
+    f32 = (pt.m_theta and not pt.matrix and cfg.eps >= FLOAT32_MIN_EPS and fact.spd
+           and fact.inverse_norm() <= FLOAT32_MAX_INV_NORM)
     sweep = _CostCoreSweep if core else _QuadraticSweep
     return sweep(p, pt, fact, cfg.rho, np.float32 if f32 else np.float64)
 

@@ -110,12 +110,13 @@ def penalty_matrix(p: ProblemSpec, rho: float) -> np.ndarray:
     return out
 
 
-def lagrangian_hessian(p: ProblemSpec, x: np.ndarray, rho: float,
-                       penalty: Optional[np.ndarray] = None) -> np.ndarray:
-    """f''(x) + rho A'A + rho G'G evaluated at x."""
+def xstep_factor(p: ProblemSpec, rho: float, x: Optional[np.ndarray] = None,
+                 penalty: Optional[np.ndarray] = None) -> Factorization:
+    """The factorization of the x-step Hessian f''(x) + rho A'A + rho G'G; a
+    quadratic ignores x. penalty (penalty_matrix) reuses the curvature."""
     if penalty is None:
         penalty = penalty_matrix(p, rho)
-    return p.objective.hessian(x) + penalty
+    return factorize(p.objective.hessian(x) + penalty, spd_hint=True)
 
 
 def lagrangian_gradient(p: ProblemSpec, x, s, lam, nu, rho: float) -> np.ndarray:
@@ -160,8 +161,7 @@ def primal_update(
     con = p.constraints
     rho = cfg.rho
     if isinstance(p.objective, QuadraticObjective):
-        if fact is None:
-            fact = factorize(p.objective.P.T + penalty_matrix(p, rho), spd_hint=True)
+        fact = fact or xstep_factor(p, rho)
         # Gradient at x = 0 gives the constant part of the linear system.
         g0 = p.objective.q.copy()
         if con.n_eq:
@@ -180,7 +180,7 @@ def primal_update(
         gnorm = float(np.linalg.norm(g))
         if gnorm <= NEWTON_TOL:
             break
-        fact = factorize(lagrangian_hessian(p, x, rho, penalty), spd_hint=True)
+        fact = xstep_factor(p, rho, x, penalty)
         dx = -fact.solve(g)
         # Armijo backtracking on the augmented Lagrangian value in x. Near
         # the optimum the predicted decrease drops below the resolution of
@@ -206,7 +206,7 @@ def primal_update(
             )
     if fact is None:
         # Zero Newton steps were taken; the recursion still needs curvature here.
-        fact = factorize(lagrangian_hessian(p, x, rho, penalty), spd_hint=True)
+        fact = xstep_factor(p, rho, x, penalty)
     return x, fact
 
 

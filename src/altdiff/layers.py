@@ -22,8 +22,8 @@ import numpy as np
 
 from .backward import DiffReport, differentiate
 from .errors import DomainError, InfeasibleLayer
-from .forward import SolverConfig, penalty_matrix
-from .linalg import Factorization, as_matrix, as_vector, factorize
+from .forward import SolverConfig, xstep_factor
+from .linalg import Factorization, as_matrix, as_vector
 from .problem import (
     GeneralConvexObjective,
     ParamSelector,
@@ -124,20 +124,17 @@ def specialized_hessian_factor(
 ) -> Factorization:
     """Factorization of the layer's x-step Hessian at x.
 
-    Quadratic and sparsemax kinds ignore x (their matrix is constant). The
-    matrix is assembled through the same generic path the solver uses
-    (f''(x) + rho A'A + rho G'G), so it equals the solver's; for sparsemax
-    that is (2 + 2 rho) I + rho 11', for softmax diag(1/x) + 2 rho I + rho 11'.
-    The solver does not call this: it factorizes the built problem's Hessian.
+    Quadratic and sparsemax kinds ignore x (their matrix is constant). It is
+    the built problem's x-step factor (forward.xstep_factor), the one the
+    solver forms: for sparsemax the factor of (2 + 2 rho) I + rho 11', for
+    softmax of diag(1/x) + 2 rho I + rho 11'. The solver does not call this.
     """
     p = build(kind)
-    if isinstance(kind, (QuadraticLayer, SparsemaxLayer)):
-        return factorize(p.objective.P.T + penalty_matrix(p, rho), spd_hint=True)
-    x = as_vector(x, size=p.n)
-    if np.any(x <= 0):
-        raise DomainError("entropy curvature needs strictly positive x")
-    H = np.diag(1.0 / np.maximum(x, ENTROPY_CLIP)) + penalty_matrix(p, rho)
-    return factorize(H, spd_hint=True)
+    if isinstance(kind, SoftmaxLayer):
+        x = as_vector(x, size=p.n)
+        if np.any(x <= 0):
+            raise DomainError("entropy curvature needs strictly positive x")
+    return xstep_factor(p, rho, x)
 
 
 def solve_and_diff(

@@ -56,7 +56,8 @@ def kkt_residual(p: ProblemSpec, x, lam, nu) -> np.ndarray:
 
 
 def _kkt_rhs(p: ProblemSpec, x, lam, nu, pt: ThetaPartials) -> np.ndarray:
-    """Derivative of the stacked optimality system w.r.t. theta."""
+    """Derivative of the stacked optimality system w.r.t. theta, with the
+    stacked d[b; h] and d[A; G] read back as their b/h and A/G rows."""
     con = p.constraints
     n, peq, m = p.n, con.n_eq, con.n_ineq
     rhs = np.zeros((n + peq + m, pt.m_theta))
@@ -64,16 +65,14 @@ def _kkt_rhs(p: ProblemSpec, x, lam, nu, pt: ThetaPartials) -> np.ndarray:
         rhs[:n] += pt.dq
     if pt.dP is not None:
         rhs[:n] += (pt.dP @ x).reshape(-1, 1)
-    if pt.dA is not None:
-        rhs[:n] += (pt.dA.T @ lam).reshape(-1, 1)
-        rhs[n:n + peq] += (pt.dA @ x).reshape(-1, 1)
-    if pt.db is not None:
-        rhs[n:n + peq] -= pt.db
-    if pt.dG is not None:
-        rhs[:n] += (pt.dG.T @ nu).reshape(-1, 1)
-        rhs[n + peq:] += (nu * (pt.dG @ x)).reshape(-1, 1)
-    if pt.dh is not None:
-        rhs[n + peq:] -= nu.reshape(-1, 1) * pt.dh
+    if pt.dC is not None:
+        dA, dG = pt.dC[:peq], pt.dC[peq:]
+        rhs[:n] += (dA.T @ lam).reshape(-1, 1)
+        rhs[:n] += (dG.T @ nu).reshape(-1, 1)
+        rhs[n:n + peq] += (dA @ x).reshape(-1, 1)
+        rhs[n + peq:] += (nu * (dG @ x)).reshape(-1, 1)
+    rhs[n:n + peq] -= pt.d_rhs[:peq]
+    rhs[n + peq:] -= nu.reshape(-1, 1) * pt.d_rhs[peq:]
     return rhs
 
 

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 import altdiff as ad
-from altdiff import backward, forward, linalg
+from altdiff import backward, bench, forward, linalg
 from altdiff.backward import JacobianState, theta_partials
 from altdiff.errors import DimensionMismatch
 from altdiff.reference import KKT_POINT_RTOL
@@ -47,6 +47,30 @@ def test_mixed_partial_ineq_rhs():
     st = _state([0.0], [0.0], [], [0.0])
     out = backward.mixed_partial(p, ad.IneqRhs(), st, jac, np.zeros(1), rho=2.0)
     assert np.allclose(out, [[-2.0]])
+
+
+_Z = [[0.0]] * 3  # no column of d[b; h]
+
+
+@pytest.mark.parametrize("sel, d_rhs, dC", [
+    (ad.LinearCost(), [[0.0, 0.0]] * 3, None),
+    (ad.EqRhs(), [[1.0], [0.0], [0.0]], None),
+    (ad.IneqRhs(), [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], None),
+    (ad.Direction(db=[2.0]), [[2.0], [0.0], [0.0]], None),
+    (ad.Direction(dh=[3.0, 4.0]), [[0.0], [3.0], [4.0]], None),
+    (ad.Direction(dA=[[5.0, 6.0]]), _Z, [[5.0, 6.0], [0.0, 0.0], [0.0, 0.0]]),
+    (ad.Direction(dG=[[1.0, 2.0], [3.0, 4.0]]), _Z, [[0.0, 0.0], [1.0, 2.0], [3.0, 4.0]]),
+], ids=["LinearCost", "EqRhs", "IneqRhs", "db", "dh", "dA", "dG"])
+def test_theta_partials_stack_constraint_rows(sel, d_rhs, dC):
+    """d[b; h] and d[A; G] come stacked over the p + m = 1 + 2 rows of [A; G]."""
+    p = ad.ProblemSpec.quadratic(P=np.eye(2), q=np.zeros(2), A=[[1.0, 1.0]], b=[1.0],
+                                 G=-np.eye(2), h=np.zeros(2))
+    pt = theta_partials(p, sel)
+    assert pt.d_rhs.dtype == np.float64 and np.array_equal(pt.d_rhs, d_rhs)
+    if dC is None:
+        assert pt.dC is None and not pt.matrix
+    else:
+        assert np.array_equal(pt.dC, dC) and pt.matrix
 
 
 def _gated(jlam, jnu, d, s, rho, js=None, closed_before=True):
@@ -309,12 +333,11 @@ def _reference_sweeps(p, sel, cfg):
             # the solver's own routines.
             mixed = backward.mixed_partial(p, sel, st, jac, x_new, cfg.rho)
             jx = -fact.solve(mixed)
-            d_eq = con.A @ jx - (0.0 if pt.db is None else pt.db)
-            d_in = con.G @ jx - (0.0 if pt.dh is None else pt.dh)
-            if pt.dA is not None:
-                d_eq += (pt.dA @ x_new).reshape(-1, 1)
-            if pt.dG is not None:
-                d_in += (pt.dG @ x_new).reshape(-1, 1)
+            d_eq = con.A @ jx - pt.d_rhs[:con.n_eq]
+            d_in = con.G @ jx - pt.d_rhs[con.n_eq:]
+            if pt.dC is not None:
+                d_eq += (pt.dC[:con.n_eq] @ x_new).reshape(-1, 1)
+                d_in += (pt.dC[con.n_eq:] @ x_new).reshape(-1, 1)
             js = -(jac.Jnu + cfg.rho * d_in) / cfg.rho
             js[s_new <= 0.0, :] = 0.0
             jlam = jac.Jlam + cfg.rho * d_eq
@@ -413,7 +436,7 @@ def test_fused_sweep_matches_reference_updates(suite, core_sweeps, sel, shape):
 def test_lu_factor_keeps_nspace_sweep(suite, core_sweeps, monkeypatch):
     # The core needs C H^-1 = W', exact for a Cholesky factor only; an LU
     # factor of the same Hessian keeps the n-space sweep.
-    monkeypatch.setattr(backward, "factorize", lambda m, spd_hint=False: ad.factorize(m))
+    monkeypatch.setattr(forward, "factorize", lambda m, spd_hint=False: ad.factorize(m))
     p = suite.problem(8)
     cfg = ad.SolverConfig(rho=SUITE_RHO, eps=1e-6)
     rep = ad.differentiate(p, ad.LinearCost(), cfg)
@@ -784,16 +807,25 @@ def _assert_f32_close(rep32, rep64):
             assert np.abs(a - b).max() <= F32_BOUND * (1.0 + np.linalg.norm(b)), name
 
 
+def _assert_identical(rep, ref):
+    """Bit for bit the same solve: iterations, x, every block and step norm."""
+    assert rep.forward.iterations == ref.forward.iterations
+    assert np.array_equal(rep.x, ref.x)
+    for name in ("Jx", "Js", "Jlam", "Jnu"):
+        assert np.array_equal(getattr(rep.jac, name), getattr(ref.jac, name)), name
+    assert np.array_equal(rep.jac_step_norms, ref.jac_step_norms, equal_nan=True)
+
+
 def _precision_problem(suite, shape):
     if shape == "sparsemax":
         rng = np.random.default_rng(3)
         return ad.build(ad.SparsemaxLayer(y=rng.standard_normal(30), u=np.full(30, 0.2)))
     p = suite.problem(4)
     if shape == "flat":
-        # P / 100: ||H^-1|| about 800 against about 12 at unit scale, so the
-        # core's ||Jx||^2 = ||H^-1||^2 + 2 <K, T> + <GT, TG> sums large terms.
-        # The float32 difference grows with ||H^-1|| and the sweep count; on
-        # random P / 100 draws it can exceed F32_BOUND (README, Notes).
+        # P / 100: ||H^-1||_1 is estimated at about 730 against about 10 at
+        # unit scale, over backward.FLOAT32_MAX_INV_NORM. In float32 the
+        # difference grows with ||H^-1|| and the sweep count; here it put Js
+        # 4.5e-6 off for IneqRhs at rho = 0.7, over F32_BOUND.
         con = p.constraints
         return ad.ProblemSpec.quadratic(P=p.objective.P / 100, q=p.objective.q,
                                         A=con.A, b=con.b, G=con.G, h=con.h)
@@ -801,35 +833,43 @@ def _precision_problem(suite, shape):
 
 
 # rho = 1 makes finish()'s Js = Y_in / rho exact; 0.7 rounds it in float32.
-# Flat curvature at rho = 0.7 exceeds F32_BOUND in Js for IneqRhs: the float32
-# difference grows with ||H^-1|| and the sweep count, which the precision gate
-# (eps alone) does not read.
-_F32_FLAT_DRIFT = pytest.mark.xfail(strict=True, reason="float32 drift on flat H")
-
-
 @pytest.mark.parametrize("shape, rho", [
     pytest.param(shape, rho, id=shape if rho == SUITE_RHO else f"{shape}-rho{rho}")
     for rho in (SUITE_RHO, 0.7) for shape in ("k<n", "k>=n", "sparsemax", "flat")])
 @pytest.mark.parametrize("sel", [ad.LinearCost(), ad.EqRhs(), ad.IneqRhs(), _matrix_direction],
                          ids=lambda sel: "matrix-Direction" if callable(sel) else type(sel).__name__)
-def test_float32_sweep_matches_float64(request, suite, monkeypatch, sweep_dtypes, sel, shape,
-                                      rho):
+def test_float32_sweep_matches_float64(suite, monkeypatch, sweep_dtypes, sel, shape, rho):
     """At eps = 1e-3 every folded sweep of a vector parameter (the k x k core
-    for LinearCost with k < n, else n-space) runs in float32 and stays within
-    float32 round-off of its float64 run, with the same iterations and the
-    same x; also with flat curvature (large ||H^-1||) and at a rho other
-    than 1. A matrix Direction keeps float64: in float32 its blocks here
-    moved by up to 2.8e-6 (1 + their norm) on the flat problem."""
-    if (shape, rho, type(sel)) == ("flat", 0.7, ad.IneqRhs):
-        request.applymarker(_F32_FLAT_DRIFT)
+    for LinearCost with k < n, else n-space) on a well-conditioned H runs in
+    float32 and stays within float32 round-off of its float64 run, with the
+    same iterations and the same x; also at a rho other than 1. Flat
+    curvature (large ||H^-1||) and a matrix Direction keep float64, bit for
+    bit: in float32 a matrix Direction's blocks moved by up to 2.8e-6
+    (1 + their norm) on the flat problem."""
     p = _precision_problem(suite, shape)
     matrix = callable(sel)
     sel = sel(p) if matrix else sel
     cfg = ad.SolverConfig(rho=rho, eps=1e-3)
-    rep32 = ad.differentiate(p, sel, cfg)
+    rep = ad.differentiate(p, sel, cfg)
     rep64 = _float64_run(monkeypatch, p, sel, cfg)
-    assert sweep_dtypes == [np.float64 if matrix else np.float32, np.float64]
-    _assert_f32_close(rep32, rep64)
+    f64 = matrix or shape == "flat"
+    assert sweep_dtypes == [np.float64 if f64 else np.float32, np.float64]
+    if f64:
+        _assert_identical(rep, rep64)
+    else:
+        _assert_f32_close(rep, rep64)
+
+
+@pytest.mark.parametrize("dims, sel", [((200, 70, 30), ad.LinearCost()),
+                                       ((400, 130, 50), ad.EqRhs())],
+                         ids=["qp-layer", "qp-dense"])
+def test_benchmark_shapes_pick_float32(dims, sel):
+    """The random QPs of the benchmark workloads estimate ||H^-1||_1 at
+    about 0.2, far under FLOAT32_MAX_INV_NORM, so eps = 1e-3 runs float32."""
+    for seed in range(3):
+        p = bench.gen_random_qp(*dims, seed)
+        sweep = backward._make_sweep(p, theta_partials(p, sel), ad.SolverConfig(eps=1e-3))
+        assert sweep.dtype == np.float32, seed
 
 
 @pytest.mark.parametrize("sel", [ad.LinearCost(), ad.IneqRhs()],

@@ -41,6 +41,33 @@ def test_primal_update_general_convex_newton():
     assert abs(x[0]) < 1e-8
 
 
+def test_newton_backtracks_from_overshooting_step(monkeypatch):
+    # sum_i sqrt(1 + (x_i - c_i)^2) from x = 0: its full Newton step maps
+    # t = x - c to -t^3, so from t = -+3 it lands at x = +-30 and Armijo
+    # must halve it. The optimum is x = c, and dx/dq = -f''(c)^-1 = -I.
+    c = np.array([3.0, -3.0])
+    p = ad.ProblemSpec.general(
+        n=2,
+        value=lambda x: float(np.sum(np.sqrt(1.0 + (x - c) ** 2))),
+        gradient=lambda x: (x - c) / np.sqrt(1.0 + (x - c) ** 2),
+        hessian=lambda x: np.diag((1.0 + (x - c) ** 2) ** -1.5),
+    )
+    tried, value = [], forward._lagrangian_value
+
+    def spy(p, x, *args):
+        tried.append(x.copy())
+        return value(p, x, *args)
+
+    monkeypatch.setattr(forward, "_lagrangian_value", spy)
+    rep = ad.differentiate(p, ad.LinearCost(), ad.SolverConfig(eps=1e-10))
+    # the merit value at x = 0, the full step, then its half
+    assert np.array_equal(tried[0], [0.0, 0.0])
+    assert np.allclose(tried[1], [30.0, -30.0]) and np.allclose(tried[2], [15.0, -15.0])
+    assert rep.forward.converged
+    assert np.allclose(rep.x, c, atol=1e-9)
+    assert np.allclose(rep.Jx, -np.eye(2), atol=1e-9)
+
+
 def test_slack_update_examples():
     cfg = ad.SolverConfig(rho=1.0)
     G = np.eye(2)

@@ -75,6 +75,18 @@ def test_softmax_matches_classical():
     assert np.abs(rep.x - soft).max() <= 1e-6
 
 
+def test_softmax_cost_direction_matches_finite_differences():
+    # A Direction(dq=v) shifts a callback objective's linear term by t v;
+    # finite differences re-solve those shifted problems.
+    rng = np.random.default_rng(4)
+    p = ad.build(ad.SoftmaxLayer(y=rng.standard_normal(4), u=np.full(4, 5.0)))
+    sel = ad.Direction(dq=rng.standard_normal(4))
+    assert np.array_equal(ad.perturb(p, sel, [0.5]).objective.lin, 0.5 * sel.dq)
+    rep = ad.differentiate(p, sel, ad.SolverConfig(eps=1e-10))
+    fd = ad.finite_diff_jacobian(p, sel)
+    assert np.abs(rep.Jx - fd).max() <= 1e-6 * (1 + np.abs(fd).max())
+
+
 def test_infeasible_box_rejected():
     with pytest.raises(InfeasibleLayer):
         ad.build(ad.SparsemaxLayer(y=np.zeros(3), u=np.full(3, 0.2)))

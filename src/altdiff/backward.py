@@ -238,25 +238,23 @@ def direct_term(p: ProblemSpec, pt: ThetaPartials, rho: float) -> np.ndarray:
     Constant across iterations for every selector, so it is computed once per
     differentiation run.
     """
-    con = p.constraints
-    out = -rho * _times_d_rhs(np.vstack([con.A, con.G]).T, pt.d_rhs)
+    out = -rho * _times_d_rhs(p.constraints.C.T, pt.d_rhs)
     if pt.dq is not None:
         out += pt.dq
     return out
 
 
-def _direction_terms(C: np.ndarray, rhs: np.ndarray, pt: ThetaPartials, st: AdmmState,
-                     x_new: np.ndarray, rho: float, out: np.ndarray) -> np.ndarray:
+def _direction_terms(con: Polyhedron, pt: ThetaPartials, st: AdmmState, x_new: np.ndarray,
+                     rho: float, out: np.ndarray) -> np.ndarray:
     """Add a matrix Direction's terms in x of the mixed partial to out, at x_new
     and the pre-update s, lam, nu: dP x + dC'(z + rho r) + rho C'(dC x) with
     z = [lam; nu] and r = C x - [b; h] + [0; s]."""
     if pt.dP is not None:
         out += (pt.dP @ x_new).reshape(-1, 1)
     if pt.dC is not None:
-        r = C @ x_new - rhs
-        r[len(st.lam):] += st.s
         z = np.concatenate([st.lam, st.nu])
-        out += (pt.dC.T @ (z + rho * r) + rho * (C.T @ (pt.dC @ x_new))).reshape(-1, 1)
+        r = con.residual(x_new, st.s)
+        out += (pt.dC.T @ (z + rho * r) + rho * (con.C.T @ (pt.dC @ x_new))).reshape(-1, 1)
     return out
 
 
@@ -267,7 +265,8 @@ def mixed_partial(p: ProblemSpec, sel: ParamSelector, st: AdmmState, jac: Jacobi
     The slack and duals carry their stored Jacobians, so their contribution
     is A'Jlam + G'Jnu + rho G'Js; the explicit theta dependence of q, b, h
     (and, in Direction mode, of P, A, G) adds the direct terms. The sweeps
-    take it as direct + [A; G]'Y; the tests keep this form as reference.
+    take it as direct + [A; G]'Y plus _direction_terms; the tests keep this
+    form, written out from the A, b, G, h blocks, as reference.
     """
     con = p.constraints
     pt = theta_partials(p, sel)
@@ -276,8 +275,17 @@ def mixed_partial(p: ProblemSpec, sel: ParamSelector, st: AdmmState, jac: Jacobi
         out += con.A.T @ jac.Jlam
     if con.n_ineq:
         out += con.G.T @ (jac.Jnu + rho * jac.Js)
-    C, rhs = np.vstack([con.A, con.G]), np.concatenate([con.b, con.h])
-    return _direction_terms(C, rhs, pt, st, x_new, rho, out)
+    if pt.dP is not None:
+        out += (pt.dP @ x_new).reshape(-1, 1)
+    if pt.dC is not None:
+        # dA'(lam + rho (A x - b)) + dG'(nu + rho (G x + s - h))
+        # + rho A'(dA x) + rho G'(dG x); the d[b; h] terms are direct.
+        dA, dG = pt.dC[:con.n_eq], pt.dC[con.n_eq:]
+        terms = (dA.T @ (st.lam + rho * (con.A @ x_new - con.b))
+                 + dG.T @ (st.nu + rho * (con.G @ x_new + st.s - con.h))
+                 + rho * (con.A.T @ (dA @ x_new)) + rho * (con.G.T @ (dG @ x_new)))
+        out += terms.reshape(-1, 1)
+    return out
 
 
 def _norm(v: np.ndarray) -> float:
@@ -310,9 +318,8 @@ class _Sweep:
     jx_norm: Optional[float] = 0.0
 
     def __init__(self, con: Polyhedron, rho: float, dtype=np.float64):
+        self.con, self.C = con, con.C  # C = [A; G]
         self.p_eq, self.rho, self.dtype = con.n_eq, rho, dtype
-        self.C = np.vstack([con.A, con.G])
-        self.rhs = np.concatenate([con.b, con.h])  # [b; h]
         k = self.C.shape[0]
         # sigma, sigma g and rho sigma over all k rows
         self.sigma, self.sg = np.ones(k, dtype), np.ones(k, dtype)
@@ -326,7 +333,7 @@ class _Sweep:
         rho, p_eq = self.rho, self.p_eq
         self.st, self.x = st, x
         r = self.C @ x
-        r -= self.rhs
+        r -= self.con.rhs
         r_eq, r_in = r[:p_eq], r[p_eq:]
         lam = st.lam + rho * r_eq
         self.u = u = st.nu + rho * r_in
@@ -430,7 +437,7 @@ class _QuadraticSweep(_Sweep):
             hinv_q = sol[:, k]
             hinv_dq = sol[:, k + 1:] if pt.dq is not None else None
         # The x-step at z = 0.
-        self.x0 = rho * (self.W @ self.rhs) - hinv_q
+        self.x0 = rho * (self.W @ self.con.rhs) - hinv_q
         self.z = np.empty(k)
         if pt.m_theta:
             self._init_jacobian(pt, hinv_dq)
@@ -462,8 +469,8 @@ class _QuadraticSweep(_Sweep):
         jx -= self.Hd
         if self.pt.matrix:
             terms = np.zeros((jx.shape[0], 1))
-            jx -= self.fact.solve(_direction_terms(self.C, self.rhs, self.pt, self.st, self.x,
-                                                   self.rho, terms))
+            jx -= self.fact.solve(_direction_terms(self.con, self.pt, self.st, self.x, self.rho,
+                                                   terms))
         self.dual_tail(s_new)
 
 
@@ -575,7 +582,7 @@ class _GeneralSweep(_Sweep):
 
     def run(self, s_new: np.ndarray) -> None:
         mixed = self.direct + self.C.T @ self.y
-        _direction_terms(self.C, self.rhs, self.pt, self.st, self.x, self.rho, mixed)
+        _direction_terms(self.con, self.pt, self.st, self.x, self.rho, mixed)
         np.negative(self.fact.solve(mixed), out=self.jx_next)
         self.dual_tail(s_new)
 
@@ -592,8 +599,7 @@ def _make_sweep(p: ProblemSpec, pt: ThetaPartials, cfg: SolverConfig) -> _Sweep:
     if not isinstance(p.objective, QuadraticObjective):
         return _GeneralSweep(p, pt, cfg)
     fact = xstep_factor(p, cfg.rho)
-    con = p.constraints
-    core = pt.eye and fact.spd and con.n_eq + con.n_ineq < p.n
+    core = pt.eye and fact.spd and p.constraints.C.shape[0] < p.n
     f32 = (pt.m_theta and not pt.matrix and cfg.eps >= FLOAT32_MIN_EPS and fact.spd
            and fact.inverse_norm() <= FLOAT32_MAX_INV_NORM)
     sweep = _CostCoreSweep if core else _QuadraticSweep

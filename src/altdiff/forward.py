@@ -103,8 +103,7 @@ def penalty_matrix(p: ProblemSpec, rho: float) -> np.ndarray:
     evaluates as a symmetric rank-k update, so the result is exactly
     symmetric. With no constraint rows it is the n x n zero matrix.
     """
-    con = p.constraints
-    C = np.vstack([con.A, con.G])
+    C = p.constraints.C
     out = C.T @ C
     out *= rho
     return out
@@ -121,24 +120,14 @@ def xstep_factor(p: ProblemSpec, rho: float, x: Optional[np.ndarray] = None,
 
 def lagrangian_gradient(p: ProblemSpec, x, s, lam, nu, rho: float) -> np.ndarray:
     con = p.constraints
-    g = p.objective.gradient(x)
-    if con.n_eq:
-        g = g + con.A.T @ (lam + rho * (con.A @ x - con.b))
-    if con.n_ineq:
-        g = g + con.G.T @ (nu + rho * (con.G @ x + s - con.h))
-    return g
+    z = np.concatenate([lam, nu])
+    return p.objective.gradient(x) + con.C.T @ (z + rho * con.residual(x, s))
 
 
 def _lagrangian_value(p: ProblemSpec, x, s, lam, nu, rho: float) -> float:
-    con = p.constraints
-    v = p.objective.value(x)
-    if con.n_eq:
-        r = con.A @ x - con.b
-        v += float(lam @ r) + 0.5 * rho * float(r @ r)
-    if con.n_ineq:
-        r = con.G @ x + s - con.h
-        v += float(nu @ r) + 0.5 * rho * float(r @ r)
-    return v
+    r = p.constraints.residual(x, s)
+    z = np.concatenate([lam, nu])
+    return p.objective.value(x) + float(z @ r) + 0.5 * rho * float(r @ r)
 
 
 def primal_update(

@@ -53,6 +53,12 @@ def problem_from_dict(doc: dict) -> ProblemSpec:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed problem document: {exc}") from exc
 
+    def field(key):
+        try:
+            return np.array(obj_doc[key], dtype=float)
+        except KeyError as exc:
+            raise ValueError(f"malformed problem document: objective has no {exc}") from exc
+
     constraints = Polyhedron.build(
         n,
         A=np.array(doc.get("A", []), dtype=float).reshape(-1, n),
@@ -61,17 +67,12 @@ def problem_from_dict(doc: dict) -> ProblemSpec:
         h=doc.get("h", []),
     )
     if kind == "quadratic":
-        objective = QuadraticObjective(
-            P=np.array(obj_doc["P"], dtype=float).reshape(n, n),
-            q=np.array(obj_doc["q"], dtype=float),
-        )
+        objective = QuadraticObjective(P=field("P").reshape(n, n), q=field("q"))
         return ProblemSpec(n=n, objective=objective, constraints=constraints)
     if kind == "sparsemax":
-        p = build(SparsemaxLayer(y=np.array(obj_doc["y"], dtype=float),
-                                 u=np.array(obj_doc["u"], dtype=float)))
+        p = build(SparsemaxLayer(y=field("y"), u=field("u")))
     elif kind == "softmax_entropy":
-        p = build(SoftmaxLayer(y=np.array(obj_doc["y"], dtype=float),
-                               u=np.array(obj_doc["u"], dtype=float)))
+        p = build(SoftmaxLayer(y=field("y"), u=field("u")))
     else:
         raise ValueError(f"unknown objective type {kind!r}")
     # Explicit blocks in the file win over the implied box/simplex.

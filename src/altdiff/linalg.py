@@ -112,7 +112,12 @@ class Factorization:
 
     def inverse_norm(self) -> float:
         """LAPACK pocon's estimate of ||M^-1||_1 from a Cholesky factor: O(n^2)
-        work, no M^-1 formed; a lower bound, usually within a factor of 3."""
+        work, no M^-1 formed; a lower bound, usually within a factor of 3.
+        0.0 for the empty matrix; an LU factor raises ValueError."""
+        if self.n == 0:
+            return 0.0
+        if not self.spd:
+            raise ValueError("inverse_norm needs a Cholesky factor; this factorization is LU")
         c, lower = self.factors
         rcond, _ = scipy.linalg.lapack.dpocon(c, self.norm, uplo="L" if lower else "U")
         return 1.0 / (rcond * self.norm) if rcond > 0 else np.inf

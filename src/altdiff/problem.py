@@ -39,12 +39,13 @@ GRADIENT_CHECK_RTOL = 1e-4
 
 @dataclass(frozen=True)
 class Polyhedron:
-    """Constraint set {x : A x = b, G x <= h}; empty blocks have zero rows."""
+    """Constraint set {x : A x = b, G x <= h}, stored stacked: C = [A; G]
+    (k x n), rhs = [b; h] and n_eq, the number of equality rows. A, b, G and
+    h are views of their row blocks; an empty block has zero rows."""
 
-    A: np.ndarray
-    b: np.ndarray
-    G: np.ndarray
-    h: np.ndarray
+    C: np.ndarray
+    rhs: np.ndarray
+    n_eq: int
 
     @staticmethod
     def build(n: int, A=None, b=None, G=None, h=None) -> "Polyhedron":
@@ -52,15 +53,33 @@ class Polyhedron:
         b = as_vector(b if b is not None else np.zeros(0), size=A.shape[0])
         G = as_matrix(G if G is not None else np.zeros((0, n)), cols=n)
         h = as_vector(h if h is not None else np.zeros(0), size=G.shape[0])
-        return Polyhedron(A=A, b=b, G=G, h=h)
+        return Polyhedron(C=np.vstack([A, G]), rhs=np.concatenate([b, h]), n_eq=A.shape[0])
 
     @property
-    def n_eq(self) -> int:
-        return self.A.shape[0]
+    def A(self) -> np.ndarray:
+        return self.C[: self.n_eq]
+
+    @property
+    def b(self) -> np.ndarray:
+        return self.rhs[: self.n_eq]
+
+    @property
+    def G(self) -> np.ndarray:
+        return self.C[self.n_eq:]
+
+    @property
+    def h(self) -> np.ndarray:
+        return self.rhs[self.n_eq:]
 
     @property
     def n_ineq(self) -> int:
-        return self.G.shape[0]
+        return self.C.shape[0] - self.n_eq
+
+    def residual(self, x: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """C x - [b; h] + [0; s]: [A x - b; G x + s - h] in one product."""
+        r = self.C @ x - self.rhs
+        r[self.n_eq:] += s
+        return r
 
 
 @dataclass(frozen=True)
@@ -181,6 +200,8 @@ def _check_quadratic(obj: QuadraticObjective, n: int) -> None:
     P = obj.P
     if P.shape != (n, n):
         raise DimensionMismatch(f"P has shape {P.shape}, expected ({n}, {n})")
+    if obj.q.shape != (n,):
+        raise DimensionMismatch(f"q has shape {obj.q.shape}, expected ({n},)")
     scale = np.linalg.norm(P)
     if np.linalg.norm(P - P.T) > 1e-10 * scale:
         raise NotSymmetric("quadratic cost matrix is not symmetric")
@@ -232,14 +253,10 @@ def validate(p: ProblemSpec) -> None:
         return
     n = p.n
     con = p.constraints
-    if con.A.shape[1] != n and con.A.shape[0] > 0:
-        raise DimensionMismatch(f"A has {con.A.shape[1]} columns, expected {n}")
-    if con.G.shape[1] != n and con.G.shape[0] > 0:
-        raise DimensionMismatch(f"G has {con.G.shape[1]} columns, expected {n}")
-    if con.b.shape[0] != con.A.shape[0]:
-        raise DimensionMismatch("b length does not match the rows of A")
-    if con.h.shape[0] != con.G.shape[0]:
-        raise DimensionMismatch("h length does not match the rows of G")
+    k = con.rhs.shape[0]
+    if con.C.shape != (k, n) or not 0 <= con.n_eq <= k:
+        raise DimensionMismatch(f"C = [A; G] has shape {con.C.shape} and {con.n_eq} equality "
+                                f"rows; [b; h] has length {k} and x {n}")
     if isinstance(p.objective, QuadraticObjective):
         _check_quadratic(p.objective, n)
     else:
@@ -299,25 +316,17 @@ def perturb(p: ProblemSpec, sel: ParamSelector, delta) -> ProblemSpec:
             obj = _shift_linear(p.objective, delta)
         out = replace(p, objective=obj)
     elif isinstance(sel, EqRhs):
-        out = replace(p, constraints=replace(con, b=con.b + delta))
+        out = replace(p, constraints=Polyhedron.build(p.n, con.A, con.b + delta, con.G, con.h))
     elif isinstance(sel, IneqRhs):
-        out = replace(p, constraints=replace(con, h=con.h + delta))
+        out = replace(p, constraints=Polyhedron.build(p.n, con.A, con.b, con.G, con.h + delta))
     elif isinstance(sel, Direction):
         t = float(delta[0])
-        new_con = replace(
-            con,
-            A=con.A + t * sel.dA if sel.dA is not None else con.A,
-            b=con.b + t * sel.db if sel.db is not None else con.b,
-            G=con.G + t * sel.dG if sel.dG is not None else con.G,
-            h=con.h + t * sel.dh if sel.dh is not None else con.h,
-        )
+        shift = lambda v, dv: v if dv is None else v + t * np.reshape(dv, v.shape)
+        new_con = Polyhedron.build(p.n, shift(con.A, sel.dA), shift(con.b, sel.db),
+                                   shift(con.G, sel.dG), shift(con.h, sel.dh))
         obj = p.objective
         if isinstance(obj, QuadraticObjective):
-            obj = replace(
-                obj,
-                P=obj.P + t * sel.dP if sel.dP is not None else obj.P,
-                q=obj.q + t * sel.dq if sel.dq is not None else obj.q,
-            )
+            obj = replace(obj, P=shift(obj.P, sel.dP), q=shift(obj.q, sel.dq))
         elif sel.dq is not None:
             obj = _shift_linear(obj, t * as_vector(sel.dq, size=p.n))
         out = replace(p, objective=obj, constraints=new_con)

@@ -698,6 +698,16 @@ def test_zero_width_parameter():
     assert ad.finite_diff_jacobian(p, ad.EqRhs()).shape == (1, 0)
 
 
+@pytest.mark.parametrize("eps", [1e-3, 1e-6])
+def test_zero_variables(eps):
+    # eps = 1e-3 reaches the float32 gate, which estimates ||H^-1|| of the
+    # empty factor.
+    p = ad.ProblemSpec.quadratic(P=np.zeros((0, 0)), q=[], A=np.zeros((1, 0)), b=[0.0])
+    rep = ad.differentiate(p, ad.EqRhs(), ad.SolverConfig(eps=eps))
+    assert rep.forward.converged
+    assert rep.Jx.shape == (0, 1) and rep.jac.Jlam.shape == (1, 1)
+
+
 def test_direction_all_blocks_matches_reference(suite):
     # matrix and vector blocks perturbed together: the recursion's
     # direction terms against the one-shot linearized-optimality route

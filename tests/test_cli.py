@@ -6,6 +6,7 @@ import pytest
 
 import altdiff as ad
 from altdiff import bench, cli, io
+from altdiff.errors import DimensionMismatch
 
 
 def test_problem_json_round_trip_quadratic(tmp_path):
@@ -60,6 +61,24 @@ def test_problem_json_rejects_unknown_type():
         io.problem_from_dict({"n": 1, "objective": {"type": "cone"}})
     with pytest.raises(ValueError):
         io.problem_from_dict({"objective": {}})
+
+
+@pytest.mark.parametrize("objective, key", [
+    ({"type": "quadratic", "P": [[1.0]]}, "q"),
+    ({"type": "quadratic", "q": [0.0]}, "P"),
+    ({"type": "sparsemax", "y": [1.0]}, "u"),
+    ({"type": "softmax_entropy", "u": [1.0]}, "y"),
+])
+def test_problem_json_reports_missing_objective_key(objective, key):
+    with pytest.raises(ValueError, match=f"malformed problem document: objective has no '{key}'"):
+        io.problem_from_dict({"n": 1, "objective": objective})
+
+
+def test_problem_json_linear_cost_length_is_validated():
+    p = io.problem_from_dict({"n": 2, "objective": {"type": "quadratic", "P": np.eye(2).tolist(),
+                                                    "q": [1.0, 2.0, 3.0]}})
+    with pytest.raises(DimensionMismatch, match=r"q has shape \(3,\)"):
+        ad.validate(p)
 
 
 def test_cli_check_command(tmp_path, capsys):

@@ -101,6 +101,10 @@ def test_perturb_direction_shifts_blocks():
     d = ad.Direction(db=np.array([1.0, 0.0]))
     out = ad.perturb(p, d, [0.5])
     assert np.array_equal(out.constraints.b, [0.5, 0.0])
+    # Blocks in any layout of the right size, as theta_partials reads them.
+    out = ad.perturb(p, ad.Direction(dq=[[1.0], [2.0]], db=[[1.0, 0.0]]), [0.5])
+    assert np.array_equal(out.objective.q, [0.5, 1.0]) and np.array_equal(out.constraints.b, [0.5, 0.0])
+    ad.validate(out)
 
 
 def test_perturb_wrong_length():
@@ -153,3 +157,62 @@ def test_perturb_general_convex_linear_cost():
     x = np.array([0.3])
     assert shifted.objective.value(x) == pytest.approx(np.exp(0.3) + 0.6)
     assert shifted.objective.gradient(x)[0] == pytest.approx(np.exp(0.3) + 2.0)
+
+
+def _stacked_problem():
+    return ad.ProblemSpec.quadratic(
+        P=np.eye(3), q=np.zeros(3), A=[[1.0, 1.0, 1.0]], b=[1.0],
+        G=[[1.0, 0.0, 0.0], [0.0, -1.0, 2.0]], h=[2.0, 3.0],
+    )
+
+
+def test_polyhedron_blocks_are_views_of_the_stack():
+    con = _stacked_problem().constraints
+    assert con.C.shape == (3, 3) and con.n_eq == 1 and con.n_ineq == 2
+    assert np.array_equal(con.C, [[1.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, -1.0, 2.0]])
+    assert np.array_equal(con.rhs, [1.0, 2.0, 3.0])
+    for block, stack in ((con.A, con.C), (con.G, con.C), (con.b, con.rhs), (con.h, con.rhs)):
+        assert np.shares_memory(block, stack)
+    assert np.array_equal(con.A, [[1.0, 1.0, 1.0]]) and np.array_equal(con.h, [2.0, 3.0])
+
+
+@pytest.mark.parametrize("blocks, n_eq", [
+    (dict(G=-np.eye(2), h=np.zeros(2)), 0),
+    (dict(A=np.ones((1, 2)), b=[1.0]), 1),
+    ({}, 0),
+], ids=["no_A", "no_G", "none"])
+def test_polyhedron_empty_blocks_keep_columns(blocks, n_eq):
+    con = ad.Polyhedron.build(2, **blocks)
+    k = con.C.shape[0]
+    assert con.C.shape == (k, 2) and con.rhs.shape == (k,) and con.n_eq == n_eq
+    assert con.A.shape == (n_eq, 2) and con.b.shape == (n_eq,)
+    assert con.G.shape == (k - n_eq, 2) and con.h.shape == (k - n_eq,)
+
+
+def test_validate_rejects_inconsistent_stack():
+    p = ad.ProblemSpec.quadratic(P=np.eye(2), q=np.zeros(2))
+    bad = [ad.Polyhedron(C=np.ones((2, 2)), rhs=np.ones(3), n_eq=1),
+           ad.Polyhedron(C=np.ones((2, 3)), rhs=np.ones(2), n_eq=1),
+           ad.Polyhedron(C=np.ones((2, 2)), rhs=np.ones(2), n_eq=3)]
+    for con in bad:
+        with pytest.raises(DimensionMismatch):
+            ad.validate(ad.ProblemSpec(n=2, objective=p.objective, constraints=con))
+
+
+@pytest.mark.parametrize("sel, delta, C, rhs", [
+    (ad.EqRhs(), [0.5], None, [1.5, 2.0, 3.0]),
+    (ad.IneqRhs(), [0.5, -1.0], None, [1.0, 2.5, 2.0]),
+    (ad.Direction(dA=[[1.0, 0.0, 0.0]], dG=[[0.0, 0.0, 0.0], [0.0, 2.0, 0.0]], dh=[1.0, 0.0]),
+     [0.5], [[1.5, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]], [1.0, 2.5, 3.0]),
+], ids=["EqRhs", "IneqRhs", "matrix_Direction"])
+def test_perturb_restacks_constraints(sel, delta, C, rhs):
+    p = _stacked_problem()
+    con = p.constraints
+    C0, rhs0 = con.C.copy(), con.rhs.copy()
+    out = ad.perturb(p, sel, delta).constraints
+    assert np.array_equal(out.C, C0 if C is None else C)
+    assert np.array_equal(out.rhs, rhs)
+    assert out.n_eq == 1
+    assert np.array_equal(out.b, out.rhs[:1]) and np.shares_memory(out.h, out.rhs)
+    assert not np.shares_memory(out.rhs, con.rhs) and not np.shares_memory(out.C, con.C)
+    assert np.array_equal(con.C, C0) and np.array_equal(con.rhs, rhs0)

@@ -408,9 +408,9 @@ class _QuadraticSweep(_Sweep):
     """Solver and Jacobian sweep for constant-Hessian problems, every selector.
 
     H^-1 is folded into the constraint matrix at set-up: W, the x-step
-    offset x0 and H^-1 times the direct term come from H^-1 (LAPACK potri
-    on a Cholesky factor) and two products when theta = q, else from one
-    solve against [C' | q | dq]. So the x-step is a matvec and the Jacobian
+    offset x0 and H^-1 times the direct term come from H^-1 (LAPACK potri)
+    and two products when theta = q, else from one solve against
+    [C' | q | dq]. So the x-step is a matvec and the Jacobian
     sweep is two matrix products, evaluated into preallocated buffers; a
     matrix Direction adds one one-column solve for H^-1 times its terms in
     x. step() carries z from sweep to sweep, in float64; the Jacobian sweep
@@ -589,18 +589,17 @@ class _GeneralSweep(_Sweep):
 
 def _make_sweep(p: ProblemSpec, pt: ThetaPartials, cfg: SolverConfig) -> _Sweep:
     """The set-up of a solve: the constraint curvature, for a quadratic
-    objective the one factorization of its constant Hessian, and the sweep.
-    A quadratic takes the folded sweep, on the k x k core for theta = q with
-    k = p + m < n (that needs C H^-1 = W', exact for a Cholesky factor); for
-    a vector parameter it runs in float32 from eps >= FLOAT32_MIN_EPS when
-    pocon estimates ||H^-1||_1 <= FLOAT32_MAX_INV_NORM from a Cholesky
-    factor. Callback objectives run _GeneralSweep, in float64.
+    objective the one (Cholesky) factorization of its constant Hessian, and
+    the sweep. A quadratic takes the folded sweep, on the k x k core for
+    theta = q with k = p + m < n; for a vector parameter it runs in float32
+    from eps >= FLOAT32_MIN_EPS when pocon estimates ||H^-1||_1 <=
+    FLOAT32_MAX_INV_NORM. Callback objectives run _GeneralSweep, in float64.
     """
     if not isinstance(p.objective, QuadraticObjective):
         return _GeneralSweep(p, pt, cfg)
     fact = xstep_factor(p, cfg.rho)
-    core = pt.eye and fact.spd and p.constraints.C.shape[0] < p.n
-    f32 = (pt.m_theta and not pt.matrix and cfg.eps >= FLOAT32_MIN_EPS and fact.spd
+    core = pt.eye and p.constraints.C.shape[0] < p.n
+    f32 = (pt.m_theta and not pt.matrix and cfg.eps >= FLOAT32_MIN_EPS
            and fact.inverse_norm() <= FLOAT32_MAX_INV_NORM)
     sweep = _CostCoreSweep if core else _QuadraticSweep
     return sweep(p, pt, fact, cfg.rho, np.float32 if f32 else np.float64)

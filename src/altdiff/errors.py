@@ -10,7 +10,7 @@ class DimensionMismatch(AltdiffError):
 
 
 class SingularMatrix(AltdiffError):
-    """A factorization pivot fell below the singularity threshold."""
+    """A pivot fell below the singularity threshold, or a Cholesky factorization failed."""
 
 
 class NotSymmetric(AltdiffError):

@@ -53,26 +53,32 @@ def problem_from_dict(doc: dict) -> ProblemSpec:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed problem document: {exc}") from exc
 
-    def field(key):
+    def field(key, *shape):
+        if key not in obj_doc:
+            raise ValueError(f"malformed problem document: objective has no '{key}'")
+        return reshaped(key, obj_doc[key], shape or None)
+
+    def reshaped(key, value, shape):  # value as a float array, of shape unless None
         try:
-            return np.array(obj_doc[key], dtype=float)
-        except KeyError as exc:
-            raise ValueError(f"malformed problem document: objective has no {exc}") from exc
+            a = np.array(value, dtype=float)
+            return a if shape is None else a.reshape(shape)
+        except ValueError as exc:
+            raise ValueError(f"malformed problem document: {key}: {exc}") from exc
 
     constraints = Polyhedron.build(
         n,
-        A=np.array(doc.get("A", []), dtype=float).reshape(-1, n),
+        A=reshaped("A", doc.get("A", []), (-1, n)),
         b=doc.get("b", []),
-        G=np.array(doc.get("G", []), dtype=float).reshape(-1, n),
+        G=reshaped("G", doc.get("G", []), (-1, n)),
         h=doc.get("h", []),
     )
     if kind == "quadratic":
-        objective = QuadraticObjective(P=field("P").reshape(n, n), q=field("q"))
+        objective = QuadraticObjective(P=field("P", n, n), q=field("q"))
         return ProblemSpec(n=n, objective=objective, constraints=constraints)
     if kind == "sparsemax":
-        p = build(SparsemaxLayer(y=field("y"), u=field("u")))
+        p = build(SparsemaxLayer(y=field("y", n), u=field("u", n)))
     elif kind == "softmax_entropy":
-        p = build(SoftmaxLayer(y=field("y"), u=field("u")))
+        p = build(SoftmaxLayer(y=field("y", n), u=field("u", n)))
     else:
         raise ValueError(f"unknown objective type {kind!r}")
     # Explicit blocks in the file win over the implied box/simplex.

@@ -1,9 +1,8 @@
 """Dense linear-algebra kernels: factorizations, reusable solves, inverses.
 
-A factorization serves many right-hand sides. When the whole inverse is
-wanted (the x-step Hessian's H^-1 when differentiating w.r.t. the linear
-cost), inverse() takes it from the factor: LAPACK potri for a Cholesky
-factor, a solve against I for an LU one.
+A factorization serves many right-hand sides. The x-step Hessian takes
+Cholesky, whose factor also gives its inverse (inverse(), LAPACK potri), and
+the oracle's indefinite KKT matrix takes pivoted LU.
 
 Matrices are plain float64 numpy arrays in row-major order. Everything here
 is deterministic: identical inputs give bit-identical outputs.
@@ -89,17 +88,14 @@ class Factorization:
         return scipy.linalg.lu_solve(self.factors, rhs, check_finite=False)
 
     def inverse(self) -> np.ndarray:
-        """M^-1 from this factorization of M.
-
-        A Cholesky factor gives it through LAPACK potri, which fills one
-        triangle; the other is mirrored from it in one masked copy, so the
-        result is exactly symmetric. An LU factor solves against the identity.
-        """
+        """M^-1 from this Cholesky factor of M, through LAPACK potri, which
+        fills one triangle; the other is mirrored from it in one masked copy,
+        so the result is exactly symmetric. An LU factor raises ValueError."""
         n = self.n
         if n == 0:
             return np.zeros((0, 0))
         if not self.spd:
-            return scipy.linalg.lu_solve(self.factors, np.eye(n), check_finite=False)
+            raise ValueError("inverse needs a Cholesky factor; this factorization is LU")
         c, lower = self.factors
         inv, info = scipy.linalg.lapack.dpotri(c, lower=lower)
         if info:
@@ -135,8 +131,7 @@ def _pivot_check(pivots: np.ndarray, scale: float) -> None:
 def factorize(m, spd_hint: bool = False) -> Factorization:
     """Factorize a square matrix for repeated linear solves.
 
-    With spd_hint set, a Cholesky decomposition is attempted first and the
-    pivoted LU routine is used as a fallback when the matrix fails it.
+    spd_hint=True means Cholesky or SingularMatrix; without it, pivoted LU.
     Raises SingularMatrix when a pivot falls below the relative threshold.
     """
     a = as_matrix(m)
@@ -152,11 +147,11 @@ def factorize(m, spd_hint: bool = False) -> Factorization:
     if spd_hint:
         try:
             c, lower = scipy.linalg.cho_factor(a, check_finite=False)
-            # Cholesky pivots are the squared diagonal of the factor.
-            _pivot_check(np.diagonal(c) ** 2, scale)
-            return Factorization(n=n, spd=True, factors=(c, lower), norm=scale)
-        except scipy.linalg.LinAlgError:
-            pass
+        except scipy.linalg.LinAlgError as exc:
+            raise SingularMatrix(f"Cholesky factorization failed: {exc}") from exc
+        # Cholesky pivots are the squared diagonal of the factor.
+        _pivot_check(np.diagonal(c) ** 2, scale)
+        return Factorization(n=n, spd=True, factors=(c, lower), norm=scale)
     with warnings.catch_warnings():
         # Exact-zero pivots are reported through SingularMatrix below.
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)

@@ -8,7 +8,7 @@ from hypothesis import strategies as hst
 import altdiff as ad
 from altdiff import backward, bench, forward, linalg
 from altdiff.backward import JacobianState, theta_partials
-from altdiff.errors import DimensionMismatch
+from altdiff.errors import DimensionMismatch, SingularMatrix
 from altdiff.reference import KKT_POINT_RTOL
 from conftest import SUITE_M, SUITE_N, SUITE_P, SUITE_RHO, cosine, make_suite_qp
 
@@ -266,6 +266,20 @@ def test_weak_activity_warning():
     assert rep.weakly_active_warning
 
 
+@pytest.mark.parametrize("solve", [ad.admm_solve, lambda p: ad.differentiate(p, ad.LinearCost()),
+                                   lambda p: ad.differentiate(p, ad.IneqRhs())],
+                         ids=["admm_solve", "LinearCost", "IneqRhs"])
+def test_indefinite_xstep_hessian_raises(solve):
+    # P passes validate (its negative eigenvalue is within PSD_TOL), but the
+    # problem is unbounded below along x2, which no constraint bounds: the
+    # x-step Hessian diag(1 + rho, -5e-9) has no Cholesky factor, and the
+    # sweeps' fixed point x = (0, 2e5) is a saddle, not a solution.
+    p = ad.ProblemSpec.quadratic(P=np.diag([1.0, -5e-9]), q=[0.0, 1e-3], G=[[1.0, 0.0]], h=[1.0])
+    ad.validate(p)
+    with pytest.raises(SingularMatrix, match="Cholesky factorization failed"):
+        solve(p)
+
+
 def _suite_direction(matrix):
     """A Direction on the suite's shape in (q, b, h), with dA and dG too if matrix."""
     rng = np.random.default_rng(5)
@@ -433,18 +447,6 @@ def test_fused_sweep_matches_reference_updates(suite, core_sweeps, sel, shape):
     _assert_sweep_matches(rep, p, sel, cfg)
 
 
-def test_lu_factor_keeps_nspace_sweep(suite, core_sweeps, monkeypatch):
-    # The core needs C H^-1 = W', exact for a Cholesky factor only; an LU
-    # factor of the same Hessian keeps the n-space sweep.
-    monkeypatch.setattr(forward, "factorize", lambda m, spd_hint=False: ad.factorize(m))
-    p = suite.problem(8)
-    cfg = ad.SolverConfig(rho=SUITE_RHO, eps=1e-6)
-    rep = ad.differentiate(p, ad.LinearCost(), cfg)
-    assert not rep.forward.hessian_factorization.spd
-    assert not core_sweeps
-    _assert_sweep_matches(rep, p, ad.LinearCost(), cfg)
-
-
 def test_core_factors_nothing_of_rank_deficient_constraints(suite, core_sweeps, monkeypatch):
     """The core takes no QR (or any other factor) of W = H^-1 [A; G]', so
     repeated constraint rows (k < n) run it like any other problem, and its
@@ -462,12 +464,14 @@ def test_core_factors_nothing_of_rank_deficient_constraints(suite, core_sweeps, 
     assert ((err <= 1e-4 * np.abs(fd)) | (err <= 1e-8)).all()
 
 
-@pytest.mark.parametrize("matrix", [False, True], ids=["vector", "matrix"])
-def test_vector_direction_sweep_matches_reference_updates(suite, matrix):
+@pytest.mark.parametrize("direction", [lambda p: _suite_direction(False),
+                                       lambda p: _suite_direction(True), _matrix_direction],
+                         ids=["vector", "matrix", "matrix-dP"])
+def test_vector_direction_sweep_matches_reference_updates(suite, direction):
     # A direction in (q, b, h) only runs the fused sweep with one dq column;
-    # with dA and dG as well, the same sweep adds their terms in x.
+    # with dA and dG (and dP) as well, the same sweep adds their terms in x.
     p = suite.problem(8)
-    sel = _suite_direction(matrix)
+    sel = direction(p)
     cfg = ad.SolverConfig(rho=SUITE_RHO, eps=1e-6)
     _assert_sweep_matches(ad.differentiate(p, sel, cfg), p, sel, cfg)
 

@@ -89,13 +89,29 @@ def test_run_case_deterministic_accuracy_fields():
     assert a.iterations == b.iterations
 
 
+def _run_case_on(monkeypatch, problem):
+    monkeypatch.setattr(bench, "case_problem", lambda case: problem)
+    return bench.run_case(bench.BenchCase(name="degen", n=problem.n, m_ineq=1, p_eq=1, seed=0))
+
+
 def test_run_case_flags_weak_activity(monkeypatch):
+    # Active with a zero multiplier: the oracle's strict-complementarity guard
+    # raises before the weak-activity branch is reached.
     degenerate = ad.ProblemSpec.quadratic(P=[[1.0]], q=[0.0], G=[[1.0]], h=[0.0])
-    monkeypatch.setattr(bench, "case_problem", lambda case: degenerate)
-    case = bench.BenchCase(name="degen", n=1, m_ineq=1, p_eq=1, seed=0)
-    record = bench.run_case(case)
+    record = _run_case_on(monkeypatch, degenerate)
     assert record.cosine is None
-    assert record.error != ""
+    assert record.error == "SingularKkt: strict complementarity fails on constraints [0]"
+
+
+def test_run_case_omits_cosine_when_weakly_active(monkeypatch):
+    # x1 <= 5e-7 holds with margin 5e-7 and a zero multiplier: weakly active
+    # under WEAK_ACTIVITY_TOL (1e-6), but the margin clears the oracle's 1e-8
+    # strict-complementarity guard.
+    weak = ad.ProblemSpec.quadratic(P=np.eye(2), q=np.zeros(2), A=[[0.0, 1.0]], b=[1.0],
+                                    G=[[1.0, 0.0]], h=[5e-7])
+    record = _run_case_on(monkeypatch, weak)
+    assert record.cosine is None
+    assert record.error == "weakly active constraint; cosine omitted"
 
 
 def test_run_case_layer_kinds():

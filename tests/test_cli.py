@@ -74,6 +74,27 @@ def test_problem_json_reports_missing_objective_key(objective, key):
         io.problem_from_dict({"n": 1, "objective": objective})
 
 
+_QP_2 = {"type": "quadratic", "P": [[1.0, 0.0], [0.0, 1.0]], "q": [0.0, 0.0]}
+
+
+@pytest.mark.parametrize("doc, match", [
+    ({"n": 2, "objective": {"type": "sparsemax", "y": [0.5, 0.5, 0.1], "u": [1, 1, 1]}},
+     r"y: cannot reshape array of size 3 into shape \(2,\)"),
+    ({"n": 2, "objective": {"type": "softmax_entropy", "y": [0.5, 0.5], "u": [1, 1, 1]}},
+     r"u: cannot reshape array of size 3 into shape \(2,\)"),
+    ({"n": 2, "objective": {"type": "quadratic", "P": [[1.0]], "q": [0.0, 0.0]}},
+     r"P: cannot reshape array of size 1 into shape \(2,2\)"),
+    ({"n": 2, "objective": _QP_2, "A": [[1.0, 1.0, 1.0]], "b": [1.0]},
+     r"A: cannot reshape array of size 3"),
+    ({"n": 2, "objective": _QP_2, "G": [1.0, 1.0, 1.0], "h": [1.0]},
+     r"G: cannot reshape array of size 3"),
+], ids=["sparsemax-y", "softmax-u", "P", "A", "G"])
+def test_problem_json_reports_wrong_block_size(doc, match):
+    # A layer's y and u must have n entries; P, A and G must reshape to n columns.
+    with pytest.raises(ValueError, match="malformed problem document: " + match):
+        io.problem_from_dict(doc)
+
+
 def test_problem_json_linear_cost_length_is_validated():
     p = io.problem_from_dict({"n": 2, "objective": {"type": "quadratic", "P": np.eye(2).tolist(),
                                                     "q": [1.0, 2.0, 3.0]}})

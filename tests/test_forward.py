@@ -200,6 +200,22 @@ def test_newton_diverged_raised_without_progress(monkeypatch):
         forward.primal_update(p, _state([5.0], [], [], []), ad.SolverConfig())
 
 
+def test_indefinite_callback_hessian_raises_at_first_newton_step():
+    # Hessian diag(1, -1): the first Newton step's factorization fails.
+    from altdiff import linalg
+    from altdiff.errors import SingularMatrix
+    p = ad.ProblemSpec.general(
+        n=2,
+        value=lambda x: float(0.5 * x[0] ** 2 - 0.5 * x[1] ** 2 + x[1]),
+        gradient=lambda x: np.array([x[0], 1.0 - x[1]]),
+        hessian=lambda x: np.diag([1.0, -1.0]),
+    )
+    before = linalg.factorization_count()
+    with pytest.raises(SingularMatrix, match="Cholesky factorization failed"):
+        ad.admm_solve(p)
+    assert linalg.factorization_count() == before + 1
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         ad.SolverConfig(rho=0.0)

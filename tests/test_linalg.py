@@ -50,9 +50,12 @@ def test_singular_matrix_detected():
         linalg.factorize(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
-def test_spd_hint_falls_back_to_lu():
+def test_spd_hint_rejects_indefinite_matrix():
     m = np.array([[0.0, 1.0], [1.0, 0.0]])  # indefinite, Cholesky must fail
-    f = linalg.factorize(m, spd_hint=True)
+    with pytest.raises(SingularMatrix, match="Cholesky factorization failed"):
+        linalg.factorize(m, spd_hint=True)
+    # The same matrix without the hint takes pivoted LU.
+    f = linalg.factorize(m, spd_hint=False)
     assert not f.spd
     assert np.allclose(f.solve(np.array([1.0, 2.0])), [2.0, 1.0])
 
@@ -163,8 +166,8 @@ def test_inverse_from_lu_factor():
     m = rng.standard_normal((8, 8)) + 16 * np.eye(8)  # nonsymmetric
     f = linalg.factorize(m, spd_hint=False)
     assert not f.spd
-    np.testing.assert_allclose(f.inverse() @ m, np.eye(8), atol=1e-13)
-    np.testing.assert_allclose(f.inverse(), f.solve(np.eye(8)), rtol=1e-12)
+    with pytest.raises(ValueError, match="Cholesky"):
+        f.inverse()
 
 
 def test_inverse_of_empty_matrix():
@@ -175,10 +178,8 @@ def test_inverse_of_empty_matrix():
 
 def test_inverse_makes_no_factorization():
     f = linalg.factorize(_spd(5), spd_hint=True)
-    g = linalg.factorize(_spd(5) + np.triu(np.ones((5, 5)), 1))
     before = linalg.factorization_count()
     f.inverse()
-    g.inverse()
     assert linalg.factorization_count() == before
 
 
@@ -195,7 +196,7 @@ def test_inverse_norm_of_empty_matrix():
 
 
 def test_inverse_norm_rejects_lu_factor():
-    f = linalg.factorize(np.array([[0.0, 1.0], [1.0, 0.0]]), spd_hint=True)
+    f = linalg.factorize(np.array([[0.0, 1.0], [1.0, 0.0]]), spd_hint=False)
     assert not f.spd
     with pytest.raises(ValueError, match="Cholesky"):
         f.inverse_norm()

@@ -3,20 +3,28 @@
 Writing J* for the derivative of an iterate with respect to the selected
 parameter theta, each solver sweep is followed by one sweep of the
 linearized updates. With C = [A; G], Y = [Jlam; Jnu + rho Js] and
-c = rho d(C x - [b; h]) at the new Jx,
+c = d(C x - [b; h]) at the new Jx,
 
     Jx <- -H(x)^-1 * d/dtheta grad_x L(x, s, lam, nu)
-    Y  <- sigma (g Y + c)        (row by row)
+    Y  <- sigma (g' Y + alpha rho c)        (row by row)
 
-where H(x) is the factorization already produced by the x-step. The slack
-step is a ReLU, and its derivative a sign gate: sigma is +1 on rows whose
-new slack is 0 and -1 on the others, g is 1 on rows whose slack was 0 on
-the previous sweep (else 0), both are 1 on equality rows. Y is the only
-dual-side state; at the end Jlam = Y_eq, a closed row has Jnu = Y_in and
-Js = 0, an open one Js = Y_in / rho and Jnu = 0. The recursion keeps a
-single Jacobian state (previous iterates are overwritten) and converges to
-the derivative of the optimality system, so no solver trajectory is stored,
-and stopping early yields a Jacobian whose error tracks the iterate's.
+where H(x) is the factorization already produced by the x-step and alpha
+the sweep's over-relaxation (forward.RELAXATION from the second sweep on, 1
+on the first; see forward). The slack step is a ReLU of
+u = nu + rho r_hat_in, and its derivative a sign gate: sigma is +1 on rows
+whose new slack is 0 and -1 on the others. g' is the derivative of u in
+the previous z_in = nu + rho s: 1 on rows whose slack was 0 on the previous
+sweep and alpha - 1 on the others, so 0 there on the plain first sweep;
+equality rows take 1 and alpha rho. The sweeps keep sg = sigma g' and
+rs = alpha rho sigma. Y starts at the derivative of the initial z: rho d h
+on the rows whose initial slack max(0, h - G x0) is positive, where sigma
+starts at -1, so a Jx stopped after any sweep is the derivative of that
+sweep's x. Y is the only dual-side state; at the end Jlam = Y_eq, a closed
+row has Jnu = Y_in and Js = 0, an open one Js = Y_in / rho and Jnu = 0.
+The recursion keeps a single Jacobian state (previous iterates are
+overwritten) and converges to the derivative of the optimality system, so
+no solver trajectory is stored, and stopping early yields a Jacobian whose
+error tracks the iterate's.
 
 For a quadratic objective H is constant, and the x-step and the mixed
 partial are the same affine map through W = H^-1 C': with
@@ -25,7 +33,7 @@ z = [lam; nu + rho s],
     x  = x0 - W z,          x0 = -H^-1 q + rho W [b; h]
     Jx = -(Hd + W Y),       Hd = H^-1 dq - rho W d[b; h]/dtheta
 
-and the forward step takes the same gate: with u = nu + rho (G x - h), the
+and the forward step takes the same gate: with u = nu + rho r_hat_in, the
 new nu is max(u, 0), the new s is (nu - u) / rho, and z_in = |u| = sigma u.
 Set-up factorizes H once (_QuadraticSweep). Each sweep is then one matvec
 with W for x, one with C for the residuals the slack and dual steps share,
@@ -42,10 +50,11 @@ d[A; G], so no sweep splits them; only the oracle reads their rows apart.
 For theta = q with k = p + m < n, the Jacobian recursion runs on a k x k
 core instead (_CostCoreSweep): every iterate has the form
 Jx = -(H^-1 + W T W') with T k x k, and the gate folds into one k x k
-product per sweep (about 2 k^3 flops, against 4 n^2 k in n-space); Jx is
-formed once, at the end. The b and h selectors keep the n-space sweep: on
-a k x k core their per-iteration cost would grow with n more slowly than
-acceptance criterion 5's band (measured on IneqRhs) allows.
+product per sweep (about 2 k^3 flops, against 4 n^2 k in n-space), into
+which alpha folds as a row scaling; Jx is formed once, at the end. The b
+and h selectors keep the n-space sweep: on a k x k core their
+per-iteration cost would grow with n more slowly than acceptance
+criterion 5's band (measured on IneqRhs) allows.
 
 Every solve runs one loop (_solve) over one of three sweeps, picked at
 set-up: the two above for a quadratic objective, and _GeneralSweep for a
@@ -62,11 +71,13 @@ the stopping sweep is the one every step would give.
 Precision. Stopped at tolerance eps, the recursion leaves a Jacobian error
 of the iterate's order, about eps and up. Float32 round-off (6e-8) is far
 below that once eps >= FLOAT32_MIN_EPS, though what the sweeps gather of it
-grows with ||H^-1||; so there, for an estimated ||H^-1||_1 at most
-FLOAT32_MAX_INV_NORM, the two folded sweeps hold their Jacobian state (W,
-C, Hd, d[b; h], Y and the Jx buffers; on the core M, B, T, G and K) in
-float32 and each product runs at single precision, at about twice the
-speed. Their set-up products are formed in float64 and cast once. The
+grows with ||H^-1|| and with the sweep count, which runs long where the
+penalty rho C'C outweighs P; so there, for an estimated ||H^-1||_1 at most
+FLOAT32_MAX_INV_NORM and a P that carries at least
+FLOAT32_MIN_CURVATURE_SHARE of tr H, the two folded sweeps hold their
+Jacobian state (W, C, Hd, d[b; h], Y and the Jx buffers; on the core -M, B,
+T, G and K) in float32 and each product runs at single precision, at about
+twice the speed. Their set-up products are formed in float64 and cast once. The
 solver step stays float64 (x, the slack and so the sign gate, the
 residuals), so every x iterate is the float64 one; the Jacobian blocks and
 the Jacobian step the stopping rule reads carry float32 noise, about 1e-7
@@ -96,6 +107,7 @@ from .forward import (
     initial_state,
     penalty_matrix,
     primal_update,
+    relaxation,
     xstep_factor,
 )
 from .linalg import NORM_FLOOR, Factorization
@@ -121,9 +133,15 @@ WEAK_ACTIVITY_TOL = 1e-6
 # rarely moves: on random QPs at 1e-3 by one sweep in 2 of 682 solves, at
 # 1e-4 in about 2%. The round-off grows with ||H^-1||, so float32 also needs
 # pocon's estimate of ||H^-1||_1 within the cap: with P / 1 to P / 100 the
-# solves under it stayed within 2.2e-7 (flat P with k >= n still drifts).
+# solves under it stayed within 2.2e-7. It grows with the sweep count too,
+# which ||H^-1|| does not see where k >= n rows keep rho C'C full rank: P's
+# share of tr H = tr P + rho ||C||_F^2 must reach the floor. Below it the
+# penalty dominates and the sweeps run hundreds long: random QPs with
+# P / 100 and P / 1000 that drifted over 1e-6 under the cap read 0.015 or
+# less; unit-scale ones read 0.27 and up, the benchmark's QPs about 0.7.
 FLOAT32_MIN_EPS = 1e-3
 FLOAT32_MAX_INV_NORM = 100.0
+FLOAT32_MIN_CURVATURE_SHARE = 0.1
 
 # Per-thread count of JacobianState constructions, so tests can assert that a
 # solve allocates exactly one state and overwrites it in place, also while
@@ -308,7 +326,7 @@ class _Sweep:
 
     The sweep owns the Jacobian iterate: each subclass allocates the Y and
     Jx buffers it steps (self.jx starts at Jx = 0), at nonzero width only.
-    dtype is their precision and that of sigma, sigma g and rho sigma:
+    dtype is their precision and that of sigma, sigma g' and alpha rho sigma:
     _make_sweep picks float32 for some folded sweeps (the module docstring
     says which and why); finish() and trace_point() hand out float64.
     """
@@ -317,26 +335,38 @@ class _Sweep:
     # starts from Jx = 0.
     jx_norm: Optional[float] = 0.0
 
-    def __init__(self, con: Polyhedron, rho: float, dtype=np.float64):
+    def __init__(self, con: Polyhedron, rho: float, s0: np.ndarray, dtype=np.float64):
         self.con, self.C = con, con.C  # C = [A; G]
         self.p_eq, self.rho, self.dtype = con.n_eq, rho, dtype
         k = self.C.shape[0]
-        # sigma, sigma g and rho sigma over all k rows
+        # sigma, sigma g' and alpha rho sigma over all k rows. The first
+        # sweep gates against the solve's initial slack s0: its positive
+        # rows are open.
         self.sigma, self.sg = np.ones(k, dtype), np.ones(k, dtype)
-        self.rs = np.full(k, rho, dtype)
+        self.sigma[self.p_eq:][s0 > 0.0] = -1.0
+        self.rs = np.empty(k, dtype)  # gate() writes all of it
+        self.alpha = 1.0  # this sweep's relaxation, set by slack_dual()
 
     def slack_dual(self, st: AdmmState, x: np.ndarray) -> tuple:
         """The slack and dual steps at the new x, from one residual
-        r = C x - [b; h]: lam + rho r_eq, and with u = nu + rho r_in the new
-        nu = max(u, 0) and s = (nu - u) / rho. Returns step()'s tuple. Keeps
-        u, x and the pre-update st, where a Direction's terms in x are taken."""
+        r = C x - [b; h] relaxed to r_hat = alpha r - (1 - alpha) [0; s_prev]:
+        lam + rho r_hat_eq, and with u = nu + rho r_hat_in the new
+        nu = max(u, 0) and s = (nu - u) / rho. Returns step()'s tuple, whose
+        residual norms are r's. Keeps alpha, u, x and the pre-update st,
+        where a Direction's terms in x are taken."""
         rho, p_eq = self.rho, self.p_eq
         self.st, self.x = st, x
+        self.alpha = a = relaxation(st.k)
         r = self.C @ x
         r -= self.con.rhs
         r_eq, r_in = r[:p_eq], r[p_eq:]
-        lam = st.lam + rho * r_eq
-        self.u = u = st.nu + rho * r_in
+        # r_hat as r + (alpha - 1)(r + [0; s_prev]), r where r + [0; s_prev] = 0
+        r_hat = r.copy()
+        r_hat[p_eq:] += st.s
+        r_hat *= a - 1.0
+        r_hat += r
+        lam = st.lam + rho * r_hat[:p_eq]
+        self.u = u = st.nu + rho * r_hat[p_eq:]
         nu = np.maximum(u, 0.0)
         s = nu - u
         s /= rho
@@ -344,23 +374,31 @@ class _Sweep:
         return x, s, lam, nu, _norm(r_eq), _norm(r_in)
 
     def _init_dual_side(self, pt: ThetaPartials, n: int) -> None:
-        """What dual_tail() reads and steps: d[b; h], C, Y, c, Jx."""
-        k, mt, dt = self.C.shape[0], pt.m_theta, self.dtype
+        """What dual_tail() reads and steps: d[b; h], C, Y, c, Jx. Y starts
+        at the derivative of the initial z = [0; rho s0]: rho d h on the
+        rows where s0 = max(0, h - G x0) is open."""
+        k, mt, dt, p = self.C.shape[0], pt.m_theta, self.dtype, self.p_eq
         self.pt, self.d_rhs = pt, pt.d_rhs.astype(dt, copy=False)
         self.Cj = self.C.astype(dt, copy=False)  # C on the Jacobian side
         self.y, self.c = np.zeros((k, mt), dt), np.empty((k, mt), dt)
+        open0 = self.sigma[p:] < 0.0
+        self.y[p:][open0] = self.rho * pt.d_rhs[p:][open0]
         self.jx, self.jx_next = np.zeros((n, mt), dt), np.empty((n, mt), dt)
 
     def gate(self, s_new: np.ndarray) -> None:
-        """sigma from the new slack, g from the previous sweep's sigma."""
-        sigma = self.sigma[self.p_eq:]
+        """sigma from the new slack; g' from the previous sweep's sigma, 1 on
+        rows closed there and alpha - 1 on open ones; rs = alpha rho sigma,
+        alpha rho on equality rows."""
+        p, a = self.p_eq, self.alpha
+        sigma = self.sigma[p:]
         closed = sigma > 0.0
         sigma[...] = np.where(s_new > 0.0, -1.0, 1.0)
-        np.multiply(sigma, closed, out=self.sg[self.p_eq:])
-        np.multiply(sigma, self.rho, out=self.rs[self.p_eq:])
+        np.multiply(sigma, np.where(closed, 1.0, a - 1.0), out=self.sg[p:])
+        np.multiply(sigma, a * self.rho, out=self.rs[p:])
+        self.rs[:p] = a * self.rho
 
     def dual_step(self, c: np.ndarray, s_new: np.ndarray) -> None:
-        """Gate on s_new, then Y <- sigma (g Y + rho c) rowwise, from
+        """Gate on s_new, then Y <- sigma (g' Y + alpha rho c) rowwise, from
         c = d(C x - [b; h]), which is overwritten."""
         self.gate(s_new)
         c *= self.rs[:, None]
@@ -418,8 +456,8 @@ class _QuadraticSweep(_Sweep):
     """
 
     def __init__(self, p: ProblemSpec, pt: ThetaPartials, fact: Factorization, rho: float,
-                 dtype=np.float64):
-        super().__init__(p.constraints, rho, dtype)
+                 s0: np.ndarray, dtype=np.float64):
+        super().__init__(p.constraints, rho, s0, dtype)
         self.fact, k = fact, self.C.shape[0]
         q = p.objective.q
         if pt.eye:
@@ -481,7 +519,8 @@ class _CostCoreSweep(_QuadraticSweep):
     Y = T W' and Jx = -(H^-1 + W T W') with a k x k T, and the gated step is,
     on T, with M = C W,
 
-        T <- B T - rho diag(sigma),    B = diag(sigma) (-rho M) + diag(sigma g):
+        T <- B T - alpha rho diag(sigma),
+        B = diag(sigma) (-alpha rho M) + diag(sigma g'):
 
     a row scaling, two diagonal writes and one k x k product. A sweep's Jx
     comes from T before its step, so three buffers rotate: t (after this
@@ -492,7 +531,7 @@ class _CostCoreSweep(_QuadraticSweep):
     skipped sweeps); the first step is ||Jx_1||, as Jx_0 = 0 is not of this
     form. finish() forms Jx and the blocks with W' as the right factor.
 
-    In float32 (see _make_sweep) M, B, the T buffers, G, K and the
+    In float32 (see _make_sweep) -M, B, the T buffers, G, K and the
     G T, T G buffers are float32, cast once from float64 set-up products, so
     the sweep and the step norms run as SGEMM. W and H^-1 stay float64:
     finish() and trace_point() form W T W' from them in float64.
@@ -501,7 +540,7 @@ class _CostCoreSweep(_QuadraticSweep):
     def _init_jacobian(self, pt: ThetaPartials, hinv_dq: Optional[np.ndarray]) -> None:
         k, W, dt = self.C.shape[0], self.W, self.dtype
         self.hinv = hinv_dq  # dq = I
-        self.Mr = (-self.rho * (self.C @ W)).astype(dt, copy=False)
+        self.Mn = np.negative(self.C @ W).astype(dt, copy=False)  # -M
         self.G = (W.T @ W).astype(dt, copy=False)
         self.K = (W.T @ (self.hinv @ W)).astype(dt, copy=False)
         self.hinv_sq = float(np.vdot(self.hinv, self.hinv))
@@ -515,7 +554,7 @@ class _CostCoreSweep(_QuadraticSweep):
         """One Jacobian sweep on T; Jx and Y are formed by finish()."""
         self.gate(s_new)
         B, t, k = self.B, self.t_spare, len(self.sigma)
-        np.multiply(self.Mr, self.sigma[:, None], out=B)
+        np.multiply(self.Mn, self.rs[:, None], out=B)  # diag(alpha rho sigma) (-M)
         B.reshape(-1)[:: k + 1] += self.sg  # its diagonal
         np.matmul(B, self.t, out=t)
         t.reshape(-1)[:: k + 1] -= self.rs
@@ -569,8 +608,8 @@ class _GeneralSweep(_Sweep):
     and the pre-update slack and duals. It runs in float64.
     """
 
-    def __init__(self, p: ProblemSpec, pt: ThetaPartials, cfg: SolverConfig):
-        super().__init__(p.constraints, cfg.rho)
+    def __init__(self, p: ProblemSpec, pt: ThetaPartials, cfg: SolverConfig, s0: np.ndarray):
+        super().__init__(p.constraints, cfg.rho, s0)
         self.p, self.cfg, self.penalty = p, cfg, penalty_matrix(p, cfg.rho)
         if pt.m_theta:
             self.direct = direct_term(p, pt, cfg.rho)
@@ -587,22 +626,34 @@ class _GeneralSweep(_Sweep):
         self.dual_tail(s_new)
 
 
-def _make_sweep(p: ProblemSpec, pt: ThetaPartials, cfg: SolverConfig) -> _Sweep:
+def _make_sweep(p: ProblemSpec, pt: ThetaPartials, cfg: SolverConfig,
+                s0: np.ndarray) -> _Sweep:
     """The set-up of a solve: the constraint curvature, for a quadratic
     objective the one (Cholesky) factorization of its constant Hessian, and
-    the sweep. A quadratic takes the folded sweep, on the k x k core for
-    theta = q with k = p + m < n; for a vector parameter it runs in float32
-    from eps >= FLOAT32_MIN_EPS when pocon estimates ||H^-1||_1 <=
+    the sweep, whose first gate reads the initial slack s0. A quadratic
+    takes the folded sweep, on the k x k core for theta = q with
+    k = p + m < n; for a vector parameter it runs in float32 from
+    eps >= FLOAT32_MIN_EPS when P carries at least
+    FLOAT32_MIN_CURVATURE_SHARE of tr H and pocon estimates ||H^-1||_1 <=
     FLOAT32_MAX_INV_NORM. Callback objectives run _GeneralSweep, in float64.
     """
     if not isinstance(p.objective, QuadraticObjective):
-        return _GeneralSweep(p, pt, cfg)
+        return _GeneralSweep(p, pt, cfg, s0)
     fact = xstep_factor(p, cfg.rho)
     core = pt.eye and p.constraints.C.shape[0] < p.n
     f32 = (pt.m_theta and not pt.matrix and cfg.eps >= FLOAT32_MIN_EPS
+           and _curvature_share(p, cfg.rho) >= FLOAT32_MIN_CURVATURE_SHARE
            and fact.inverse_norm() <= FLOAT32_MAX_INV_NORM)
     sweep = _CostCoreSweep if core else _QuadraticSweep
-    return sweep(p, pt, fact, cfg.rho, np.float32 if f32 else np.float64)
+    return sweep(p, pt, fact, cfg.rho, s0, np.float32 if f32 else np.float64)
+
+
+def _curvature_share(p: ProblemSpec, rho: float) -> float:
+    """tr P / tr H of a quadratic, H = P + rho C'C, whose trace is
+    tr P + rho ||C||_F^2: O(k n), no factor. 0 where tr H is."""
+    C, tr_p = p.constraints.C, float(np.trace(p.objective.P))
+    tr_h = tr_p + rho * float(np.vdot(C, C))
+    return tr_p / tr_h if tr_h > 0.0 else 0.0
 
 
 def _distances_to_last(points: list) -> np.ndarray:
@@ -632,7 +683,7 @@ def _solve(
     perf = time.perf_counter
 
     t0 = perf()
-    sweep = _make_sweep(p, pt, cfg)
+    sweep = _make_sweep(p, pt, cfg, st.s)
     fwd = ForwardReport(state=st, converged=False, factorization_ms=(perf() - t0) * 1e3)
     report = DiffReport(forward=fwd)
 

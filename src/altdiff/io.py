@@ -65,12 +65,14 @@ def problem_from_dict(doc: dict) -> ProblemSpec:
         except ValueError as exc:
             raise ValueError(f"malformed problem document: {key}: {exc}") from exc
 
+    # Row counts from b and h, not inferred: numpy cannot infer them for n = 0.
+    b, h = doc.get("b", []), doc.get("h", [])
     constraints = Polyhedron.build(
         n,
-        A=reshaped("A", doc.get("A", []), (-1, n)),
-        b=doc.get("b", []),
-        G=reshaped("G", doc.get("G", []), (-1, n)),
-        h=doc.get("h", []),
+        A=reshaped("A", doc.get("A", []), (np.size(b), n)),
+        b=b,
+        G=reshaped("G", doc.get("G", []), (np.size(h), n)),
+        h=h,
     )
     if kind == "quadratic":
         objective = QuadraticObjective(P=field("P", n, n), q=field("q"))

@@ -73,17 +73,19 @@ def test_theta_partials_stack_constraint_rows(sel, d_rhs, dC):
         assert np.array_equal(pt.dC, dC) and pt.matrix
 
 
-def _gated(jlam, jnu, d, s, rho, js=None, closed_before=True):
-    """One gated dual step, then finish()'s split of Y. The blocks are those
-    of the previous sweep, whose slack was 0 (closed_before) or positive;
-    Js defaults to 0. d = d(C x - [b; h]), so c = rho d."""
+def _gated(jlam, jnu, d, s, rho, js=None, closed_before=True, alpha=1.6):
+    """One gated dual step of a sweep relaxed by alpha (1 on the first
+    sweep), then finish()'s split of Y. The blocks are those of the previous
+    sweep, whose slack was 0 (closed_before) or positive; Js defaults to 0.
+    d = d(C x - [b; h]), so c = alpha rho d."""
     jlam, jnu = np.array(jlam, float), np.array(jnu, float)
     js = np.zeros_like(jnu) if js is None else np.array(js, float)
     p_eq, m = jlam.shape[0], jnu.shape[0]
     con = ad.Polyhedron.build(0, A=np.zeros((p_eq, 0)), b=np.zeros(p_eq),
                               G=np.zeros((m, 0)), h=np.zeros(m))
-    sweep = backward._Sweep(con, rho)
+    sweep = backward._Sweep(con, rho, np.zeros(m))
     sweep.gate(np.full(m, 0.0 if closed_before else 1.0))
+    sweep.alpha = alpha
     sweep.y, sweep.jx = np.vstack([jlam, jnu + rho * js]), np.zeros((0, jnu.shape[1]))
     sweep.dual_step(np.array(d, float), np.array(s, float))
     jac = sweep.finish()
@@ -91,31 +93,38 @@ def _gated(jlam, jnu, d, s, rho, js=None, closed_before=True):
 
 
 def test_slack_jacobian_update_examples():
-    # On an inequality row u = Jnu + rho d: Y <- sigma (g Y + rho d).
+    # On an inequality row u = g' Y + alpha rho d, Y <- sigma u, with
+    # g' = 1 on a row closed before, alpha - 1 on an open one; alpha = 1.6.
     none = np.zeros((0, 1))
-    # closed gate: s=0, Jnu=5, G Jx=1, rho=1 -> Js = 0, Jnu = u = 6
+    # closed gate: s=0, Jnu=5, G Jx=1, rho=1 -> Js = 0, Jnu = u = 5 + 1.6
     _, js, jnu = _gated(none, [[5.0]], [[1.0]], [0.0], rho=1.0)
     assert np.array_equal(js, [[0.0]])
-    assert np.array_equal(jnu, [[6.0]])
-    # open gate: s=2, Jnu=0, G Jx = 0.5 -> Js = -0.5, Jnu = 0
+    assert np.allclose(jnu, [[6.6]], rtol=1e-15)
+    # open gate: s=2, Jnu=0, G Jx = 0.5 -> Js = -1.6 * 0.5, Jnu = 0
     _, js, jnu = _gated(none, [[0.0]], [[0.5]], [2.0], rho=1.0)
-    assert np.allclose(js, [[-0.5]])
+    assert np.allclose(js, [[-0.8]], rtol=1e-15)
     assert np.array_equal(jnu, [[0.0]])
-    # rho=2, Jnu=2, dh=1, G Jx=0 -> Js = -(1/2)(2 + 2(0 - 1)) = 0
+    # rho=2, Jnu=2, dh=1, G Jx=0 -> Js = -(1/2)(2 + 3.2 (0 - 1)) = 0.6
     _, js, jnu = _gated(none, [[2.0]], [[0.0 - 1.0]], [1.0], rho=2.0)
-    assert np.allclose(js, [[0.0]])
+    assert np.allclose(js, [[0.6]], rtol=1e-15)
     assert np.array_equal(jnu, [[0.0]])
-    # rho=2, an open row before and after: its Jnu = 0 is dropped from u
-    # (g = 0, though Y = rho Js = 3), G Jx - dh = 0.25 -> Y = -0.5 and
-    # Js = Y / rho = -(1/2)(0 + 2 * 0.25) = -0.25, Jnu = 0
+    # rho=2, an open row before and after: its Y = rho Js = 3 enters u with
+    # g' = 0.6, G Jx - dh = 0.25 -> Y = -(1.8 + 3.2 * 0.25) = -2.6 and
+    # Js = Y / rho = -1.3, Jnu = 0
     _, js, jnu = _gated(none, [[0.0]], [[0.25]], [1.0], rho=2.0, js=[[1.5]],
                         closed_before=False)
+    assert np.allclose(js, [[-1.3]], rtol=1e-15)
+    assert np.array_equal(jnu, [[0.0]])
+    # the same row on the plain first sweep: g' = 0 drops Y from u, so
+    # Y = -(2 * 0.25) and Js = -0.25
+    _, js, jnu = _gated(none, [[0.0]], [[0.25]], [1.0], rho=2.0, js=[[1.5]],
+                        closed_before=False, alpha=1.0)
     assert np.array_equal(js, [[-0.25]])
     assert np.array_equal(jnu, [[0.0]])
-    # rho=2, a closed row that opens: Jnu=1, G Jx - dh = 0.5 -> Y = -(1 + 1)
-    # and Js = Y / rho = -1, Jnu = 0
+    # rho=2, a closed row that opens: Jnu=1, G Jx - dh = 0.5 -> Y = -(1 + 1.6)
+    # and Js = Y / rho = -1.3, Jnu = 0
     _, js, jnu = _gated(none, [[1.0]], [[0.5]], [3.0], rho=2.0)
-    assert np.array_equal(js, [[-1.0]])
+    assert np.allclose(js, [[-1.3]], rtol=1e-15)
     assert np.array_equal(jnu, [[0.0]])
 
 
@@ -124,23 +133,26 @@ def test_dual_jacobian_update_examples():
     # fixed point: A Jx == db leaves Jlam unchanged
     jlam, _, _ = _gated([[7.0]], none, [[1.0 - 1.0]], [], rho=1.0)
     assert np.allclose(jlam, [[7.0]])
-    # Jlam=0, rho=1, A Jx=0.5, db=1 -> -0.5
+    # Jlam=0, rho=1, A Jx=0.5, db=1 -> 1.6 * -0.5
     jlam, _, _ = _gated([[0.0]], none, [[0.5 - 1.0]], [], rho=1.0)
+    assert np.allclose(jlam, [[-0.8]])
+    # on the plain first sweep -> -0.5
+    jlam, _, _ = _gated([[0.0]], none, [[0.5 - 1.0]], [], rho=1.0, alpha=1.0)
     assert np.allclose(jlam, [[-0.5]])
-    # closed gate: Jnu=0, rho=2, G Jx - dh = 0.25 -> Js = 0, Jnu = 0.5
+    # closed gate: Jnu=0, rho=2, G Jx - dh = 0.25 -> Js = 0, Jnu = 3.2 * 0.25
     _, js, jnu = _gated(none, [[0.0]], [[0.25]], [0.0], rho=2.0)
     assert np.array_equal(js, [[0.0]])
-    assert np.allclose(jnu, [[0.5]])
-    # equality and inequality rows in one call: Jlam += c, gate on the rest
+    assert np.allclose(jnu, [[0.8]])
+    # equality and inequality rows in one call: Jlam += 1.6 c, gate on the rest
     jlam, js, jnu = _gated([[1.0]], [[3.0]], [[0.5], [1.0]], [0.0], rho=1.0)
-    assert np.allclose(jlam, [[1.5]])
+    assert np.allclose(jlam, [[1.8]])
     assert np.array_equal(js, [[0.0]])
-    assert np.array_equal(jnu, [[4.0]])
-    # rho=2, an equality row and an open one: Jlam += 2 * 0.5; the open row's
-    # Y = -(3 + 2 * 1) = -5 gives Js = Y / rho = -2.5 and Jnu = 0
+    assert np.allclose(jnu, [[4.6]])
+    # rho=2, an equality row and an open one: Jlam += 3.2 * 0.5; the open row's
+    # Y = -(3 + 3.2 * 1) = -6.2 gives Js = Y / rho = -3.1 and Jnu = 0
     jlam, js, jnu = _gated([[1.0]], [[3.0]], [[0.5], [1.0]], [4.0], rho=2.0)
-    assert np.array_equal(jlam, [[2.0]])
-    assert np.array_equal(js, [[-2.5]])
+    assert np.allclose(jlam, [[2.6]], rtol=1e-15)
+    assert np.allclose(js, [[-3.1]], rtol=1e-15)
     assert np.array_equal(jnu, [[0.0]])
 
 
@@ -329,7 +341,11 @@ def _reference_sweeps(p, sel, cfg):
         fact = ad.factorize(p.objective.P.T + forward.penalty_matrix(p, cfg.rho), spd_hint=True)
     pt = theta_partials(p, sel) if sel is not None else None
     st = forward.initial_state(p)
-    jac = JacobianState.zeros(p.n, con.n_ineq, con.n_eq, pt.m_theta) if pt is not None else None
+    jac = None
+    if pt is not None:
+        jac = JacobianState.zeros(p.n, con.n_ineq, con.n_eq, pt.m_theta)
+        # the initial slack max(0, h - G x0) moves with h where it is positive
+        jac.Js = np.where(st.s[:, None] > 0.0, pt.d_rhs[con.n_eq:], 0.0)
     out = SimpleNamespace(eq_res=[], ineq_res=[], steps=[], jac_steps=[],
                           x_hist=[], jx_hist=[])
     x_hits = jac_hits = 0
@@ -344,7 +360,10 @@ def _reference_sweeps(p, sel, cfg):
         jac_step = 0.0
         if pt is not None:
             # altdiff.backward's linearized updates written out, apart from
-            # the solver's own routines.
+            # the solver's own routines: the derivatives of the relaxed steps
+            # u = nu + rho (a (G x - h) - (1 - a) s), s_new = max(0, -u / rho)
+            # and lam + a rho (A x - b), a = 1 on the first sweep.
+            a = forward.RELAXATION if st.k else 1.0
             mixed = backward.mixed_partial(p, sel, st, jac, x_new, cfg.rho)
             jx = -fact.solve(mixed)
             d_eq = con.A @ jx - pt.d_rhs[:con.n_eq]
@@ -352,10 +371,11 @@ def _reference_sweeps(p, sel, cfg):
             if pt.dC is not None:
                 d_eq += (pt.dC[:con.n_eq] @ x_new).reshape(-1, 1)
                 d_in += (pt.dC[con.n_eq:] @ x_new).reshape(-1, 1)
-            js = -(jac.Jnu + cfg.rho * d_in) / cfg.rho
+            du = jac.Jnu + cfg.rho * (a * d_in - (1.0 - a) * jac.Js)
+            js = -du / cfg.rho
             js[s_new <= 0.0, :] = 0.0
-            jlam = jac.Jlam + cfg.rho * d_eq
-            jnu = jac.Jnu + cfg.rho * (d_in + js)
+            jlam = jac.Jlam + a * cfg.rho * d_eq
+            jnu = du + cfg.rho * js
             jac_step = np.linalg.norm(jx - jac.Jx) / (1.0 + np.linalg.norm(jac.Jx))
             jac.Jx, jac.Js, jac.Jlam, jac.Jnu = jx, js, jlam, jnu
             out.jac_steps.append(jac_step)
@@ -445,6 +465,33 @@ def test_fused_sweep_matches_reference_updates(suite, core_sweeps, sel, shape):
     core = isinstance(sel, ad.LinearCost) and con.n_eq + con.n_ineq < p.n
     assert len(core_sweeps) == (rep.forward.iterations if core else 0)
     _assert_sweep_matches(rep, p, sel, cfg)
+
+
+@pytest.mark.parametrize("sweeps", [1, 2, 6, 15])
+@pytest.mark.parametrize("sel", [ad.EqRhs(), ad.IneqRhs(), ad.LinearCost()],
+                         ids=lambda sel: type(sel).__name__)
+def test_jacobian_is_derivative_of_truncated_iterate(core_sweeps, sel, sweeps):
+    """Stopped after N sweeps, Jx_N is the derivative of x_N itself, the
+    iterate the relaxed splitting reached, not only of the limit: central
+    differences of x_N agree. N = 1 is the plain first sweep alone (with the
+    initial slack max(0, h), which moves with h); later sweeps are relaxed.
+    EqRhs and IneqRhs run in n-space, LinearCost (k = 9 < n = 12) on the
+    k x k core. x_N is piecewise affine in theta, so differences of 1e-6
+    carry only round-off."""
+    p = bench.gen_random_qp(12, 6, 3, 7)
+    cfg = ad.SolverConfig(eps=1e-15, max_outer_iters=sweeps)
+    rep = ad.differentiate(p, sel, cfg)
+    assert rep.forward.iterations == sweeps
+    assert len(core_sweeps) == (sweeps if isinstance(sel, ad.LinearCost) else 0)
+    step, m_theta = 1e-6, rep.Jx.shape[1]
+    fd = np.empty_like(rep.Jx)
+    for j in range(m_theta):
+        e = np.zeros(m_theta)
+        e[j] = step
+        x_plus = ad.admm_solve(ad.perturb(p, sel, e), cfg).state.x
+        x_minus = ad.admm_solve(ad.perturb(p, sel, -e), cfg).state.x
+        fd[:, j] = (x_plus - x_minus) / (2.0 * step)
+    assert np.abs(rep.Jx - fd).max() <= 1e-7 * np.abs(fd).max()
 
 
 def test_core_factors_nothing_of_rank_deficient_constraints(suite, core_sweeps, monkeypatch):
@@ -879,11 +926,37 @@ def test_float32_sweep_matches_float64(suite, monkeypatch, sweep_dtypes, sel, sh
                          ids=["qp-layer", "qp-dense"])
 def test_benchmark_shapes_pick_float32(dims, sel):
     """The random QPs of the benchmark workloads estimate ||H^-1||_1 at
-    about 0.2, far under FLOAT32_MAX_INV_NORM, so eps = 1e-3 runs float32."""
+    about 0.2, far under FLOAT32_MAX_INV_NORM, and P carries about 0.7 of
+    tr H, far over FLOAT32_MIN_CURVATURE_SHARE, so eps = 1e-3 runs float32."""
     for seed in range(3):
         p = bench.gen_random_qp(*dims, seed)
-        sweep = backward._make_sweep(p, theta_partials(p, sel), ad.SolverConfig(eps=1e-3))
+        sweep = backward._make_sweep(p, theta_partials(p, sel), ad.SolverConfig(eps=1e-3),
+                                     forward.initial_state(p).s)
         assert sweep.dtype == np.float32, seed
+
+
+@pytest.mark.parametrize("sel", [ad.EqRhs(), ad.IneqRhs()], ids=lambda sel: type(sel).__name__)
+def test_penalty_dominated_hessian_keeps_float64(suite, monkeypatch, sweep_dtypes, sel):
+    """Box rows (k >= n) keep rho C'C full rank, so ||H^-1||_1 stays about 1
+    however flat P is, while P / 100 makes the sweeps run long (over 1,000
+    here). P's share of tr H, about 0.004, sends the solve to float64; run
+    in float32 regardless, its blocks drift about 2e-6 off, over F32_BOUND."""
+    p = _constraint_shape(suite.problem(4), "eq_ineq_box")
+    con = p.constraints
+    p = ad.ProblemSpec.quadratic(P=p.objective.P / 100, q=p.objective.q,
+                                 A=con.A, b=con.b, G=con.G, h=con.h)
+    cfg = ad.SolverConfig(rho=SUITE_RHO, eps=1e-3)
+    assert forward.xstep_factor(p, cfg.rho).inverse_norm() <= backward.FLOAT32_MAX_INV_NORM
+    assert backward._curvature_share(p, cfg.rho) < backward.FLOAT32_MIN_CURVATURE_SHARE
+    rep = ad.differentiate(p, sel, cfg)
+    with monkeypatch.context() as m:
+        m.setattr(backward, "FLOAT32_MIN_CURVATURE_SHARE", 0.0)
+        rep32 = ad.differentiate(p, sel, cfg)
+    assert sweep_dtypes == [np.float64, np.float32]
+    assert rep.forward.iterations == rep32.forward.iterations > 1000
+    drift = max(np.abs(getattr(rep32.jac, name) - getattr(rep.jac, name)).max()
+                / (1.0 + np.linalg.norm(getattr(rep.jac, name))) for name in ("Jx", "Js", "Jlam", "Jnu"))
+    assert drift > F32_BOUND
 
 
 @pytest.mark.parametrize("sel", [ad.LinearCost(), ad.IneqRhs()],

@@ -34,6 +34,17 @@ def test_problem_json_empty_blocks(tmp_path):
     assert q.constraints.n_eq == 0 and q.constraints.n_ineq == 0
 
 
+def test_problem_json_zero_variables_round_trip(tmp_path):
+    p = ad.ProblemSpec.quadratic(P=np.zeros((0, 0)), q=np.zeros(0))
+    path = tmp_path / "p.json"
+    io.save_problem(p, path)
+    q = io.load_problem(path)
+    assert q.n == 0
+    assert q.objective.P.shape == (0, 0) and q.objective.q.shape == (0,)
+    assert q.constraints.A.shape == (0, 0) and q.constraints.G.shape == (0, 0)
+    assert ad.admm_solve(q).converged
+
+
 def test_problem_json_softmax_round_trip(tmp_path):
     layer = ad.SoftmaxLayer(y=np.array([0.2, -0.1, 0.4]), u=np.full(3, 2.0))
     p = ad.build(layer)

@@ -157,3 +157,18 @@ def test_sparsemax_jacobian_matches_finite_differences():
 def test_build_rejects_unknown_kind():
     with pytest.raises(TypeError):
         ad.build("nope")
+
+
+def test_softmax_layer_benchmark_instance_solves():
+    """The first seed-0 instance of the benchmark's softmax-layer pool. Its
+    Newton x-step diverged on the second sweep when the relaxation of the
+    slack and dual steps also took the first sweep, against the initial
+    slack max(0, h) rather than an iterate."""
+    n = 100
+    rng = np.random.default_rng(1826701614)
+    y = rng.standard_normal(n)
+    u = rng.uniform(2.0 / n, 6.0 / n, size=n)
+    rep = ad.solve_and_diff(ad.SoftmaxLayer(y=y, u=u), ad.LinearCost(), ad.SolverConfig(eps=1e-3))
+    assert rep.forward.converged
+    assert np.all(np.isfinite(rep.Jx))
+    assert abs(rep.x.sum() - 1.0) < 1e-2 and np.all(rep.x <= u + 1e-2)

@@ -66,7 +66,37 @@ JacobianState.
 The stopping rule reads the Jacobian step norm only on sweeps whose x step
 is already below eps, so the loop takes it only there (on the k x k core it
 costs two products as large as the sweep's own) and records nan elsewhere;
-the stopping sweep is the one every step would give.
+the stopping sweep is the one every step would give. A quadratic solve,
+of a vector parameter or none, first tries the polish (below) on those
+sweeps: where it succeeds, its fixed point replaces the sweep's iterate and
+Jacobian step (nan), and the solve stops there, before the rule's third
+hit; eps still sets the sweep it stops on.
+
+Polish. Once the gate stops changing, the solver sweep and the Jacobian
+sweep of a quadratic are one affine map, and its fixed point is one k x k
+solve (as in OSQP's solution polishing, Stellato et al., 2020, section 5.3).
+With M = C W = C H^-1 C' and D = -1/rho on the inequality rows the gate holds
+open (0 elsewhere), a fixed point has C x - [b; h] + [0; s] = 0, that is
+
+    (M + D) z = C x0 - [b; h],
+
+and z's inequality rows >= 0 (nu on closed rows, rho s on open ones). Such a
+z is a fixed point of the relaxed splitting and so a KKT point. At the first
+sweep whose x step is below eps, and at later such sweeps whose gate is none
+tried before, _QuadraticSweep factorizes M + D by LAPACK getrf (outside
+linalg.factorize, so num_factorizations stays the x-step's one) and solves;
+where some z_i < 0 on an inequality row it flips those rows' gate and tries
+again, POLISH_MAX_FACTORIZATIONS factorizations per solve in all. A factor
+whose reciprocal condition number (gecon) is below POLISH_MIN_RCOND is
+refused, as where dependent active rows make M + D singular; a gate with
+more active rows than variables (p + closed > n) is one such, refused
+before any LU. An infeasible problem has no gate whose z passes. An
+accepted z stops the solve with converged=True: x = x0 - W z, and the
+Jacobian comes from the same factor, Y = -(M + D)^-1 (C Hd + d[b; h]) in
+n-space and T = -(M + D)^-1 on the k x k core (C Hd = W' there), in float64
+whatever the sweep's dtype. Otherwise the sweeps and the step rule go on.
+Callback objectives, whose x-step is not this affine map, and matrix
+Directions, whose Jacobian step has terms in x, are never polished.
 
 Precision. Stopped at tolerance eps, the recursion leaves a Jacobian error
 of the iterate's order, about eps and up. Float32 round-off (6e-8) is far
@@ -97,6 +127,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import DimensionMismatch
 from .forward import (
@@ -143,6 +174,13 @@ FLOAT32_MIN_EPS = 1e-3
 FLOAT32_MAX_INV_NORM = 100.0
 FLOAT32_MIN_CURVATURE_SHARE = 0.1
 
+# Polish (module docstring): LU factorizations of M + D one solve may make
+# (0 switches the polish off), and the reciprocal condition number below
+# which a factor is refused. On the benchmark's random QPs the accepted
+# factors read 1.7e-3 and up, degenerate sparsemax vertices about 1e-17.
+POLISH_MAX_FACTORIZATIONS = 3
+POLISH_MIN_RCOND = 1e-8
+
 # Per-thread count of JacobianState constructions, so tests can assert that a
 # solve allocates exactly one state and overwrites it in place, also while
 # other threads solve.
@@ -180,12 +218,14 @@ class DiffReport:
     jac: Optional[JacobianState] = None  # None only inside admm_solve
     # ||Jx_k - Jx_{k-1}|| / (1 + ||Jx_{k-1}||) per sweep, nan on a sweep whose
     # x step was at least eps (the stopping rule does not read it there);
-    # differentiate(trace=True) takes every one. 0.0 at zero width.
+    # differentiate(trace=True) takes every one but a polished sweep's, which
+    # takes no recursion step (nan). 0.0 at zero width.
     jac_step_norms: list = field(default_factory=list)
     weakly_active_warning: bool = False
     jacobian_ms: float = 0.0
-    # Per-iteration distances to this run's own final iterate; filled only
-    # when differentiate() is asked to trace.
+    # Per-iteration distances to this run's own returned iterate (a polished
+    # sweep's is its polished point); filled only when differentiate() is
+    # asked to trace.
     x_errors: Optional[np.ndarray] = None
     jac_errors: Optional[np.ndarray] = None
     # Distances of the final iterate to a tighter reference run; filled by
@@ -321,7 +361,9 @@ class _Sweep:
     Jacobian step ||Jx_new - Jx|| / (1 + ||Jx||), taken in place on the
     outgoing buffer, else nan. The loop needs the step only on sweeps whose
     x step is below eps; the first step taken after skipped ones rebuilds
-    ||Jx||. After the loop, finish() builds the solve's one JacobianState.
+    ||Jx||. Where polishable, the loop calls polish(s_new) on such sweeps
+    and, if it returns a point, polish_jacobian() at width, and stops.
+    After the loop, finish() builds the solve's one JacobianState.
     fact is the x-step factorization the report keeps.
 
     The sweep owns the Jacobian iterate: each subclass allocates the Y and
@@ -334,6 +376,10 @@ class _Sweep:
     # ||self.jx||, None when a skipped sweep left it unknown; the recursion
     # starts from Jx = 0.
     jx_norm: Optional[float] = 0.0
+    # Whether polish() may run (quadratic sweeps with constraint rows and no
+    # matrix Direction), and the LU factorizations it made in this solve.
+    polishable = False
+    polish_factorizations = 0
 
     def __init__(self, con: Polyhedron, rho: float, s0: np.ndarray, dtype=np.float64):
         self.con, self.C = con, con.C  # C = [A; G]
@@ -477,16 +523,21 @@ class _QuadraticSweep(_Sweep):
         # The x-step at z = 0.
         self.x0 = rho * (self.W @ self.con.rhs) - hinv_q
         self.z = np.empty(k)
+        # The polish's M = C W (the core forms it at set-up, n-space at the
+        # first polish), the gates it tried and its accepted LU factor.
+        self.polishable = k > 0 and not pt.matrix
+        self.M, self.tried, self.lu = None, [], None
         if pt.m_theta:
             self._init_jacobian(pt, hinv_dq)
 
     def _init_jacobian(self, pt: ThetaPartials, hinv_dq: Optional[np.ndarray]) -> None:
         W, dt = self.W, self.dtype
-        # H^-1 (dq - rho C' d[b; h]) = H^-1 dq - rho W d[b; h]
-        Hd = -self.rho * _times_d_rhs(W, pt.d_rhs)
+        # H^-1 (dq - rho C' d[b; h]) = H^-1 dq - rho W d[b; h], kept in
+        # float64 for the polish
+        self.hd64 = -self.rho * _times_d_rhs(W, pt.d_rhs)
         if hinv_dq is not None:
-            Hd += hinv_dq
-        self.Hd = Hd.astype(dt, copy=False)
+            self.hd64 += hinv_dq
+        self.Hd = self.hd64.astype(dt, copy=False)
         self.Wn = np.negative(W, dtype=dt)  # so that Jx = -(Hd + W Y) takes no negation pass
         self._init_dual_side(pt, W.shape[0])
 
@@ -499,6 +550,59 @@ class _QuadraticSweep(_Sweep):
         z[:p_eq] = out[2]  # lam
         np.abs(self.u, out=z[p_eq:])
         return out
+
+    def polish(self, s_new: np.ndarray) -> Optional[tuple]:
+        """The forward half of the polish (module docstring) from the gate of
+        s_new: solve (M + D) z = C x0 - [b; h], flipping the gate on the
+        inequality rows where z < 0, until z's inequality rows are all >= 0,
+        a gate or its factor is refused, a gate repeats one tried in this
+        solve or the solve has made POLISH_MAX_FACTORIZATIONS. Returns
+        step()'s tuple at the fixed point, or None."""
+        p, rho, k = self.p_eq, self.rho, len(self.sigma)
+        opened = s_new > 0.0
+        while (self.polish_factorizations < POLISH_MAX_FACTORIZATIONS
+               and not any(np.array_equal(opened, g) for g in self.tried)):
+            self.tried.append(opened)
+            if p + opened.size - np.count_nonzero(opened) > self.W.shape[0]:
+                return None  # more active rows than variables: M + D is singular
+            if self.M is None:
+                self.M = self.C @ self.W
+            a = self.M.copy()
+            a.reshape(-1)[p * (k + 1)::k + 1][opened] -= 1.0 / rho  # + D
+            anorm = np.abs(a).sum(axis=0).max()
+            lu, piv, info = lapack.dgetrf(a)
+            self.polish_factorizations += 1
+            if info or lapack.dgecon(lu, anorm)[0] < POLISH_MIN_RCOND:
+                return None
+            z = lapack.dgetrs(lu, piv, self.C @ self.x0 - self.con.rhs)[0]
+            flip = z[p:] < 0.0
+            if flip.any():
+                opened = opened ^ flip
+                continue
+            self.lu = lu, piv
+            self.sigma[p:] = np.where(opened, -1.0, 1.0)
+            x = self.x0 - self.W @ z
+            nu = np.where(opened, 0.0, z[p:])
+            s = np.where(opened, z[p:] / rho, 0.0)
+            r = self.C @ x
+            r -= self.con.rhs
+            r[p:] += s
+            return x, s, z[:p].copy(), nu, _norm(r[:p]), _norm(r[p:])
+        return None
+
+    def polish_jacobian(self) -> None:
+        """The Jacobian half of an accepted polish, from its factor:
+        (M + D) Y = -(C Hd + d[b; h]) and Jx = -(Hd + W Y), in float64."""
+        pt = self.pt
+        # C Hd = W' dq - rho M d[b; h], as C H^-1 = W'
+        rhs = -self.rho * _times_d_rhs(self.M, pt.d_rhs)
+        if pt.dq is not None:
+            rhs += self.W.T if pt.eye else self.W.T @ pt.dq
+        rhs += pt.d_rhs
+        self.y = lapack.dgetrs(*self.lu, np.negative(rhs, out=rhs))[0]
+        jx = self.W @ self.y
+        jx += self.hd64
+        self.jx = np.negative(jx, out=jx)
 
     def run(self, s_new: np.ndarray) -> None:
         """One Jacobian sweep: the new Jx into the spare buffer, then Y."""
@@ -540,7 +644,8 @@ class _CostCoreSweep(_QuadraticSweep):
     def _init_jacobian(self, pt: ThetaPartials, hinv_dq: Optional[np.ndarray]) -> None:
         k, W, dt = self.C.shape[0], self.W, self.dtype
         self.hinv = hinv_dq  # dq = I
-        self.Mn = np.negative(self.C @ W).astype(dt, copy=False)  # -M
+        self.M = self.C @ W  # float64, for the polish
+        self.Mn = np.negative(self.M, dtype=dt)  # -M
         self.G = (W.T @ W).astype(dt, copy=False)
         self.K = (W.T @ (self.hinv @ W)).astype(dt, copy=False)
         self.hinv_sq = float(np.vdot(self.hinv, self.hinv))
@@ -559,6 +664,13 @@ class _CostCoreSweep(_QuadraticSweep):
         np.matmul(B, self.t, out=t)
         t.reshape(-1)[:: k + 1] -= self.rs
         self.t_prev, self.t, self.t_spare = self.t, t, self.t_prev
+
+    def polish_jacobian(self) -> None:
+        """T = -(M + D)^-1 from the accepted polish's factor (getri, which
+        beats a solve against the identity), in float64; it is both this
+        sweep's T and the one Y is formed from."""
+        t = lapack.dgetri(*self.lu)[0]
+        self.t = self.t_prev = np.negative(t, out=t)
 
     def _sq_norm(self, t: np.ndarray, gt: np.ndarray, tg: np.ndarray) -> float:
         """||Jx||^2 of the iterate T = t, writing G T to gt and T G to tg."""
@@ -588,10 +700,10 @@ class _CostCoreSweep(_QuadraticSweep):
 
     def finish(self) -> JacobianState:
         wt = self.W.T
-        jx = self.W @ (self.t_prev @ wt)
+        self.y = self.t @ wt  # Y = T W'
+        jx = self.W @ (self.y if self.t_prev is self.t else self.t_prev @ wt)
         jx += self.hinv
         self.jx = np.negative(jx, out=jx)
-        self.y = self.t @ wt  # Y = T W'
         return super().finish()
 
     def trace_point(self) -> np.ndarray:
@@ -674,8 +786,9 @@ def _solve(
     trace: bool = False,
 ) -> DiffReport:
     """The solver loop of every solve, on a validated problem. Timers:
-    factorization_ms covers the set-up, iteration_ms the solver steps,
-    jacobian_ms the Jacobian steps and finish(), which runs at width only."""
+    factorization_ms covers the set-up, iteration_ms the solver steps and
+    the polish's forward half, jacobian_ms the Jacobian steps, the polish's
+    Jacobian half and finish(), which run at width only."""
     from . import linalg
 
     st = initial_state(p)
@@ -695,24 +808,35 @@ def _solve(
     for _ in range(cfg.max_outer_iters):
         t0 = perf()
         x_new, s_new, lam_new, nu_new, eq_res, ineq_res = sweep.step(st)
-        t1 = perf()
-        fwd.iteration_ms += (t1 - t0) * 1e3
-
-        if pt.m_theta:
-            # Jacobian sweep: the gate takes the new slack, the mixed partial
-            # the pre-update slack and duals, as the linearized updates require.
-            sweep.run(s_new)
-            report.jacobian_ms += (perf() - t1) * 1e3
-
-        # Diagnostics sit outside the timed recursion. The x step is
-        # ||x_new - x|| / max(||x||, NORM_FLOOR), ||x|| carried over. The rule
-        # reads the Jacobian step only where the x step is below eps, so
-        # only a trace takes it elsewhere; it is measured against
-        # 1 + ||Jx|| so it still converges when Jx -> 0.
+        fwd.iteration_ms += (perf() - t0) * 1e3
+        # The x step, outside the timers: ||x_new - x|| / max(||x||,
+        # NORM_FLOOR), ||x|| carried over. Below eps the polish may replace
+        # this sweep's iterate and Jacobian step by the fixed point on its
+        # gate, and stop the solve.
         step = _norm(x_new - st.x) / max(x_norm, NORM_FLOOR)
         x_norm = _norm(x_new)
+        polished = None
+        if sweep.polishable and step < cfg.eps:
+            t0 = perf()
+            polished = sweep.polish(s_new)
+            fwd.iteration_ms += (perf() - t0) * 1e3
+        if polished is not None:
+            x_new, s_new, lam_new, nu_new, eq_res, ineq_res = polished
         if pt.m_theta:
-            jac_step = sweep.advance(trace or step < cfg.eps)
+            t0 = perf()
+            if polished is None:
+                # Jacobian sweep: the gate takes the new slack, the mixed
+                # partial the pre-update slack and duals, as the linearized
+                # updates require.
+                sweep.run(s_new)
+            else:
+                sweep.polish_jacobian()
+            report.jacobian_ms += (perf() - t0) * 1e3
+            # The rule reads the Jacobian step only where the x step is below
+            # eps, so only a trace takes it elsewhere; it is measured against
+            # 1 + ||Jx|| so it still converges when Jx -> 0. A polished sweep
+            # takes no recursion step.
+            jac_step = sweep.advance(trace or step < cfg.eps) if polished is None else np.nan
             if trace:
                 jx_hist.append(sweep.trace_point())
         report.jac_step_norms.append(jac_step)
@@ -724,6 +848,9 @@ def _solve(
 
         st.x, st.s, st.lam, st.nu = x_new, s_new, lam_new, nu_new
         st.k += 1
+        if polished is not None:
+            fwd.converged = fwd.polished = True
+            break
         # Both recursions must settle: an x iterate can be stationary from
         # the first sweep (inactive constraints) while its Jacobian is still
         # iterating toward the implicit derivative. A skipped Jacobian step
@@ -742,6 +869,7 @@ def _solve(
         report.jacobian_ms += (perf() - t0) * 1e3
     fwd.hessian_factorization = sweep.fact
     fwd.num_factorizations = linalg.factorization_count() - count0
+    fwd.polish_factorizations = sweep.polish_factorizations
     report.weakly_active_warning = _weakly_active(p, st)
     if trace:
         report.x_errors = _distances_to_last(x_hist)
@@ -764,10 +892,16 @@ def differentiate(
     iterate, at the cost of storing one trajectory copy: an n x m_theta
     block per sweep, Jx, or on the k x k core of a theta = q solve W T W'
     (formed for the trace with two products; its distances are those of
-    the Jx iterates). A
-    traced run also takes the Jacobian step norm on every sweep, where an
-    untraced one leaves nan on sweeps the stopping rule does not read; the
-    iterates and the stopping sweep are the same either way.
+    the Jx iterates). A traced run also takes the Jacobian step norm on
+    every sweep but a polished one, where an untraced one leaves nan on
+    sweeps the stopping rule does not read; the iterates and the stopping
+    sweep are the same either way.
+
+    A quadratic objective with a vector parameter (LinearCost, EqRhs,
+    IneqRhs, a Direction in q, b and h) is polished (module docstring): at
+    the first sweep whose x step is below eps, the solve tries the fixed
+    point of the splitting on the slack's sign gate, and if it is a KKT
+    point returns it and its exact Jacobian with forward.polished = True.
     """
     validate(p)
     report = _solve(p, theta_partials(p, sel), cfg or SolverConfig(), trace=trace)

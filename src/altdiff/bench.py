@@ -60,6 +60,8 @@ class BenchRecord:
     cosine: Optional[float] = None
     iterations: int = 0
     converged: bool = False
+    polished: bool = False
+    polish_factorizations: int = 0
     timing_reliable: bool = True
     error: str = ""
 
@@ -69,14 +71,16 @@ class BenchRecord:
             c.name, c.n, c.m_ineq, c.p_eq, c.seed, c.kind, c.eps, c.rho,
             self.alt_total_ms, self.alt_factorization_ms, self.alt_iteration_ms,
             self.kkt_ms, "" if self.cosine is None else self.cosine,
-            self.iterations, self.converged, self.timing_reliable, self.error,
+            self.iterations, self.converged, self.polished, self.polish_factorizations,
+            self.timing_reliable, self.error,
         ]
 
 
 CSV_HEADER = [
     "name", "n", "m_ineq", "p_eq", "seed", "kind", "eps", "rho",
     "alt_total_ms", "alt_factorization_ms", "alt_iteration_ms",
-    "kkt_ms", "cosine", "iterations", "converged", "timing_reliable", "error",
+    "kkt_ms", "cosine", "iterations", "converged", "polished", "polish_factorizations",
+    "timing_reliable", "error",
 ]
 
 
@@ -125,6 +129,8 @@ def run_case(case: BenchCase) -> BenchRecord:
         record.alt_iteration_ms = float(np.mean(iter_ms))
         record.iterations = report.forward.iterations
         record.converged = report.forward.converged
+        record.polished = report.forward.polished
+        record.polish_factorizations = report.forward.polish_factorizations
 
         tight = admm_solve(prob, replace(cfg, eps=1e-8, max_outer_iters=200000))
         st = tight.state

@@ -107,7 +107,8 @@ def _cmd_bench_qp(args) -> int:
     for r in records:
         cos = "-" if r.cosine is None else f"{r.cosine:.6f}"
         print(f"{r.case.name:>14}  alt {r.alt_total_ms:9.2f} ms  kkt {r.kkt_ms:9.2f} ms  "
-              f"cosine {cos}  iters {r.iterations}  {r.error}")
+              f"cosine {cos}  iters {r.iterations}  polished {r.polished} "
+              f"({r.polish_factorizations} LU)  {r.error}")
     print(f"wrote {args.out}")
     return 0
 
@@ -162,8 +163,9 @@ def _cmd_check(args) -> int:
     kkt = implicit_diff_solve(prob, st.x, st.lam, st.nu, sel)
 
     np.set_printoptions(precision=6, suppress=True, linewidth=120)
-    print(f"solution x* ({report.forward.iterations} iterations, "
-          f"converged={report.forward.converged}):")
+    fwd = report.forward
+    print(f"solution x* ({fwd.iterations} iterations, converged={fwd.converged}, "
+          f"polished={fwd.polished}, polish factorizations={fwd.polish_factorizations}):")
     print(report.x)
     print(f"\nalternating-recursion Jacobian dx*/d{args.sel}:")
     print(report.Jx)

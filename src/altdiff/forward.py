@@ -98,12 +98,17 @@ class ForwardReport:
 
     The same for admm_solve and differentiate: factorization_ms times the
     set-up (penalty, factorization and what the sweep derives from it),
-    iteration_ms the solver steps with their residual norms, not the
-    Jacobian steps or the step norms.
+    iteration_ms the solver steps with their residual norms and the
+    polish's forward half, not the Jacobian steps or the step norms.
+    polished says the solve stopped on a polished fixed point (backward's
+    module docstring), polish_factorizations counts the LU factorizations
+    the polish made; num_factorizations counts the x-step's only.
     """
 
     state: AdmmState
     converged: bool
+    polished: bool = False
+    polish_factorizations: int = 0
     step_norms: list = field(default_factory=list)
     eq_residuals: list = field(default_factory=list)
     ineq_residuals: list = field(default_factory=list)
@@ -261,7 +266,9 @@ def admm_solve(p: ProblemSpec, cfg: Optional[SolverConfig] = None) -> ForwardRep
     """Iterate the splitting until the relative x-step falls below cfg.eps.
 
     This is differentiate's loop with a zero-width parameter: it builds no
-    Jacobian half and no JacobianState, and the x-step rule alone stops it.
+    Jacobian half and no JacobianState, and the x-step rule alone stops it,
+    or for a quadratic objective the polish (backward's module docstring)
+    on the gate of the new slack, at a sweep whose x step is below eps.
     Never raises on slow convergence: the report carries converged=False
     when max_outer_iters is exhausted.
     """

@@ -56,6 +56,7 @@ def test_run_case_tiny_qp():
     assert record.cosine >= 0.999
     assert record.alt_total_ms > 0 and record.kkt_ms > 0
     assert record.iterations > 0
+    assert record.polished and record.polish_factorizations == 1
 
 
 def test_run_case_records_refused_reference():
@@ -183,3 +184,5 @@ def test_csv_round_trip(tmp_path):
     assert float(parsed[rows[0].index("kkt_ms")]) == record.kkt_ms
     assert float(parsed[rows[0].index("cosine")]) == record.cosine
     assert int(parsed[rows[0].index("iterations")]) == record.iterations
+    assert parsed[rows[0].index("polished")] == str(record.polished)
+    assert int(parsed[rows[0].index("polish_factorizations")]) == record.polish_factorizations

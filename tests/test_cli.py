@@ -120,6 +120,7 @@ def test_cli_check_command(tmp_path, capsys):
     rc = cli.main(["check", "--problem", str(path), "--sel", "h", "--fd"])
     assert rc == 0
     out = capsys.readouterr().out
+    assert "converged=True, polished=True, polish factorizations=1" in out
     assert "max |alternating - linearized|" in out
     assert "finite-difference" in out
 
@@ -129,6 +130,7 @@ def test_cli_bench_qp(tmp_path, capsys):
     rc = cli.main(["bench", "qp", "--sizes", "20:8:4", "--eps", "1e-3",
                    "--out", str(out)])
     assert rc == 0
+    assert "polished True (1 LU)" in capsys.readouterr().out
     rows = list(csv.reader(out.open()))
     assert rows[0][0] == "name"
     assert len(rows) == 2

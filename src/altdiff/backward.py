@@ -23,8 +23,9 @@ sweep's x. Y is the only dual-side state; at the end Jlam = Y_eq, a closed
 row has Jnu = Y_in and Js = 0, an open one Js = Y_in / rho and Jnu = 0.
 The recursion keeps a single Jacobian state (previous iterates are
 overwritten) and converges to the derivative of the optimality system, so
-no solver trajectory is stored, and stopping early yields a Jacobian whose
-error tracks the iterate's.
+no solver trajectory is stored (a deferred sweep, below, keeps only its
+gate), and stopping early yields a Jacobian whose error tracks the
+iterate's.
 
 For a quadratic objective H is constant, and the x-step and the mixed
 partial are the same affine map through W = H^-1 C': with
@@ -70,7 +71,9 @@ the stopping sweep is the one every step would give. A quadratic solve,
 of a vector parameter or none, first tries the polish (below) on those
 sweeps: where it succeeds, its fixed point replaces the sweep's iterate and
 Jacobian step (nan), and the solve stops there, before the rule's third
-hit; eps still sets the sweep it stops on.
+hit; eps still sets the sweep it stops on. Such a solve, untraced, also
+defers the Jacobian sweeps of the sweeps before (below), which an accepted
+polish makes moot.
 
 Polish. Once the gate stops changing, the solver sweep and the Jacobian
 sweep of a quadratic are one affine map, and its fixed point is one k x k
@@ -98,6 +101,23 @@ whatever the sweep's dtype. Otherwise the sweeps and the step rule go on.
 Callback objectives, whose x-step is not this affine map, and matrix
 Directions, whose Jacobian step has terms in x, are never polished.
 
+An accepted polish takes no Jacobian iterate, so the Jacobian sweeps before
+it are moot, and a vector parameter's Jacobian sweep reads the solver only
+through the gate (s_new > 0) and alpha, which follows from the sweep index.
+So an untraced polishable solve runs no Jacobian sweep while the x step is
+at least eps: _solve keeps the sweep's gate, one byte per inequality row.
+Where a Jacobian is needed after all, at a sweep whose x step is below eps
+and whose polish() returned None, or before finish() on a solve that
+stopped unpolished on max_outer_iters, _Sweep.replay() runs the kept
+sweeps in order through the same run() and advance(False), each at its own
+alpha, before that sweep's own run(); an accepted polish drops them. The
+folded sweeps build the recursion's buffers at their first run() (_build),
+so a solve polished at its first attempt builds none. Every block, step
+norm and stopping sweep is bit for bit the lockstep one. A traced solve
+keeps every iterate, so it runs every Jacobian sweep in lockstep, as
+callback objectives and matrix Directions do: their run() reads the
+sweep's x and pre-update state.
+
 Precision. Stopped at tolerance eps, the recursion leaves a Jacobian error
 of the iterate's order, about eps and up. Float32 round-off (6e-8) is far
 below that once eps >= FLOAT32_MIN_EPS, though what the sweeps gather of it
@@ -107,7 +127,7 @@ FLOAT32_MAX_INV_NORM and a P that carries at least
 FLOAT32_MIN_CURVATURE_SHARE of tr H, the two folded sweeps hold their
 Jacobian state (W, C, Hd, d[b; h], Y and the Jx buffers; on the core -M, B,
 T, G and K) in float32 and each product runs at single precision, at about
-twice the speed. Their set-up products are formed in float64 and cast once. The
+twice the speed. Their products are formed in float64 and cast once. The
 solver step stays float64 (x, the slack and so the sign gate, the
 residuals), so every x iterate is the float64 one; the Jacobian blocks and
 the Jacobian step the stopping rule reads carry float32 noise, about 1e-7
@@ -222,7 +242,13 @@ class DiffReport:
     # takes no recursion step (nan). 0.0 at zero width.
     jac_step_norms: list = field(default_factory=list)
     weakly_active_warning: bool = False
+    # Time in the Jacobian sweeps run (deferred ones included, at whichever
+    # sweep replays them), the polish's Jacobian half and finish().
     jacobian_ms: float = 0.0
+    # The Jacobian sweeps (run()) the solve made, replays included: 0 on an
+    # untraced solve polished at its first attempt, the sweep count on an
+    # unpolished or traced one.
+    jacobian_sweeps: int = 0
     # Per-iteration distances to this run's own returned iterate (a polished
     # sweep's is its polished point); filled only when differentiate() is
     # asked to trace.
@@ -355,19 +381,22 @@ class _Sweep:
     """The protocol of the solver loop. Per iteration: step(st), the solver
     sweep, returns (x, s, lam, nu, ||Ax - b||, ||Gx + s - h||), every sweep
     through slack_dual(). At nonzero width, run(s) is the Jacobian sweep: it
-    gates on the new slack, writes the new Jx to self.jx_next and steps Y
-    (k x m_theta), in n-space through dual_tail(); advance(need) swaps
-    self.jx_next in as the current iterate self.jx and, if need, returns the
-    Jacobian step ||Jx_new - Jx|| / (1 + ||Jx||), taken in place on the
-    outgoing buffer, else nan. The loop needs the step only on sweeps whose
-    x step is below eps; the first step taken after skipped ones rebuilds
-    ||Jx||. Where polishable, the loop calls polish(s_new) on such sweeps
-    and, if it returns a point, polish_jacobian() at width, and stops.
-    After the loop, finish() builds the solve's one JacobianState.
-    fact is the x-step factorization the report keeps.
+    gates on the new slack (or its mask s > 0), writes the new Jx to
+    self.jx_next and steps Y (k x m_theta), in n-space through dual_tail();
+    advance(need) swaps self.jx_next in as the current iterate self.jx and,
+    if need, returns the Jacobian step ||Jx_new - Jx|| / (1 + ||Jx||), taken
+    in place on the outgoing buffer, else nan. The loop needs the step only
+    on sweeps whose x step is below eps; the first step taken after skipped
+    ones rebuilds ||Jx||. Where polishable, the loop calls polish(s_new) on
+    such sweeps and, if it returns a point, polish_jacobian() at width, and
+    stops; an untraced loop defers the Jacobian sweeps of the other sweeps
+    and replay()s them from their gates where the polish is refused (module
+    docstring). After the loop, finish() builds the solve's one
+    JacobianState. fact is the x-step factorization the report keeps.
 
     The sweep owns the Jacobian iterate: each subclass allocates the Y and
-    Jx buffers it steps (self.jx starts at Jx = 0), at nonzero width only.
+    Jx buffers it steps (self.jx starts at Jx = 0), at nonzero width only,
+    the folded sweeps at their first run() and _GeneralSweep at set-up.
     dtype is their precision and that of sigma, sigma g' and alpha rho sigma:
     _make_sweep picks float32 for some folded sweeps (the module docstring
     says which and why); finish() and trace_point() hand out float64.
@@ -380,6 +409,8 @@ class _Sweep:
     # matrix Direction), and the LU factorizations it made in this solve.
     polishable = False
     polish_factorizations = 0
+    # Whether the folded sweeps' run() has built its buffers (_build).
+    built = False
 
     def __init__(self, con: Polyhedron, rho: float, s0: np.ndarray, dtype=np.float64):
         self.con, self.C = con, con.C  # C = [A; G]
@@ -419,12 +450,14 @@ class _Sweep:
         r_in += s
         return x, s, lam, nu, _norm(r_eq), _norm(r_in)
 
-    def _init_dual_side(self, pt: ThetaPartials, n: int) -> None:
+    def _init_dual_side(self, n: int) -> None:
         """What dual_tail() reads and steps: d[b; h], C, Y, c, Jx. Y starts
         at the derivative of the initial z = [0; rho s0]: rho d h on the
-        rows where s0 = max(0, h - G x0) is open."""
+        rows where s0 = max(0, h - G x0) is open, which sigma still holds
+        before the first run()."""
+        pt = self.pt
         k, mt, dt, p = self.C.shape[0], pt.m_theta, self.dtype, self.p_eq
-        self.pt, self.d_rhs = pt, pt.d_rhs.astype(dt, copy=False)
+        self.d_rhs = pt.d_rhs.astype(dt, copy=False)
         self.Cj = self.C.astype(dt, copy=False)  # C on the Jacobian side
         self.y, self.c = np.zeros((k, mt), dt), np.empty((k, mt), dt)
         open0 = self.sigma[p:] < 0.0
@@ -432,9 +465,10 @@ class _Sweep:
         self.jx, self.jx_next = np.zeros((n, mt), dt), np.empty((n, mt), dt)
 
     def gate(self, s_new: np.ndarray) -> None:
-        """sigma from the new slack; g' from the previous sweep's sigma, 1 on
-        rows closed there and alpha - 1 on open ones; rs = alpha rho sigma,
-        alpha rho on equality rows."""
+        """sigma from the new slack, or from its mask s_new > 0, which reads
+        alike; g' from the previous sweep's sigma, 1 on rows closed there
+        and alpha - 1 on open ones; rs = alpha rho sigma, alpha rho on
+        equality rows."""
         p, a = self.p_eq, self.alpha
         sigma = self.sigma[p:]
         closed = sigma > 0.0
@@ -473,6 +507,18 @@ class _Sweep:
         step = float(np.linalg.norm(old) / (1.0 + self.jx_norm))
         self.jx_norm = float(np.linalg.norm(new))
         return step
+
+    def replay(self, gates: list, k0: int) -> None:
+        """Run the deferred Jacobian sweeps of sweeps k0, k0 + 1, ... from
+        their gates, each as it would have run: run() at that sweep's alpha,
+        then advance(False). Empties gates."""
+        alpha = self.alpha
+        for k, opened in enumerate(gates, k0):
+            self.alpha = relaxation(k)
+            self.run(opened)
+            self.advance(False)
+        self.alpha = alpha
+        gates.clear()
 
     def finish(self) -> JacobianState:
         """The final blocks in float64: Jx is self.jx; Jlam, Jnu, Js come off
@@ -523,23 +569,29 @@ class _QuadraticSweep(_Sweep):
         # The x-step at z = 0.
         self.x0 = rho * (self.W @ self.con.rhs) - hinv_q
         self.z = np.empty(k)
-        # The polish's M = C W (the core forms it at set-up, n-space at the
-        # first polish), the gates it tried and its accepted LU factor.
-        self.polishable = k > 0 and not pt.matrix
+        # The polish's M = C W (formed at the first polish or run()), the
+        # gates it tried and its accepted LU factor.
+        self.pt, self.polishable = pt, k > 0 and not pt.matrix
         self.M, self.tried, self.lu = None, [], None
         if pt.m_theta:
-            self._init_jacobian(pt, hinv_dq)
+            self._init_jacobian(hinv_dq)
 
-    def _init_jacobian(self, pt: ThetaPartials, hinv_dq: Optional[np.ndarray]) -> None:
-        W, dt = self.W, self.dtype
-        # H^-1 (dq - rho C' d[b; h]) = H^-1 dq - rho W d[b; h], kept in
-        # float64 for the polish
-        self.hd64 = -self.rho * _times_d_rhs(W, pt.d_rhs)
+    def _init_jacobian(self, hinv_dq: Optional[np.ndarray]) -> None:
+        """What the polish's Jacobian half and finish() read; run() builds
+        the rest at its first call (_build)."""
+        # H^-1 (dq - rho C' d[b; h]) = H^-1 dq - rho W d[b; h], in float64
+        self.hd64 = -self.rho * _times_d_rhs(self.W, self.pt.d_rhs)
         if hinv_dq is not None:
             self.hd64 += hinv_dq
-        self.Hd = self.hd64.astype(dt, copy=False)
-        self.Wn = np.negative(W, dtype=dt)  # so that Jx = -(Hd + W Y) takes no negation pass
-        self._init_dual_side(pt, W.shape[0])
+
+    def _build(self) -> None:
+        """The recursion's dtype copies and buffers, at the first run(): a
+        polished solve that ran none builds none."""
+        self.built = True
+        self.Hd = self.hd64.astype(self.dtype, copy=False)
+        # -W, so that Jx = -(Hd + W Y) takes no negation pass
+        self.Wn = np.negative(self.W, dtype=self.dtype)
+        self._init_dual_side(self.W.shape[0])
 
     def step(self, st: AdmmState) -> tuple:
         """One solver sweep: the x-step x0 - W z, then slack_dual()."""
@@ -606,6 +658,8 @@ class _QuadraticSweep(_Sweep):
 
     def run(self, s_new: np.ndarray) -> None:
         """One Jacobian sweep: the new Jx into the spare buffer, then Y."""
+        if not self.built:
+            self._build()
         jx = self.jx_next
         np.matmul(self.Wn, self.y, out=jx)
         jx -= self.Hd
@@ -636,15 +690,19 @@ class _CostCoreSweep(_QuadraticSweep):
     form. finish() forms Jx and the blocks with W' as the right factor.
 
     In float32 (see _make_sweep) -M, B, the T buffers, G, K and the
-    G T, T G buffers are float32, cast once from float64 set-up products, so
+    G T, T G buffers are float32, cast once from float64 products, so
     the sweep and the step norms run as SGEMM. W and H^-1 stay float64:
     finish() and trace_point() form W T W' from them in float64.
     """
 
-    def _init_jacobian(self, pt: ThetaPartials, hinv_dq: Optional[np.ndarray]) -> None:
-        k, W, dt = self.C.shape[0], self.W, self.dtype
+    def _init_jacobian(self, hinv_dq: Optional[np.ndarray]) -> None:
         self.hinv = hinv_dq  # dq = I
-        self.M = self.C @ W  # float64, for the polish
+
+    def _build(self) -> None:
+        self.built = True
+        k, W, dt = self.C.shape[0], self.W, self.dtype
+        if self.M is None:
+            self.M = self.C @ W  # float64, shared with the polish
         self.Mn = np.negative(self.M, dtype=dt)  # -M
         self.G = (W.T @ W).astype(dt, copy=False)
         self.K = (W.T @ (self.hinv @ W)).astype(dt, copy=False)
@@ -657,6 +715,8 @@ class _CostCoreSweep(_QuadraticSweep):
 
     def run(self, s_new: np.ndarray) -> None:
         """One Jacobian sweep on T; Jx and Y are formed by finish()."""
+        if not self.built:
+            self._build()
         self.gate(s_new)
         B, t, k = self.B, self.t_spare, len(self.sigma)
         np.multiply(self.Mn, self.rs[:, None], out=B)  # diag(alpha rho sigma) (-M)
@@ -722,10 +782,10 @@ class _GeneralSweep(_Sweep):
 
     def __init__(self, p: ProblemSpec, pt: ThetaPartials, cfg: SolverConfig, s0: np.ndarray):
         super().__init__(p.constraints, cfg.rho, s0)
-        self.p, self.cfg, self.penalty = p, cfg, penalty_matrix(p, cfg.rho)
+        self.p, self.cfg, self.penalty, self.pt = p, cfg, penalty_matrix(p, cfg.rho), pt
         if pt.m_theta:
             self.direct = direct_term(p, pt, cfg.rho)
-            self._init_dual_side(pt, p.n)
+            self._init_dual_side(p.n)
 
     def step(self, st: AdmmState) -> tuple:
         x, self.fact = primal_update(self.p, st, self.cfg, penalty=self.penalty)
@@ -787,8 +847,9 @@ def _solve(
 ) -> DiffReport:
     """The solver loop of every solve, on a validated problem. Timers:
     factorization_ms covers the set-up, iteration_ms the solver steps and
-    the polish's forward half, jacobian_ms the Jacobian steps, the polish's
-    Jacobian half and finish(), which run at width only."""
+    the polish's forward half, jacobian_ms the Jacobian steps (deferred ones
+    where they are replayed), the polish's Jacobian half and finish(), which
+    run at width only."""
     from . import linalg
 
     st = initial_state(p)
@@ -802,6 +863,13 @@ def _solve(
 
     x_hist: list[np.ndarray] = []
     jx_hist: list[np.ndarray] = []
+    # The gates (s_new > 0) of the Jacobian sweeps deferred behind the polish.
+    pending: list[np.ndarray] = []
+
+    def replay() -> None:
+        report.jacobian_sweeps += len(pending)
+        sweep.replay(pending, st.k - len(pending))
+
     x_hits = jac_hits = 0
     x_norm = _norm(st.x)
     jac_step = 0.0  # with zero width there is no Jacobian to step
@@ -815,6 +883,10 @@ def _solve(
         # gate, and stop the solve.
         step = _norm(x_new - st.x) / max(x_norm, NORM_FLOOR)
         x_norm = _norm(x_new)
+        # The rule reads the Jacobian step only where the x step is below
+        # eps, so only a trace takes it elsewhere; it is measured against
+        # 1 + ||Jx|| so it still converges when Jx -> 0.
+        need = trace or step < cfg.eps
         polished = None
         if sweep.polishable and step < cfg.eps:
             t0 = perf()
@@ -824,19 +896,26 @@ def _solve(
             x_new, s_new, lam_new, nu_new, eq_res, ineq_res = polished
         if pt.m_theta:
             t0 = perf()
-            if polished is None:
+            if polished is not None:
+                # The polish's Jacobian needs no recursion: drop what waits.
+                pending.clear()
+                sweep.polish_jacobian()
+                jac_step = np.nan
+            elif sweep.polishable and not need:
+                # A later polish may make this sweep's Jacobian sweep moot:
+                # keep its gate, which is all it reads of the solver, and run
+                # it only when a Jacobian is needed after all.
+                pending.append(s_new > 0.0)
+                jac_step = np.nan
+            else:
                 # Jacobian sweep: the gate takes the new slack, the mixed
                 # partial the pre-update slack and duals, as the linearized
                 # updates require.
+                replay()
                 sweep.run(s_new)
-            else:
-                sweep.polish_jacobian()
+                report.jacobian_sweeps += 1
+                jac_step = sweep.advance(need)
             report.jacobian_ms += (perf() - t0) * 1e3
-            # The rule reads the Jacobian step only where the x step is below
-            # eps, so only a trace takes it elsewhere; it is measured against
-            # 1 + ||Jx|| so it still converges when Jx -> 0. A polished sweep
-            # takes no recursion step.
-            jac_step = sweep.advance(trace or step < cfg.eps) if polished is None else np.nan
             if trace:
                 jx_hist.append(sweep.trace_point())
         report.jac_step_norms.append(jac_step)
@@ -865,6 +944,7 @@ def _solve(
 
     if pt.m_theta:
         t0 = perf()
+        replay()  # a solve that stopped unpolished, on max_outer_iters
         report.jac = sweep.finish()
         report.jacobian_ms += (perf() - t0) * 1e3
     fwd.hessian_factorization = sweep.fact

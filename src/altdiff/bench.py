@@ -62,6 +62,7 @@ class BenchRecord:
     converged: bool = False
     polished: bool = False
     polish_factorizations: int = 0
+    jacobian_sweeps: int = 0
     timing_reliable: bool = True
     error: str = ""
 
@@ -72,7 +73,7 @@ class BenchRecord:
             self.alt_total_ms, self.alt_factorization_ms, self.alt_iteration_ms,
             self.kkt_ms, "" if self.cosine is None else self.cosine,
             self.iterations, self.converged, self.polished, self.polish_factorizations,
-            self.timing_reliable, self.error,
+            self.jacobian_sweeps, self.timing_reliable, self.error,
         ]
 
 
@@ -80,7 +81,7 @@ CSV_HEADER = [
     "name", "n", "m_ineq", "p_eq", "seed", "kind", "eps", "rho",
     "alt_total_ms", "alt_factorization_ms", "alt_iteration_ms",
     "kkt_ms", "cosine", "iterations", "converged", "polished", "polish_factorizations",
-    "timing_reliable", "error",
+    "jacobian_sweeps", "timing_reliable", "error",
 ]
 
 
@@ -131,6 +132,7 @@ def run_case(case: BenchCase) -> BenchRecord:
         record.converged = report.forward.converged
         record.polished = report.forward.polished
         record.polish_factorizations = report.forward.polish_factorizations
+        record.jacobian_sweeps = report.jacobian_sweeps
 
         tight = admm_solve(prob, replace(cfg, eps=1e-8, max_outer_iters=200000))
         st = tight.state

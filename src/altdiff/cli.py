@@ -108,7 +108,7 @@ def _cmd_bench_qp(args) -> int:
         cos = "-" if r.cosine is None else f"{r.cosine:.6f}"
         print(f"{r.case.name:>14}  alt {r.alt_total_ms:9.2f} ms  kkt {r.kkt_ms:9.2f} ms  "
               f"cosine {cos}  iters {r.iterations}  polished {r.polished} "
-              f"({r.polish_factorizations} LU)  {r.error}")
+              f"({r.polish_factorizations} LU)  jacobian sweeps {r.jacobian_sweeps}  {r.error}")
     print(f"wrote {args.out}")
     return 0
 
@@ -165,7 +165,8 @@ def _cmd_check(args) -> int:
     np.set_printoptions(precision=6, suppress=True, linewidth=120)
     fwd = report.forward
     print(f"solution x* ({fwd.iterations} iterations, converged={fwd.converged}, "
-          f"polished={fwd.polished}, polish factorizations={fwd.polish_factorizations}):")
+          f"polished={fwd.polished}, polish factorizations={fwd.polish_factorizations}, "
+          f"jacobian sweeps={report.jacobian_sweeps}):")
     print(report.x)
     print(f"\nalternating-recursion Jacobian dx*/d{args.sel}:")
     print(report.Jx)

@@ -530,15 +530,17 @@ def test_fused_sweep_matches_reference_updates(suite, core_sweeps, sel, shape):
     """The buffered quadratic sweep must reproduce the reference loop's
     linearized updates step for step, in every Jacobian block, and its
     polish the reference's. LinearCost with p + m < n runs on the k x k core,
-    every other case in n-space. A polished sweep runs no Jacobian sweep; the
-    rank-deficient dup_rows refuses the polish."""
+    every other case in n-space. An untraced polished solve runs no Jacobian
+    sweep, the ones before the polish deferred and dropped; the
+    rank-deficient dup_rows refuses the polish and runs them all."""
     p = _constraint_shape(suite.problem(8), shape)
     cfg = ad.SolverConfig(rho=SUITE_RHO, eps=1e-6)
     rep = ad.differentiate(p, sel, cfg)
     con = p.constraints
     core = isinstance(sel, ad.LinearCost) and con.n_eq + con.n_ineq < p.n
     assert rep.forward.polished == (shape != "dup_rows")
-    assert len(core_sweeps) == (rep.forward.iterations - rep.forward.polished if core else 0)
+    assert len(core_sweeps) == (0 if rep.forward.polished or not core
+                                else rep.forward.iterations)
     _assert_sweep_matches(rep, p, sel, cfg)
 
 
@@ -715,6 +717,63 @@ def test_untraced_run_matches_traced(suite, monkeypatch, kind):
     taken = ~np.isnan(lazy)
     assert polished or taken.sum() >= forward.STEP_RULE_HITS
     assert np.array_equal(lazy[taken], full[taken])
+
+
+@pytest.fixture
+def sweep_runs(monkeypatch):
+    """Records each Jacobian sweep run by a folded sweep, core or n-space."""
+    calls = []
+    for kind in (backward._QuadraticSweep, backward._CostCoreSweep):
+        def counted(self, s_new, run=kind.run):
+            calls.append(type(self))
+            return run(self, s_new)
+
+        monkeypatch.setattr(kind, "run", counted)
+    return calls
+
+
+@pytest.mark.parametrize("polish", [True, False], ids=["polish", "no_polish"])
+@pytest.mark.parametrize("eps", [1e-3, 1e-6], ids=["float32", "float64"])
+@pytest.mark.parametrize("shape", ["eq_ineq", "eq_ineq_box", "dup_rows"])
+@pytest.mark.parametrize("sel", [ad.LinearCost(), ad.EqRhs(), ad.IneqRhs()],
+                         ids=lambda sel: type(sel).__name__)
+def test_deferred_jacobian_matches_traced_run(suite, request, sweep_runs, sweep_dtypes, sel,
+                                              shape, eps, polish):
+    """An untraced solve defers its Jacobian sweeps while the x step is at
+    least eps, drops them when the polish is accepted and replays them from
+    their gates when it is refused (dup_rows, or the polish off) or the solve
+    stops on max_outer_iters. A traced solve runs every one in lockstep.
+    Both give the same x, blocks, iterations and converged bit for bit, and
+    the same Jacobian steps where the untraced one takes them, on the k x k
+    core (LinearCost on eq_ineq and dup_rows) and in n-space, in float32 and
+    float64. A polished untraced solve runs no Jacobian sweep at all."""
+    if not polish:
+        request.getfixturevalue("no_polish")
+    p = _constraint_shape(suite.problem(8), shape)
+    core = isinstance(sel, ad.LinearCost) and shape != "eq_ineq_box"
+    for iters in (1, 2, 6, 10000):
+        cfg = ad.SolverConfig(rho=SUITE_RHO, eps=eps, max_outer_iters=iters)
+        del sweep_runs[:]
+        plain = ad.differentiate(p, sel, cfg)
+        plain_runs = len(sweep_runs)
+        traced = ad.differentiate(p, sel, cfg, trace=True)
+        assert sweep_dtypes[-2:] == [np.float32 if eps >= backward.FLOAT32_MIN_EPS
+                                     else np.float64] * 2
+        kinds = {backward._CostCoreSweep if core else backward._QuadraticSweep}
+        assert set(sweep_runs) <= kinds
+        fwd = plain.forward
+        assert (fwd.iterations, fwd.converged, fwd.polished) == (
+            traced.forward.iterations, traced.forward.converged, traced.forward.polished)
+        assert fwd.polished == (polish and shape != "dup_rows" and iters == 10000)
+        assert np.array_equal(plain.x, traced.x)
+        for name in ("Jx", "Js", "Jlam", "Jnu"):
+            assert np.array_equal(getattr(plain.jac, name), getattr(traced.jac, name)), name
+        lazy, full = np.array(plain.jac_step_norms), np.array(traced.jac_step_norms)
+        taken = ~np.isnan(lazy)
+        assert np.array_equal(lazy[taken], full[taken])
+        sweeps = fwd.iterations - fwd.polished
+        assert plain.jacobian_sweeps == plain_runs == (0 if fwd.polished else sweeps)
+        assert traced.jacobian_sweeps == len(sweep_runs) - plain_runs == sweeps
 
 
 def test_layer_sweep_matches_reference_updates(suite):

@@ -186,3 +186,4 @@ def test_csv_round_trip(tmp_path):
     assert int(parsed[rows[0].index("iterations")]) == record.iterations
     assert parsed[rows[0].index("polished")] == str(record.polished)
     assert int(parsed[rows[0].index("polish_factorizations")]) == record.polish_factorizations
+    assert int(parsed[rows[0].index("jacobian_sweeps")]) == record.jacobian_sweeps

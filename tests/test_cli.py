@@ -130,10 +130,12 @@ def test_cli_bench_qp(tmp_path, capsys):
     rc = cli.main(["bench", "qp", "--sizes", "20:8:4", "--eps", "1e-3",
                    "--out", str(out)])
     assert rc == 0
-    assert "polished True (1 LU)" in capsys.readouterr().out
+    # a solve polished at its first attempt runs none of its Jacobian sweeps
+    assert "polished True (1 LU)  jacobian sweeps 0" in capsys.readouterr().out
     rows = list(csv.reader(out.open()))
     assert rows[0][0] == "name"
     assert len(rows) == 2
+    assert rows[1][rows[0].index("jacobian_sweeps")] == "0"
 
 
 def test_cli_bench_truncation(tmp_path):

@@ -1,0 +1,56 @@
+"""Print one SHA-256 over the outputs of a fixed, seeded set of solves.
+
+Two checkouts whose solver arithmetic is the same print the same digest, so
+a change meant to move no bit (a reordering of work, a lazier set-up) can be
+checked against its parent:
+
+    python3 tools/output_digest.py            # from the root of a checkout
+
+Each solve hashes x, the four Jacobian blocks, both step-norm lists, the
+iteration count, polished and converged. The set: random QPs with n from 5
+to 50 (some with k = p + m < n, so LinearCost runs the k x k core, some with
+k >= n, and some with a repeated constraint row, which refuses the polish),
+the three vector selectors, eps 1e-1, 1e-3 and 1e-6, max_outer_iters 3 and
+10,000, each untraced and traced.
+"""
+
+import hashlib
+import os
+import sys
+
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+import altdiff as ad  # noqa: E402
+from altdiff.bench import gen_random_qp  # noqa: E402
+
+
+def problems():
+    rng = np.random.default_rng(20261019)
+    for seed in range(26):
+        n = int(rng.integers(5, 51))
+        m, p = int(rng.integers(1, 2 * n)), int(rng.integers(0, n // 2 + 1))
+        qp = gen_random_qp(n, m, p, seed)
+        if seed % 5 == 4:  # repeat the first inequality row
+            con = qp.constraints
+            qp = ad.ProblemSpec.quadratic(qp.objective.P, qp.objective.q, A=con.A, b=con.b,
+                                          G=np.vstack([con.G, con.G[:1]]),
+                                          h=np.concatenate([con.h, con.h[:1]]))
+        yield qp
+
+
+digest, solves = hashlib.sha256(), 0
+for qp in problems():
+    for sel in (ad.LinearCost(), ad.EqRhs(), ad.IneqRhs()):
+        for eps in (1e-1, 1e-3, 1e-6):
+            for iters in (3, 10000):
+                for trace in (False, True):
+                    cfg = ad.SolverConfig(eps=eps, max_outer_iters=iters)
+                    rep = ad.differentiate(qp, sel, cfg, trace=trace)
+                    fwd, jac = rep.forward, rep.jac
+                    for a in (rep.x, jac.Jx, jac.Js, jac.Jlam, jac.Jnu,
+                              fwd.step_norms, rep.jac_step_norms):
+                        digest.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+                    digest.update(repr((fwd.iterations, fwd.polished, fwd.converged)).encode())
+                    solves += 1
+print(f"{digest.hexdigest()}  ({solves} solves)")

@@ -96,8 +96,8 @@ more active rows than variables (p + closed > n) is one such, refused
 before any LU. An infeasible problem has no gate whose z passes. An
 accepted z stops the solve with converged=True: x = x0 - W z, and the
 Jacobian comes from the same factor, Y = -(M + D)^-1 (C Hd + d[b; h]) in
-n-space and T = -(M + D)^-1 on the k x k core (C Hd = W' there), in float64
-whatever the sweep's dtype. Otherwise the sweeps and the step rule go on.
+n-space and T = -(M + D)^-1 on the k x k core (C Hd = W' there). Otherwise
+the sweeps and the step rule go on.
 Callback objectives, whose x-step is not this affine map, and matrix
 Directions, whose Jacobian step has terms in x, are never polished.
 
@@ -117,25 +117,6 @@ norm and stopping sweep is bit for bit the lockstep one. A traced solve
 keeps every iterate, so it runs every Jacobian sweep in lockstep, as
 callback objectives and matrix Directions do: their run() reads the
 sweep's x and pre-update state.
-
-Precision. Stopped at tolerance eps, the recursion leaves a Jacobian error
-of the iterate's order, about eps and up. Float32 round-off (6e-8) is far
-below that once eps >= FLOAT32_MIN_EPS, though what the sweeps gather of it
-grows with ||H^-1|| and with the sweep count, which runs long where the
-penalty rho C'C outweighs P; so there, for an estimated ||H^-1||_1 at most
-FLOAT32_MAX_INV_NORM and a P that carries at least
-FLOAT32_MIN_CURVATURE_SHARE of tr H, the two folded sweeps hold their
-Jacobian state (W, C, Hd, d[b; h], Y and the Jx buffers; on the core -M, B,
-T, G and K) in float32 and each product runs at single precision, at about
-twice the speed. Their products are formed in float64 and cast once. The
-solver step stays float64 (x, the slack and so the sign gate, the
-residuals), so every x iterate is the float64 one; the Jacobian blocks and
-the Jacobian step the stopping rule reads carry float32 noise, about 1e-7
-(1 + ||Jx||). Every block a report returns and the trace distances are
-float64 arrays and the step norms Python floats, though on the float32
-path the norms come from float32 products; the core sums the terms of its
-||Jx||^2, which cancel near a vertex, in float64. Every other solve, and
-_GeneralSweep and matrix Directions always, run in float64.
 """
 
 from __future__ import annotations
@@ -177,22 +158,6 @@ from .problem import (
 # Constraints with both a tiny multiplier and a tiny slack make the solution
 # map nondifferentiable; solves near that set are flagged, not failed.
 WEAK_ACTIVITY_TOL = 1e-6
-
-# Tolerances from this one up run the folded Jacobian sweeps in float32.
-# On unit-scale QPs float32 round-off moves each Jacobian step by about
-# 1e-7 (1 + ||Jx||), a ten-thousandth of this threshold, so the stopping sweep
-# rarely moves: on random QPs at 1e-3 by one sweep in 2 of 682 solves, at
-# 1e-4 in about 2%. The round-off grows with ||H^-1||, so float32 also needs
-# pocon's estimate of ||H^-1||_1 within the cap: with P / 1 to P / 100 the
-# solves under it stayed within 2.2e-7. It grows with the sweep count too,
-# which ||H^-1|| does not see where k >= n rows keep rho C'C full rank: P's
-# share of tr H = tr P + rho ||C||_F^2 must reach the floor. Below it the
-# penalty dominates and the sweeps run hundreds long: random QPs with
-# P / 100 and P / 1000 that drifted over 1e-6 under the cap read 0.015 or
-# less; unit-scale ones read 0.27 and up, the benchmark's QPs about 0.7.
-FLOAT32_MIN_EPS = 1e-3
-FLOAT32_MAX_INV_NORM = 100.0
-FLOAT32_MIN_CURVATURE_SHARE = 0.1
 
 # Polish (module docstring): LU factorizations of M + D one solve may make
 # (0 switches the polish off), and the reciprocal condition number below
@@ -397,9 +362,6 @@ class _Sweep:
     The sweep owns the Jacobian iterate: each subclass allocates the Y and
     Jx buffers it steps (self.jx starts at Jx = 0), at nonzero width only,
     the folded sweeps at their first run() and _GeneralSweep at set-up.
-    dtype is their precision and that of sigma, sigma g' and alpha rho sigma:
-    _make_sweep picks float32 for some folded sweeps (the module docstring
-    says which and why); finish() and trace_point() hand out float64.
     """
 
     # ||self.jx||, None when a skipped sweep left it unknown; the recursion
@@ -412,16 +374,16 @@ class _Sweep:
     # Whether the folded sweeps' run() has built its buffers (_build).
     built = False
 
-    def __init__(self, con: Polyhedron, rho: float, s0: np.ndarray, dtype=np.float64):
+    def __init__(self, con: Polyhedron, rho: float, s0: np.ndarray):
         self.con, self.C = con, con.C  # C = [A; G]
-        self.p_eq, self.rho, self.dtype = con.n_eq, rho, dtype
+        self.p_eq, self.rho = con.n_eq, rho
         k = self.C.shape[0]
         # sigma, sigma g' and alpha rho sigma over all k rows. The first
         # sweep gates against the solve's initial slack s0: its positive
         # rows are open.
-        self.sigma, self.sg = np.ones(k, dtype), np.ones(k, dtype)
+        self.sigma, self.sg = np.ones(k), np.ones(k)
         self.sigma[self.p_eq:][s0 > 0.0] = -1.0
-        self.rs = np.empty(k, dtype)  # gate() writes all of it
+        self.rs = np.empty(k)  # gate() writes all of it
         self.alpha = 1.0  # this sweep's relaxation, set by slack_dual()
 
     def slack_dual(self, st: AdmmState, x: np.ndarray) -> tuple:
@@ -451,18 +413,16 @@ class _Sweep:
         return x, s, lam, nu, _norm(r_eq), _norm(r_in)
 
     def _init_dual_side(self, n: int) -> None:
-        """What dual_tail() reads and steps: d[b; h], C, Y, c, Jx. Y starts
-        at the derivative of the initial z = [0; rho s0]: rho d h on the
-        rows where s0 = max(0, h - G x0) is open, which sigma still holds
-        before the first run()."""
+        """What dual_tail() steps: Y, c, Jx. Y starts at the derivative of
+        the initial z = [0; rho s0]: rho d h on the rows where
+        s0 = max(0, h - G x0) is open, which sigma still holds before the
+        first run()."""
         pt = self.pt
-        k, mt, dt, p = self.C.shape[0], pt.m_theta, self.dtype, self.p_eq
-        self.d_rhs = pt.d_rhs.astype(dt, copy=False)
-        self.Cj = self.C.astype(dt, copy=False)  # C on the Jacobian side
-        self.y, self.c = np.zeros((k, mt), dt), np.empty((k, mt), dt)
+        k, mt, p = self.C.shape[0], pt.m_theta, self.p_eq
+        self.y, self.c = np.zeros((k, mt)), np.empty((k, mt))
         open0 = self.sigma[p:] < 0.0
         self.y[p:][open0] = self.rho * pt.d_rhs[p:][open0]
-        self.jx, self.jx_next = np.zeros((n, mt), dt), np.empty((n, mt), dt)
+        self.jx, self.jx_next = np.zeros((n, mt)), np.empty((n, mt))
 
     def gate(self, s_new: np.ndarray) -> None:
         """sigma from the new slack, or from its mask s_new > 0, which reads
@@ -489,10 +449,10 @@ class _Sweep:
         """The dual side of a Jacobian sweep from the new Jx (self.jx_next):
         c = C Jx + dC x - d[b; h], then dual_step()."""
         c = self.c
-        np.matmul(self.Cj, self.jx_next, out=c)
+        np.matmul(self.C, self.jx_next, out=c)
         if self.pt.dC is not None:
             c += (self.pt.dC @ self.x).reshape(-1, 1)
-        c -= self.d_rhs
+        c -= self.pt.d_rhs
         self.dual_step(c, s_new)
 
     def advance(self, need: bool) -> float:
@@ -521,17 +481,16 @@ class _Sweep:
         gates.clear()
 
     def finish(self) -> JacobianState:
-        """The final blocks in float64: Jx is self.jx; Jlam, Jnu, Js come off
-        Y and the last gate, each formed in dtype and then cast."""
+        """The final blocks: Jx is self.jx; Jlam, Jnu, Js come off Y and
+        the last gate."""
         y, p, closed = self.y, self.p_eq, self.sigma[self.p_eq:, None] > 0.0
-        f64 = lambda a: a.astype(np.float64, copy=False)
-        return JacobianState(Jx=f64(self.jx), Js=f64(np.where(closed, 0.0, y[p:] / self.rho)),
-                             Jlam=y[:p].astype(np.float64), Jnu=f64(np.where(closed, y[p:], 0.0)))
+        return JacobianState(Jx=self.jx, Js=np.where(closed, 0.0, y[p:] / self.rho),
+                             Jlam=y[:p], Jnu=np.where(closed, y[p:], 0.0))
 
     def trace_point(self) -> np.ndarray:
         """A copy of what a trace keeps of the current Jacobian iterate: an
         array whose distances to the others are those of the Jx iterates."""
-        return self.jx.astype(np.float64)
+        return self.jx.copy()
 
 
 class _QuadraticSweep(_Sweep):
@@ -543,13 +502,12 @@ class _QuadraticSweep(_Sweep):
     [C' | q | dq]. So the x-step is a matvec and the Jacobian
     sweep is two matrix products, evaluated into preallocated buffers; a
     matrix Direction adds one one-column solve for H^-1 times its terms in
-    x. step() carries z from sweep to sweep, in float64; the Jacobian sweep
-    runs on its own dtype copies of W and C.
+    x. step() carries z from sweep to sweep.
     """
 
     def __init__(self, p: ProblemSpec, pt: ThetaPartials, fact: Factorization, rho: float,
-                 s0: np.ndarray, dtype=np.float64):
-        super().__init__(p.constraints, rho, s0, dtype)
+                 s0: np.ndarray):
+        super().__init__(p.constraints, rho, s0)
         self.fact, k = fact, self.C.shape[0]
         q = p.objective.q
         if pt.eye:
@@ -579,18 +537,17 @@ class _QuadraticSweep(_Sweep):
     def _init_jacobian(self, hinv_dq: Optional[np.ndarray]) -> None:
         """What the polish's Jacobian half and finish() read; run() builds
         the rest at its first call (_build)."""
-        # H^-1 (dq - rho C' d[b; h]) = H^-1 dq - rho W d[b; h], in float64
-        self.hd64 = -self.rho * _times_d_rhs(self.W, self.pt.d_rhs)
+        # H^-1 (dq - rho C' d[b; h]) = H^-1 dq - rho W d[b; h]
+        self.Hd = -self.rho * _times_d_rhs(self.W, self.pt.d_rhs)
         if hinv_dq is not None:
-            self.hd64 += hinv_dq
+            self.Hd += hinv_dq
 
     def _build(self) -> None:
-        """The recursion's dtype copies and buffers, at the first run(): a
-        polished solve that ran none builds none."""
+        """The recursion's -W and buffers, at the first run(): a polished
+        solve that ran none builds none."""
         self.built = True
-        self.Hd = self.hd64.astype(self.dtype, copy=False)
         # -W, so that Jx = -(Hd + W Y) takes no negation pass
-        self.Wn = np.negative(self.W, dtype=self.dtype)
+        self.Wn = np.negative(self.W)
         self._init_dual_side(self.W.shape[0])
 
     def step(self, st: AdmmState) -> tuple:
@@ -644,7 +601,7 @@ class _QuadraticSweep(_Sweep):
 
     def polish_jacobian(self) -> None:
         """The Jacobian half of an accepted polish, from its factor:
-        (M + D) Y = -(C Hd + d[b; h]) and Jx = -(Hd + W Y), in float64."""
+        (M + D) Y = -(C Hd + d[b; h]) and Jx = -(Hd + W Y)."""
         pt = self.pt
         # C Hd = W' dq - rho M d[b; h], as C H^-1 = W'
         rhs = -self.rho * _times_d_rhs(self.M, pt.d_rhs)
@@ -653,7 +610,7 @@ class _QuadraticSweep(_Sweep):
         rhs += pt.d_rhs
         self.y = lapack.dgetrs(*self.lu, np.negative(rhs, out=rhs))[0]
         jx = self.W @ self.y
-        jx += self.hd64
+        jx += self.Hd
         self.jx = np.negative(jx, out=jx)
 
     def run(self, s_new: np.ndarray) -> None:
@@ -688,11 +645,6 @@ class _CostCoreSweep(_QuadraticSweep):
     and ||dJx||^2 = <G dT, dT G>, two products per step taken (two more after
     skipped sweeps); the first step is ||Jx_1||, as Jx_0 = 0 is not of this
     form. finish() forms Jx and the blocks with W' as the right factor.
-
-    In float32 (see _make_sweep) -M, B, the T buffers, G, K and the
-    G T, T G buffers are float32, cast once from float64 products, so
-    the sweep and the step norms run as SGEMM. W and H^-1 stay float64:
-    finish() and trace_point() form W T W' from them in float64.
     """
 
     def _init_jacobian(self, hinv_dq: Optional[np.ndarray]) -> None:
@@ -700,17 +652,17 @@ class _CostCoreSweep(_QuadraticSweep):
 
     def _build(self) -> None:
         self.built = True
-        k, W, dt = self.C.shape[0], self.W, self.dtype
+        k, W = self.C.shape[0], self.W
         if self.M is None:
-            self.M = self.C @ W  # float64, shared with the polish
-        self.Mn = np.negative(self.M, dtype=dt)  # -M
-        self.G = (W.T @ W).astype(dt, copy=False)
-        self.K = (W.T @ (self.hinv @ W)).astype(dt, copy=False)
+            self.M = self.C @ W  # shared with the polish
+        self.Mn = np.negative(self.M)  # -M
+        self.G = W.T @ W
+        self.K = W.T @ (self.hinv @ W)
         self.hinv_sq = float(np.vdot(self.hinv, self.hinv))
-        self.B = np.empty((k, k), dt)
-        self.t, self.t_prev, self.t_spare = (np.zeros((k, k), dt) for _ in range(3))
+        self.B = np.empty((k, k))
+        self.t, self.t_prev, self.t_spare = (np.zeros((k, k)) for _ in range(3))
         # G T and T G of the current and of the previous iterate
-        self.gt, self.tg, self.gt_prev, self.tg_prev = (np.empty((k, k), dt) for _ in range(4))
+        self.gt, self.tg, self.gt_prev, self.tg_prev = (np.empty((k, k)) for _ in range(4))
         self.first = True
 
     def run(self, s_new: np.ndarray) -> None:
@@ -727,8 +679,8 @@ class _CostCoreSweep(_QuadraticSweep):
 
     def polish_jacobian(self) -> None:
         """T = -(M + D)^-1 from the accepted polish's factor (getri, which
-        beats a solve against the identity), in float64; it is both this
-        sweep's T and the one Y is formed from."""
+        beats a solve against the identity); it is both this sweep's T and
+        the one Y is formed from."""
         t = lapack.dgetri(*self.lu)[0]
         self.t = self.t_prev = np.negative(t, out=t)
 
@@ -736,7 +688,7 @@ class _CostCoreSweep(_QuadraticSweep):
         """||Jx||^2 of the iterate T = t, writing G T to gt and T G to tg."""
         np.matmul(self.G, t, out=gt)
         np.matmul(t, self.G, out=tg)
-        # The terms cancel near a vertex, so they are summed in float64.
+        # The terms cancel near a vertex, where round-off can leave the sum below 0.
         return max(self.hinv_sq + 2.0 * float(np.vdot(self.K, t)) + float(np.vdot(gt, tg)), 0.0)
 
     def advance(self, need: bool) -> float:
@@ -777,7 +729,7 @@ class _GeneralSweep(_Sweep):
     Its damped Newton x-step factorizes H(x) again every sweep, and the
     Jacobian step solves with that sweep's factor against the mixed
     partial, direct + C'Y plus a Direction's terms in x, taken at the new x
-    and the pre-update slack and duals. It runs in float64.
+    and the pre-update slack and duals.
     """
 
     def __init__(self, p: ProblemSpec, pt: ThetaPartials, cfg: SolverConfig, s0: np.ndarray):
@@ -804,28 +756,14 @@ def _make_sweep(p: ProblemSpec, pt: ThetaPartials, cfg: SolverConfig,
     objective the one (Cholesky) factorization of its constant Hessian, and
     the sweep, whose first gate reads the initial slack s0. A quadratic
     takes the folded sweep, on the k x k core for theta = q with
-    k = p + m < n; for a vector parameter it runs in float32 from
-    eps >= FLOAT32_MIN_EPS when P carries at least
-    FLOAT32_MIN_CURVATURE_SHARE of tr H and pocon estimates ||H^-1||_1 <=
-    FLOAT32_MAX_INV_NORM. Callback objectives run _GeneralSweep, in float64.
+    k = p + m < n. Callback objectives run _GeneralSweep.
     """
     if not isinstance(p.objective, QuadraticObjective):
         return _GeneralSweep(p, pt, cfg, s0)
     fact = xstep_factor(p, cfg.rho)
     core = pt.eye and p.constraints.C.shape[0] < p.n
-    f32 = (pt.m_theta and not pt.matrix and cfg.eps >= FLOAT32_MIN_EPS
-           and _curvature_share(p, cfg.rho) >= FLOAT32_MIN_CURVATURE_SHARE
-           and fact.inverse_norm() <= FLOAT32_MAX_INV_NORM)
     sweep = _CostCoreSweep if core else _QuadraticSweep
-    return sweep(p, pt, fact, cfg.rho, s0, np.float32 if f32 else np.float64)
-
-
-def _curvature_share(p: ProblemSpec, rho: float) -> float:
-    """tr P / tr H of a quadratic, H = P + rho C'C, whose trace is
-    tr P + rho ||C||_F^2: O(k n), no factor. 0 where tr H is."""
-    C, tr_p = p.constraints.C, float(np.trace(p.objective.P))
-    tr_h = tr_p + rho * float(np.vdot(C, C))
-    return tr_p / tr_h if tr_h > 0.0 else 0.0
+    return sweep(p, pt, fact, cfg.rho, s0)
 
 
 def _distances_to_last(points: list) -> np.ndarray:

@@ -65,14 +65,12 @@ class Factorization:
     """Decomposed square matrix, reusable across many right-hand sides.
 
     spd is True when the symmetric positive-definite (Cholesky) routine was
-    used; otherwise the factors come from a pivoted LU decomposition. norm
-    is the matrix's largest absolute row sum, its 1-norm when symmetric.
+    used; otherwise the factors come from a pivoted LU decomposition.
     """
 
     n: int
     spd: bool
     factors: tuple
-    norm: float = 0.0
 
     def solve(self, b) -> np.ndarray:
         """Solve M x = b column-wise with this factorization of M."""
@@ -105,18 +103,6 @@ class Factorization:
         np.copyto(tri, tri.T, where=np.tri(n, k=-1, dtype=bool).T)
         # potri's result is column-major; its transpose is the same matrix, row-major.
         return inv.T
-
-    def inverse_norm(self) -> float:
-        """LAPACK pocon's estimate of ||M^-1||_1 from a Cholesky factor: O(n^2)
-        work, no M^-1 formed; a lower bound, usually within a factor of 3.
-        0.0 for the empty matrix; an LU factor raises ValueError."""
-        if self.n == 0:
-            return 0.0
-        if not self.spd:
-            raise ValueError("inverse_norm needs a Cholesky factor; this factorization is LU")
-        c, lower = self.factors
-        rcond, _ = scipy.linalg.lapack.dpocon(c, self.norm, uplo="L" if lower else "U")
-        return 1.0 / (rcond * self.norm) if rcond > 0 else np.inf
 
 
 def _pivot_check(pivots: np.ndarray, scale: float) -> None:
@@ -151,10 +137,10 @@ def factorize(m, spd_hint: bool = False) -> Factorization:
             raise SingularMatrix(f"Cholesky factorization failed: {exc}") from exc
         # Cholesky pivots are the squared diagonal of the factor.
         _pivot_check(np.diagonal(c) ** 2, scale)
-        return Factorization(n=n, spd=True, factors=(c, lower), norm=scale)
+        return Factorization(n=n, spd=True, factors=(c, lower))
     with warnings.catch_warnings():
         # Exact-zero pivots are reported through SingularMatrix below.
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
     _pivot_check(np.diagonal(lu), scale)
-    return Factorization(n=n, spd=False, factors=(lu, piv), norm=scale)
+    return Factorization(n=n, spd=False, factors=(lu, piv))

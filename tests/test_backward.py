@@ -680,7 +680,8 @@ def test_untraced_run_matches_traced(suite, monkeypatch, kind):
     without trace every sweep kind gives the same iterations, x, x steps and
     Jacobian blocks bit for bit, and the steps an untraced run takes. The
     quadratic vector-parameter runs stop on the polish, at the first sweep
-    whose x step is below eps, the others on the step rule."""
+    whose x step is below eps, the others on the step rule. Every block and
+    trace distance is a float64 array and every step norm a Python float."""
     cfg = ad.SolverConfig(rho=SUITE_RHO, eps=1e-6)
     p, sel = suite.problem(8), ad.LinearCost()
     if kind == "nspace":
@@ -709,6 +710,10 @@ def test_untraced_run_matches_traced(suite, monkeypatch, kind):
     assert plain.forward.step_norms == traced.forward.step_norms
     for name in ("Jx", "Js", "Jlam", "Jnu"):
         assert np.array_equal(getattr(plain.jac, name), getattr(traced.jac, name)), name
+        assert getattr(plain.jac, name).dtype == getattr(traced.jac, name).dtype == np.float64
+    assert traced.x_errors.dtype == traced.jac_errors.dtype == np.float64
+    for rep in (plain, traced):
+        assert all(type(v) is float for v in rep.jac_step_norms + rep.forward.step_norms)
     full = np.array(traced.jac_step_norms)
     lazy = np.array(plain.jac_step_norms)
     # a polished sweep takes no Jacobian step, traced or not
@@ -717,6 +722,12 @@ def test_untraced_run_matches_traced(suite, monkeypatch, kind):
     taken = ~np.isnan(lazy)
     assert polished or taken.sum() >= forward.STEP_RULE_HITS
     assert np.array_equal(lazy[taken], full[taken])
+
+
+@pytest.fixture
+def no_polish(monkeypatch):
+    """Solves run the bare recursion and stop on the step rule."""
+    monkeypatch.setattr(backward, "POLISH_MAX_FACTORIZATIONS", 0)
 
 
 @pytest.fixture
@@ -733,20 +744,20 @@ def sweep_runs(monkeypatch):
 
 
 @pytest.mark.parametrize("polish", [True, False], ids=["polish", "no_polish"])
-@pytest.mark.parametrize("eps", [1e-3, 1e-6], ids=["float32", "float64"])
+@pytest.mark.parametrize("eps", [1e-3, 1e-6], ids=["loose", "tight"])
 @pytest.mark.parametrize("shape", ["eq_ineq", "eq_ineq_box", "dup_rows"])
 @pytest.mark.parametrize("sel", [ad.LinearCost(), ad.EqRhs(), ad.IneqRhs()],
                          ids=lambda sel: type(sel).__name__)
-def test_deferred_jacobian_matches_traced_run(suite, request, sweep_runs, sweep_dtypes, sel,
-                                              shape, eps, polish):
+def test_deferred_jacobian_matches_traced_run(suite, request, sweep_runs, sel, shape, eps,
+                                              polish):
     """An untraced solve defers its Jacobian sweeps while the x step is at
     least eps, drops them when the polish is accepted and replays them from
     their gates when it is refused (dup_rows, or the polish off) or the solve
     stops on max_outer_iters. A traced solve runs every one in lockstep.
     Both give the same x, blocks, iterations and converged bit for bit, and
     the same Jacobian steps where the untraced one takes them, on the k x k
-    core (LinearCost on eq_ineq and dup_rows) and in n-space, in float32 and
-    float64. A polished untraced solve runs no Jacobian sweep at all."""
+    core (LinearCost on eq_ineq and dup_rows) and in n-space, at a loose and
+    a tight eps. A polished untraced solve runs no Jacobian sweep at all."""
     if not polish:
         request.getfixturevalue("no_polish")
     p = _constraint_shape(suite.problem(8), shape)
@@ -757,8 +768,6 @@ def test_deferred_jacobian_matches_traced_run(suite, request, sweep_runs, sweep_
         plain = ad.differentiate(p, sel, cfg)
         plain_runs = len(sweep_runs)
         traced = ad.differentiate(p, sel, cfg, trace=True)
-        assert sweep_dtypes[-2:] == [np.float32 if eps >= backward.FLOAT32_MIN_EPS
-                                     else np.float64] * 2
         kinds = {backward._CostCoreSweep if core else backward._QuadraticSweep}
         assert set(sweep_runs) <= kinds
         fwd = plain.forward
@@ -892,8 +901,8 @@ def test_zero_width_parameter():
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-6])
 def test_zero_variables(eps):
-    # eps = 1e-3 reaches the float32 gate, which estimates ||H^-1|| of the
-    # empty factor.
+    # An empty factor at a loose and a tight eps: the polish refuses the
+    # gate (more active rows than variables) and the step rule stops.
     p = ad.ProblemSpec.quadratic(P=np.zeros((0, 0)), q=[], A=np.zeros((1, 0)), b=[0.0])
     rep = ad.differentiate(p, ad.EqRhs(), ad.SolverConfig(eps=eps))
     assert rep.forward.converged
@@ -1106,183 +1115,3 @@ def test_polish_is_timed_in_its_halves(suite, monkeypatch):
     assert rep.forward.polished and rep.forward.polish_factorizations == 1
     assert rep.forward.iteration_ms >= 20.0
     assert rep.jacobian_ms >= 20.0
-
-
-# Precision of the folded sweeps: float32 Jacobian state from eps >=
-# FLOAT32_MIN_EPS; patching the constant to inf runs the same solve in float64.
-# A polished solve takes its Jacobian in float64 from the polish's factor, so
-# the tests of the float32 recursion switch the polish off (no_polish).
-
-F32_BOUND = 1e-6  # on max |float32 - float64| / (1 + ||Jx||)
-
-
-@pytest.fixture
-def no_polish(monkeypatch):
-    """Solves run the bare recursion and stop on the step rule."""
-    monkeypatch.setattr(backward, "POLISH_MAX_FACTORIZATIONS", 0)
-
-
-@pytest.fixture
-def sweep_dtypes(monkeypatch):
-    """Records the Jacobian dtype of each sweep made."""
-    made, make = [], backward._make_sweep
-
-    def record(*args):
-        sweep = make(*args)
-        made.append(sweep.dtype)
-        return sweep
-
-    monkeypatch.setattr(backward, "_make_sweep", record)
-    return made
-
-
-def _float64_run(monkeypatch, p, sel, cfg, trace=False):
-    with monkeypatch.context() as m:
-        m.setattr(backward, "FLOAT32_MIN_EPS", np.inf)
-        return ad.differentiate(p, sel, cfg, trace=trace)
-
-
-def _assert_f32_close(rep32, rep64):
-    """Same iterations and x; each block within F32_BOUND of the float64 one,
-    relative to 1 + its norm (the dual blocks can be far larger than Jx)."""
-    assert rep32.forward.iterations == rep64.forward.iterations
-    assert np.array_equal(rep32.x, rep64.x)
-    for name in ("Jx", "Js", "Jlam", "Jnu"):
-        a, b = getattr(rep32.jac, name), getattr(rep64.jac, name)
-        assert a.dtype == np.float64, name
-        if a.size:
-            assert np.abs(a - b).max() <= F32_BOUND * (1.0 + np.linalg.norm(b)), name
-
-
-def _assert_identical(rep, ref):
-    """Bit for bit the same solve: iterations, x, every block and step norm."""
-    assert rep.forward.iterations == ref.forward.iterations
-    assert np.array_equal(rep.x, ref.x)
-    for name in ("Jx", "Js", "Jlam", "Jnu"):
-        assert np.array_equal(getattr(rep.jac, name), getattr(ref.jac, name)), name
-    assert np.array_equal(rep.jac_step_norms, ref.jac_step_norms, equal_nan=True)
-
-
-def _precision_problem(suite, shape):
-    if shape == "sparsemax":
-        rng = np.random.default_rng(3)
-        return ad.build(ad.SparsemaxLayer(y=rng.standard_normal(30), u=np.full(30, 0.2)))
-    p = suite.problem(4)
-    if shape == "flat":
-        # P / 100: ||H^-1||_1 is estimated at about 730 against about 10 at
-        # unit scale, over backward.FLOAT32_MAX_INV_NORM. In float32 the
-        # difference grows with ||H^-1|| and the sweep count; here it put Js
-        # 4.5e-6 off for IneqRhs at rho = 0.7, over F32_BOUND.
-        con = p.constraints
-        return ad.ProblemSpec.quadratic(P=p.objective.P / 100, q=p.objective.q,
-                                        A=con.A, b=con.b, G=con.G, h=con.h)
-    return _constraint_shape(p, "eq_ineq_box" if shape == "k>=n" else "eq_ineq")
-
-
-# rho = 1 makes finish()'s Js = Y_in / rho exact; 0.7 rounds it in float32.
-@pytest.mark.parametrize("shape, rho", [
-    pytest.param(shape, rho, id=shape if rho == SUITE_RHO else f"{shape}-rho{rho}")
-    for rho in (SUITE_RHO, 0.7) for shape in ("k<n", "k>=n", "sparsemax", "flat")])
-@pytest.mark.parametrize("sel", [ad.LinearCost(), ad.EqRhs(), ad.IneqRhs(), _matrix_direction],
-                         ids=lambda sel: "matrix-Direction" if callable(sel) else type(sel).__name__)
-def test_float32_sweep_matches_float64(suite, monkeypatch, no_polish, sweep_dtypes, sel, shape,
-                                       rho):
-    """At eps = 1e-3 every folded sweep of a vector parameter (the k x k core
-    for LinearCost with k < n, else n-space) on a well-conditioned H runs in
-    float32 and stays within float32 round-off of its float64 run, with the
-    same iterations and the same x; also at a rho other than 1. Flat
-    curvature (large ||H^-1||) and a matrix Direction keep float64, bit for
-    bit: in float32 a matrix Direction's blocks moved by up to 2.8e-6
-    (1 + their norm) on the flat problem."""
-    p = _precision_problem(suite, shape)
-    matrix = callable(sel)
-    sel = sel(p) if matrix else sel
-    cfg = ad.SolverConfig(rho=rho, eps=1e-3)
-    rep = ad.differentiate(p, sel, cfg)
-    rep64 = _float64_run(monkeypatch, p, sel, cfg)
-    f64 = matrix or shape == "flat"
-    assert sweep_dtypes == [np.float64 if f64 else np.float32, np.float64]
-    if f64:
-        _assert_identical(rep, rep64)
-    else:
-        _assert_f32_close(rep, rep64)
-
-
-@pytest.mark.parametrize("dims, sel", [((200, 70, 30), ad.LinearCost()),
-                                       ((400, 130, 50), ad.EqRhs())],
-                         ids=["qp-layer", "qp-dense"])
-def test_benchmark_shapes_pick_float32(dims, sel):
-    """The random QPs of the benchmark workloads estimate ||H^-1||_1 at
-    about 0.2, far under FLOAT32_MAX_INV_NORM, and P carries about 0.7 of
-    tr H, far over FLOAT32_MIN_CURVATURE_SHARE, so eps = 1e-3 runs float32."""
-    for seed in range(3):
-        p = bench.gen_random_qp(*dims, seed)
-        sweep = backward._make_sweep(p, theta_partials(p, sel), ad.SolverConfig(eps=1e-3),
-                                     forward.initial_state(p).s)
-        assert sweep.dtype == np.float32, seed
-
-
-@pytest.mark.parametrize("sel", [ad.EqRhs(), ad.IneqRhs()], ids=lambda sel: type(sel).__name__)
-def test_penalty_dominated_hessian_keeps_float64(suite, monkeypatch, no_polish, sweep_dtypes, sel):
-    """Box rows (k >= n) keep rho C'C full rank, so ||H^-1||_1 stays about 1
-    however flat P is, while P / 100 makes the sweeps run long (over 1,000
-    here). P's share of tr H, about 0.004, sends the solve to float64; run
-    in float32 regardless, its blocks drift about 2e-6 off, over F32_BOUND."""
-    p = _constraint_shape(suite.problem(4), "eq_ineq_box")
-    con = p.constraints
-    p = ad.ProblemSpec.quadratic(P=p.objective.P / 100, q=p.objective.q,
-                                 A=con.A, b=con.b, G=con.G, h=con.h)
-    cfg = ad.SolverConfig(rho=SUITE_RHO, eps=1e-3)
-    assert forward.xstep_factor(p, cfg.rho).inverse_norm() <= backward.FLOAT32_MAX_INV_NORM
-    assert backward._curvature_share(p, cfg.rho) < backward.FLOAT32_MIN_CURVATURE_SHARE
-    rep = ad.differentiate(p, sel, cfg)
-    with monkeypatch.context() as m:
-        m.setattr(backward, "FLOAT32_MIN_CURVATURE_SHARE", 0.0)
-        rep32 = ad.differentiate(p, sel, cfg)
-    assert sweep_dtypes == [np.float64, np.float32]
-    assert rep.forward.iterations == rep32.forward.iterations > 1000
-    drift = max(np.abs(getattr(rep32.jac, name) - getattr(rep.jac, name)).max()
-                / (1.0 + np.linalg.norm(getattr(rep.jac, name))) for name in ("Jx", "Js", "Jlam", "Jnu"))
-    assert drift > F32_BOUND
-
-
-@pytest.mark.parametrize("sel", [ad.LinearCost(), ad.IneqRhs()],
-                         ids=lambda sel: type(sel).__name__)
-def test_float32_sweep_returns_float64(suite, no_polish, sweep_dtypes, sel):
-    rep = ad.differentiate(suite.problem(4), sel, ad.SolverConfig(rho=SUITE_RHO, eps=1e-3),
-                           trace=True)
-    assert sweep_dtypes == [np.float32]
-    for name in ("Jx", "Js", "Jlam", "Jnu"):
-        assert getattr(rep.jac, name).dtype == np.float64, name
-    assert rep.jac_errors.dtype == np.float64 and rep.x_errors.dtype == np.float64
-    assert all(type(v) is float for v in rep.jac_step_norms)
-
-
-@pytest.mark.parametrize("sel", [ad.LinearCost(), ad.EqRhs()], ids=lambda sel: type(sel).__name__)
-def test_float64_below_float32_floor(suite, monkeypatch, sweep_dtypes, sel):
-    """Below FLOAT32_MIN_EPS a solve is bit for bit the float64 one."""
-    p = suite.problem(4)
-    cfg = ad.SolverConfig(rho=SUITE_RHO, eps=backward.FLOAT32_MIN_EPS / 2)
-    plain = ad.differentiate(p, sel, cfg, trace=True)
-    ref = _float64_run(monkeypatch, p, sel, cfg, trace=True)
-    assert sweep_dtypes == [np.float64, np.float64]
-    assert plain.forward.iterations == ref.forward.iterations
-    assert np.array_equal(plain.x, ref.x)
-    for name in ("Jx", "Js", "Jlam", "Jnu"):
-        assert np.array_equal(getattr(plain.jac, name), getattr(ref.jac, name)), name
-    assert np.array_equal(plain.jac_errors, ref.jac_errors)
-    assert plain.jac_step_norms == ref.jac_step_norms
-
-
-# The polish is switched off by a marker, not in the body: derandomize seeds
-# the draw from the body's source, so editing it would draw other examples.
-@pytest.mark.usefixtures("no_polish")
-@given(p=_feasible_qps(), sel=hst.sampled_from([ad.LinearCost(), ad.EqRhs(), ad.IneqRhs()]))
-@settings(max_examples=30, deadline=None, derandomize=True)
-def test_random_qp_float32_sweep_matches_float64(p, sel):
-    cfg = ad.SolverConfig(rho=SUITE_RHO, eps=1e-3)
-    rep32 = ad.differentiate(p, sel, cfg)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(backward, "FLOAT32_MIN_EPS", np.inf)
-        rep64 = ad.differentiate(p, sel, cfg)
-    _assert_f32_close(rep32, rep64)

@@ -181,22 +181,3 @@ def test_inverse_makes_no_factorization():
     before = linalg.factorization_count()
     f.inverse()
     assert linalg.factorization_count() == before
-
-
-def test_inverse_norm_estimates_exact_one_norm():
-    m = _spd(12, seed=4)
-    exact = np.abs(np.linalg.inv(m)).sum(axis=0).max()
-    est = linalg.factorize(m, spd_hint=True).inverse_norm()
-    # pocon's estimate is a lower bound, usually within a factor of 3.
-    assert exact / 3.0 <= est <= exact * (1.0 + 1e-12)
-
-
-def test_inverse_norm_of_empty_matrix():
-    assert linalg.factorize(np.zeros((0, 0)), spd_hint=True).inverse_norm() == 0.0
-
-
-def test_inverse_norm_rejects_lu_factor():
-    f = linalg.factorize(np.array([[0.0, 1.0], [1.0, 0.0]]), spd_hint=False)
-    assert not f.spd
-    with pytest.raises(ValueError, match="Cholesky"):
-        f.inverse_norm()

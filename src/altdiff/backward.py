@@ -48,32 +48,22 @@ The partials come in the same stacked layout (ThetaPartials): d[b; h] is
 one k x m_theta block and a Direction's dA, dG the rows of one k x n block
 d[A; G], so no sweep splits them; only the oracle reads their rows apart.
 
-For theta = q with k = p + m < n, the Jacobian recursion runs on a k x k
-core instead (_CostCoreSweep): every iterate has the form
-Jx = -(H^-1 + W T W') with T k x k, and the gate folds into one k x k
-product per sweep (about 2 k^3 flops, against 4 n^2 k in n-space), into
-which alpha folds as a row scaling; Jx is formed once, at the end. The b
-and h selectors keep the n-space sweep: on a k x k core their
-per-iteration cost would grow with n more slowly than acceptance
-criterion 5's band (measured on IneqRhs) allows.
-
-Every solve runs one loop (_solve) over one of three sweeps, picked at
-set-up: the two above for a quadratic objective, and _GeneralSweep for a
-callback one, whose damped Newton x-step factorizes H(x) every sweep. All
-three share one slack and dual step (_Sweep). forward.admm_solve is the
-same loop with a zero-width parameter: it builds no Jacobian half and no
+Every solve runs one loop (_solve) over one of two sweeps, picked at
+set-up: the one above for a quadratic objective, and _GeneralSweep for a
+callback one, whose damped Newton x-step factorizes H(x) every sweep. Both
+share one slack and dual step (_Sweep). forward.admm_solve is the same
+loop with a zero-width parameter: it builds no Jacobian half and no
 JacobianState.
 
 The stopping rule reads the Jacobian step norm only on sweeps whose x step
-is already below eps, so the loop takes it only there (on the k x k core it
-costs two products as large as the sweep's own) and records nan elsewhere;
-the stopping sweep is the one every step would give. A quadratic solve,
-of a vector parameter or none, first tries the polish (below) on those
-sweeps: where it succeeds, its fixed point replaces the sweep's iterate and
-Jacobian step (nan), and the solve stops there, before the rule's third
-hit; eps still sets the sweep it stops on. Such a solve, untraced, also
-defers the Jacobian sweeps of the sweeps before (below), which an accepted
-polish makes moot.
+is already below eps, so the loop takes it only there and records nan
+elsewhere; the stopping sweep is the one every step would give. A
+quadratic solve, of a vector parameter or none, first tries the polish
+(below) on those sweeps: where it succeeds, its fixed point replaces the
+sweep's iterate and Jacobian step (nan), and the solve stops there, before
+the rule's third hit; eps still sets the sweep it stops on. Such a solve,
+untraced, also defers the Jacobian sweeps of the sweeps before (below),
+which an accepted polish makes moot.
 
 Polish. Once the gate stops changing, the solver sweep and the Jacobian
 sweep of a quadratic are one affine map, and its fixed point is one k x k
@@ -95,9 +85,11 @@ refused, as where dependent active rows make M + D singular; a gate with
 more active rows than variables (p + closed > n) is one such, refused
 before any LU. An infeasible problem has no gate whose z passes. An
 accepted z stops the solve with converged=True: x = x0 - W z, and the
-Jacobian comes from the same factor, Y = -(M + D)^-1 (C Hd + d[b; h]) in
-n-space and T = -(M + D)^-1 on the k x k core (C Hd = W' there). Otherwise
-the sweeps and the step rule go on.
+Jacobian comes from the same factor, Y = -(M + D)^-1 (C Hd + d[b; h]):
+from the inverse (getri) and one product where m_theta > k, which saves a
+solve against m_theta right-hand sides, else from getrs. For theta = q,
+Hd = H^-1 and C Hd + d[b; h] = W'. Otherwise the sweeps and the step rule
+go on.
 Callback objectives, whose x-step is not this affine map, and matrix
 Directions, whose Jacobian step has terms in x, are never polished.
 
@@ -111,7 +103,7 @@ and whose polish() returned None, or before finish() on a solve that
 stopped unpolished on max_outer_iters, _Sweep.replay() runs the kept
 sweeps in order through the same run() and advance(False), each at its own
 alpha, before that sweep's own run(); an accepted polish drops them. The
-folded sweeps build the recursion's buffers at their first run() (_build),
+folded sweep builds the recursion's buffers at its first run() (_build),
 so a solve polished at its first attempt builds none. Every block, step
 norm and stopping sweep is bit for bit the lockstep one. A traced solve
 keeps every iterate, so it runs every Jacobian sweep in lockstep, as
@@ -361,7 +353,7 @@ class _Sweep:
 
     The sweep owns the Jacobian iterate: each subclass allocates the Y and
     Jx buffers it steps (self.jx starts at Jx = 0), at nonzero width only,
-    the folded sweeps at their first run() and _GeneralSweep at set-up.
+    the folded sweep at its first run() and _GeneralSweep at set-up.
     """
 
     # ||self.jx||, None when a skipped sweep left it unknown; the recursion
@@ -371,7 +363,7 @@ class _Sweep:
     # matrix Direction), and the LU factorizations it made in this solve.
     polishable = False
     polish_factorizations = 0
-    # Whether the folded sweeps' run() has built its buffers (_build).
+    # Whether the folded sweep's run() has built its buffers (_build).
     built = False
 
     def __init__(self, con: Polyhedron, rho: float, s0: np.ndarray):
@@ -487,11 +479,6 @@ class _Sweep:
         return JacobianState(Jx=self.jx, Js=np.where(closed, 0.0, y[p:] / self.rho),
                              Jlam=y[:p], Jnu=np.where(closed, y[p:], 0.0))
 
-    def trace_point(self) -> np.ndarray:
-        """A copy of what a trace keeps of the current Jacobian iterate: an
-        array whose distances to the others are those of the Jx iterates."""
-        return self.jx.copy()
-
 
 class _QuadraticSweep(_Sweep):
     """Solver and Jacobian sweep for constant-Hessian problems, every selector.
@@ -510,10 +497,13 @@ class _QuadraticSweep(_Sweep):
         super().__init__(p.constraints, rho, s0)
         self.fact, k = fact, self.C.shape[0]
         q = p.objective.q
+        # At width, Hd = H^-1 (dq - rho C' d[b; h]), which the polish's
+        # Jacobian half and run() read; run() builds the rest at its first
+        # call (_build).
         if pt.eye:
-            # theta = q: dq = I, so H^-1 dq is H^-1 itself; take it from the
-            # factor and get the rest as products.
-            hinv = hinv_dq = fact.inverse()
+            # theta = q: dq = I and d[b; h] = 0, so Hd is H^-1 itself; take
+            # it from the factor and get the rest as products.
+            hinv = self.Hd = fact.inverse()
             self.W = hinv @ self.C.T  # H^-1 [A; G]'
             hinv_q = hinv @ q
         else:
@@ -523,24 +513,18 @@ class _QuadraticSweep(_Sweep):
             sol = fact.solve(np.hstack(cols))
             self.W = np.ascontiguousarray(sol[:, :k])
             hinv_q = sol[:, k]
-            hinv_dq = sol[:, k + 1:] if pt.dq is not None else None
+            if pt.m_theta:
+                # H^-1 dq - rho W d[b; h]
+                self.Hd = -rho * _times_d_rhs(self.W, pt.d_rhs)
+                if pt.dq is not None:
+                    self.Hd += sol[:, k + 1:]
         # The x-step at z = 0.
         self.x0 = rho * (self.W @ self.con.rhs) - hinv_q
         self.z = np.empty(k)
-        # The polish's M = C W (formed at the first polish or run()), the
+        # The polish's M = C W (formed at its first factorization), the
         # gates it tried and its accepted LU factor.
         self.pt, self.polishable = pt, k > 0 and not pt.matrix
         self.M, self.tried, self.lu = None, [], None
-        if pt.m_theta:
-            self._init_jacobian(hinv_dq)
-
-    def _init_jacobian(self, hinv_dq: Optional[np.ndarray]) -> None:
-        """What the polish's Jacobian half and finish() read; run() builds
-        the rest at its first call (_build)."""
-        # H^-1 (dq - rho C' d[b; h]) = H^-1 dq - rho W d[b; h]
-        self.Hd = -self.rho * _times_d_rhs(self.W, self.pt.d_rhs)
-        if hinv_dq is not None:
-            self.Hd += hinv_dq
 
     def _build(self) -> None:
         """The recursion's -W and buffers, at the first run(): a polished
@@ -601,14 +585,23 @@ class _QuadraticSweep(_Sweep):
 
     def polish_jacobian(self) -> None:
         """The Jacobian half of an accepted polish, from its factor:
-        (M + D) Y = -(C Hd + d[b; h]) and Jx = -(Hd + W Y)."""
+        (M + D) Y = -(C Hd + d[b; h]) and Jx = -(Hd + W Y). Y is minus the
+        inverse (getri) times C Hd + d[b; h] where theta has more columns
+        than M + D has rows, else a solve (getrs)."""
         pt = self.pt
-        # C Hd = W' dq - rho M d[b; h], as C H^-1 = W'
-        rhs = -self.rho * _times_d_rhs(self.M, pt.d_rhs)
-        if pt.dq is not None:
-            rhs += self.W.T if pt.eye else self.W.T @ pt.dq
-        rhs += pt.d_rhs
-        self.y = lapack.dgetrs(*self.lu, np.negative(rhs, out=rhs))[0]
+        if pt.eye:
+            rhs = self.W.T  # C Hd = C H^-1 = W', d[b; h] = 0
+        else:
+            # C Hd = W' dq - rho M d[b; h], as C H^-1 = W'
+            rhs = -self.rho * _times_d_rhs(self.M, pt.d_rhs)
+            if pt.dq is not None:
+                rhs += self.W.T @ pt.dq
+            rhs += pt.d_rhs
+        if pt.m_theta > len(self.sigma):
+            inv = lapack.dgetri(*self.lu)[0]
+            self.y = np.negative(inv, out=inv) @ rhs
+        else:
+            self.y = lapack.dgetrs(*self.lu, -rhs)[0]
         jx = self.W @ self.y
         jx += self.Hd
         self.jx = np.negative(jx, out=jx)
@@ -625,102 +618,6 @@ class _QuadraticSweep(_Sweep):
             jx -= self.fact.solve(_direction_terms(self.con, self.pt, self.st, self.x, self.rho,
                                                    terms))
         self.dual_tail(s_new)
-
-
-class _CostCoreSweep(_QuadraticSweep):
-    """The sweep w.r.t. the linear cost on k x k blocks, k = p + m < n.
-
-    With dq = I and d[b; h] = 0, C H^-1 = W' keeps every iterate of the form
-    Y = T W' and Jx = -(H^-1 + W T W') with a k x k T, and the gated step is,
-    on T, with M = C W,
-
-        T <- B T - alpha rho diag(sigma),
-        B = diag(sigma) (-alpha rho M) + diag(sigma g'):
-
-    a row scaling, two diagonal writes and one k x k product. A sweep's Jx
-    comes from T before its step, so three buffers rotate: t (after this
-    sweep's step), t_prev (this sweep's Jx) and t_spare (the previous one's).
-    Nothing factors W, so a rank-deficient [A; G] needs no care. Step norms
-    use G = W'W and K = W' H^-1 W: ||Jx||^2 = ||H^-1||^2 + 2 <K, T> + <GT, TG>
-    and ||dJx||^2 = <G dT, dT G>, two products per step taken (two more after
-    skipped sweeps); the first step is ||Jx_1||, as Jx_0 = 0 is not of this
-    form. finish() forms Jx and the blocks with W' as the right factor.
-    """
-
-    def _init_jacobian(self, hinv_dq: Optional[np.ndarray]) -> None:
-        self.hinv = hinv_dq  # dq = I
-
-    def _build(self) -> None:
-        self.built = True
-        k, W = self.C.shape[0], self.W
-        if self.M is None:
-            self.M = self.C @ W  # shared with the polish
-        self.Mn = np.negative(self.M)  # -M
-        self.G = W.T @ W
-        self.K = W.T @ (self.hinv @ W)
-        self.hinv_sq = float(np.vdot(self.hinv, self.hinv))
-        self.B = np.empty((k, k))
-        self.t, self.t_prev, self.t_spare = (np.zeros((k, k)) for _ in range(3))
-        # G T and T G of the current and of the previous iterate
-        self.gt, self.tg, self.gt_prev, self.tg_prev = (np.empty((k, k)) for _ in range(4))
-        self.first = True
-
-    def run(self, s_new: np.ndarray) -> None:
-        """One Jacobian sweep on T; Jx and Y are formed by finish()."""
-        if not self.built:
-            self._build()
-        self.gate(s_new)
-        B, t, k = self.B, self.t_spare, len(self.sigma)
-        np.multiply(self.Mn, self.rs[:, None], out=B)  # diag(alpha rho sigma) (-M)
-        B.reshape(-1)[:: k + 1] += self.sg  # its diagonal
-        np.matmul(B, self.t, out=t)
-        t.reshape(-1)[:: k + 1] -= self.rs
-        self.t_prev, self.t, self.t_spare = self.t, t, self.t_prev
-
-    def polish_jacobian(self) -> None:
-        """T = -(M + D)^-1 from the accepted polish's factor (getri, which
-        beats a solve against the identity); it is both this sweep's T and
-        the one Y is formed from."""
-        t = lapack.dgetri(*self.lu)[0]
-        self.t = self.t_prev = np.negative(t, out=t)
-
-    def _sq_norm(self, t: np.ndarray, gt: np.ndarray, tg: np.ndarray) -> float:
-        """||Jx||^2 of the iterate T = t, writing G T to gt and T G to tg."""
-        np.matmul(self.G, t, out=gt)
-        np.matmul(t, self.G, out=tg)
-        # The terms cancel near a vertex, where round-off can leave the sum below 0.
-        return max(self.hinv_sq + 2.0 * float(np.vdot(self.K, t)) + float(np.vdot(gt, tg)), 0.0)
-
-    def advance(self, need: bool) -> float:
-        first, self.first = self.first, False
-        if not need:
-            self.jx_norm = None
-            return np.nan
-        gt, tg, gt_prev, tg_prev = self.gt, self.tg, self.gt_prev, self.tg_prev
-        norm = math.sqrt(self._sq_norm(self.t_prev, gt, tg))
-        if first:
-            step = norm
-        else:
-            if self.jx_norm is None:
-                self.jx_norm = math.sqrt(self._sq_norm(self.t_spare, gt_prev, tg_prev))
-            gt_prev -= gt
-            tg_prev -= tg
-            step = math.sqrt(max(np.vdot(gt_prev, tg_prev), 0.0)) / (1.0 + self.jx_norm)
-        self.gt, self.tg, self.gt_prev, self.tg_prev = gt_prev, tg_prev, gt, tg
-        self.jx_norm = norm
-        return step
-
-    def finish(self) -> JacobianState:
-        wt = self.W.T
-        self.y = self.t @ wt  # Y = T W'
-        jx = self.W @ (self.y if self.t_prev is self.t else self.t_prev @ wt)
-        jx += self.hinv
-        self.jx = np.negative(jx, out=jx)
-        return super().finish()
-
-    def trace_point(self) -> np.ndarray:
-        # W T W' = -(Jx + H^-1): its distances are those of the Jx iterates.
-        return self.W @ self.t_prev @ self.W.T
 
 
 class _GeneralSweep(_Sweep):
@@ -755,15 +652,11 @@ def _make_sweep(p: ProblemSpec, pt: ThetaPartials, cfg: SolverConfig,
     """The set-up of a solve: the constraint curvature, for a quadratic
     objective the one (Cholesky) factorization of its constant Hessian, and
     the sweep, whose first gate reads the initial slack s0. A quadratic
-    takes the folded sweep, on the k x k core for theta = q with
-    k = p + m < n. Callback objectives run _GeneralSweep.
+    takes the folded sweep, callback objectives _GeneralSweep.
     """
     if not isinstance(p.objective, QuadraticObjective):
         return _GeneralSweep(p, pt, cfg, s0)
-    fact = xstep_factor(p, cfg.rho)
-    core = pt.eye and p.constraints.C.shape[0] < p.n
-    sweep = _CostCoreSweep if core else _QuadraticSweep
-    return sweep(p, pt, fact, cfg.rho, s0)
+    return _QuadraticSweep(p, pt, xstep_factor(p, cfg.rho), cfg.rho, s0)
 
 
 def _distances_to_last(points: list) -> np.ndarray:
@@ -855,7 +748,7 @@ def _solve(
                 jac_step = sweep.advance(need)
             report.jacobian_ms += (perf() - t0) * 1e3
             if trace:
-                jx_hist.append(sweep.trace_point())
+                jx_hist.append(sweep.jx.copy())
         report.jac_step_norms.append(jac_step)
         fwd.step_norms.append(step)
         fwd.eq_residuals.append(eq_res)
@@ -907,10 +800,8 @@ def differentiate(
     solver's stopping rule (relative x-step below cfg.eps), so loosening eps
     truncates both consistently. With trace=True the report additionally
     carries per-iteration distances of (x_k, Jx_k) to the run's own final
-    iterate, at the cost of storing one trajectory copy: an n x m_theta
-    block per sweep, Jx, or on the k x k core of a theta = q solve W T W'
-    (formed for the trace with two products; its distances are those of
-    the Jx iterates). A traced run also takes the Jacobian step norm on
+    iterate, at the cost of storing one trajectory copy: the n x m_theta
+    Jx of every sweep. A traced run also takes the Jacobian step norm on
     every sweep but a polished one, where an untraced one leaves nan on
     sweeps the stopping rule does not read; the iterates and the stopping
     sweep are the same either way.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
+from scipy.linalg import lapack
 
 import altdiff as ad
 from altdiff import backward, bench, forward, linalg
@@ -323,8 +324,7 @@ def test_trace_errors_decay(suite, sel):
     assert rep.x_errors[-1] == 0.0
     assert rep.x_errors[0] > rep.x_errors[-2]
     assert rep.jac_errors[0] > rep.jac_errors[-2]
-    # The k x k core keeps a k x k block per sweep, not Jx: its distances
-    # must still be those of the Jx iterates.
+    # The trace's distances are those of the reference loop's iterates.
     ref = _reference_sweeps(p, sel, cfg)
     dist = lambda hist: [np.linalg.norm(v - hist[-1]) for v in hist]
     assert np.allclose(rep.x_errors, dist(ref.x_hist), rtol=1e-8, atol=1e-12)
@@ -497,7 +497,7 @@ def _constraint_shape(p, shape):
     if shape == "ineq_only":
         return ad.ProblemSpec.quadratic(P, q, G=con.G, h=con.h)
     if shape == "eq_ineq_box":
-        # |x_i| <= 1 on top: p + m >= n, so LinearCost keeps the n-space sweep.
+        # |x_i| <= 1 on top: p + m >= n, so a polished LinearCost takes a solve.
         G = np.vstack([con.G, np.eye(p.n), -np.eye(p.n)])
         h = np.concatenate([con.h, np.ones(2 * p.n)])
         return ad.ProblemSpec.quadratic(P, q, A=con.A, b=con.b, G=G, h=h)
@@ -509,57 +509,54 @@ def _constraint_shape(p, shape):
     return p
 
 
-@pytest.fixture
-def core_sweeps(monkeypatch):
-    """Records each Jacobian sweep run on the k x k core."""
-    calls = []
-    run = backward._CostCoreSweep.run
-
-    def counted(self, s_new):
-        calls.append(s_new)
-        return run(self, s_new)
-
-    monkeypatch.setattr(backward._CostCoreSweep, "run", counted)
-    return calls
-
-
 @pytest.mark.parametrize("shape", ["eq_ineq", "eq_only", "ineq_only", "eq_ineq_box", "dup_rows"])
 @pytest.mark.parametrize("sel", [ad.LinearCost(), ad.EqRhs(), ad.IneqRhs()],
                          ids=lambda sel: type(sel).__name__)
-def test_fused_sweep_matches_reference_updates(suite, core_sweeps, sel, shape):
+def test_fused_sweep_matches_reference_updates(suite, sweep_runs, monkeypatch, sel, shape):
     """The buffered quadratic sweep must reproduce the reference loop's
     linearized updates step for step, in every Jacobian block, and its
-    polish the reference's. LinearCost with p + m < n runs on the k x k core,
-    every other case in n-space. An untraced polished solve runs no Jacobian
-    sweep, the ones before the polish deferred and dropped; the
-    rank-deficient dup_rows refuses the polish and runs them all."""
+    polish the reference's. The polish's Jacobian takes the inverse of
+    M + D (getri) where theta has more columns than M + D has rows, as
+    LinearCost with k = p + m < n does, and a solve in every other case. An
+    untraced polished solve runs no Jacobian sweep, the ones before the
+    polish deferred and dropped; the rank-deficient dup_rows refuses the
+    polish and runs them all."""
+    getri, inverses = lapack.dgetri, []
+
+    def spy(*args, **kwargs):
+        inverses.append(args[0].shape)
+        return getri(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dgetri", spy)
     p = _constraint_shape(suite.problem(8), shape)
     cfg = ad.SolverConfig(rho=SUITE_RHO, eps=1e-6)
     rep = ad.differentiate(p, sel, cfg)
     con = p.constraints
-    core = isinstance(sel, ad.LinearCost) and con.n_eq + con.n_ineq < p.n
-    assert rep.forward.polished == (shape != "dup_rows")
-    assert len(core_sweeps) == (0 if rep.forward.polished or not core
-                                else rep.forward.iterations)
+    k = con.n_eq + con.n_ineq
+    polished = rep.forward.polished
+    assert polished == (shape != "dup_rows")
+    assert len(sweep_runs) == (0 if polished else rep.forward.iterations)
+    takes_inverse = polished and isinstance(sel, ad.LinearCost) and k < p.n
+    assert inverses == ([(k, k)] if takes_inverse else [])
     _assert_sweep_matches(rep, p, sel, cfg)
 
 
 @pytest.mark.parametrize("sweeps", [1, 2, 6, 15])
 @pytest.mark.parametrize("sel", [ad.EqRhs(), ad.IneqRhs(), ad.LinearCost()],
                          ids=lambda sel: type(sel).__name__)
-def test_jacobian_is_derivative_of_truncated_iterate(core_sweeps, sel, sweeps):
+def test_jacobian_is_derivative_of_truncated_iterate(sweep_runs, sel, sweeps):
     """Stopped after N sweeps, Jx_N is the derivative of x_N itself, the
     iterate the relaxed splitting reached, not only of the limit: central
     differences of x_N agree. N = 1 is the plain first sweep alone (with the
     initial slack max(0, h), which moves with h); later sweeps are relaxed.
-    EqRhs and IneqRhs run in n-space, LinearCost (k = 9 < n = 12) on the
-    k x k core. x_N is piecewise affine in theta, so differences of 1e-6
-    carry only round-off."""
+    Every selector runs the n-space sweep, LinearCost with k = 9 < n = 12.
+    x_N is piecewise affine in theta, so differences of 1e-6 carry only
+    round-off."""
     p = bench.gen_random_qp(12, 6, 3, 7)
     cfg = ad.SolverConfig(eps=1e-15, max_outer_iters=sweeps)
     rep = ad.differentiate(p, sel, cfg)
     assert rep.forward.iterations == sweeps
-    assert len(core_sweeps) == (sweeps if isinstance(sel, ad.LinearCost) else 0)
+    assert len(sweep_runs) == rep.jacobian_sweeps == sweeps
     step, m_theta = 1e-6, rep.Jx.shape[1]
     fd = np.empty_like(rep.Jx)
     for j in range(m_theta):
@@ -571,9 +568,10 @@ def test_jacobian_is_derivative_of_truncated_iterate(core_sweeps, sel, sweeps):
     assert np.abs(rep.Jx - fd).max() <= 1e-7 * np.abs(fd).max()
 
 
-def test_core_factors_nothing_of_rank_deficient_constraints(suite, core_sweeps, monkeypatch):
-    """The core takes no QR (or any other factor) of W = H^-1 [A; G]', so
-    repeated constraint rows (k < n) run it like any other problem, and its
+def test_core_factors_nothing_of_rank_deficient_constraints(suite, sweep_runs, monkeypatch):
+    """The quadratic sweep takes no QR (or any other factor) of
+    W = H^-1 [A; G]', so repeated constraint rows (k < n), which refuse the
+    polish, run every Jacobian sweep like any other problem, and the
     derivative matches finite differences."""
     def refuse(*args, **kwargs):
         raise AssertionError("QR factorization in a solve")
@@ -581,7 +579,7 @@ def test_core_factors_nothing_of_rank_deficient_constraints(suite, core_sweeps, 
     monkeypatch.setattr(np.linalg, "qr", refuse)
     p = _constraint_shape(suite.problem(8), "dup_rows")
     rep = ad.differentiate(p, ad.LinearCost(), ad.SolverConfig(rho=SUITE_RHO, eps=1e-8))
-    assert len(core_sweeps) == rep.forward.iterations
+    assert len(sweep_runs) == rep.forward.iterations
     assert not rep.weakly_active_warning
     fd = ad.finite_diff_jacobian(p, ad.LinearCost(), ad.SolverConfig(rho=SUITE_RHO))
     err = np.abs(rep.Jx - fd)
@@ -625,7 +623,7 @@ def test_admm_solve_runs_no_jacobian_sweep(suite, monkeypatch):
     def refuse(*args):
         raise AssertionError("Jacobian sweep at zero width")
 
-    for kind in (backward._QuadraticSweep, backward._CostCoreSweep, backward._GeneralSweep):
+    for kind in (backward._QuadraticSweep, backward._GeneralSweep):
         monkeypatch.setattr(kind, "run", refuse)
         monkeypatch.setattr(kind, "advance", refuse)
     y, u = np.linspace(-1.0, 1.0, 8), np.full(8, 0.3)
@@ -636,8 +634,10 @@ def test_admm_solve_runs_no_jacobian_sweep(suite, monkeypatch):
 
 
 def test_admm_solve_builds_no_jacobian_half(suite, monkeypatch):
-    """At zero width the sweep holds no Jacobian buffers (no -W copy, Hd, Y
-    or Jx) and the solve constructs no JacobianState."""
+    """At zero width the sweep holds none of the Jacobian buffers that the
+    same kind of sweep holds on a nonzero-width, unpolished solve (-W, Hd or
+    the direct term, Y, c, Jx and its spare), and the solve constructs no
+    JacobianState."""
     made, make = [], backward._make_sweep
 
     def spy(*args):
@@ -646,34 +646,25 @@ def test_admm_solve_builds_no_jacobian_half(suite, monkeypatch):
 
     monkeypatch.setattr(backward, "_make_sweep", spy)
     y, u = np.linspace(-1.0, 1.0, 8), np.full(8, 0.3)
+    held = {backward._QuadraticSweep: {"Wn", "Hd", "y", "c", "jx", "jx_next"},
+            backward._GeneralSweep: {"direct", "y", "c", "jx", "jx_next"}}
     for p, kind in ((suite.problem(8), backward._QuadraticSweep),
                     (ad.build(ad.SoftmaxLayer(y=y, u=u)), backward._GeneralSweep)):
+        # Stopped on max_outer_iters, before any polish.
+        rep = ad.differentiate(p, ad.LinearCost(),
+                               ad.SolverConfig(rho=SUITE_RHO, max_outer_iters=3))
+        assert not rep.forward.polished and rep.jacobian_sweeps == 3
+        assert type(made[-1]) is kind and held[kind] <= set(vars(made[-1]))
         for eps in (1e-3, 1e-6):
             before = backward.jacobian_allocations()
             ad.admm_solve(p, ad.SolverConfig(rho=SUITE_RHO, eps=eps))
             assert backward.jacobian_allocations() == before
             assert type(made[-1]) is kind
-            held = {"Wn", "Cj", "Hd", "d_rhs", "direct", "y", "c", "jx", "jx_next"}
-            assert not held & set(vars(made[-1]))
+            assert not held[kind] & set(vars(made[-1]))
 
 
-def test_core_forms_y_only_in_finish(suite, monkeypatch):
-    """The k x k core steps T alone: no k-row Y and no Jx buffer exists
-    before finish() forms them."""
-    held, finish = [], backward._CostCoreSweep.finish
-
-    def spy(self):
-        held.append({"y", "jx", "jx_next"} & set(vars(self)))
-        return finish(self)
-
-    monkeypatch.setattr(backward._CostCoreSweep, "finish", spy)
-    for eps in (1e-3, 1e-6):
-        rep = ad.differentiate(suite.problem(8), ad.LinearCost(),
-                               ad.SolverConfig(rho=SUITE_RHO, eps=eps))
-        assert rep.Jx.shape == (SUITE_N, SUITE_N)
-    assert held == [set(), set()]
-
-
+# "core" (k < n) and "nspace" (k >= n) are LinearCost solves on either side
+# of the polish's inverse-or-solve rule; both run the folded sweep.
 @pytest.mark.parametrize("kind", ["core", "nspace", "callback", "matrix"])
 def test_untraced_run_matches_traced(suite, monkeypatch, kind):
     """Skipping the unread Jacobian step norms changes nothing else: with and
@@ -690,8 +681,7 @@ def test_untraced_run_matches_traced(suite, monkeypatch, kind):
         p = ad.build(ad.SoftmaxLayer(y=y, u=np.full(8, 0.3)))
     elif kind == "matrix":
         sel = _suite_direction(matrix=True)
-    expected = {"core": backward._CostCoreSweep, "nspace": backward._QuadraticSweep,
-                "callback": backward._GeneralSweep, "matrix": backward._QuadraticSweep}[kind]
+    expected = backward._GeneralSweep if kind == "callback" else backward._QuadraticSweep
     made, make = [], backward._make_sweep
 
     def spy(*args):
@@ -727,14 +717,14 @@ def no_polish(monkeypatch):
 
 @pytest.fixture
 def sweep_runs(monkeypatch):
-    """Records each Jacobian sweep run by a folded sweep, core or n-space."""
-    calls = []
-    for kind in (backward._QuadraticSweep, backward._CostCoreSweep):
-        def counted(self, s_new, run=kind.run):
-            calls.append(type(self))
-            return run(self, s_new)
+    """Records the gate of each Jacobian sweep run by the folded sweep."""
+    calls, run = [], backward._QuadraticSweep.run
 
-        monkeypatch.setattr(kind, "run", counted)
+    def counted(self, s_new):
+        calls.append(s_new)
+        return run(self, s_new)
+
+    monkeypatch.setattr(backward._QuadraticSweep, "run", counted)
     return calls
 
 
@@ -753,21 +743,18 @@ def test_deferred_jacobian_matches_traced_run(suite, request, sweep_runs, sel, s
     their gates when it is refused (dup_rows, or the polish off) or the solve
     stops on max_outer_iters. A traced solve runs every one in lockstep.
     Both give the same x, blocks, iterations and converged bit for bit, and
-    the same Jacobian steps where the untraced one takes them, on the k x k
-    core (LinearCost on eq_ineq and dup_rows) and in n-space, at a loose and
-    a tight eps. A polished untraced solve runs no Jacobian sweep at all."""
+    the same Jacobian steps where the untraced one takes them, with k < n
+    (eq_ineq, dup_rows) and k >= n (eq_ineq_box), at a loose and a tight
+    eps. A polished untraced solve runs no Jacobian sweep at all."""
     if not polish:
         request.getfixturevalue("no_polish")
     p = _constraint_shape(suite.problem(8), shape)
-    core = isinstance(sel, ad.LinearCost) and shape != "eq_ineq_box"
     for iters in (1, 2, 6, 10000):
         cfg = ad.SolverConfig(rho=SUITE_RHO, eps=eps, max_outer_iters=iters)
         del sweep_runs[:]
         plain = ad.differentiate(p, sel, cfg)
         plain_runs = len(sweep_runs)
         traced = ad.differentiate(p, sel, cfg, trace=True)
-        kinds = {backward._CostCoreSweep if core else backward._QuadraticSweep}
-        assert set(sweep_runs) <= kinds
         fwd = plain.forward
         assert (fwd.iterations, fwd.converged, fwd.polished) == (
             traced.forward.iterations, traced.forward.converged, traced.forward.polished)
@@ -965,7 +952,8 @@ def _check_random_qp_derivative(p, sel):
 @given(_feasible_qps())
 @settings(max_examples=30, deadline=None, derandomize=True)
 def test_random_qp_cost_derivative_matches_oracle(p):
-    """Both sides of the core selection agree with the implicit derivative."""
+    """The cost derivative agrees with the implicit derivative, with k < n
+    and k >= n, so on both sides of the polish's inverse-or-solve rule."""
     _check_random_qp_derivative(p, ad.LinearCost())
 
 
@@ -996,7 +984,7 @@ def _vector_direction(p, seed):
        eps=hst.sampled_from([1e-3, 1e-6]))
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_polished_solve_is_kkt_point_with_oracle_derivative(p, sel, eps):
-    """Every polished solve, on the k x k core or in n-space, passes the
+    """Every polished solve, from the inverse of M + D or a solve, passes the
     oracle's KKT test at its returned point, and its Jx is the oracle's there."""
     sel = _vector_direction(p, p.n) if sel == "Direction" else getattr(ad, sel)()
     rep = ad.differentiate(p, sel, ad.SolverConfig(rho=SUITE_RHO, eps=eps))
@@ -1115,7 +1103,7 @@ def test_polish_is_timed_in_its_halves(suite, monkeypatch):
     assert rep.jacobian_ms >= 20.0
 
 
-# Precision of the folded sweeps. Every sweep runs in float64 at every eps;
+# Precision of the sweeps. Every sweep runs in float64 at every eps;
 # these tests keep the names they had when eps >= 1e-3 ran them in float32.
 # The polish takes its Jacobian from its own factor, so the tests of the bare
 # recursion switch it off (no_polish).

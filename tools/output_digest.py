@@ -8,17 +8,23 @@ checked against its parent:
 
 Each solve hashes x, the four Jacobian blocks, both step-norm lists, the
 iteration count, polished and converged. The set: random QPs with n from 5
-to 50 (some with k = p + m < n, so LinearCost runs the k x k core, some with
-k >= n, and some with a repeated constraint row, which refuses the polish),
-the three vector selectors, eps 1e-1, 1e-3 and 1e-6, max_outer_iters 3 and
-10,000, each untraced and traced.
+to 50 (some with k = p + m < n, whose polished LinearCost Jacobian takes
+the inverse of M + D, some with k >= n, and some with a repeated constraint
+row, which refuses the polish), the three vector selectors, eps 1e-1, 1e-3
+and 1e-6, max_outer_iters 3 and 10,000, each untraced and traced. BLAS runs
+on one thread, since the digest depends on the thread count.
 """
 
 import hashlib
 import os
 import sys
 
-import numpy as np
+# Pinned before numpy is imported.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 import altdiff as ad  # noqa: E402

@@ -93,22 +93,21 @@ go on.
 Callback objectives, whose x-step is not this affine map, and matrix
 Directions, whose Jacobian step has terms in x, are never polished.
 
-An accepted polish takes no Jacobian iterate, so the Jacobian sweeps before
-it are moot, and a vector parameter's Jacobian sweep reads the solver only
-through the gate (s_new > 0) and alpha, which follows from the sweep index.
-So an untraced polishable solve runs no Jacobian sweep while the x step is
-at least eps: _solve keeps the sweep's gate, one byte per inequality row.
-Where a Jacobian is needed after all, at a sweep whose x step is below eps
-and whose polish() returned None, or before finish() on a solve that
-stopped unpolished on max_outer_iters, _Sweep.replay() runs the kept
-sweeps in order through the same run() and advance(False), each at its own
-alpha, before that sweep's own run(); an accepted polish drops them. The
-folded sweep builds the recursion's buffers at its first run() (_build),
-so a solve polished at its first attempt builds none. Every block, step
-norm and stopping sweep is bit for bit the lockstep one. A traced solve
-keeps every iterate, so it runs every Jacobian sweep in lockstep, as
-callback objectives and matrix Directions do: their run() reads the
-sweep's x and pre-update state.
+Every Jacobian sweep runs on one schedule. Each sweep that is not
+polished keeps its gate (s_new > 0) on the _Sweep, one byte per inequality
+row, and _Sweep.replay() runs the kept gates in order through run(), each
+at the alpha of its own sweep index. An accepted polish takes no Jacobian
+iterate, so it drops the kept gates, and a vector parameter's Jacobian
+sweep reads the solver only through the gate and alpha. So an untraced
+polishable solve replays only where a Jacobian is needed: at a sweep whose
+x step is below eps and whose polish() returned None, and in finish() on a
+solve that stopped unpolished on max_outer_iters. Every other solve
+replays its one kept gate at once: a traced solve keeps every iterate, and
+the run() of callback objectives and matrix Directions reads the sweep's x
+and pre-update state. The folded sweep builds the recursion's buffers at
+its first run() (_build), so a solve polished at its first attempt builds
+none. Where it is replayed, every block, step norm and stopping sweep is
+bit for bit the one of a sweep run at once.
 """
 
 from __future__ import annotations
@@ -199,12 +198,12 @@ class DiffReport:
     # takes no recursion step (nan). 0.0 at zero width.
     jac_step_norms: list = field(default_factory=list)
     weakly_active_warning: bool = False
-    # Time in the Jacobian sweeps run (deferred ones included, at whichever
-    # sweep replays them), the polish's Jacobian half and finish().
+    # Time in the Jacobian sweeps run (at whichever sweep replays them), the
+    # polish's Jacobian half and finish().
     jacobian_ms: float = 0.0
-    # The Jacobian sweeps (run()) the solve made, replays included: 0 on an
-    # untraced solve polished at its first attempt, the sweep count on an
-    # unpolished or traced one.
+    # The Jacobian sweeps (run()) the solve made: 0 on an untraced solve
+    # polished at its first attempt, the sweep count on an unpolished or
+    # traced one.
     jacobian_sweeps: int = 0
     # Per-iteration distances to this run's own returned iterate (a polished
     # sweep's is its polished point); filled only when differentiate() is
@@ -339,30 +338,30 @@ class _Sweep:
     sweep, returns (x, s, lam, nu, ||Ax - b||, ||Gx + s - h||), every sweep
     through slack_dual(). At nonzero width, run(s) is the Jacobian sweep: it
     gates on the new slack (or its mask s > 0), writes the new Jx to
-    self.jx_next and steps Y (k x m_theta), in n-space through dual_tail();
-    advance(need) swaps self.jx_next in as the current iterate self.jx and,
-    if need, returns the Jacobian step ||Jx_new - Jx|| / (1 + ||Jx||), taken
-    in place on the outgoing buffer, else nan. The loop needs the step only
-    on sweeps whose x step is below eps; the first step taken after skipped
-    ones rebuilds ||Jx||. Where polishable, the loop calls polish(s_new) on
-    such sweeps and, if it returns a point, polish_jacobian() at width, and
-    stops; an untraced loop defers the Jacobian sweeps of the other sweeps
-    and replay()s them from their gates where the polish is refused (module
-    docstring). After the loop, finish() builds the solve's one
-    JacobianState. fact is the x-step factorization the report keeps.
+    self.jx_next and steps Y (k x m_theta), in n-space through dual_tail().
+    The loop appends each sweep's gate to self.gates, and replay(), the only
+    caller of run(), runs the kept ones in order and swaps each new Jx in as
+    self.jx; jac_step() then gives the last one's Jacobian step, which the
+    loop needs only on sweeps whose x step is below eps. Where polishable,
+    the loop calls polish(s_new) on such sweeps and, if it returns a point,
+    drops the kept gates, calls polish_jacobian() at width, and stops; an
+    untraced polishable loop replays only where a Jacobian is needed, every
+    other loop at each sweep (module docstring). After the loop, finish()
+    replays what is still kept and builds the solve's one JacobianState.
+    fact is the x-step factorization the report keeps.
 
     The sweep owns the Jacobian iterate: each subclass allocates the Y and
     Jx buffers it steps (self.jx starts at Jx = 0), at nonzero width only,
     the folded sweep at its first run() and _GeneralSweep at set-up.
     """
 
-    # ||self.jx||, None when a skipped sweep left it unknown; the recursion
-    # starts from Jx = 0.
-    jx_norm: Optional[float] = 0.0
     # Whether polish() may run (quadratic sweeps with constraint rows and no
     # matrix Direction), and the LU factorizations it made in this solve.
     polishable = False
     polish_factorizations = 0
+    # The Jacobian sweeps run() made in this solve, also the sweep index of
+    # gates[0].
+    jacobian_sweeps = 0
     # Whether the folded sweep's run() has built its buffers (_build).
     built = False
 
@@ -377,6 +376,7 @@ class _Sweep:
         self.sigma[self.p_eq:][s0 > 0.0] = -1.0
         self.rs = np.empty(k)  # gate() writes all of it
         self.alpha = 1.0  # this sweep's relaxation, set by slack_dual()
+        self.gates = []  # masks s_new > 0 of the sweeps whose run() waits
 
     def slack_dual(self, st: AdmmState, x: np.ndarray) -> tuple:
         """The slack and dual steps at the new x, from one residual
@@ -447,34 +447,29 @@ class _Sweep:
         c -= self.pt.d_rhs
         self.dual_step(c, s_new)
 
-    def advance(self, need: bool) -> float:
-        old, new = self.jx, self.jx_next
-        self.jx, self.jx_next = new, old
-        if not need:
-            self.jx_norm = None
-            return np.nan
-        if self.jx_norm is None:
-            self.jx_norm = float(np.linalg.norm(old))
-        old -= new
-        step = float(np.linalg.norm(old) / (1.0 + self.jx_norm))
-        self.jx_norm = float(np.linalg.norm(new))
-        return step
-
-    def replay(self, gates: list, k0: int) -> None:
-        """Run the deferred Jacobian sweeps of sweeps k0, k0 + 1, ... from
-        their gates, each as it would have run: run() at that sweep's alpha,
-        then advance(False). Empties gates."""
-        alpha = self.alpha
-        for k, opened in enumerate(gates, k0):
-            self.alpha = relaxation(k)
+    def replay(self) -> None:
+        """Run the kept Jacobian sweeps in order, each as it would have run
+        at its own sweep: alpha of sweep jacobian_sweeps, run() on its gate,
+        then jx_next swapped in as jx. Empties gates."""
+        for opened in self.gates:
+            self.alpha = relaxation(self.jacobian_sweeps)
             self.run(opened)
-            self.advance(False)
-        self.alpha = alpha
-        gates.clear()
+            self.jx, self.jx_next = self.jx_next, self.jx
+            self.jacobian_sweeps += 1
+        self.gates.clear()
+
+    def jac_step(self) -> float:
+        """The Jacobian step ||Jx - Jx_prev|| / (1 + ||Jx_prev||) of the last
+        sweep run, taken in place on the spare buffer, which holds Jx_prev."""
+        prev = self.jx_next
+        prev_norm = np.linalg.norm(prev)
+        prev -= self.jx
+        return float(np.linalg.norm(prev) / (1.0 + prev_norm))
 
     def finish(self) -> JacobianState:
-        """The final blocks: Jx is self.jx; Jlam, Jnu, Js come off Y and
-        the last gate."""
+        """The final blocks, after replaying what is still kept: Jx is
+        self.jx; Jlam, Jnu, Js come off Y and the last gate."""
+        self.replay()
         y, p, closed = self.y, self.p_eq, self.sigma[self.p_eq:, None] > 0.0
         return JacobianState(Jx=self.jx, Js=np.where(closed, 0.0, y[p:] / self.rho),
                              Jlam=y[:p], Jnu=np.where(closed, y[p:], 0.0))
@@ -678,9 +673,9 @@ def _solve(
 ) -> DiffReport:
     """The solver loop of every solve, on a validated problem. Timers:
     factorization_ms covers the set-up, iteration_ms the solver steps and
-    the polish's forward half, jacobian_ms the Jacobian steps (deferred ones
-    where they are replayed), the polish's Jacobian half and finish(), which
-    run at width only."""
+    the polish's forward half, jacobian_ms the Jacobian steps (where they
+    are replayed), the polish's Jacobian half and finish(), which run at
+    width only."""
     from . import linalg
 
     st = initial_state(p)
@@ -694,13 +689,6 @@ def _solve(
 
     x_hist: list[np.ndarray] = []
     jx_hist: list[np.ndarray] = []
-    # The gates (s_new > 0) of the Jacobian sweeps deferred behind the polish.
-    pending: list[np.ndarray] = []
-
-    def replay() -> None:
-        report.jacobian_sweeps += len(pending)
-        sweep.replay(pending, st.k - len(pending))
-
     x_hits = jac_hits = 0
     x_norm = _norm(st.x)
     jac_step = 0.0  # with zero width there is no Jacobian to step
@@ -729,23 +717,19 @@ def _solve(
             t0 = perf()
             if polished is not None:
                 # The polish's Jacobian needs no recursion: drop what waits.
-                pending.clear()
+                sweep.gates.clear()
                 sweep.polish_jacobian()
                 jac_step = np.nan
-            elif sweep.polishable and not need:
-                # A later polish may make this sweep's Jacobian sweep moot:
-                # keep its gate, which is all it reads of the solver, and run
-                # it only when a Jacobian is needed after all.
-                pending.append(s_new > 0.0)
-                jac_step = np.nan
             else:
-                # Jacobian sweep: the gate takes the new slack, the mixed
-                # partial the pre-update slack and duals, as the linearized
-                # updates require.
-                replay()
-                sweep.run(s_new)
-                report.jacobian_sweeps += 1
-                jac_step = sweep.advance(need)
+                # Keep the gate, which is all a polishable sweep's run()
+                # reads of the solver: a later polish may make its Jacobian
+                # sweep moot, so it waits until a Jacobian is needed. The
+                # run() of the other sweeps reads this sweep's x and
+                # pre-update state, so it runs now.
+                sweep.gates.append(s_new > 0.0)
+                if need or not sweep.polishable:
+                    sweep.replay()
+                jac_step = sweep.jac_step() if need else np.nan
             report.jacobian_ms += (perf() - t0) * 1e3
             if trace:
                 jx_hist.append(sweep.jx.copy())
@@ -775,9 +759,9 @@ def _solve(
 
     if pt.m_theta:
         t0 = perf()
-        replay()  # a solve that stopped unpolished, on max_outer_iters
         report.jac = sweep.finish()
         report.jacobian_ms += (perf() - t0) * 1e3
+    report.jacobian_sweeps = sweep.jacobian_sweeps
     fwd.hessian_factorization = sweep.fact
     fwd.num_factorizations = linalg.factorization_count() - count0
     fwd.polish_factorizations = sweep.polish_factorizations

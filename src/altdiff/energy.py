@@ -34,6 +34,8 @@ DEFAULT_RAMP = 20.0
 
 def energy_problem(demand, ramp: float = DEFAULT_RAMP) -> ProblemSpec:
     """Scheduling problem for one day: track demand under a ramp limit."""
+    if not ramp >= 0:  # a negative limit |x_{k+1} - x_k| <= ramp is infeasible
+        raise ValueError(f"ramp must be nonnegative, got {ramp}")
     d = np.asarray(demand, dtype=float).reshape(-1)
     T = d.shape[0]
     if T < 2:

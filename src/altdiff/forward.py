@@ -73,10 +73,13 @@ class SolverConfig:
     max_outer_iters: int = 10000
 
     def __post_init__(self):
-        if self.rho <= 0:
+        # `not x > 0` so that NaN fails too
+        if not self.rho > 0:
             raise ValueError("rho must be positive")
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ValueError("eps must be positive")
+        if not isinstance(self.max_outer_iters, (int, np.integer)):
+            raise ValueError("max_outer_iters must be an integer")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be at least 1")
 

@@ -619,13 +619,13 @@ def test_admm_solve_matches_reference_forward_loop(suite, case):
 
 def test_admm_solve_runs_no_jacobian_sweep(suite, monkeypatch):
     """A zero-width parameter has no Jacobian to step: admm_solve never calls
-    a sweep's run() or advance()."""
+    a sweep's run(), replay() or jac_step()."""
     def refuse(*args):
         raise AssertionError("Jacobian sweep at zero width")
 
     for kind in (backward._QuadraticSweep, backward._GeneralSweep):
-        monkeypatch.setattr(kind, "run", refuse)
-        monkeypatch.setattr(kind, "advance", refuse)
+        for name in ("run", "replay", "jac_step"):
+            monkeypatch.setattr(kind, name, refuse)
     y, u = np.linspace(-1.0, 1.0, 8), np.full(8, 0.3)
     cfg = ad.SolverConfig(rho=SUITE_RHO, eps=1e-6)
     for p in (suite.problem(8), ad.build(ad.SoftmaxLayer(y=y, u=u))):
@@ -671,7 +671,8 @@ def test_untraced_run_matches_traced(suite, monkeypatch, kind):
     without trace every sweep kind gives the same iterations, x, x steps and
     Jacobian blocks bit for bit, and the steps an untraced run takes. The
     quadratic vector-parameter runs stop on the polish, at the first sweep
-    whose x step is below eps, the others on the step rule."""
+    whose x step is below eps, the others on the step rule. Each report's
+    jacobian_sweeps counts the run() calls its solve made."""
     cfg = ad.SolverConfig(rho=SUITE_RHO, eps=1e-6)
     p, sel = suite.problem(8), ad.LinearCost()
     if kind == "nspace":
@@ -688,9 +689,18 @@ def test_untraced_run_matches_traced(suite, monkeypatch, kind):
         made.append(make(*args))
         return made[-1]
 
+    runs = []
+    for cls in (backward._QuadraticSweep, backward._GeneralSweep):
+        def counted(self, s_new, run=cls.run):
+            runs.append(s_new)
+            return run(self, s_new)
+
+        monkeypatch.setattr(cls, "run", counted)
     monkeypatch.setattr(backward, "_make_sweep", spy)
     plain = ad.differentiate(p, sel, cfg)
+    assert plain.jacobian_sweeps == len(runs)
     traced = ad.differentiate(p, sel, cfg, trace=True)
+    assert traced.jacobian_sweeps == len(runs) - plain.jacobian_sweeps
     assert [type(sw) for sw in made] == [expected, expected]
     assert plain.forward.iterations == traced.forward.iterations
     polished = kind in ("core", "nspace")
@@ -741,7 +751,7 @@ def test_deferred_jacobian_matches_traced_run(suite, request, sweep_runs, sel, s
     """An untraced solve defers its Jacobian sweeps while the x step is at
     least eps, drops them when the polish is accepted and replays them from
     their gates when it is refused (dup_rows, or the polish off) or the solve
-    stops on max_outer_iters. A traced solve runs every one in lockstep.
+    stops on max_outer_iters. A traced solve replays each at its own sweep.
     Both give the same x, blocks, iterations and converged bit for bit, and
     the same Jacobian steps where the untraced one takes them, with k < n
     (eq_ineq, dup_rows) and k >= n (eq_ineq_box), at a loose and a tight

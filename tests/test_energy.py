@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import altdiff as ad
-from altdiff import energy
+from altdiff import cli, energy
 from altdiff.errors import DimensionMismatch
 
 
@@ -21,6 +21,17 @@ def test_energy_problem_two_slot_ramp():
     p = energy.energy_problem([0.0, 10.0], ramp=4.0)
     rep = ad.admm_solve(p, ad.SolverConfig(eps=1e-9))
     assert rep.state.x == pytest.approx([3.0, 7.0], abs=1e-6)
+
+
+@pytest.mark.parametrize("ramp", [-5.0, -1e-9, float("nan")])
+def test_energy_problem_rejects_negative_ramp(ramp, tmp_path):
+    # |x_{k+1} - x_k| <= ramp has no solution for ramp < 0; the demo's --ramp
+    # reaches the same check before any training.
+    with pytest.raises(ValueError, match="ramp"):
+        energy.energy_problem([1.0, 2.0, 3.0], ramp=ramp)
+    with pytest.raises(ValueError, match="ramp"):
+        cli.main(["demo", "energy", "--epochs", "1", "--days", "4", f"--ramp={ramp}",
+                  "--out", str(tmp_path / "e.csv")])
 
 
 def test_energy_problem_flat_demand():

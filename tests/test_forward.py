@@ -223,6 +223,9 @@ def test_solver_config_validation():
         ad.SolverConfig(eps=-1.0)
     with pytest.raises(ValueError):
         ad.SolverConfig(max_outer_iters=0)
+    for bad in ({"rho": np.nan}, {"eps": np.nan}, {"max_outer_iters": 2.5}):
+        with pytest.raises(ValueError):
+            ad.SolverConfig(**bad)
 
 
 def test_report_timing_fields_populated(suite):

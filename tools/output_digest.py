@@ -7,12 +7,17 @@ checked against its parent:
     python3 tools/output_digest.py            # from the root of a checkout
 
 Each solve hashes x, the four Jacobian blocks, both step-norm lists, the
-iteration count, polished and converged. The set: random QPs with n from 5
-to 50 (some with k = p + m < n, whose polished LinearCost Jacobian takes
-the inverse of M + D, some with k >= n, and some with a repeated constraint
-row, which refuses the polish), the three vector selectors, eps 1e-1, 1e-3
-and 1e-6, max_outer_iters 3 and 10,000, each untraced and traced. BLAS runs
-on one thread, since the digest depends on the thread count.
+iteration count, polished, converged and the number of Jacobian sweeps run;
+a solve that raises hashes the name of its exception type. The set: random
+QPs with n from 5 to 50 (some with k = p + m < n, whose polished LinearCost
+Jacobian takes the inverse of M + D, some with k >= n, and some with a
+repeated constraint row, which refuses the polish) under the three vector
+selectors, and every other one of them under a matrix Direction (dP, dq,
+dG, dh), which is never polished; then small SoftmaxLayer problems, whose
+callback objective takes a Newton x-step every sweep, under the three
+vector selectors. Each runs at eps 1e-1, 1e-3 and 1e-6, max_outer_iters 3
+and 10,000, untraced and traced. BLAS runs on one thread, since the digest
+depends on the thread count.
 """
 
 import hashlib
@@ -45,18 +50,54 @@ def problems():
         yield qp
 
 
+def matrix_directions():
+    """A Direction with dP, dq, dG and dh on every other random QP: its
+    Jacobian sweep has terms in x, so it is never polished."""
+    rng = np.random.default_rng(20261020)
+    for qp in list(problems())[::2]:
+        n, m = qp.n, qp.constraints.n_ineq
+        dP = rng.standard_normal((n, n))
+        yield qp, ad.Direction(dP=dP + dP.T, dq=rng.standard_normal(n),
+                               dG=rng.standard_normal((m, n)), dh=rng.standard_normal(m))
+
+
+def softmax_layers():
+    """Small SoftmaxLayer problems, whose callback objective runs a damped
+    Newton x-step every sweep; some raise NewtonDiverged."""
+    rng = np.random.default_rng(20261021)
+    for _ in range(8):
+        n = int(rng.integers(3, 13))
+        y, u = 3.0 * rng.standard_normal(n), rng.uniform(1.2 / n, 1.0, n)
+        yield ad.build(ad.SoftmaxLayer(y=y, u=u))
+
+
+def cases():
+    selectors = (ad.LinearCost(), ad.EqRhs(), ad.IneqRhs())
+    for qp in problems():
+        for sel in selectors:
+            yield qp, sel
+    yield from matrix_directions()
+    for p in softmax_layers():
+        for sel in selectors:
+            yield p, sel
+
+
 digest, solves = hashlib.sha256(), 0
-for qp in problems():
-    for sel in (ad.LinearCost(), ad.EqRhs(), ad.IneqRhs()):
-        for eps in (1e-1, 1e-3, 1e-6):
-            for iters in (3, 10000):
-                for trace in (False, True):
-                    cfg = ad.SolverConfig(eps=eps, max_outer_iters=iters)
-                    rep = ad.differentiate(qp, sel, cfg, trace=trace)
-                    fwd, jac = rep.forward, rep.jac
-                    for a in (rep.x, jac.Jx, jac.Js, jac.Jlam, jac.Jnu,
-                              fwd.step_norms, rep.jac_step_norms):
-                        digest.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
-                    digest.update(repr((fwd.iterations, fwd.polished, fwd.converged)).encode())
-                    solves += 1
+for p, sel in cases():
+    for eps in (1e-1, 1e-3, 1e-6):
+        for iters in (3, 10000):
+            for trace in (False, True):
+                cfg = ad.SolverConfig(eps=eps, max_outer_iters=iters)
+                solves += 1
+                try:
+                    rep = ad.differentiate(p, sel, cfg, trace=trace)
+                except ad.AltdiffError as exc:
+                    digest.update(type(exc).__name__.encode())
+                    continue
+                fwd, jac = rep.forward, rep.jac
+                for a in (rep.x, jac.Jx, jac.Js, jac.Jlam, jac.Jnu,
+                          fwd.step_norms, rep.jac_step_norms):
+                    digest.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+                digest.update(repr((fwd.iterations, fwd.polished, fwd.converged,
+                                    rep.jacobian_sweeps)).encode())
 print(f"{digest.hexdigest()}  ({solves} solves)")

@@ -1,11 +1,11 @@
 """Differentiable convex optimization layers.
 
 Solves  min f(x) s.t. Ax = b, Gx <= h  by operator splitting and computes
-dx*/dtheta with Jacobian recursions that run in lockstep with the solver,
-reusing its Hessian factorization. Oracles (implicit differentiation of the
-optimality system, central finite differences) are included for
-verification, along with ready-made layers, an energy-scheduling training
-demo, and a benchmark CLI.
+dx*/dtheta by Jacobian recursions on the solver's sweeps, reusing its Hessian
+factorization, or at a polished stop by their limit in closed form. Oracles
+(implicit differentiation of the optimality system, central finite
+differences) are included for verification, along with ready-made layers, an
+energy-scheduling training demo, and a benchmark CLI.
 """
 
 from .backward import (

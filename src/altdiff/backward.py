@@ -1,9 +1,9 @@
-"""Jacobians of the solution map, computed in lockstep with the solver.
+"""Jacobians of the solution map, by recursion or in the polish's closed form.
 
 Writing J* for the derivative of an iterate with respect to the selected
-parameter theta, each solver sweep is followed by one sweep of the
-linearized updates. With C = [A; G], Y = [Jlam; Jnu + rho Js] and
-c = d(C x - [b; h]) at the new Jx,
+parameter theta, a solver sweep has one sweep of the linearized updates
+(run at once or replayed later, below; a polished solve runs none). With
+C = [A; G], Y = [Jlam; Jnu + rho Js] and c = d(C x - [b; h]) at the new Jx,
 
     Jx <- -H(x)^-1 * d/dtheta grad_x L(x, s, lam, nu)
     Y  <- sigma (g' Y + alpha rho c)        (row by row)
@@ -85,11 +85,17 @@ refused, as where dependent active rows make M + D singular; a gate with
 more active rows than variables (p + closed > n) is one such, refused
 before any LU. An infeasible problem has no gate whose z passes. An
 accepted z stops the solve with converged=True: x = x0 - W z, and the
-Jacobian comes from the same factor, Y = -(M + D)^-1 (C Hd + d[b; h]):
-from the inverse (getri) and one product where m_theta > k, which saves a
-solve against m_theta right-hand sides, else from getrs. For theta = q,
-Hd = H^-1 and C Hd + d[b; h] = W'. Otherwise the sweeps and the step rule
-go on.
+Jacobian comes from the same factor in closed form,
+
+    (M + D) Y' = R,    Jx = W Y' - H^-1 dq,    Y = rho d[b; h] - Y',
+
+with R = W' dq + (I + rho D) d[b; h] (d[b; h] zeroed on the open rows); Y'
+is the inverse (getri) times R where m_theta > k, else from getrs. It is
+the recursion's fixed point Jx = -(Hd + W Y), (M + D) Y = -(C Hd + d[b; h]),
+as C Hd + d[b; h] = R - rho (M + D) d[b; h]; the rho W d[b; h] that cancels
+is never formed, so an open row's column of d[b; h] gives Jx = 0 and Js its
+identity column exactly. For theta = q, R = W' and Y = -Y'. Otherwise the
+sweeps and the step rule go on.
 Callback objectives, whose x-step is not this affine map, and matrix
 Directions, whose Jacobian step has terms in x, are never polished.
 
@@ -104,10 +110,10 @@ x step is below eps and whose polish() returned None, and in finish() on a
 solve that stopped unpolished on max_outer_iters. Every other solve
 replays its one kept gate at once: a traced solve keeps every iterate, and
 the run() of callback objectives and matrix Directions reads the sweep's x
-and pre-update state. The folded sweep builds the recursion's buffers at
-its first run() (_build), so a solve polished at its first attempt builds
-none. Where it is replayed, every block, step norm and stopping sweep is
-bit for bit the one of a sweep run at once.
+and pre-update state. The folded sweep builds the recursion's Hd and
+buffers at its first run() (_build), so a solve polished at its first
+attempt builds none. Where it is replayed, every block, step norm and
+stopping sweep is bit for bit the one of a sweep run at once.
 """
 
 from __future__ import annotations
@@ -479,12 +485,12 @@ class _QuadraticSweep(_Sweep):
     """Solver and Jacobian sweep for constant-Hessian problems, every selector.
 
     H^-1 is folded into the constraint matrix at set-up: W, the x-step
-    offset x0 and H^-1 times the direct term come from H^-1 (LAPACK potri)
-    and two products when theta = q, else from one solve against
-    [C' | q | dq]. So the x-step is a matvec and the Jacobian
-    sweep is two matrix products, evaluated into preallocated buffers; a
-    matrix Direction adds one one-column solve for H^-1 times its terms in
-    x. step() carries z from sweep to sweep.
+    offset x0 and H^-1 dq come from H^-1 (LAPACK potri) and two products
+    when theta = q, else from one solve against [C' | q | dq]. So the
+    x-step is a matvec and the Jacobian sweep is two matrix products,
+    evaluated into preallocated buffers; a matrix Direction adds one
+    one-column solve for H^-1 times its terms in x. step() carries z from
+    sweep to sweep.
     """
 
     def __init__(self, p: ProblemSpec, pt: ThetaPartials, fact: Factorization, rho: float,
@@ -492,13 +498,12 @@ class _QuadraticSweep(_Sweep):
         super().__init__(p.constraints, rho, s0)
         self.fact, k = fact, self.C.shape[0]
         q = p.objective.q
-        # At width, Hd = H^-1 (dq - rho C' d[b; h]), which the polish's
-        # Jacobian half and run() read; run() builds the rest at its first
-        # call (_build).
+        # Hq = H^-1 dq (None where dq is 0), which the polish's Jacobian
+        # half and _build() read.
         if pt.eye:
-            # theta = q: dq = I and d[b; h] = 0, so Hd is H^-1 itself; take
-            # it from the factor and get the rest as products.
-            hinv = self.Hd = fact.inverse()
+            # theta = q: dq = I, so Hq is H^-1 itself; take it from the
+            # factor and get the rest as products.
+            hinv = self.Hq = fact.inverse()
             self.W = hinv @ self.C.T  # H^-1 [A; G]'
             hinv_q = hinv @ q
         else:
@@ -508,11 +513,7 @@ class _QuadraticSweep(_Sweep):
             sol = fact.solve(np.hstack(cols))
             self.W = np.ascontiguousarray(sol[:, :k])
             hinv_q = sol[:, k]
-            if pt.m_theta:
-                # H^-1 dq - rho W d[b; h]
-                self.Hd = -rho * _times_d_rhs(self.W, pt.d_rhs)
-                if pt.dq is not None:
-                    self.Hd += sol[:, k + 1:]
+            self.Hq = None if pt.dq is None else sol[:, k + 1:]
         # The x-step at z = 0.
         self.x0 = rho * (self.W @ self.con.rhs) - hinv_q
         self.z = np.empty(k)
@@ -522,9 +523,15 @@ class _QuadraticSweep(_Sweep):
         self.M, self.tried, self.lu = None, [], None
 
     def _build(self) -> None:
-        """The recursion's -W and buffers, at the first run(): a polished
-        solve that ran none builds none."""
+        """The recursion's Hd = H^-1 dq - rho W d[b; h], -W and buffers, at
+        the first run(): a polished solve that ran none builds none."""
         self.built = True
+        if self.pt.eye:
+            self.Hd = self.Hq  # d[b; h] = 0
+        else:
+            self.Hd = -self.rho * _times_d_rhs(self.W, self.pt.d_rhs)
+            if self.Hq is not None:
+                self.Hd += self.Hq
         # -W, so that Jx = -(Hd + W Y) takes no negation pass
         self.Wn = np.negative(self.W)
         self._init_dual_side(self.W.shape[0])
@@ -579,27 +586,27 @@ class _QuadraticSweep(_Sweep):
         return None
 
     def polish_jacobian(self) -> None:
-        """The Jacobian half of an accepted polish, from its factor:
-        (M + D) Y = -(C Hd + d[b; h]) and Jx = -(Hd + W Y). Y is minus the
-        inverse (getri) times C Hd + d[b; h] where theta has more columns
-        than M + D has rows, else a solve (getrs)."""
+        """The Jacobian half of an accepted polish, in closed form from its
+        factor (module docstring): (M + D) Y' = R with R = W' dq plus
+        d[b; h] zeroed on the open rows, Jx = W Y' - H^-1 dq and
+        Y = rho d[b; h] - Y'. Y' is the inverse (getri) times R where theta
+        has more columns than M + D has rows, else a solve (getrs)."""
         pt = self.pt
         if pt.eye:
-            rhs = self.W.T  # C Hd = C H^-1 = W', d[b; h] = 0
+            rhs = self.W.T  # d[b; h] = 0
         else:
-            # C Hd = W' dq - rho M d[b; h], as C H^-1 = W'
-            rhs = -self.rho * _times_d_rhs(self.M, pt.d_rhs)
+            rhs = pt.d_rhs.copy()
+            rhs[self.sigma < 0.0] = 0.0  # the open rows
             if pt.dq is not None:
                 rhs += self.W.T @ pt.dq
-            rhs += pt.d_rhs
         if pt.m_theta > len(self.sigma):
-            inv = lapack.dgetri(*self.lu)[0]
-            self.y = np.negative(inv, out=inv) @ rhs
+            yp = lapack.dgetri(*self.lu)[0] @ rhs
         else:
-            self.y = lapack.dgetrs(*self.lu, -rhs)[0]
-        jx = self.W @ self.y
-        jx += self.Hd
-        self.jx = np.negative(jx, out=jx)
+            yp = lapack.dgetrs(*self.lu, rhs)[0]
+        self.jx = self.W @ yp
+        if self.Hq is not None:
+            self.jx -= self.Hq
+        self.y = np.negative(yp, out=yp) if pt.eye else self.rho * pt.d_rhs - yp
 
     def run(self, s_new: np.ndarray) -> None:
         """One Jacobian sweep: the new Jx into the spare buffer, then Y."""

@@ -9,11 +9,13 @@ wall-clock numbers are the only nondeterministic fields.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import reduce
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -48,6 +50,9 @@ class BenchCase:
             raise ValueError("more equality rows than variables")
         if self.kind not in ("qp", "sparsemax", "softmax"):
             raise ValueError(f"unknown kind {self.kind!r}")
+        for name in ("eps", "rho"):
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass
@@ -65,24 +70,6 @@ class BenchRecord:
     jacobian_sweeps: int = 0
     timing_reliable: bool = True
     error: str = ""
-
-    def csv_row(self) -> list:
-        c = self.case
-        return [
-            c.name, c.n, c.m_ineq, c.p_eq, c.seed, c.kind, c.eps, c.rho,
-            self.alt_total_ms, self.alt_factorization_ms, self.alt_iteration_ms,
-            self.kkt_ms, "" if self.cosine is None else self.cosine,
-            self.iterations, self.converged, self.polished, self.polish_factorizations,
-            self.jacobian_sweeps, self.timing_reliable, self.error,
-        ]
-
-
-CSV_HEADER = [
-    "name", "n", "m_ineq", "p_eq", "seed", "kind", "eps", "rho",
-    "alt_total_ms", "alt_factorization_ms", "alt_iteration_ms",
-    "kkt_ms", "cosine", "iterations", "converged", "polished", "polish_factorizations",
-    "jacobian_sweeps", "timing_reliable", "error",
-]
 
 
 def gen_random_qp(n: int, m_ineq: int, p_eq: int, seed: int) -> ProblemSpec:
@@ -178,16 +165,6 @@ class ScalingRecord:
     factorization_ratio: float = float("nan")
     backward_ratio: float = float("nan")
 
-    def csv_row(self) -> list:
-        return [self.n, self.m_ineq, self.p_eq, self.factorization_ms,
-                self.per_iter_forward_ms, self.per_iter_backward_ms, self.iterations,
-                self.factorization_ratio, self.backward_ratio]
-
-
-SCALING_HEADER = ["n", "m_ineq", "p_eq", "factorization_ms", "per_iter_forward_ms",
-                  "per_iter_backward_ms", "iterations", "factorization_ratio",
-                  "backward_ratio"]
-
 
 def _timed_factorization_ms(H: np.ndarray, target_ms: float = 20.0) -> float:
     """Wall time of factorize plus inverse formation, the cubic set-up model
@@ -272,17 +249,10 @@ class TruncationRecord:
     wall_ms: float
     x_error: float
     jac_error: float
+    error_ratio: float = field(init=False)
 
-    @property
-    def error_ratio(self) -> float:
-        return self.jac_error / self.x_error if self.x_error > 0 else float("nan")
-
-    def csv_row(self) -> list:
-        return [self.eps, self.iterations, self.wall_ms, self.x_error,
-                self.jac_error, self.error_ratio]
-
-
-TRUNCATION_HEADER = ["eps", "iterations", "wall_ms", "x_error", "jac_error", "error_ratio"]
+    def __post_init__(self):
+        self.error_ratio = self.jac_error / self.x_error if self.x_error > 0 else float("nan")
 
 
 def truncation_report(case: BenchCase, eps_list: Sequence[float]) -> list[TruncationRecord]:
@@ -312,8 +282,15 @@ def truncation_report(case: BenchCase, eps_list: Sequence[float]) -> list[Trunca
     ]
 
 
-def write_csv(path, header: list, rows: list) -> None:
+def write_csv(path, cls, records: Sequence) -> None:
+    """Records of the dataclass cls as CSV, one column per field in order; a
+    field that holds a dataclass (BenchRecord.case) is spread over that
+    class's fields. None writes as an empty cell."""
+    hints, columns = get_type_hints(cls), []  # attribute paths
+    for f in fields(cls):
+        inner = hints[f.name]
+        columns += [(f.name, g.name) for g in fields(inner)] if is_dataclass(inner) else [(f.name,)]
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow([c[-1] for c in columns])
+        writer.writerows([reduce(getattr, c, r) for c in columns] for r in records)

@@ -103,7 +103,7 @@ def _cmd_bench_qp(args) -> int:
         for (n, m, p) in _parse_sizes(args.sizes)
     ]
     records = bench.run_cases(cases, parallel=args.parallel)
-    bench.write_csv(args.out, bench.CSV_HEADER, [r.csv_row() for r in records])
+    bench.write_csv(args.out, bench.BenchRecord, records)
     for r in records:
         cos = "-" if r.cosine is None else f"{r.cosine:.6f}"
         print(f"{r.case.name:>14}  alt {r.alt_total_ms:9.2f} ms  kkt {r.kkt_ms:9.2f} ms  "
@@ -118,7 +118,7 @@ def _cmd_bench_truncation(args) -> int:
     case = bench.BenchCase(name=f"trunc-{n}", n=n, m_ineq=m, p_eq=p,
                            seed=args.seed, rho=args.rho)
     records = bench.truncation_report(case, _parse_floats(args.eps_list))
-    bench.write_csv(args.out, bench.TRUNCATION_HEADER, [r.csv_row() for r in records])
+    bench.write_csv(args.out, bench.TruncationRecord, records)
     for r in records:
         print(f"eps {r.eps:8.1e}  iters {r.iterations:5d}  wall {r.wall_ms:8.2f} ms  "
               f"|x_k - x*| {r.x_error:9.3e}  |J_k - J*| {r.jac_error:9.3e}")
@@ -130,7 +130,7 @@ def _cmd_bench_scaling(args) -> int:
     records = bench.scaling_sweep(_parse_sizes(args.sizes), seed=args.seed,
                                   eps=args.eps, rho=args.rho,
                                   selector=SELECTORS[args.sel]())
-    bench.write_csv(args.out, bench.SCALING_HEADER, [r.csv_row() for r in records])
+    bench.write_csv(args.out, bench.ScalingRecord, records)
     for r in records:
         print(f"n {r.n:5d}  factorization {r.factorization_ms:8.3f} ms "
               f"(ratio {r.factorization_ratio:5.2f})  per-iter backward "

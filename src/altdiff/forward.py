@@ -38,6 +38,7 @@ and no triangular solve per sweep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -73,11 +74,10 @@ class SolverConfig:
     max_outer_iters: int = 10000
 
     def __post_init__(self):
-        # `not x > 0` so that NaN fails too
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
+        # `not 0 < x < inf` so that NaN fails too
+        for name in ("rho", "eps"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not isinstance(self.max_outer_iters, (int, np.integer)):
             raise ValueError("max_outer_iters must be an integer")
         if self.max_outer_iters < 1:

@@ -1015,6 +1015,31 @@ def test_polished_solve_is_kkt_point_with_oracle_derivative(p, sel, eps):
     assert np.abs(rep.Jx - ref).max() <= POLISH_ORACLE_TOL * (1.0 + np.abs(ref).max())
 
 
+@pytest.mark.parametrize("rho", [1.0, 0.7])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_polished_inactive_rows_are_exact(monkeypatch, seed, rho):
+    """The polish's closed form zeroes d[b; h] on the rows its gate holds
+    open, so on a polished IneqRhs solve a perturbation of an inactive h_i
+    moves x by exactly 0 and its own slack by exactly 1: the Jx columns of
+    the rows with positive slack are 0 and the open-by-open block of Js is
+    the identity, with no rounding noise. The solve builds no Hd."""
+    made, make = [], backward._make_sweep
+
+    def spy(*args):
+        made.append(make(*args))
+        return made[-1]
+
+    monkeypatch.setattr(backward, "_make_sweep", spy)
+    rep = ad.differentiate(bench.gen_random_qp(30, 20, 5, seed), ad.IneqRhs(),
+                           ad.SolverConfig(rho=rho, eps=1e-6))
+    assert rep.forward.polished and rep.jacobian_sweeps == 0
+    assert not hasattr(made[-1], "Hd")
+    opened = rep.forward.state.s > 0.0
+    assert opened.any()
+    assert np.all(rep.Jx[:, opened] == 0.0)
+    assert np.array_equal(rep.jac.Js[np.ix_(opened, opened)], np.eye(np.count_nonzero(opened)))
+
+
 @hst.composite
 def _infeasible_qps(draw):
     """A unit-scale QP with rows no x satisfies: g'x <= -d and -g'x <= -d,

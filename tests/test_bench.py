@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import altdiff as ad
-from altdiff import bench
+from altdiff import bench, cli
 
 
 def test_gen_random_qp_deterministic():
@@ -45,6 +45,20 @@ def test_case_validation():
         bench.BenchCase(name="bad", n=4, m_ineq=1, p_eq=5)
     with pytest.raises(ValueError):
         bench.BenchCase(name="bad", n=4, m_ineq=1, p_eq=1, kind="lp")
+
+
+@pytest.mark.parametrize("setting", [{"eps": -1.0}, {"eps": 0.0}, {"eps": math.inf},
+                                     {"eps": math.nan}, {"rho": -1.0}, {"rho": math.inf}])
+def test_case_rejects_bad_solver_settings(setting, tmp_path):
+    """eps and rho are checked with the dimensions, when the case is made,
+    so run_case never meets a SolverConfig it cannot build; `bench qp`
+    reaches the same check before any solve."""
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        bench.BenchCase(name="bad", n=4, m_ineq=1, p_eq=1, **setting)
+    (name, value), = setting.items()
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        cli.main(["bench", "qp", "--sizes", "4:1:1", f"--{name}={value}",
+                  "--out", str(tmp_path / "r.csv")])
 
 
 def test_run_case_tiny_qp():
@@ -175,10 +189,15 @@ def test_csv_round_trip(tmp_path):
     case = bench.BenchCase(name="tiny", n=20, m_ineq=8, p_eq=4, seed=0, eps=1e-3)
     record = bench.run_case(case)
     path = tmp_path / "out.csv"
-    bench.write_csv(path, bench.CSV_HEADER, [record.csv_row()])
+    bench.write_csv(path, bench.BenchRecord, [record])
     with path.open() as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == bench.CSV_HEADER
+    assert rows[0] == [
+        "name", "n", "m_ineq", "p_eq", "seed", "kind", "eps", "rho",
+        "alt_total_ms", "alt_factorization_ms", "alt_iteration_ms",
+        "kkt_ms", "cosine", "iterations", "converged", "polished", "polish_factorizations",
+        "jacobian_sweeps", "timing_reliable", "error",
+    ]
     parsed = rows[1]
     assert float(parsed[rows[0].index("alt_total_ms")]) == record.alt_total_ms
     assert float(parsed[rows[0].index("kkt_ms")]) == record.kkt_ms

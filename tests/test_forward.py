@@ -223,7 +223,8 @@ def test_solver_config_validation():
         ad.SolverConfig(eps=-1.0)
     with pytest.raises(ValueError):
         ad.SolverConfig(max_outer_iters=0)
-    for bad in ({"rho": np.nan}, {"eps": np.nan}, {"max_outer_iters": 2.5}):
+    for bad in ({"rho": np.nan}, {"eps": np.nan}, {"rho": np.inf}, {"eps": np.inf},
+                {"max_outer_iters": 2.5}):
         with pytest.raises(ValueError):
             ad.SolverConfig(**bad)
 

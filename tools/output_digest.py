@@ -1,10 +1,16 @@
-"""Print one SHA-256 over the outputs of a fixed, seeded set of solves.
+"""Print SHA-256 digests over the outputs of a fixed, seeded set of solves.
 
-Two checkouts whose solver arithmetic is the same print the same digest, so
+Two checkouts whose solver arithmetic is the same print the same digests, so
 a change meant to move no bit (a reordering of work, a lazier set-up) can be
-checked against its parent:
+checked against its parent, and a change meant to move one kind of solve
+only can show which kinds moved:
 
     python3 tools/output_digest.py            # from the root of a checkout
+
+It prints one line per category of solve, then one line over every solve.
+The categories: polished QPs under q; polished QPs under b, h or a vector
+Direction; unpolished QPs (and QP solves that raise); matrix Directions;
+SoftmaxLayer problems.
 
 Each solve hashes x, the four Jacobian blocks, both step-norm lists, the
 iteration count, polished, converged and the number of Jacobian sweeps run;
@@ -71,33 +77,59 @@ def softmax_layers():
         yield ad.build(ad.SoftmaxLayer(y=y, u=u))
 
 
+CATEGORIES = ("polished QP under q", "polished QP under b, h or a vector Direction",
+              "unpolished QP", "matrix Direction", "SoftmaxLayer")
+
+
 def cases():
+    """(kind, problem, selector); kind is "qp" or one of the last two categories."""
     selectors = (ad.LinearCost(), ad.EqRhs(), ad.IneqRhs())
     for qp in problems():
         for sel in selectors:
-            yield qp, sel
-    yield from matrix_directions()
+            yield "qp", qp, sel
+    for qp, sel in matrix_directions():
+        yield CATEGORIES[3], qp, sel
     for p in softmax_layers():
         for sel in selectors:
-            yield p, sel
+            yield CATEGORIES[4], p, sel
+
+
+def category(kind, sel, rep):
+    if kind != "qp":
+        return kind
+    if rep is None or not rep.forward.polished:
+        return CATEGORIES[2]
+    return CATEGORIES[0] if isinstance(sel, ad.LinearCost) else CATEGORIES[1]
+
+
+def solve_bytes(p, sel, cfg, trace):
+    """The solve's report, or None where it raises, and the bytes it hashes."""
+    try:
+        rep = ad.differentiate(p, sel, cfg, trace=trace)
+    except ad.AltdiffError as exc:
+        return None, type(exc).__name__.encode()
+    fwd, jac = rep.forward, rep.jac
+    parts = [np.ascontiguousarray(a, dtype=np.float64).tobytes()
+             for a in (rep.x, jac.Jx, jac.Js, jac.Jlam, jac.Jnu,
+                       fwd.step_norms, rep.jac_step_norms)]
+    parts.append(repr((fwd.iterations, fwd.polished, fwd.converged,
+                       rep.jacobian_sweeps)).encode())
+    return rep, b"".join(parts)
 
 
 digest, solves = hashlib.sha256(), 0
-for p, sel in cases():
+per_category = {name: [hashlib.sha256(), 0] for name in CATEGORIES}
+for kind, p, sel in cases():
     for eps in (1e-1, 1e-3, 1e-6):
         for iters in (3, 10000):
             for trace in (False, True):
                 cfg = ad.SolverConfig(eps=eps, max_outer_iters=iters)
+                rep, data = solve_bytes(p, sel, cfg, trace)
+                digest.update(data)
                 solves += 1
-                try:
-                    rep = ad.differentiate(p, sel, cfg, trace=trace)
-                except ad.AltdiffError as exc:
-                    digest.update(type(exc).__name__.encode())
-                    continue
-                fwd, jac = rep.forward, rep.jac
-                for a in (rep.x, jac.Jx, jac.Js, jac.Jlam, jac.Jnu,
-                          fwd.step_norms, rep.jac_step_norms):
-                    digest.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
-                digest.update(repr((fwd.iterations, fwd.polished, fwd.converged,
-                                    rep.jacobian_sweeps)).encode())
+                entry = per_category[category(kind, sel, rep)]
+                entry[0].update(data)
+                entry[1] += 1
+for name, (cat_digest, count) in per_category.items():
+    print(f"{cat_digest.hexdigest()}  ({count} solves)  {name}")
 print(f"{digest.hexdigest()}  ({solves} solves)")

@@ -12,7 +12,6 @@ from .backward import (
     DiffReport,
     JacobianState,
     differentiate,
-    theta_partials,
     truncated_differentiate,
     vjp,
 )
@@ -59,7 +58,7 @@ from .problem import (
     ProblemSpec,
     QuadraticObjective,
     perturb,
-    theta_dim,
+    theta_partials,
     validate,
 )
 from .reference import finite_diff_jacobian, implicit_diff_solve, kkt_residual

@@ -44,8 +44,7 @@ A matrix Direction (dP, dA, dG) takes the same x-step; its mixed partial
 has terms in x as well, so its Jacobian sweep adds H^-1 times them, one
 one-column solve per sweep, and d[A; G] x to d(C x - [b; h]).
 
-The partials come in the same stacked layout (ThetaPartials): d[b; h] is
-one k x m_theta block and a Direction's dA, dG the rows of one k x n block
+The partials (problem.theta_partials) come stacked as C is, d[b; h] and
 d[A; G], so no sweep splits them; only the oracle reads their rows apart.
 
 Every solve runs one loop (_solve) over one of two sweeps, picked at
@@ -141,14 +140,12 @@ from .forward import (
 )
 from .linalg import NORM_FLOOR, Factorization
 from .problem import (
-    EqRhs,
-    IneqRhs,
-    LinearCost,
     ParamSelector,
     Polyhedron,
     ProblemSpec,
     QuadraticObjective,
-    theta_dim,
+    ThetaPartials,
+    theta_partials,
     validate,
 )
 
@@ -228,48 +225,6 @@ class DiffReport:
     @property
     def Jx(self) -> np.ndarray:
         return self.jac.Jx
-
-
-@dataclass(frozen=True)
-class ThetaPartials:
-    """Derivatives of the raw parameter blocks w.r.t. theta (None means zero).
-
-    The constraint side is stacked over the k = p + m rows of C = [A; G], as
-    every sweep holds it: d_rhs = d[b; h] (None only at zero width), and the
-    dA, dG of a Direction as the rows of dC = d[A; G].
-    """
-
-    m_theta: int
-    dq: Optional[np.ndarray] = None  # d(linear cost)/dtheta, n x m_theta
-    d_rhs: Optional[np.ndarray] = None  # k x m_theta
-    dP: Optional[np.ndarray] = None  # direction only
-    dC: Optional[np.ndarray] = None  # k x n, direction only
-    eye: bool = False  # dq = I: the LinearCost selector
-
-    @property
-    def matrix(self) -> bool:
-        """A Direction with a matrix block: its mixed partial has terms in x."""
-        return self.dP is not None or self.dC is not None
-
-
-def theta_partials(p: ProblemSpec, sel: ParamSelector) -> ThetaPartials:
-    n, p_eq, m = p.n, p.constraints.n_eq, p.constraints.n_ineq
-    k, m_theta = p_eq + m, theta_dim(p, sel)
-    if isinstance(sel, LinearCost):
-        return ThetaPartials(m_theta, dq=np.eye(n), d_rhs=np.zeros((k, n)), eye=True)
-    if isinstance(sel, (EqRhs, IneqRhs)):
-        d_rhs = np.eye(k, p_eq) if isinstance(sel, EqRhs) else np.eye(k, m, -p_eq)
-        return ThetaPartials(m_theta, d_rhs=d_rhs)
-    # A Direction's blocks, absent ones as zeros of their shape
-    part = lambda v, *shape: np.zeros(shape) if v is None else np.reshape(v, shape).astype(float)
-    return ThetaPartials(
-        m_theta=1,
-        dq=None if sel.dq is None else part(sel.dq, n, 1),
-        d_rhs=np.vstack([part(sel.db, p_eq, 1), part(sel.dh, m, 1)]),
-        dP=None if sel.dP is None else part(sel.dP, n, n),
-        dC=None if sel.dA is None and sel.dG is None else np.vstack(
-            [part(sel.dA, p_eq, n), part(sel.dG, m, n)]),
-    )
 
 
 def _times_d_rhs(M: np.ndarray, d_rhs: np.ndarray) -> np.ndarray:
@@ -507,10 +462,9 @@ class _QuadraticSweep(_Sweep):
             self.W = hinv @ self.C.T  # H^-1 [A; G]'
             hinv_q = hinv @ q
         else:
-            cols = [self.C.T, q.reshape(-1, 1)]
-            if pt.dq is not None:
-                cols.append(pt.dq)
-            sol = fact.solve(np.hstack(cols))
+            # [C' | q | dq], column-major as the solve reads it
+            rows = [self.C, q] if pt.dq is None else [self.C, q, pt.dq.T]
+            sol = fact.solve(np.vstack(rows).T)
             self.W = np.ascontiguousarray(sol[:, :k])
             hinv_q = sol[:, k]
             self.Hq = None if pt.dq is None else sol[:, k + 1:]

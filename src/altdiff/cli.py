@@ -13,6 +13,7 @@ p = n/8 (at least one row each).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -40,8 +41,19 @@ def _parse_sizes(text: str) -> list[tuple[int, int, int]]:
     return [_parse_size(tok) for tok in text.split(",") if tok]
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok]
+def _positive_float(text: str) -> float:
+    """A solver tolerance or penalty: a positive finite float, else a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
+def _positive_floats(text: str) -> list[float]:
+    return [_positive_float(tok) for tok in text.split(",") if tok]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,8 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_qp = bench_sub.add_parser("qp", help="accuracy/timing vs the one-shot route")
     p_qp.add_argument("--sizes", default="50:20:10,100:40:20,200:70:30,400:130:50")
     p_qp.add_argument("--seed", type=int, default=0)
-    p_qp.add_argument("--eps", type=float, default=1e-3)
-    p_qp.add_argument("--rho", type=float, default=1.0)
+    p_qp.add_argument("--eps", type=_positive_float, default=1e-3)
+    p_qp.add_argument("--rho", type=_positive_float, default=1.0)
     p_qp.add_argument("--kind", choices=["qp", "sparsemax", "softmax"], default="qp")
     p_qp.add_argument("--parallel", action="store_true")
     p_qp.add_argument("--out", default="results.csv")
@@ -63,15 +75,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr = bench_sub.add_parser("truncation", help="tolerance sweep on one case")
     p_tr.add_argument("--case", default="50:20:10")
     p_tr.add_argument("--seed", type=int, default=0)
-    p_tr.add_argument("--eps-list", default="1e-1,1e-2,1e-3")
-    p_tr.add_argument("--rho", type=float, default=1.0)
+    p_tr.add_argument("--eps-list", type=_positive_floats, default="1e-1,1e-2,1e-3")
+    p_tr.add_argument("--rho", type=_positive_float, default=1.0)
     p_tr.add_argument("--out", default="truncation.csv")
 
     p_sc = bench_sub.add_parser("scaling", help="empirical complexity ratios")
     p_sc.add_argument("--sizes", default="100:60:50,200:60:100")
     p_sc.add_argument("--seed", type=int, default=0)
-    p_sc.add_argument("--eps", type=float, default=1e-6)
-    p_sc.add_argument("--rho", type=float, default=1.0)
+    p_sc.add_argument("--eps", type=_positive_float, default=1e-6)
+    p_sc.add_argument("--rho", type=_positive_float, default=1.0)
     p_sc.add_argument("--sel", choices=sorted(SELECTORS), default="h",
                       help="parameter the Jacobian is taken against")
     p_sc.add_argument("--out", default="scaling.csv")
@@ -80,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo_sub = p_demo.add_subparsers(dest="demo_command", required=True)
     p_en = demo_sub.add_parser("energy", help="predict-then-optimize scheduling")
     p_en.add_argument("--epochs", type=int, default=10)
-    p_en.add_argument("--tolerances", default="1e-1,1e-3")
+    p_en.add_argument("--tolerances", type=_positive_floats, default="1e-1,1e-3")
     p_en.add_argument("--days", type=int, default=30)
     p_en.add_argument("--seed", type=int, default=0)
     p_en.add_argument("--lr", type=float, default=1e-3)
@@ -91,8 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--problem", required=True)
     p_check.add_argument("--sel", choices=sorted(SELECTORS), required=True)
     p_check.add_argument("--fd", action="store_true", help="also run finite differences")
-    p_check.add_argument("--eps", type=float, default=1e-6)
-    p_check.add_argument("--rho", type=float, default=1.0)
+    p_check.add_argument("--eps", type=_positive_float, default=1e-6)
+    p_check.add_argument("--rho", type=_positive_float, default=1.0)
     return parser
 
 
@@ -117,7 +129,7 @@ def _cmd_bench_truncation(args) -> int:
     n, m, p = _parse_size(args.case)
     case = bench.BenchCase(name=f"trunc-{n}", n=n, m_ineq=m, p_eq=p,
                            seed=args.seed, rho=args.rho)
-    records = bench.truncation_report(case, _parse_floats(args.eps_list))
+    records = bench.truncation_report(case, args.eps_list)
     bench.write_csv(args.out, bench.TruncationRecord, records)
     for r in records:
         print(f"eps {r.eps:8.1e}  iters {r.iterations:5d}  wall {r.wall_ms:8.2f} ms  "
@@ -141,11 +153,10 @@ def _cmd_bench_scaling(args) -> int:
 
 def _cmd_demo_energy(args) -> int:
     dataset = synth_demand(args.seed, args.days)
-    tolerances = _parse_floats(args.tolerances)
     log = train(dataset, SolverConfig(), epochs=args.epochs,
-                tolerance_list=tolerances, lr=args.lr, seed=args.seed, ramp=args.ramp)
+                tolerance_list=args.tolerances, lr=args.lr, seed=args.seed, ramp=args.ramp)
     write_training_log(log, args.out)
-    for tol in tolerances:
+    for tol in args.tolerances:
         losses = [r[2] for r in log.rows if r[1] == tol]
         print(f"tolerance {tol:8.1e}: first-epoch loss {losses[0]:10.3f}  "
               f"final loss {losses[-1]:10.3f}")

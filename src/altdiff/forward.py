@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import NewtonDiverged
 from .linalg import Factorization, factorize
-from .problem import ProblemSpec, QuadraticObjective, validate
+from .problem import ProblemSpec, QuadraticObjective, ThetaPartials, validate
 
 # Damped Newton on callback objectives: stop at this gradient norm or step
 # count; Armijo backtracking from the full step. Quadratic x-steps are exact.
@@ -141,10 +141,11 @@ def penalty_matrix(p: ProblemSpec, rho: float) -> np.ndarray:
 def xstep_factor(p: ProblemSpec, rho: float, x: Optional[np.ndarray] = None,
                  penalty: Optional[np.ndarray] = None) -> Factorization:
     """The factorization of the x-step Hessian f''(x) + rho A'A + rho G'G; a
-    quadratic ignores x. penalty (penalty_matrix) reuses the curvature."""
+    quadratic ignores x. penalty (penalty_matrix) reuses the curvature. The sum
+    is column-major, as factorize copies it; penalty is exactly symmetric."""
     if penalty is None:
         penalty = penalty_matrix(p, rho)
-    return factorize(p.objective.hessian(x) + penalty, spd_hint=True)
+    return factorize(np.add(p.objective.hessian(x), penalty.T, order="F"), spd_hint=True)
 
 
 def lagrangian_gradient(p: ProblemSpec, x, s, lam, nu, rho: float) -> np.ndarray:
@@ -275,7 +276,7 @@ def admm_solve(p: ProblemSpec, cfg: Optional[SolverConfig] = None) -> ForwardRep
     Never raises on slow convergence: the report carries converged=False
     when max_outer_iters is exhausted.
     """
-    from .backward import ThetaPartials, _solve  # backward imports this module
+    from .backward import _solve  # backward imports this module
 
     validate(p)
     return _solve(p, ThetaPartials(m_theta=0), cfg or SolverConfig()).forward

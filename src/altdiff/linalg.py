@@ -4,8 +4,9 @@ A factorization serves many right-hand sides. The x-step Hessian takes
 Cholesky, whose factor also gives its inverse (inverse(), LAPACK potri), and
 the oracle's indefinite KKT matrix takes pivoted LU.
 
-Matrices are plain float64 numpy arrays in row-major order. Everything here
-is deterministic: identical inputs give bit-identical outputs.
+Inputs are float64 arrays of either order; factors are column-major, as
+LAPACK writes them. Everything here is deterministic: identical inputs give
+bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -120,27 +121,28 @@ def factorize(m, spd_hint: bool = False) -> Factorization:
     spd_hint=True means Cholesky or SingularMatrix; without it, pivoted LU.
     Raises SingularMatrix when a pivot falls below the relative threshold.
     """
-    a = as_matrix(m)
+    # The column-major copy LAPACK factors in place: a memcpy of F-ordered
+    # input, of C-ordered input the transposing copy potrf and getrf make.
+    a = np.array(m, dtype=float, order="F")
+    as_matrix(a.T)  # 2-D and finite; a.T is C-contiguous, so this copies nothing
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"matrix must be square, got {a.shape}")
     _counts.factorize = factorization_count() + 1
     n = a.shape[0]
     if n == 0:
         return Factorization(n=0, spd=bool(spd_hint), factors=())
-    # The largest absolute row sum, taken by LAPACK as the 1-norm of the
-    # transpose (an F-ordered view of a, so no copy and no |a| temporary).
-    scale = float(scipy.linalg.lapack.dlange("1", a.T))
+    scale = float(scipy.linalg.lapack.dlange("I", a))  # the largest absolute row sum
     if spd_hint:
-        try:
-            c, lower = scipy.linalg.cho_factor(a, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise SingularMatrix(f"Cholesky factorization failed: {exc}") from exc
+        c, info = scipy.linalg.lapack.dpotrf(a, overwrite_a=True, clean=False)
+        if info:
+            raise SingularMatrix(f"Cholesky factorization failed: {info}-th leading minor "
+                                 f"of the array is not positive definite")
         # Cholesky pivots are the squared diagonal of the factor.
         _pivot_check(np.diagonal(c) ** 2, scale)
-        return Factorization(n=n, spd=True, factors=(c, lower))
+        return Factorization(n=n, spd=True, factors=(c, False))
     with warnings.catch_warnings():
         # Exact-zero pivots are reported through SingularMatrix below.
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+        lu, piv = scipy.linalg.lu_factor(a, overwrite_a=True, check_finite=False)
     _pivot_check(np.diagonal(lu), scale)
     return Factorization(n=n, spd=False, factors=(lu, piv))

@@ -9,16 +9,17 @@ function given through value/gradient/hessian callbacks. Any constraint block
 may be empty (zero rows).
 
 A ParamSelector names the parameter vector theta that differentiation is
-taken with respect to. Vector parameters (q, b, h) yield full Jacobians;
-matrix parameters (P, A, G) are supported only as directional derivatives
-through Direction, which keeps the Jacobian storage linear in the problem
-size.
+taken with respect to, and theta_partials how theta enters the problem: the
+one map the solver, both oracles and perturb read. Vector parameters
+(q, b, h) yield full Jacobians; matrix parameters (P, A, G) are supported
+only as directional derivatives through Direction, which keeps the Jacobian
+storage linear in the problem size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy.linalg.lapack
@@ -264,76 +265,84 @@ def validate(p: ProblemSpec) -> None:
     object.__setattr__(p, "_validated", True)
 
 
-def theta_dim(p: ProblemSpec, sel: ParamSelector) -> int:
-    """Dimension of the parameter vector named by the selector."""
+@dataclass(frozen=True)
+class ThetaPartials:
+    """Derivatives of the raw parameter blocks w.r.t. theta (None means zero).
+
+    The constraint side is stacked over the k = p + m rows of C = [A; G], as
+    every sweep holds it: d_rhs = d[b; h] (None only at zero width), and the
+    dA, dG of a Direction as the rows of dC = d[A; G].
+    """
+
+    m_theta: int
+    dq: Optional[np.ndarray] = None  # d(linear cost)/dtheta, n x m_theta
+    d_rhs: Optional[np.ndarray] = None  # k x m_theta
+    dP: Optional[np.ndarray] = None  # direction only
+    dC: Optional[np.ndarray] = None  # k x n, direction only
+    eye: bool = False  # dq = I: the LinearCost selector
+
+    @property
+    def matrix(self) -> bool:
+        """A Direction with a matrix block: its mixed partial has terms in x."""
+        return self.dP is not None or self.dC is not None
+
+
+def theta_partials(p: ProblemSpec, sel: ParamSelector) -> ThetaPartials:
+    """How the selected theta enters p. A Direction's blocks are checked in
+    the order dP, dq, dA, db, dG, dh: vectors of their size in any layout,
+    matrices of their exact shape (else DimensionMismatch), finite entries
+    (else ValueError), dP only on a quadratic objective. Absent blocks of
+    d[b; h] and d[A; G] read as zeros."""
+    n, p_eq, m = p.n, p.constraints.n_eq, p.constraints.n_ineq
     if isinstance(sel, LinearCost):
-        return p.n
+        return ThetaPartials(n, dq=np.eye(n), d_rhs=np.zeros((p_eq + m, n)), eye=True)
     if isinstance(sel, EqRhs):
-        return p.constraints.n_eq
+        return ThetaPartials(p_eq, d_rhs=np.eye(p_eq + m, p_eq))
     if isinstance(sel, IneqRhs):
-        return p.constraints.n_ineq
-    if isinstance(sel, Direction):
-        _check_direction(p, sel)
-        return 1
-    raise TypeError(f"unknown selector {sel!r}")
+        return ThetaPartials(m, d_rhs=np.eye(p_eq + m, m, -p_eq))
+    if not isinstance(sel, Direction):
+        raise TypeError(f"unknown selector {sel!r}")
+    if sel.dP is not None and not isinstance(p.objective, QuadraticObjective):
+        raise DimensionMismatch("dP direction requires a quadratic objective")
+    col = lambda v, size: None if v is None else as_vector(v, size=size).reshape(size, 1)
+    mat = lambda v, rows: None if v is None else as_matrix(v, rows=rows, cols=n)
+    dP, dq, dA, db, dG, dh = (mat(sel.dP, n), col(sel.dq, n), mat(sel.dA, p_eq),
+                              col(sel.db, p_eq), mat(sel.dG, m), col(sel.dh, m))
+    zero = lambda v, *shape: np.zeros(shape) if v is None else v
+    dC = None if dA is None and dG is None else np.vstack([zero(dA, p_eq, n), zero(dG, m, n)])
+    return ThetaPartials(1, dq=dq, d_rhs=np.vstack([zero(db, p_eq, 1), zero(dh, m, 1)]),
+                         dP=dP, dC=dC)
 
 
-def _check_direction(p: ProblemSpec, d: Direction) -> None:
-    n, peq, m = p.n, p.constraints.n_eq, p.constraints.n_ineq
-    if d.dP is not None:
-        if not isinstance(p.objective, QuadraticObjective):
-            raise DimensionMismatch("dP direction requires a quadratic objective")
-        as_matrix(d.dP, rows=n, cols=n)
-    if d.dq is not None:
-        as_vector(d.dq, size=n)
-    if d.dA is not None:
-        as_matrix(d.dA, rows=peq, cols=n)
-    if d.db is not None:
-        as_vector(d.db, size=peq)
-    if d.dG is not None:
-        as_matrix(d.dG, rows=m, cols=n)
-    if d.dh is not None:
-        as_vector(d.dh, size=m)
-
-
-def _shift_linear(obj: GeneralConvexObjective, delta: np.ndarray) -> GeneralConvexObjective:
-    # Downcast to the plain callback form: subclasses may carry extra state
-    # whose constructors do not accept a shifted linear term.
-    lin = delta if obj.lin is None else obj.lin + delta
-    return GeneralConvexObjective(
-        value_fn=obj.value_fn, gradient_fn=obj.gradient_fn, hessian_fn=obj.hessian_fn, lin=lin
-    )
+def _moved(v: np.ndarray, d: np.ndarray, shift) -> np.ndarray:
+    """A copy of v with shift(d[rows]) added on the rows where d is nonzero."""
+    out, rows = v.copy(), d.any(axis=1)
+    out[rows] += shift(d[rows])
+    return out
 
 
 def perturb(p: ProblemSpec, sel: ParamSelector, delta) -> ProblemSpec:
-    """Copy of the problem with the selected parameter shifted by delta."""
-    delta = as_vector(delta, size=theta_dim(p, sel))
-    con = p.constraints
-    if isinstance(sel, LinearCost):
-        if isinstance(p.objective, QuadraticObjective):
-            obj: Objective = replace(p.objective, q=p.objective.q + delta)
-        else:
-            obj = _shift_linear(p.objective, delta)
-        out = replace(p, objective=obj)
-    elif isinstance(sel, EqRhs):
-        out = replace(p, constraints=Polyhedron.build(p.n, con.A, con.b + delta, con.G, con.h))
-    elif isinstance(sel, IneqRhs):
-        out = replace(p, constraints=Polyhedron.build(p.n, con.A, con.b, con.G, con.h + delta))
-    elif isinstance(sel, Direction):
-        t = float(delta[0])
-        shift = lambda v, dv: v if dv is None else v + t * np.reshape(dv, v.shape)
-        new_con = Polyhedron.build(p.n, shift(con.A, sel.dA), shift(con.b, sel.db),
-                                   shift(con.G, sel.dG), shift(con.h, sel.dh))
-        obj = p.objective
-        if isinstance(obj, QuadraticObjective):
-            obj = replace(obj, P=shift(obj.P, sel.dP), q=shift(obj.q, sel.dq))
-        elif sel.dq is not None:
-            obj = _shift_linear(obj, t * as_vector(sel.dq, size=p.n))
-        out = replace(p, objective=obj, constraints=new_con)
-    else:
-        raise TypeError(f"unknown selector {sel!r}")
-    # A shifted copy of a validated problem is structurally identical; skip
+    """Copy of the problem with theta moved by delta along its partials
+    (theta_partials): the linear cost by dq delta (delta itself for theta =
+    q), [b; h] by d[b; h] delta, and a Direction's P and C = [A; G] by t dP
+    and t dC, t = delta[0]. Rows whose partial is zero keep their values,
+    and the copy shares no constraint array with p."""
+    pt = theta_partials(p, sel)
+    delta = as_vector(delta, size=pt.m_theta)
+    obj, con, t = p.objective, p.constraints, delta[:1]
+    C = con.C.copy() if pt.dC is None else _moved(con.C, pt.dC, lambda d: t * d)
+    rhs = _moved(con.rhs, pt.d_rhs, lambda d: d @ delta)
+    if pt.dP is not None:
+        obj = replace(obj, P=obj.P + t * pt.dP)
+    if pt.dq is not None:
+        dq = delta if pt.eye else t * pt.dq[:, 0]  # entry by entry, as a linear term holds it
+        # Callbacks take the plain form: a subclass's constructor may take no linear term.
+        obj = (replace(obj, q=obj.q + dq) if isinstance(obj, QuadraticObjective) else
+               GeneralConvexObjective(obj.value_fn, obj.gradient_fn, obj.hessian_fn,
+                                      dq if obj.lin is None else obj.lin + dq))
+    out = replace(p, objective=obj, constraints=Polyhedron(C=C, rhs=rhs, n_eq=con.n_eq))
+    # Moved in anything but P, a validated problem stays valid; skip
     # re-probing callback objectives on every finite-difference solve.
-    if getattr(p, "_validated", False) and not isinstance(sel, Direction):
+    if getattr(p, "_validated", False) and pt.dP is None:
         object.__setattr__(out, "_validated", True)
     return out

@@ -14,11 +14,10 @@ from typing import Optional
 
 import numpy as np
 
-from .backward import ThetaPartials, theta_partials
 from .errors import NotConverged, NotOptimal, SingularKkt, SingularMatrix
 from .forward import SolverConfig, admm_solve
 from .linalg import as_vector, factorize
-from .problem import ParamSelector, ProblemSpec, perturb, theta_dim, validate
+from .problem import ParamSelector, ProblemSpec, ThetaPartials, perturb, theta_partials, validate
 
 # Strict complementarity guard: below this, a constraint is simultaneously
 # active and multiplier-free and the linearized system is (near) singular.
@@ -142,7 +141,7 @@ def finite_diff_jacobian(
         raise ValueError("step must be positive")
     validate(p)
     cfg = replace(cfg or SolverConfig(), eps=solver_eps)
-    m_theta = theta_dim(p, sel)
+    m_theta = theta_partials(p, sel).m_theta
     jac = np.zeros((p.n, m_theta))
     for j in range(m_theta):
         e = np.zeros(m_theta)

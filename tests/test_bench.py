@@ -52,13 +52,14 @@ def test_case_validation():
 def test_case_rejects_bad_solver_settings(setting, tmp_path):
     """eps and rho are checked with the dimensions, when the case is made,
     so run_case never meets a SolverConfig it cannot build; `bench qp`
-    reaches the same check before any solve."""
+    rejects the same settings as a usage error before any solve."""
     with pytest.raises(ValueError, match="must be positive and finite"):
         bench.BenchCase(name="bad", n=4, m_ineq=1, p_eq=1, **setting)
     (name, value), = setting.items()
-    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+    with pytest.raises(SystemExit) as exc:
         cli.main(["bench", "qp", "--sizes", "4:1:1", f"--{name}={value}",
                   "--out", str(tmp_path / "r.csv")])
+    assert exc.value.code == 2 and not (tmp_path / "r.csv").exists()
 
 
 def test_run_case_tiny_qp():

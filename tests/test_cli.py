@@ -165,6 +165,29 @@ def test_cli_bench_scaling(tmp_path):
     assert len(rows) == 3
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["bench", "qp", "--sizes", "4:1:1", "--eps", "-1"], "--eps"),
+    (["check", "--problem", "{path}", "--sel", "h", "--rho", "inf"], "--rho"),
+    (["check", "--problem", "{path}", "--sel", "h", "--eps", "nan"], "--eps"),
+    (["bench", "scaling", "--sizes", "20:8:8", "--eps", "0"], "--eps"),
+    (["bench", "truncation", "--case", "20:8:4", "--eps-list", "1e-1,-1"], "--eps-list"),
+    (["bench", "truncation", "--case", "20:8:4", "--rho", "abc"], "--rho"),
+    (["demo", "energy", "--tolerances", "1e-1,0"], "--tolerances"),
+], ids=["qp-eps", "check-rho", "check-eps", "scaling-eps", "truncation-eps-list",
+        "truncation-rho", "energy-tolerances"])
+def test_cli_bad_solver_settings_are_usage_errors(argv, flag, tmp_path, capsys):
+    """A non-positive or non-finite eps or rho ends in argparse's usage error
+    (exit code 2), before any file is read or solve is run."""
+    argv = [a.format(path=tmp_path / "missing.json") for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv if argv[0] == "check" else argv + ["--out", str(tmp_path / "r.csv")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: altdiff") and flag in err
+    assert "must be a positive finite number" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_cli_demo_energy(tmp_path, capsys):
     out = tmp_path / "e.csv"
     rc = cli.main(["demo", "energy", "--epochs", "1", "--days", "4",

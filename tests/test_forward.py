@@ -280,3 +280,20 @@ def test_setup_time_includes_penalty_assembly(suite, monkeypatch, solve):
     else:
         rep = ad.differentiate(suite.problem(4), ad.EqRhs(), cfg).forward
     assert rep.factorization_ms >= 20.0
+
+
+@pytest.mark.parametrize("rho", [1.0, 0.7])
+@pytest.mark.parametrize("n, m, p", [(12, 5, 3), (12, 0, 0), (0, 0, 0)], ids=["k8", "k0", "n0"])
+def test_xstep_factor_is_the_factor_of_the_summed_hessian(n, m, p, rho):
+    """xstep_factor sums P' and the penalty column-major; its factor is the
+    one factorize gives the plain (C-ordered) sum, byte for byte."""
+    rng = np.random.default_rng(n + m)
+    M = rng.standard_normal((n, n))
+    prob = ad.ProblemSpec.quadratic(P=M @ M.T + np.eye(n), q=np.zeros(n),
+                                    A=rng.standard_normal((p, n)), b=np.zeros(p),
+                                    G=rng.standard_normal((m, n)), h=np.ones(m))
+    got = forward.xstep_factor(prob, rho)
+    want = forward.factorize(prob.objective.P.T + forward.penalty_matrix(prob, rho), spd_hint=True)
+    assert got.n == want.n == n and got.spd
+    assert [np.asarray(a).tobytes() for a in got.factors] == \
+        [np.asarray(a).tobytes() for a in want.factors]

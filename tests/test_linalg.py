@@ -181,3 +181,33 @@ def test_inverse_makes_no_factorization():
     before = linalg.factorization_count()
     f.inverse()
     assert linalg.factorization_count() == before
+
+
+def _factor_bytes(f):
+    return [np.asarray(a).tobytes(order="A") for a in f.factors]
+
+
+@pytest.mark.parametrize("spd", [True, False])
+@pytest.mark.parametrize("n", [0, 1, 7, 40])
+def test_factorize_reads_c_and_f_order_alike(n, spd):
+    """factorize copies its input column-major, so the same matrix in C and
+    in F order gives the same factor and solves, byte for byte, and both are
+    the factors scipy's cho_factor / lu_factor give for the C-ordered array."""
+    a = _spd(n, seed=n)
+    fc, ff = linalg.factorize(a, spd_hint=spd), linalg.factorize(np.asfortranarray(a), spd_hint=spd)
+    assert _factor_bytes(fc) == _factor_bytes(ff)
+    rhs = np.random.default_rng(n).standard_normal((n, 3))
+    for b in (rhs, rhs[:, 0], np.asfortranarray(rhs)):
+        assert fc.solve(b).tobytes() == ff.solve(b).tobytes()
+    if n:
+        ref = scipy.linalg.cho_factor(a, check_finite=False) if spd else scipy.linalg.lu_factor(a)
+        assert _factor_bytes(fc) == [np.asarray(v).tobytes(order="A") for v in ref]
+        assert fc.factors[0].flags.f_contiguous
+
+
+def test_factorize_leaves_its_input_unchanged():
+    a = _spd(6)
+    for m in (a.copy(), np.asfortranarray(a)):
+        for spd in (True, False):
+            linalg.factorize(m, spd_hint=spd)
+            assert np.array_equal(m, a)

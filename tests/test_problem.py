@@ -77,10 +77,10 @@ def test_theta_dim():
         A=np.ones((10, 24)) / 24, b=np.zeros(10),
         G=np.eye(24), h=np.ones(24),
     )
-    assert ad.theta_dim(p, ad.LinearCost()) == 24
-    assert ad.theta_dim(p, ad.EqRhs()) == 10
-    assert ad.theta_dim(p, ad.IneqRhs()) == 24
-    assert ad.theta_dim(p, ad.Direction(db=np.zeros(10))) == 1
+    assert ad.theta_partials(p, ad.LinearCost()).m_theta == 24
+    assert ad.theta_partials(p, ad.EqRhs()).m_theta == 10
+    assert ad.theta_partials(p, ad.IneqRhs()).m_theta == 24
+    assert ad.theta_partials(p, ad.Direction(db=np.zeros(10))).m_theta == 1
 
 
 def test_perturb_zero_delta_is_identity():
@@ -143,7 +143,7 @@ def test_theta_dim_matches_jacobian_columns():
     )
     for sel in (ad.LinearCost(), ad.EqRhs(), ad.IneqRhs(), ad.Direction(db=np.ones(1))):
         rep = ad.differentiate(p, sel, ad.SolverConfig(eps=1e-6))
-        assert rep.Jx.shape == (3, ad.theta_dim(p, sel))
+        assert rep.Jx.shape == (3, ad.theta_partials(p, sel).m_theta)
 
 
 def test_perturb_general_convex_linear_cost():
@@ -204,7 +204,9 @@ def test_validate_rejects_inconsistent_stack():
     (ad.IneqRhs(), [0.5, -1.0], None, [1.0, 2.5, 2.0]),
     (ad.Direction(dA=[[1.0, 0.0, 0.0]], dG=[[0.0, 0.0, 0.0], [0.0, 2.0, 0.0]], dh=[1.0, 0.0]),
      [0.5], [[1.5, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]], [1.0, 2.5, 3.0]),
-], ids=["EqRhs", "IneqRhs", "matrix_Direction"])
+    (ad.LinearCost(), [0.5, 0.0, -1.0], None, [1.0, 2.0, 3.0]),
+    (ad.Direction(dq=[1.0, 0.0, 0.0], dh=[[0.0, 2.0]]), [0.5], None, [1.0, 2.0, 4.0]),
+], ids=["EqRhs", "IneqRhs", "matrix_Direction", "LinearCost", "vector_Direction"])
 def test_perturb_restacks_constraints(sel, delta, C, rhs):
     p = _stacked_problem()
     con = p.constraints
@@ -216,3 +218,35 @@ def test_perturb_restacks_constraints(sel, delta, C, rhs):
     assert np.array_equal(out.b, out.rhs[:1]) and np.shares_memory(out.h, out.rhs)
     assert not np.shares_memory(out.rhs, con.rhs) and not np.shares_memory(out.C, con.C)
     assert np.array_equal(con.C, C0) and np.array_equal(con.rhs, rhs0)
+
+
+@pytest.mark.parametrize("sel, exc", [
+    (ad.Direction(dq=np.ones(4)), DimensionMismatch),
+    (ad.Direction(db=np.ones((1, 2))), DimensionMismatch),
+    (ad.Direction(dA=np.ones(3)), DimensionMismatch),
+    (ad.Direction(dG=np.ones((3, 2))), DimensionMismatch),
+    (ad.Direction(dP=np.ones((3, 3, 1))), DimensionMismatch),
+    (ad.Direction(dh=[1.0, np.nan]), ValueError),
+    (ad.Direction(dG=np.full((2, 3), np.inf)), ValueError),
+    # blocks are checked in the order dP, dq, dA, db, dG, dh
+    (ad.Direction(dq=[np.inf] * 3, dA=np.ones((2, 3))), ValueError),
+    ("b", TypeError),
+], ids=["dq_size", "db_size", "dA_ndim", "dG_shape", "dP_ndim", "dh_nan", "dG_inf",
+        "order", "unknown"])
+def test_theta_partials_checks_direction_blocks(sel, exc):
+    """A malformed Direction is refused by theta_partials, and so by every
+    reader of it: perturb, differentiate and the finite-difference oracle."""
+    p = _stacked_problem()
+    for call in (lambda: ad.theta_partials(p, sel), lambda: ad.perturb(p, sel, [0.5]),
+                 lambda: ad.differentiate(p, sel), lambda: ad.finite_diff_jacobian(p, sel)):
+        with pytest.raises(exc):
+            call()
+
+
+def test_theta_partials_direction_dp_needs_a_quadratic():
+    p = ad.ProblemSpec.general(n=2, value=lambda x: float(x @ x), gradient=lambda x: 2 * x,
+                               hessian=lambda x: 2 * np.eye(2))
+    with pytest.raises(DimensionMismatch, match="quadratic"):
+        ad.theta_partials(p, ad.Direction(dP=np.eye(2)))
+    pt = ad.theta_partials(p, ad.Direction(dq=[[1.0, 2.0]]))
+    assert pt.m_theta == 1 and np.array_equal(pt.dq, [[1.0], [2.0]]) and pt.dP is None

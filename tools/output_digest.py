@@ -8,8 +8,8 @@ only can show which kinds moved:
     python3 tools/output_digest.py            # from the root of a checkout
 
 It prints one line per category of solve, then one line over every solve.
-The categories: polished QPs under q; polished QPs under b, h or a vector
-Direction; unpolished QPs (and QP solves that raise); matrix Directions;
+The categories: polished QPs under q; polished QPs under b or h; unpolished
+QPs (and QP solves that raise); vector Directions; matrix Directions;
 SoftmaxLayer problems.
 
 Each solve hashes x, the four Jacobian blocks, both step-norm lists, the
@@ -18,10 +18,11 @@ a solve that raises hashes the name of its exception type. The set: random
 QPs with n from 5 to 50 (some with k = p + m < n, whose polished LinearCost
 Jacobian takes the inverse of M + D, some with k >= n, and some with a
 repeated constraint row, which refuses the polish) under the three vector
-selectors, and every other one of them under a matrix Direction (dP, dq,
-dG, dh), which is never polished; then small SoftmaxLayer problems, whose
-callback objective takes a Newton x-step every sweep, under the three
-vector selectors. Each runs at eps 1e-1, 1e-3 and 1e-6, max_outer_iters 3
+selectors, every other one of them under a matrix Direction (dP, dq, dG,
+dh), which is never polished, and the others under a vector Direction (dq,
+db, dh), whose polish reads W' dq and H^-1 dq; then small SoftmaxLayer
+problems, whose callback objective takes a Newton x-step every sweep, under
+the three vector selectors. Each runs at eps 1e-1, 1e-3 and 1e-6, max_outer_iters 3
 and 10,000, untraced and traced. BLAS runs on one thread, since the digest
 depends on the thread count.
 """
@@ -67,6 +68,16 @@ def matrix_directions():
                                dG=rng.standard_normal((m, n)), dh=rng.standard_normal(m))
 
 
+def vector_directions():
+    """A Direction with dq, db and dh on every other random QP, the ones
+    matrix_directions leaves out."""
+    rng = np.random.default_rng(20261022)
+    for qp in list(problems())[1::2]:
+        con = qp.constraints
+        yield qp, ad.Direction(dq=rng.standard_normal(qp.n), db=rng.standard_normal(con.n_eq),
+                               dh=rng.standard_normal(con.n_ineq))
+
+
 def softmax_layers():
     """Small SoftmaxLayer problems, whose callback objective runs a damped
     Newton x-step every sweep; some raise NewtonDiverged."""
@@ -77,21 +88,23 @@ def softmax_layers():
         yield ad.build(ad.SoftmaxLayer(y=y, u=u))
 
 
-CATEGORIES = ("polished QP under q", "polished QP under b, h or a vector Direction",
-              "unpolished QP", "matrix Direction", "SoftmaxLayer")
+CATEGORIES = ("polished QP under q", "polished QP under b or h", "unpolished QP",
+              "vector Direction", "matrix Direction", "SoftmaxLayer")
 
 
 def cases():
-    """(kind, problem, selector); kind is "qp" or one of the last two categories."""
+    """(kind, problem, selector); kind is "qp" or one of the last three categories."""
     selectors = (ad.LinearCost(), ad.EqRhs(), ad.IneqRhs())
     for qp in problems():
         for sel in selectors:
             yield "qp", qp, sel
-    for qp, sel in matrix_directions():
+    for qp, sel in vector_directions():
         yield CATEGORIES[3], qp, sel
+    for qp, sel in matrix_directions():
+        yield CATEGORIES[4], qp, sel
     for p in softmax_layers():
         for sel in selectors:
-            yield CATEGORIES[4], p, sel
+            yield CATEGORIES[5], p, sel
 
 
 def category(kind, sel, rep):

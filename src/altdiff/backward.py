@@ -296,10 +296,10 @@ def _norm(v: np.ndarray) -> float:
 
 class _Sweep:
     """The protocol of the solver loop. Per iteration: step(st), the solver
-    sweep, returns (x, s, lam, nu, ||Ax - b||, ||Gx + s - h||), every sweep
-    through slack_dual(). At nonzero width, run(s) is the Jacobian sweep: it
-    gates on the new slack (or its mask s > 0), writes the new Jx to
-    self.jx_next and steps Y (k x m_theta), in n-space through dual_tail().
+    sweep, returns (x, s, lam, nu), every sweep through slack_dual(). At
+    nonzero width, run(s) is the Jacobian sweep: it gates on the new slack
+    (or its mask s > 0), writes the new Jx to self.jx_next and steps Y
+    (k x m_theta), in n-space through dual_tail().
     The loop appends each sweep's gate to self.gates, and replay(), the only
     caller of run(), runs the kept ones in order and swaps each new Jx in as
     self.jx; jac_step() then gives the last one's Jacobian step, which the
@@ -343,15 +343,14 @@ class _Sweep:
         """The slack and dual steps at the new x, from one residual
         r = C x - [b; h] relaxed to r_hat = alpha r - (1 - alpha) [0; s_prev]:
         lam + rho r_hat_eq, and with u = nu + rho r_hat_in the new
-        nu = max(u, 0) and s = (nu - u) / rho. Returns step()'s tuple, whose
-        residual norms are r's. Keeps alpha, u, x and the pre-update st,
-        where a Direction's terms in x are taken."""
+        nu = max(u, 0) and s = (nu - u) / rho. Returns step()'s tuple.
+        Keeps alpha, u, x and the pre-update st, where a Direction's terms
+        in x are taken."""
         rho, p_eq = self.rho, self.p_eq
         self.st, self.x = st, x
         self.alpha = a = relaxation(st.k)
         r = self.C @ x
         r -= self.con.rhs
-        r_eq, r_in = r[:p_eq], r[p_eq:]
         # r_hat as r + (alpha - 1)(r + [0; s_prev]), r where r + [0; s_prev] = 0
         r_hat = r.copy()
         r_hat[p_eq:] += st.s
@@ -362,8 +361,7 @@ class _Sweep:
         nu = np.maximum(u, 0.0)
         s = nu - u
         s /= rho
-        r_in += s
-        return x, s, lam, nu, _norm(r_eq), _norm(r_in)
+        return x, s, lam, nu
 
     def _init_dual_side(self, n: int) -> None:
         """What dual_tail() steps: Y, c, Jx. Y starts at the derivative of
@@ -506,7 +504,7 @@ class _QuadraticSweep(_Sweep):
         inequality rows where z < 0, until z's inequality rows are all >= 0,
         a gate or its factor is refused, a gate repeats one tried in this
         solve or the solve has made POLISH_MAX_FACTORIZATIONS. Returns
-        step()'s tuple at the fixed point, or None."""
+        step()'s tuple (x, s, lam, nu) at the fixed point, or None."""
         p, rho, k = self.p_eq, self.rho, len(self.sigma)
         opened = s_new > 0.0
         while (self.polish_factorizations < POLISH_MAX_FACTORIZATIONS
@@ -533,10 +531,7 @@ class _QuadraticSweep(_Sweep):
             x = self.x0 - self.W @ z
             nu = np.where(opened, 0.0, z[p:])
             s = np.where(opened, z[p:] / rho, 0.0)
-            r = self.C @ x
-            r -= self.con.rhs
-            r[p:] += s
-            return x, s, z[:p].copy(), nu, _norm(r[:p]), _norm(r[p:])
+            return x, s, z[:p].copy(), nu
         return None
 
     def polish_jacobian(self) -> None:
@@ -655,7 +650,7 @@ def _solve(
     jac_step = 0.0  # with zero width there is no Jacobian to step
     for _ in range(cfg.max_outer_iters):
         t0 = perf()
-        x_new, s_new, lam_new, nu_new, eq_res, ineq_res = sweep.step(st)
+        x_new, s_new, lam_new, nu_new = sweep.step(st)
         fwd.iteration_ms += (perf() - t0) * 1e3
         # The x step, outside the timers: ||x_new - x|| / max(||x||,
         # NORM_FLOOR), ||x|| carried over. Below eps the polish may replace
@@ -673,7 +668,7 @@ def _solve(
             polished = sweep.polish(s_new)
             fwd.iteration_ms += (perf() - t0) * 1e3
         if polished is not None:
-            x_new, s_new, lam_new, nu_new, eq_res, ineq_res = polished
+            x_new, s_new, lam_new, nu_new = polished
         if pt.m_theta:
             t0 = perf()
             if polished is not None:
@@ -696,8 +691,6 @@ def _solve(
                 jx_hist.append(sweep.jx.copy())
         report.jac_step_norms.append(jac_step)
         fwd.step_norms.append(step)
-        fwd.eq_residuals.append(eq_res)
-        fwd.ineq_residuals.append(ineq_res)
         if trace:
             x_hist.append(x_new.copy())
 
@@ -723,6 +716,8 @@ def _solve(
         report.jac = sweep.finish()
         report.jacobian_ms += (perf() - t0) * 1e3
     report.jacobian_sweeps = sweep.jacobian_sweeps
+    r, p_eq = p.constraints.residual(st.x, st.s), p.constraints.n_eq
+    fwd.eq_residual, fwd.ineq_residual = _norm(r[:p_eq]), _norm(r[p_eq:])
     fwd.hessian_factorization = sweep.fact
     fwd.num_factorizations = linalg.factorization_count() - count0
     fwd.polish_factorizations = sweep.polish_factorizations

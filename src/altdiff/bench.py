@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import reduce
 from pathlib import Path
@@ -68,7 +67,6 @@ class BenchRecord:
     polished: bool = False
     polish_factorizations: int = 0
     jacobian_sweeps: int = 0
-    timing_reliable: bool = True
     error: str = ""
 
 
@@ -140,16 +138,9 @@ def run_case(case: BenchCase) -> BenchRecord:
     return record
 
 
-def run_cases(cases: Sequence[BenchCase], parallel: bool = False) -> list[BenchRecord]:
-    """Sequential by default for stable timings; the parallel path produces
-    identical records apart from wall-clock fields, which it marks unreliable."""
-    if not parallel:
-        return [run_case(c) for c in cases]
-    with ProcessPoolExecutor() as pool:
-        records = list(pool.map(run_case, cases))
-    for r in records:
-        r.timing_reliable = False
-    return records
+def run_cases(cases: Sequence[BenchCase]) -> list[BenchRecord]:
+    """One record per case, run one after another so timings do not compete."""
+    return [run_case(c) for c in cases]
 
 
 @dataclass

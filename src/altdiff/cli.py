@@ -30,15 +30,45 @@ SELECTORS = {"q": LinearCost, "b": EqRhs, "h": IneqRhs}
 
 
 def _parse_size(token: str) -> tuple[int, int, int]:
-    parts = [int(v) for v in token.split(":")]
+    """A size string as (n, m_ineq, p_eq): positive counts with p_eq <= n, as
+    BenchCase requires, else a usage error."""
+    try:
+        parts = [int(v) for v in token.split(":")]
+    except ValueError:
+        parts = []
+    if not 1 <= len(parts) <= 3:
+        raise argparse.ArgumentTypeError(f"must be n[:m_ineq[:p_eq]] in integers, got {token!r}")
     n = parts[0]
     m = parts[1] if len(parts) > 1 else max(1, n // 3)
     p = parts[2] if len(parts) > 2 else max(1, n // 8)
+    if min(n, m, p) < 1 or p > n:
+        raise argparse.ArgumentTypeError(f"must have positive counts and p_eq <= n, got {token!r}")
     return n, m, p
 
 
 def _parse_sizes(text: str) -> list[tuple[int, int, int]]:
     return [_parse_size(tok) for tok in text.split(",") if tok]
+
+
+def _ascending_sizes(text: str) -> list[tuple[int, int, int]]:
+    """Sizes whose n ascend, as scaling_sweep's ratios need, else a usage error."""
+    sizes = _parse_sizes(text)
+    if any(a[0] >= b[0] for a, b in zip(sizes, sizes[1:])):
+        raise argparse.ArgumentTypeError(f"must be ascending in n, got {text!r}")
+    return sizes
+
+
+def _int_at_least(low: int):
+    """The argparse type of an integer of at least low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer of at least {low}, got {text!r}")
+        return value
+    return parse
 
 
 def _positive_float(text: str) -> float:
@@ -56,6 +86,17 @@ def _positive_floats(text: str) -> list[float]:
     return [_positive_float(tok) for tok in text.split(",") if tok]
 
 
+def _nonnegative_float(text: str) -> float:
+    """A learning rate or ramp limit: a finite float >= 0, else a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be a nonnegative finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="altdiff")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -64,23 +105,23 @@ def build_parser() -> argparse.ArgumentParser:
     bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
 
     p_qp = bench_sub.add_parser("qp", help="accuracy/timing vs the one-shot route")
-    p_qp.add_argument("--sizes", default="50:20:10,100:40:20,200:70:30,400:130:50")
+    p_qp.add_argument("--sizes", type=_parse_sizes,
+                      default="50:20:10,100:40:20,200:70:30,400:130:50")
     p_qp.add_argument("--seed", type=int, default=0)
     p_qp.add_argument("--eps", type=_positive_float, default=1e-3)
     p_qp.add_argument("--rho", type=_positive_float, default=1.0)
     p_qp.add_argument("--kind", choices=["qp", "sparsemax", "softmax"], default="qp")
-    p_qp.add_argument("--parallel", action="store_true")
     p_qp.add_argument("--out", default="results.csv")
 
     p_tr = bench_sub.add_parser("truncation", help="tolerance sweep on one case")
-    p_tr.add_argument("--case", default="50:20:10")
+    p_tr.add_argument("--case", type=_parse_size, default="50:20:10")
     p_tr.add_argument("--seed", type=int, default=0)
     p_tr.add_argument("--eps-list", type=_positive_floats, default="1e-1,1e-2,1e-3")
     p_tr.add_argument("--rho", type=_positive_float, default=1.0)
     p_tr.add_argument("--out", default="truncation.csv")
 
     p_sc = bench_sub.add_parser("scaling", help="empirical complexity ratios")
-    p_sc.add_argument("--sizes", default="100:60:50,200:60:100")
+    p_sc.add_argument("--sizes", type=_ascending_sizes, default="100:60:50,200:60:100")
     p_sc.add_argument("--seed", type=int, default=0)
     p_sc.add_argument("--eps", type=_positive_float, default=1e-6)
     p_sc.add_argument("--rho", type=_positive_float, default=1.0)
@@ -91,12 +132,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo = sub.add_parser("demo", help="training demos")
     demo_sub = p_demo.add_subparsers(dest="demo_command", required=True)
     p_en = demo_sub.add_parser("energy", help="predict-then-optimize scheduling")
-    p_en.add_argument("--epochs", type=int, default=10)
+    p_en.add_argument("--epochs", type=_int_at_least(1), default=10)
     p_en.add_argument("--tolerances", type=_positive_floats, default="1e-1,1e-3")
-    p_en.add_argument("--days", type=int, default=30)
+    # synth_demand needs four days for one training window
+    p_en.add_argument("--days", type=_int_at_least(4), default=30)
     p_en.add_argument("--seed", type=int, default=0)
-    p_en.add_argument("--lr", type=float, default=1e-3)
-    p_en.add_argument("--ramp", type=float, default=20.0)
+    p_en.add_argument("--lr", type=_nonnegative_float, default=1e-3)
+    p_en.add_argument("--ramp", type=_nonnegative_float, default=20.0)
     p_en.add_argument("--out", default="training.csv")
 
     p_check = sub.add_parser("check", help="compare Jacobian routes on a problem file")
@@ -112,9 +154,9 @@ def _cmd_bench_qp(args) -> int:
     cases = [
         bench.BenchCase(name=f"{args.kind}-{n}", n=n, m_ineq=m, p_eq=p,
                         seed=args.seed, kind=args.kind, eps=args.eps, rho=args.rho)
-        for (n, m, p) in _parse_sizes(args.sizes)
+        for (n, m, p) in args.sizes
     ]
-    records = bench.run_cases(cases, parallel=args.parallel)
+    records = bench.run_cases(cases)
     bench.write_csv(args.out, bench.BenchRecord, records)
     for r in records:
         cos = "-" if r.cosine is None else f"{r.cosine:.6f}"
@@ -126,7 +168,7 @@ def _cmd_bench_qp(args) -> int:
 
 
 def _cmd_bench_truncation(args) -> int:
-    n, m, p = _parse_size(args.case)
+    n, m, p = args.case
     case = bench.BenchCase(name=f"trunc-{n}", n=n, m_ineq=m, p_eq=p,
                            seed=args.seed, rho=args.rho)
     records = bench.truncation_report(case, args.eps_list)
@@ -139,7 +181,7 @@ def _cmd_bench_truncation(args) -> int:
 
 
 def _cmd_bench_scaling(args) -> int:
-    records = bench.scaling_sweep(_parse_sizes(args.sizes), seed=args.seed,
+    records = bench.scaling_sweep(args.sizes, seed=args.seed,
                                   eps=args.eps, rho=args.rho,
                                   selector=SELECTORS[args.sel]())
     bench.write_csv(args.out, bench.ScalingRecord, records)

@@ -26,7 +26,7 @@ alpha in (0, 2) (Eckstein and Bertsekas, 1992). It costs no
 refactorization. The first sweep stays plain: its previous slack is the
 initial max(0, h - G x0), not an iterate, and relaxing against it made the
 Newton x-step of callback objectives diverge on the next sweep. The
-residual norms a report keeps are those of the unrelaxed iterate.
+residuals a report keeps are those of the returned, unrelaxed iterate.
 
 The update steps here are the reference form of the splitting, which the
 tests run. The solver loop (backward) takes primal_update's damped Newton
@@ -101,9 +101,10 @@ class ForwardReport:
 
     The same for admm_solve and differentiate: factorization_ms times the
     set-up (penalty, factorization and what the sweep derives from it),
-    iteration_ms the solver steps with their residual norms and the
-    polish's forward half, not the Jacobian steps or the step norms.
-    polished says the solve stopped on a polished fixed point (backward's
+    iteration_ms the solver steps and the polish's forward half, not the
+    Jacobian steps or the step norms. eq_residual and ineq_residual are
+    ||A x - b|| and ||G x + s - h|| at the returned point, taken once after
+    the loop (problem.Polyhedron.residual). polished says the solve stopped on a polished fixed point (backward's
     module docstring), polish_factorizations counts the LU factorizations
     the polish made; num_factorizations counts the x-step's only.
     """
@@ -113,8 +114,8 @@ class ForwardReport:
     polished: bool = False
     polish_factorizations: int = 0
     step_norms: list = field(default_factory=list)
-    eq_residuals: list = field(default_factory=list)
-    ineq_residuals: list = field(default_factory=list)
+    eq_residual: float = math.nan
+    ineq_residual: float = math.nan
     hessian_factorization: Optional[Factorization] = None
     num_factorizations: int = 0
     factorization_ms: float = 0.0

@@ -468,8 +468,9 @@ def _assert_forward_matches(fwd, ref):
     assert (fwd.polished, fwd.polish_factorizations) == (ref.polished, ref.factorizations)
     for name in ("x", "s", "lam", "nu"):
         assert np.allclose(getattr(fwd.state, name), getattr(ref.st, name), atol=1e-12), name
-    assert np.allclose(fwd.eq_residuals, ref.eq_res, rtol=1e-10, atol=1e-12)
-    assert np.allclose(fwd.ineq_residuals, ref.ineq_res, rtol=1e-10, atol=1e-12)
+    # the report keeps the residuals of its returned point, the last sweep's
+    assert np.allclose([fwd.eq_residual, fwd.ineq_residual], [ref.eq_res[-1], ref.ineq_res[-1]],
+                       rtol=1e-10, atol=1e-12)
     assert np.allclose(fwd.step_norms, ref.steps, rtol=1e-8, atol=1e-14)
 
 
@@ -615,6 +616,51 @@ def test_admm_solve_matches_reference_forward_loop(suite, case):
     rep = ad.admm_solve(p, cfg)
     assert rep.converged
     _assert_forward_matches(rep, _reference_sweeps(p, None, cfg))
+
+
+@pytest.mark.parametrize("iters", [1, 2, 5])
+@pytest.mark.parametrize("case", ["LinearCost", "EqRhs", "IneqRhs", "Direction", "callback"])
+def test_early_stops_match_reference_updates(suite, case, iters):
+    """Stopped on max_outer_iters after 1, 2 and 5 sweeps, differentiate and
+    admm_solve return the reference loop's iterate of that sweep, slack
+    included, and differentiate its Jacobian: the report's residuals are the
+    returned point's only, so these stops check the early sweeps' slack."""
+    cfg = ad.SolverConfig(rho=SUITE_RHO, eps=1e-6, max_outer_iters=iters)
+    p = suite.problem(8)
+    if case == "callback":
+        p = ad.build(ad.SoftmaxLayer(y=np.linspace(-1.0, 1.0, 8), u=np.full(8, 0.3)))
+        sel = ad.LinearCost()
+    elif case == "Direction":
+        sel = _matrix_direction(p)
+    else:
+        sel = getattr(ad, case)()
+    rep = ad.differentiate(p, sel, cfg)
+    assert rep.forward.iterations == iters and not rep.forward.converged
+    _assert_sweep_matches(rep, p, sel, cfg)
+    _assert_forward_matches(ad.admm_solve(p, cfg), _reference_sweeps(p, None, cfg))
+
+
+@pytest.mark.parametrize("case", ["polished", "unpolished", "max_iters", "callback"])
+def test_report_residuals_are_the_returned_points(suite, case):
+    """eq_residual and ineq_residual are the norms of Polyhedron.residual at
+    the point the report returns, ||A x - b|| and ||G x + s - h||, for
+    differentiate and admm_solve alike: at a polished point, at a converged
+    unpolished one (dup_rows refuses the polish), at a max_outer_iters stop
+    and after the Newton x-step of a callback objective."""
+    iters = 3 if case == "max_iters" else 10000
+    cfg = ad.SolverConfig(rho=SUITE_RHO, eps=1e-6, max_outer_iters=iters)
+    p = suite.problem(8)
+    if case == "unpolished":
+        p = _constraint_shape(p, "dup_rows")
+    elif case == "callback":
+        p = ad.build(ad.SoftmaxLayer(y=np.linspace(-1.0, 1.0, 8), u=np.full(8, 0.3)))
+    fwd = ad.differentiate(p, ad.LinearCost(), cfg).forward
+    assert (fwd.polished, fwd.converged) == (case == "polished", case != "max_iters")
+    p_eq = p.constraints.n_eq
+    for rep in (fwd, ad.admm_solve(p, cfg)):
+        r = p.constraints.residual(rep.state.x, rep.state.s)
+        assert (rep.eq_residual, rep.ineq_residual) == (np.linalg.norm(r[:p_eq]),
+                                                         np.linalg.norm(r[p_eq:]))
 
 
 def test_admm_solve_runs_no_jacobian_sweep(suite, monkeypatch):

@@ -139,17 +139,6 @@ def test_run_case_layer_kinds():
     assert record2.converged
 
 
-def test_run_cases_parallel_matches_sequential():
-    cases = [bench.BenchCase(name=f"c{s}", n=20, m_ineq=8, p_eq=4, seed=s) for s in (0, 1)]
-    seq = bench.run_cases(cases)
-    par = bench.run_cases(cases, parallel=True)
-    for a, b in zip(seq, par):
-        assert a.case == b.case
-        assert a.cosine == pytest.approx(b.cosine, abs=1e-12)
-        assert a.iterations == b.iterations
-        assert not b.timing_reliable
-
-
 @pytest.mark.timing
 def test_truncation_report_ordering():
     case = bench.BenchCase(name="tr", n=30, m_ineq=12, p_eq=6, seed=0)
@@ -197,7 +186,7 @@ def test_csv_round_trip(tmp_path):
         "name", "n", "m_ineq", "p_eq", "seed", "kind", "eps", "rho",
         "alt_total_ms", "alt_factorization_ms", "alt_iteration_ms",
         "kkt_ms", "cosine", "iterations", "converged", "polished", "polish_factorizations",
-        "jacobian_sweeps", "timing_reliable", "error",
+        "jacobian_sweeps", "error",
     ]
     parsed = rows[1]
     assert float(parsed[rows[0].index("alt_total_ms")]) == record.alt_total_ms

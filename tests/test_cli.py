@@ -137,7 +137,7 @@ def test_cli_bench_qp(tmp_path, capsys):
         "name", "n", "m_ineq", "p_eq", "seed", "kind", "eps", "rho",
         "alt_total_ms", "alt_factorization_ms", "alt_iteration_ms",
         "kkt_ms", "cosine", "iterations", "converged", "polished", "polish_factorizations",
-        "jacobian_sweeps", "timing_reliable", "error",
+        "jacobian_sweeps", "error",
     ]
     assert len(rows) == 2
     assert rows[1][rows[0].index("jacobian_sweeps")] == "0"
@@ -185,6 +185,29 @@ def test_cli_bad_solver_settings_are_usage_errors(argv, flag, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: altdiff") and flag in err
     assert "must be a positive finite number" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("argv, flag, message", [
+    (["demo", "energy", "--epochs", "0"], "--epochs", "an integer of at least 1"),
+    (["demo", "energy", "--days", "3"], "--days", "an integer of at least 4"),
+    (["demo", "energy", "--ramp", "-1"], "--ramp", "a nonnegative finite number"),
+    (["demo", "energy", "--lr", "-1"], "--lr", "a nonnegative finite number"),
+    (["bench", "qp", "--sizes", "10:5:20"], "--sizes", "p_eq <= n"),
+    (["bench", "qp", "--sizes", "abc"], "--sizes", "n[:m_ineq[:p_eq]] in integers"),
+    (["bench", "truncation", "--case", "0"], "--case", "positive counts"),
+    (["bench", "scaling", "--sizes", "200:20:40,100:20:40"], "--sizes", "ascending in n"),
+], ids=["energy-epochs", "energy-days", "energy-ramp", "energy-lr", "qp-sizes-p",
+        "qp-sizes-text", "truncation-case", "scaling-sizes-order"])
+def test_cli_bad_inputs_are_usage_errors(argv, flag, message, tmp_path, capsys):
+    """Inputs the demo or the bench cannot run end in argparse's usage error
+    (exit code 2) with no traceback, before any solve is run."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(tmp_path / "r.csv")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: altdiff") and flag in err and message in err
+    assert "Traceback" not in err
     assert not (tmp_path / "r.csv").exists()
 
 

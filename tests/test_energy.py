@@ -26,12 +26,14 @@ def test_energy_problem_two_slot_ramp():
 @pytest.mark.parametrize("ramp", [-5.0, -1e-9, float("nan")])
 def test_energy_problem_rejects_negative_ramp(ramp, tmp_path):
     # |x_{k+1} - x_k| <= ramp has no solution for ramp < 0; the demo's --ramp
-    # reaches the same check before any training.
+    # refuses it as a usage error (exit code 2) before any training.
     with pytest.raises(ValueError, match="ramp"):
         energy.energy_problem([1.0, 2.0, 3.0], ramp=ramp)
-    with pytest.raises(ValueError, match="ramp"):
+    with pytest.raises(SystemExit) as exc:
         cli.main(["demo", "energy", "--epochs", "1", "--days", "4", f"--ramp={ramp}",
                   "--out", str(tmp_path / "e.csv")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "e.csv").exists()
 
 
 def test_energy_problem_flat_demand():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -233,7 +235,7 @@ def test_report_timing_fields_populated(suite):
     rep = ad.admm_solve(suite.problem(4), ad.SolverConfig(rho=SUITE_RHO, eps=1e-6))
     assert rep.factorization_ms > 0
     assert rep.iteration_ms > 0
-    assert len(rep.eq_residuals) == rep.iterations
+    assert math.isfinite(rep.eq_residual) and math.isfinite(rep.ineq_residual)
 
 
 @pytest.mark.parametrize("shape", ["eq_ineq", "eq_only", "ineq_only", "unconstrained"])

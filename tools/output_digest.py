@@ -7,7 +7,9 @@ only can show which kinds moved:
 
     python3 tools/output_digest.py            # from the root of a checkout
 
-It prints one line per category of solve, then one line over every solve.
+It prints one line per category of solve, then one line over every solve,
+then one line over every solve's eq_residual and ineq_residual (the residual
+norms at the returned point), which no earlier line hashes.
 The categories: polished QPs under q; polished QPs under b or h; unpolished
 QPs (and QP solves that raise); vector Directions; matrix Directions;
 SoftmaxLayer problems.
@@ -116,29 +118,31 @@ def category(kind, sel, rep):
 
 
 def solve_bytes(p, sel, cfg, trace):
-    """The solve's report, or None where it raises, and the bytes it hashes."""
+    """The solve's report, or None where it raises, the bytes it hashes and
+    the bytes of its two residual norms (the exception's name where it raises)."""
     try:
         rep = ad.differentiate(p, sel, cfg, trace=trace)
     except ad.AltdiffError as exc:
-        return None, type(exc).__name__.encode()
+        return None, type(exc).__name__.encode(), type(exc).__name__.encode()
     fwd, jac = rep.forward, rep.jac
     parts = [np.ascontiguousarray(a, dtype=np.float64).tobytes()
              for a in (rep.x, jac.Jx, jac.Js, jac.Jlam, jac.Jnu,
                        fwd.step_norms, rep.jac_step_norms)]
     parts.append(repr((fwd.iterations, fwd.polished, fwd.converged,
                        rep.jacobian_sweeps)).encode())
-    return rep, b"".join(parts)
+    return rep, b"".join(parts), np.array([fwd.eq_residual, fwd.ineq_residual]).tobytes()
 
 
-digest, solves = hashlib.sha256(), 0
+digest, residuals, solves = hashlib.sha256(), hashlib.sha256(), 0
 per_category = {name: [hashlib.sha256(), 0] for name in CATEGORIES}
 for kind, p, sel in cases():
     for eps in (1e-1, 1e-3, 1e-6):
         for iters in (3, 10000):
             for trace in (False, True):
                 cfg = ad.SolverConfig(eps=eps, max_outer_iters=iters)
-                rep, data = solve_bytes(p, sel, cfg, trace)
+                rep, data, res = solve_bytes(p, sel, cfg, trace)
                 digest.update(data)
+                residuals.update(res)
                 solves += 1
                 entry = per_category[category(kind, sel, rep)]
                 entry[0].update(data)
@@ -146,3 +150,4 @@ for kind, p, sel in cases():
 for name, (cat_digest, count) in per_category.items():
     print(f"{cat_digest.hexdigest()}  ({count} solves)  {name}")
 print(f"{digest.hexdigest()}  ({solves} solves)")
+print(f"{residuals.hexdigest()}  ({solves} solves)  eq_residual, ineq_residual")

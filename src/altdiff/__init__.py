@@ -12,7 +12,6 @@ from .backward import (
     DiffReport,
     JacobianState,
     differentiate,
-    truncated_differentiate,
     vjp,
 )
 from .errors import (

@@ -120,7 +120,7 @@ from __future__ import annotations
 import math
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -210,13 +210,9 @@ class DiffReport:
     jacobian_sweeps: int = 0
     # Per-iteration distances to this run's own returned iterate (a polished
     # sweep's is its polished point); filled only when differentiate() is
-    # asked to trace.
+    # asked to trace. bench.truncation_report measures runs against a tighter one.
     x_errors: Optional[np.ndarray] = None
     jac_errors: Optional[np.ndarray] = None
-    # Distances of the final iterate to a tighter reference run; filled by
-    # truncated_differentiate().
-    x_error_vs_ref: Optional[float] = None
-    jac_error_vs_ref: Optional[float] = None
 
     @property
     def x(self) -> np.ndarray:
@@ -256,36 +252,6 @@ def _direction_terms(con: Polyhedron, pt: ThetaPartials, st: AdmmState, x_new: n
         z = np.concatenate([st.lam, st.nu])
         r = con.residual(x_new, st.s)
         out += (pt.dC.T @ (z + rho * r) + rho * (con.C.T @ (pt.dC @ x_new))).reshape(-1, 1)
-    return out
-
-
-def mixed_partial(p: ProblemSpec, sel: ParamSelector, st: AdmmState, jac: JacobianState,
-                  x_new: np.ndarray, rho: float) -> np.ndarray:
-    """d/dtheta of grad_x L(x_new, s, lam, nu; theta) with x_new held fixed.
-
-    The slack and duals carry their stored Jacobians, so their contribution
-    is A'Jlam + G'Jnu + rho G'Js; the explicit theta dependence of q, b, h
-    (and, in Direction mode, of P, A, G) adds the direct terms. The sweeps
-    take it as direct + [A; G]'Y plus _direction_terms; the tests keep this
-    form, written out from the A, b, G, h blocks, as reference.
-    """
-    con = p.constraints
-    pt = theta_partials(p, sel)
-    out = direct_term(p, pt, rho)
-    if con.n_eq:
-        out += con.A.T @ jac.Jlam
-    if con.n_ineq:
-        out += con.G.T @ (jac.Jnu + rho * jac.Js)
-    if pt.dP is not None:
-        out += (pt.dP @ x_new).reshape(-1, 1)
-    if pt.dC is not None:
-        # dA'(lam + rho (A x - b)) + dG'(nu + rho (G x + s - h))
-        # + rho A'(dA x) + rho G'(dG x); the d[b; h] terms are direct.
-        dA, dG = pt.dC[:con.n_eq], pt.dC[con.n_eq:]
-        terms = (dA.T @ (st.lam + rho * (con.A @ x_new - con.b))
-                 + dG.T @ (st.nu + rho * (con.G @ x_new + st.s - con.h))
-                 + rho * (con.A.T @ (dA @ x_new)) + rho * (con.G.T @ (dG @ x_new)))
-        out += terms.reshape(-1, 1)
     return out
 
 
@@ -757,32 +723,6 @@ def differentiate(
     if report.jac is None:  # zero width: empty blocks
         report.jac = JacobianState.zeros(p.n, p.constraints.n_ineq, p.constraints.n_eq, 0)
     return report
-
-
-def truncated_differentiate(
-    p: ProblemSpec,
-    sel: ParamSelector,
-    cfg: Optional[SolverConfig] = None,
-    eps_list=(1e-1, 1e-2, 1e-3),
-) -> list[DiffReport]:
-    """One fresh differentiate() per tolerance, loosest first.
-
-    Each report's x_error_vs_ref / jac_error_vs_ref compare its final iterate
-    against the tightest run in the list, giving the empirical counterpart of
-    the truncation bound: Jacobian error on the order of the iterate error.
-    """
-    eps_list = [float(e) for e in eps_list]
-    if not eps_list or any(e <= 0 for e in eps_list):
-        raise ValueError("eps_list must be nonempty and positive")
-    if any(a < b for a, b in zip(eps_list, eps_list[1:])):
-        raise ValueError("eps_list must be nonincreasing (loosest first)")
-    cfg = cfg or SolverConfig()
-    reports = [differentiate(p, sel, replace(cfg, eps=e)) for e in eps_list]
-    ref = reports[-1]
-    for r in reports:
-        r.x_error_vs_ref = float(np.linalg.norm(r.x - ref.x))
-        r.jac_error_vs_ref = float(np.linalg.norm(r.Jx - ref.Jx))
-    return reports
 
 
 def vjp(report: DiffReport, dR_dx) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 
-from .backward import differentiate, truncated_differentiate
+from .backward import differentiate
 from .errors import AltdiffError
 from .forward import SolverConfig, admm_solve, penalty_matrix
 from .layers import SoftmaxLayer, SparsemaxLayer, build
@@ -138,11 +138,6 @@ def run_case(case: BenchCase) -> BenchRecord:
     return record
 
 
-def run_cases(cases: Sequence[BenchCase]) -> list[BenchRecord]:
-    """One record per case, run one after another so timings do not compete."""
-    return [run_case(c) for c in cases]
-
-
 @dataclass
 class ScalingRecord:
     n: int
@@ -250,24 +245,29 @@ def truncation_report(case: BenchCase, eps_list: Sequence[float]) -> list[Trunca
     """One record per tolerance (loosest first); errors are measured against
     the tightest run's final solution and Jacobian. Each wall time is the
     minimum over REPEATS rounds that interleave the tolerances, so one noisy
-    sample of a millisecond solve cannot reorder them."""
+    sample of a millisecond solve cannot reorder them; the errors come from
+    the last round's reports."""
+    eps_list = [float(e) for e in eps_list]
+    if not eps_list or any(a < b for a, b in zip(eps_list, eps_list[1:])):
+        raise ValueError("eps_list must be nonempty and nonincreasing (loosest first)")
     prob = case_problem(case)
     cfg = SolverConfig(rho=case.rho, eps=case.eps)
-    differentiate(prob, EqRhs(), replace(cfg, eps=float(eps_list[0])))  # warmup
+    differentiate(prob, EqRhs(), replace(cfg, eps=eps_list[0]))  # warmup
     walls = [float("inf")] * len(eps_list)
     for _ in range(REPEATS):
+        reports = []
         for i, e in enumerate(eps_list):
             t0 = time.perf_counter()
-            differentiate(prob, EqRhs(), replace(cfg, eps=float(e)))
+            reports.append(differentiate(prob, EqRhs(), replace(cfg, eps=e)))
             walls[i] = min(walls[i], (time.perf_counter() - t0) * 1e3)
-    reports = truncated_differentiate(prob, EqRhs(), cfg, eps_list=eps_list)
+    ref = reports[-1]
     return [
         TruncationRecord(
-            eps=float(e),
+            eps=e,
             iterations=r.forward.iterations,
             wall_ms=w,
-            x_error=r.x_error_vs_ref,
-            jac_error=r.jac_error_vs_ref,
+            x_error=float(np.linalg.norm(r.x - ref.x)),
+            jac_error=float(np.linalg.norm(r.Jx - ref.Jx)),
         )
         for e, w, r in zip(eps_list, walls, reports)
     ]

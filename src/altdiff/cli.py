@@ -21,6 +21,7 @@ import numpy as np
 from . import bench
 from .backward import differentiate
 from .energy import synth_demand, train, write_training_log
+from .errors import AltdiffError
 from .forward import SolverConfig, admm_solve
 from .io import load_problem
 from .problem import EqRhs, IneqRhs, LinearCost
@@ -46,8 +47,15 @@ def _parse_size(token: str) -> tuple[int, int, int]:
     return n, m, p
 
 
+def _nonempty(values: list, text: str) -> list:
+    """The values parsed from a list argument, else a usage error if there are none."""
+    if not values:
+        raise argparse.ArgumentTypeError(f"must list at least one value, got {text!r}")
+    return values
+
+
 def _parse_sizes(text: str) -> list[tuple[int, int, int]]:
-    return [_parse_size(tok) for tok in text.split(",") if tok]
+    return _nonempty([_parse_size(tok) for tok in text.split(",") if tok], text)
 
 
 def _ascending_sizes(text: str) -> list[tuple[int, int, int]]:
@@ -83,7 +91,16 @@ def _positive_float(text: str) -> float:
 
 
 def _positive_floats(text: str) -> list[float]:
-    return [_positive_float(tok) for tok in text.split(",") if tok]
+    return _nonempty([_positive_float(tok) for tok in text.split(",") if tok], text)
+
+
+def _loosest_first(text: str) -> list[float]:
+    """Tolerances loosest first (nonincreasing), as truncation_report needs,
+    else a usage error."""
+    eps = _positive_floats(text)
+    if any(a < b for a, b in zip(eps, eps[1:])):
+        raise argparse.ArgumentTypeError(f"must be loosest first (nonincreasing), got {text!r}")
+    return eps
 
 
 def _nonnegative_float(text: str) -> float:
@@ -107,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_qp = bench_sub.add_parser("qp", help="accuracy/timing vs the one-shot route")
     p_qp.add_argument("--sizes", type=_parse_sizes,
                       default="50:20:10,100:40:20,200:70:30,400:130:50")
-    p_qp.add_argument("--seed", type=int, default=0)
+    p_qp.add_argument("--seed", type=_int_at_least(0), default=0)
     p_qp.add_argument("--eps", type=_positive_float, default=1e-3)
     p_qp.add_argument("--rho", type=_positive_float, default=1.0)
     p_qp.add_argument("--kind", choices=["qp", "sparsemax", "softmax"], default="qp")
@@ -115,14 +132,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tr = bench_sub.add_parser("truncation", help="tolerance sweep on one case")
     p_tr.add_argument("--case", type=_parse_size, default="50:20:10")
-    p_tr.add_argument("--seed", type=int, default=0)
-    p_tr.add_argument("--eps-list", type=_positive_floats, default="1e-1,1e-2,1e-3")
+    p_tr.add_argument("--seed", type=_int_at_least(0), default=0)
+    p_tr.add_argument("--eps-list", type=_loosest_first, default="1e-1,1e-2,1e-3")
     p_tr.add_argument("--rho", type=_positive_float, default=1.0)
     p_tr.add_argument("--out", default="truncation.csv")
 
     p_sc = bench_sub.add_parser("scaling", help="empirical complexity ratios")
     p_sc.add_argument("--sizes", type=_ascending_sizes, default="100:60:50,200:60:100")
-    p_sc.add_argument("--seed", type=int, default=0)
+    p_sc.add_argument("--seed", type=_int_at_least(0), default=0)
     p_sc.add_argument("--eps", type=_positive_float, default=1e-6)
     p_sc.add_argument("--rho", type=_positive_float, default=1.0)
     p_sc.add_argument("--sel", choices=sorted(SELECTORS), default="h",
@@ -136,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_en.add_argument("--tolerances", type=_positive_floats, default="1e-1,1e-3")
     # synth_demand needs four days for one training window
     p_en.add_argument("--days", type=_int_at_least(4), default=30)
-    p_en.add_argument("--seed", type=int, default=0)
+    p_en.add_argument("--seed", type=_int_at_least(0), default=0)
     p_en.add_argument("--lr", type=_nonnegative_float, default=1e-3)
     p_en.add_argument("--ramp", type=_nonnegative_float, default=20.0)
     p_en.add_argument("--out", default="training.csv")
@@ -156,7 +173,7 @@ def _cmd_bench_qp(args) -> int:
                         seed=args.seed, kind=args.kind, eps=args.eps, rho=args.rho)
         for (n, m, p) in args.sizes
     ]
-    records = bench.run_cases(cases)
+    records = [bench.run_case(c) for c in cases]  # one after another: timings do not compete
     bench.write_csv(args.out, bench.BenchRecord, records)
     for r in records:
         cos = "-" if r.cosine is None else f"{r.cosine:.6f}"
@@ -206,8 +223,7 @@ def _cmd_demo_energy(args) -> int:
     return 0
 
 
-def _cmd_check(args) -> int:
-    prob = load_problem(args.problem)
+def _cmd_check(args, prob) -> int:
     sel = SELECTORS[args.sel]()
     cfg = SolverConfig(rho=args.rho, eps=args.eps)
     report = differentiate(prob, sel, cfg)
@@ -237,13 +253,20 @@ def _cmd_check(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "bench":
         return {"qp": _cmd_bench_qp, "truncation": _cmd_bench_truncation,
                 "scaling": _cmd_bench_scaling}[args.bench_command](args)
     if args.command == "demo":
         return _cmd_demo_energy(args)
-    return _cmd_check(args)
+    # A missing or unreadable file is an OSError, bad JSON or a malformed
+    # document a ValueError, a layer its data cannot build an AltdiffError.
+    try:
+        prob = load_problem(args.problem)
+    except (OSError, ValueError, AltdiffError) as exc:
+        parser.error(f"argument --problem: cannot load {args.problem!r}: {exc}")
+    return _cmd_check(args, prob)
 
 
 if __name__ == "__main__":

@@ -26,30 +26,6 @@ def _state(x, s, lam, nu):
     )
 
 
-def test_mixed_partial_eq_rhs():
-    p = ad.ProblemSpec.quadratic(P=[[1.0]], q=[0.0], A=[[1.0]], b=[0.0])
-    jac = JacobianState.zeros(1, 0, 1, 1)
-    st = _state([0.0], [], [0.0], [])
-    out = backward.mixed_partial(p, ad.EqRhs(), st, jac, np.zeros(1), rho=1.0)
-    assert np.allclose(out, [[-1.0]])
-
-
-def test_mixed_partial_linear_cost_identity():
-    p = ad.ProblemSpec.quadratic(P=np.eye(3), q=np.zeros(3))
-    jac = JacobianState.zeros(3, 0, 0, 3)
-    st = _state(np.zeros(3), [], [], [])
-    out = backward.mixed_partial(p, ad.LinearCost(), st, jac, np.zeros(3), rho=1.0)
-    assert np.array_equal(out, np.eye(3))
-
-
-def test_mixed_partial_ineq_rhs():
-    p = ad.ProblemSpec.quadratic(P=[[1.0]], q=[0.0], G=[[1.0]], h=[0.0])
-    jac = JacobianState.zeros(1, 1, 0, 1)
-    st = _state([0.0], [0.0], [], [0.0])
-    out = backward.mixed_partial(p, ad.IneqRhs(), st, jac, np.zeros(1), rho=2.0)
-    assert np.allclose(out, [[-2.0]])
-
-
 _Z = [[0.0]] * 3  # no column of d[b; h]
 
 
@@ -174,36 +150,17 @@ def test_differentiate_active_constraint():
     assert np.allclose(rep.Jx, [[-1.0]], atol=1e-7)
 
 
-def test_truncated_singleton_matches_differentiate():
-    p = _toy_active()
-    cfg = ad.SolverConfig()
-    (only,) = ad.truncated_differentiate(p, ad.IneqRhs(), cfg, eps_list=[1e-3])
-    direct = ad.differentiate(p, ad.IneqRhs(), ad.SolverConfig(eps=1e-3))
-    assert np.array_equal(only.Jx, direct.Jx)
-    assert only.x_error_vs_ref == 0.0
-    assert only.jac_error_vs_ref == 0.0
-
-
 def test_truncated_iterations_nondecreasing(suite):
     p = suite.problem(2)
-    reports = ad.truncated_differentiate(
-        p, ad.EqRhs(), ad.SolverConfig(rho=SUITE_RHO), eps_list=[1e-1, 1e-2, 1e-3])
-    iters = [r.forward.iterations for r in reports]
+    cfgs = [ad.SolverConfig(rho=SUITE_RHO, eps=e) for e in (1e-1, 1e-2, 1e-3)]
+    iters = [ad.differentiate(p, ad.EqRhs(), cfg).forward.iterations for cfg in cfgs]
     assert iters == sorted(iters)
 
 
 def test_truncated_toy_tolerance_tracking():
-    reports = ad.truncated_differentiate(
-        _toy_active(), ad.IneqRhs(), ad.SolverConfig(), eps_list=[1e-1, 1e-3])
-    assert abs(reports[0].Jx[0, 0] - (-1.0)) <= 1e-1
-    assert abs(reports[1].Jx[0, 0] - (-1.0)) <= 1e-3
-
-
-def test_truncated_rejects_bad_eps_list():
-    with pytest.raises(ValueError):
-        ad.truncated_differentiate(_toy_active(), ad.IneqRhs(), eps_list=[1e-3, 1e-1])
-    with pytest.raises(ValueError):
-        ad.truncated_differentiate(_toy_active(), ad.IneqRhs(), eps_list=[])
+    for eps in (1e-1, 1e-3):
+        rep = ad.differentiate(_toy_active(), ad.IneqRhs(), ad.SolverConfig(eps=eps))
+        assert abs(rep.Jx[0, 0] - (-1.0)) <= eps
 
 
 def test_vjp_examples():
@@ -331,6 +288,59 @@ def test_trace_errors_decay(suite, sel):
     assert np.allclose(rep.jac_errors, dist(ref.jx_hist), rtol=1e-8, atol=1e-12)
 
 
+def _mixed_partial(p, sel, st, jac, x_new, rho):
+    """d/dtheta of grad_x L(x_new, s, lam, nu; theta) with x_new held fixed.
+
+    The slack and duals carry their stored Jacobians, so their contribution
+    is A'Jlam + G'Jnu + rho G'Js; the explicit theta dependence of q, b, h
+    (and, in Direction mode, of P, A, G) adds the direct terms. The sweeps
+    take it as direct + [A; G]'Y plus their terms in x; this form, written
+    out from the A, b, G, h blocks, is the reference.
+    """
+    con = p.constraints
+    pt = theta_partials(p, sel)
+    out = backward.direct_term(p, pt, rho)
+    if con.n_eq:
+        out += con.A.T @ jac.Jlam
+    if con.n_ineq:
+        out += con.G.T @ (jac.Jnu + rho * jac.Js)
+    if pt.dP is not None:
+        out += (pt.dP @ x_new).reshape(-1, 1)
+    if pt.dC is not None:
+        # dA'(lam + rho (A x - b)) + dG'(nu + rho (G x + s - h))
+        # + rho A'(dA x) + rho G'(dG x); the d[b; h] terms are direct.
+        dA, dG = pt.dC[:con.n_eq], pt.dC[con.n_eq:]
+        terms = (dA.T @ (st.lam + rho * (con.A @ x_new - con.b))
+                 + dG.T @ (st.nu + rho * (con.G @ x_new + st.s - con.h))
+                 + rho * (con.A.T @ (dA @ x_new)) + rho * (con.G.T @ (dG @ x_new)))
+        out += terms.reshape(-1, 1)
+    return out
+
+
+def test_mixed_partial_eq_rhs():
+    p = ad.ProblemSpec.quadratic(P=[[1.0]], q=[0.0], A=[[1.0]], b=[0.0])
+    jac = JacobianState.zeros(1, 0, 1, 1)
+    st = _state([0.0], [], [0.0], [])
+    out = _mixed_partial(p, ad.EqRhs(), st, jac, np.zeros(1), rho=1.0)
+    assert np.allclose(out, [[-1.0]])
+
+
+def test_mixed_partial_linear_cost_identity():
+    p = ad.ProblemSpec.quadratic(P=np.eye(3), q=np.zeros(3))
+    jac = JacobianState.zeros(3, 0, 0, 3)
+    st = _state(np.zeros(3), [], [], [])
+    out = _mixed_partial(p, ad.LinearCost(), st, jac, np.zeros(3), rho=1.0)
+    assert np.array_equal(out, np.eye(3))
+
+
+def test_mixed_partial_ineq_rhs():
+    p = ad.ProblemSpec.quadratic(P=[[1.0]], q=[0.0], G=[[1.0]], h=[0.0])
+    jac = JacobianState.zeros(1, 1, 0, 1)
+    st = _state([0.0], [0.0], [], [0.0])
+    out = _mixed_partial(p, ad.IneqRhs(), st, jac, np.zeros(1), rho=2.0)
+    assert np.allclose(out, [[-2.0]])
+
+
 def _reference_polish(p, pt, s_new, polish):
     """The polish written from the reduced KKT system on the gate of s_new:
     with the active rows C_a (equality rows and closed inequality rows),
@@ -435,7 +445,7 @@ def _reference_sweeps(p, sel, cfg):
             # u = nu + rho (a (G x - h) - (1 - a) s), s_new = max(0, -u / rho)
             # and lam + a rho (A x - b), a = 1 on the first sweep.
             a = forward.RELAXATION if st.k else 1.0
-            mixed = backward.mixed_partial(p, sel, st, jac, x_new, cfg.rho)
+            mixed = _mixed_partial(p, sel, st, jac, x_new, cfg.rho)
             jx = -fact.solve(mixed)
             d_eq = con.A @ jx - pt.d_rhs[:con.n_eq]
             d_in = con.G @ jx - pt.d_rhs[con.n_eq:]

@@ -155,6 +155,37 @@ def test_truncation_report_ordering():
     assert records[0].x_error >= records[1].x_error
 
 
+@pytest.mark.parametrize("eps_list", [[1e-1, 1e-2, 1e-3], [1e-2]], ids=["three", "one"])
+def test_truncation_report_matches_differentiate(eps_list, monkeypatch):
+    """Each record is differentiate() at its tolerance, measured against the
+    tightest tolerance's, from one warm-up solve and REPEATS timed rounds."""
+    case = bench.BenchCase(name="tr", n=30, m_ineq=12, p_eq=6, seed=0)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return ad.differentiate(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "differentiate", counted)
+    records = bench.truncation_report(case, eps_list)
+    assert len(calls) == 1 + bench.REPEATS * len(eps_list)
+    prob = bench.case_problem(case)
+    reports = [ad.differentiate(prob, ad.EqRhs(), ad.SolverConfig(rho=case.rho, eps=e))
+               for e in eps_list]
+    for rec, e, r in zip(records, eps_list, reports):
+        assert (rec.eps, rec.iterations) == (e, r.forward.iterations)
+        assert rec.x_error == np.linalg.norm(r.x - reports[-1].x)
+        assert rec.jac_error == np.linalg.norm(r.Jx - reports[-1].Jx)
+    assert records[-1].x_error == records[-1].jac_error == 0.0
+
+
+@pytest.mark.parametrize("eps_list", [[], [1e-3, 1e-1]], ids=["empty", "tightening-first"])
+def test_truncation_report_rejects_bad_eps_list(eps_list):
+    case = bench.BenchCase(name="tr1", n=10, m_ineq=4, p_eq=2, seed=0)
+    with pytest.raises(ValueError, match="loosest first"):
+        bench.truncation_report(case, eps_list)
+
+
 def test_truncation_report_singleton():
     case = bench.BenchCase(name="tr1", n=10, m_ineq=4, p_eq=2, seed=0)
     (only,) = bench.truncation_report(case, [1e-2])

@@ -197,8 +197,20 @@ def test_cli_bad_solver_settings_are_usage_errors(argv, flag, tmp_path, capsys):
     (["bench", "qp", "--sizes", "abc"], "--sizes", "n[:m_ineq[:p_eq]] in integers"),
     (["bench", "truncation", "--case", "0"], "--case", "positive counts"),
     (["bench", "scaling", "--sizes", "200:20:40,100:20:40"], "--sizes", "ascending in n"),
+    (["bench", "qp", "--seed", "-1"], "--seed", "an integer of at least 0"),
+    (["bench", "truncation", "--seed", "-1"], "--seed", "an integer of at least 0"),
+    (["bench", "scaling", "--seed", "-1"], "--seed", "an integer of at least 0"),
+    (["demo", "energy", "--seed", "-1"], "--seed", "an integer of at least 0"),
+    (["bench", "qp", "--sizes", ","], "--sizes", "at least one value"),
+    (["bench", "scaling", "--sizes", ","], "--sizes", "at least one value"),
+    (["demo", "energy", "--tolerances", ","], "--tolerances", "at least one value"),
+    (["bench", "truncation", "--eps-list", ","], "--eps-list", "at least one value"),
+    (["bench", "truncation", "--eps-list", "1e-3,1e-1"], "--eps-list", "loosest first"),
 ], ids=["energy-epochs", "energy-days", "energy-ramp", "energy-lr", "qp-sizes-p",
-        "qp-sizes-text", "truncation-case", "scaling-sizes-order"])
+        "qp-sizes-text", "truncation-case", "scaling-sizes-order", "qp-seed",
+        "truncation-seed", "scaling-seed", "energy-seed", "qp-sizes-empty",
+        "scaling-sizes-empty", "energy-tolerances-empty", "truncation-eps-list-empty",
+        "truncation-eps-list-order"])
 def test_cli_bad_inputs_are_usage_errors(argv, flag, message, tmp_path, capsys):
     """Inputs the demo or the bench cannot run end in argparse's usage error
     (exit code 2) with no traceback, before any solve is run."""
@@ -209,6 +221,32 @@ def test_cli_bad_inputs_are_usage_errors(argv, flag, message, tmp_path, capsys):
     assert err.startswith("usage: altdiff") and flag in err and message in err
     assert "Traceback" not in err
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "No such file"),
+    ("directory", "Is a directory"),
+    ("{not json", "Expecting property name"),
+    ('{"n": 1}', "malformed problem document"),
+    ('{"n": 1, "objective": {"type": "quadratic", "P": [[1]], "q": [0]}, "h": [1], "G": [[1, 2]]}',
+     "cannot reshape"),
+    ('{"n": 1, "objective": {"type": "sparsemax", "y": [1], "u": [-1]}}', "strictly positive"),
+], ids=["missing", "unreadable", "not-json", "no-objective", "wrong-block-size", "bad-layer"])
+def test_cli_check_bad_problem_file_is_usage_error(content, message, tmp_path, capsys):
+    """A problem file that cannot be loaded ends in a one-line usage error
+    (exit code 2), not a traceback."""
+    path = tmp_path / "p.json"
+    if content == "directory":
+        path.mkdir()
+    elif content is not None:
+        path.write_text(content)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", "--problem", str(path), "--sel", "h"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: altdiff") and "Traceback" not in err
+    (line,) = [ln for ln in err.splitlines() if "error:" in ln]
+    assert "--problem" in line and str(path) in line and message in line
 
 
 def test_cli_demo_energy(tmp_path, capsys):

@@ -43,8 +43,14 @@ class BenchCase:
     rho: float = 1.0
 
     def __post_init__(self):
+        for name in ("n", "m_ineq", "p_eq", "seed"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
         if min(self.n, self.m_ineq, self.p_eq) <= 0:
             raise ValueError("dimensions must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.p_eq > self.n:
             raise ValueError("more equality rows than variables")
         if self.kind not in ("qp", "sparsemax", "softmax"):
@@ -162,7 +168,7 @@ def _timed_factorization_ms(H: np.ndarray, target_ms: float = 20.0) -> float:
     eye = np.eye(H.shape[0])
 
     def setup():
-        factorize(H, spd_hint=True).solve(eye)
+        factorize(H).solve(eye)
 
     t0 = time.perf_counter()
     setup()

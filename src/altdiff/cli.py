@@ -24,7 +24,7 @@ from .energy import synth_demand, train, write_training_log
 from .errors import AltdiffError
 from .forward import SolverConfig, admm_solve
 from .io import load_problem
-from .problem import EqRhs, IneqRhs, LinearCost
+from .problem import EqRhs, IneqRhs, LinearCost, validate
 from .reference import finite_diff_jacobian, implicit_diff_solve
 
 SELECTORS = {"q": LinearCost, "b": EqRhs, "h": IneqRhs}
@@ -261,9 +261,11 @@ def main(argv=None) -> int:
     if args.command == "demo":
         return _cmd_demo_energy(args)
     # A missing or unreadable file is an OSError, bad JSON or a malformed
-    # document a ValueError, a layer its data cannot build an AltdiffError.
+    # document a ValueError, a layer its data cannot build or a problem that
+    # fails validation an AltdiffError.
     try:
         prob = load_problem(args.problem)
+        validate(prob)
     except (OSError, ValueError, AltdiffError) as exc:
         parser.error(f"argument --problem: cannot load {args.problem!r}: {exc}")
     return _cmd_check(args, prob)

@@ -117,19 +117,17 @@ class Mlp:
     b3: np.ndarray
 
     @staticmethod
-    def init(seed: int, n_in: int = HISTORY, hidden: tuple[int, int] = (128, 64),
-             n_out: int = HORIZON) -> "Mlp":
+    def init(seed: int) -> "Mlp":
         rng = np.random.default_rng(seed)
-        h1, h2 = hidden
         scale = lambda n: np.sqrt(2.0 / n)
         return Mlp(
-            W1=rng.standard_normal((h1, n_in)) * scale(n_in),
-            b1=np.zeros(h1),
-            W2=rng.standard_normal((h2, h1)) * scale(h1),
-            b2=np.zeros(h2),
-            W3=rng.standard_normal((n_out, h2)) * scale(h2),
+            W1=rng.standard_normal((128, HISTORY)) * scale(HISTORY),
+            b1=np.zeros(128),
+            W2=rng.standard_normal((64, 128)) * scale(128),
+            b2=np.zeros(64),
+            W3=rng.standard_normal((HORIZON, 64)) * scale(64),
             # Start predictions at mid-range demand instead of zero.
-            b3=np.full(n_out, 50.0),
+            b3=np.full(HORIZON, 50.0),
         )
 
     def params(self) -> dict:

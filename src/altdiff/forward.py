@@ -78,9 +78,10 @@ class SolverConfig:
         for name in ("rho", "eps"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        if not isinstance(self.max_outer_iters, (int, np.integer)):
+        iters = self.max_outer_iters
+        if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)):
             raise ValueError("max_outer_iters must be an integer")
-        if self.max_outer_iters < 1:
+        if iters < 1:
             raise ValueError("max_outer_iters must be at least 1")
 
 
@@ -146,7 +147,7 @@ def xstep_factor(p: ProblemSpec, rho: float, x: Optional[np.ndarray] = None,
     is column-major, as factorize copies it; penalty is exactly symmetric."""
     if penalty is None:
         penalty = penalty_matrix(p, rho)
-    return factorize(np.add(p.objective.hessian(x), penalty.T, order="F"), spd_hint=True)
+    return factorize(np.add(p.objective.hessian(x), penalty.T, order="F"))
 
 
 def lagrangian_gradient(p: ProblemSpec, x, s, lam, nu, rho: float) -> np.ndarray:

@@ -1,8 +1,8 @@
-"""Dense linear-algebra kernels: factorizations, reusable solves, inverses.
+"""The x-step's Cholesky factorization: reusable solves and the inverse.
 
-A factorization serves many right-hand sides. The x-step Hessian takes
-Cholesky, whose factor also gives its inverse (inverse(), LAPACK potri), and
-the oracle's indefinite KKT matrix takes pivoted LU.
+A factorization of the x-step Hessian serves many right-hand sides; its factor
+also gives the inverse (inverse(), LAPACK potri). Its relative pivot test,
+check_pivots, also guards the oracle's LU (reference.implicit_diff_solve).
 
 Inputs are float64 arrays of either order; factors are column-major, as
 LAPACK writes them. Everything here is deterministic: identical inputs give
@@ -12,7 +12,6 @@ bit-identical outputs.
 from __future__ import annotations
 
 import threading
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ import scipy.linalg
 
 from .errors import DimensionMismatch, SingularMatrix
 
-# Relative pivot threshold below which factorize declares the matrix singular.
+# Relative pivot threshold below which check_pivots declares a matrix singular.
 SINGULARITY_RTOL = 1e-12
 
 # Denominator guard for the solver's relative x step, which divides by the
@@ -63,14 +62,10 @@ def as_vector(v, size: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Factorization:
-    """Decomposed square matrix, reusable across many right-hand sides.
-
-    spd is True when the symmetric positive-definite (Cholesky) routine was
-    used; otherwise the factors come from a pivoted LU decomposition.
-    """
+    """Cholesky factor (c, lower) of a symmetric positive-definite matrix,
+    reusable across many right-hand sides."""
 
     n: int
-    spd: bool
     factors: tuple
 
     def solve(self, b) -> np.ndarray:
@@ -82,19 +77,15 @@ class Factorization:
             )
         if self.n == 0:
             return np.zeros_like(rhs)
-        if self.spd:
-            return scipy.linalg.cho_solve(self.factors, rhs, check_finite=False)
-        return scipy.linalg.lu_solve(self.factors, rhs, check_finite=False)
+        return scipy.linalg.cho_solve(self.factors, rhs, check_finite=False)
 
     def inverse(self) -> np.ndarray:
         """M^-1 from this Cholesky factor of M, through LAPACK potri, which
         fills one triangle; the other is mirrored from it in one masked copy,
-        so the result is exactly symmetric. An LU factor raises ValueError."""
+        so the result is exactly symmetric."""
         n = self.n
         if n == 0:
             return np.zeros((0, 0))
-        if not self.spd:
-            raise ValueError("inverse needs a Cholesky factor; this factorization is LU")
         c, lower = self.factors
         inv, info = scipy.linalg.lapack.dpotri(c, lower=lower)
         if info:
@@ -106,23 +97,22 @@ class Factorization:
         return inv.T
 
 
-def _pivot_check(pivots: np.ndarray, scale: float) -> None:
+def check_pivots(pivots: np.ndarray, scale: float) -> None:
+    """SingularMatrix where a pivot's magnitude is at most SINGULARITY_RTOL
+    times scale, the factored matrix's largest absolute row sum."""
     threshold = SINGULARITY_RTOL * scale
-    if pivots.size == 0 or np.min(np.abs(pivots)) <= threshold:
+    if pivots.size and np.min(np.abs(pivots)) <= threshold:
         raise SingularMatrix(
             f"pivot magnitude below {threshold:.3e} (relative threshold "
             f"{SINGULARITY_RTOL:g} of max row norm {scale:.3e})"
         )
 
 
-def factorize(m, spd_hint: bool = False) -> Factorization:
-    """Factorize a square matrix for repeated linear solves.
-
-    spd_hint=True means Cholesky or SingularMatrix; without it, pivoted LU.
-    Raises SingularMatrix when a pivot falls below the relative threshold.
-    """
+def factorize(m) -> Factorization:
+    """Cholesky factor of a symmetric positive-definite matrix, for repeated
+    solves; SingularMatrix where potrf fails or a pivot fails check_pivots."""
     # The column-major copy LAPACK factors in place: a memcpy of F-ordered
-    # input, of C-ordered input the transposing copy potrf and getrf make.
+    # input, of C-ordered input the transposing copy potrf makes.
     a = np.array(m, dtype=float, order="F")
     as_matrix(a.T)  # 2-D and finite; a.T is C-contiguous, so this copies nothing
     if a.shape[0] != a.shape[1]:
@@ -130,19 +120,12 @@ def factorize(m, spd_hint: bool = False) -> Factorization:
     _counts.factorize = factorization_count() + 1
     n = a.shape[0]
     if n == 0:
-        return Factorization(n=0, spd=bool(spd_hint), factors=())
+        return Factorization(n=0, factors=())
     scale = float(scipy.linalg.lapack.dlange("I", a))  # the largest absolute row sum
-    if spd_hint:
-        c, info = scipy.linalg.lapack.dpotrf(a, overwrite_a=True, clean=False)
-        if info:
-            raise SingularMatrix(f"Cholesky factorization failed: {info}-th leading minor "
-                                 f"of the array is not positive definite")
-        # Cholesky pivots are the squared diagonal of the factor.
-        _pivot_check(np.diagonal(c) ** 2, scale)
-        return Factorization(n=n, spd=True, factors=(c, False))
-    with warnings.catch_warnings():
-        # Exact-zero pivots are reported through SingularMatrix below.
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, overwrite_a=True, check_finite=False)
-    _pivot_check(np.diagonal(lu), scale)
-    return Factorization(n=n, spd=False, factors=(lu, piv))
+    c, info = scipy.linalg.lapack.dpotrf(a, overwrite_a=True, clean=False)
+    if info:
+        raise SingularMatrix(f"Cholesky factorization failed: {info}-th leading minor "
+                             f"of the array is not positive definite")
+    # Cholesky pivots are the squared diagonal of the factor.
+    check_pivots(np.diagonal(c) ** 2, scale)
+    return Factorization(n=n, factors=(c, False))

@@ -2,21 +2,23 @@
 (implicit differentiation) Jacobian, and central finite differences.
 
 These are deliberately independent of the alternating recursion so they can
-certify it: the implicit route assembles and solves the full
-(n + p + m)-dimensional linearized system in one shot, and the
+certify it: the implicit route assembles the full (n + p + m)-dimensional
+linearized system and solves it in one shot by pivoted LU, and the
 finite-difference route re-solves perturbed problems with the plain solver.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import replace
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 
 from .errors import NotConverged, NotOptimal, SingularKkt, SingularMatrix
 from .forward import SolverConfig, admm_solve
-from .linalg import as_vector, factorize
+from .linalg import as_vector, check_pivots
 from .problem import ParamSelector, ProblemSpec, ThetaPartials, perturb, theta_partials, validate
 
 # Strict complementarity guard: below this, a constraint is simultaneously
@@ -109,7 +111,7 @@ def implicit_diff_solve(
 
     n, peq, m = p.n, con.n_eq, con.n_ineq
     dim = n + peq + m
-    J = np.zeros((dim, dim))
+    J = np.zeros((dim, dim), order="F")  # column-major, as LAPACK factors it in place
     J[:n, :n] = p.objective.hessian(x)
     if peq:
         J[:n, n:n + peq] = con.A.T
@@ -121,11 +123,16 @@ def implicit_diff_solve(
 
     pt = theta_partials(p, sel)
     rhs = _kkt_rhs(p, x, lam, nu, pt)
+    scale = float(scipy.linalg.lapack.dlange("I", J))  # the largest absolute row sum
+    with warnings.catch_warnings():
+        # Exact-zero pivots are reported through check_pivots below.
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu = scipy.linalg.lu_factor(J, overwrite_a=True)  # ValueError if not finite
     try:
-        sol = factorize(J, spd_hint=False).solve(-rhs)
+        check_pivots(np.diagonal(lu[0]), scale)
     except SingularMatrix as exc:
         raise SingularKkt(str(exc)) from exc
-    return sol[:n]
+    return scipy.linalg.lu_solve(lu, -rhs, check_finite=False)[:n]
 
 
 def finite_diff_jacobian(
@@ -133,14 +140,13 @@ def finite_diff_jacobian(
     sel: ParamSelector,
     cfg: Optional[SolverConfig] = None,
     step: float = FD_DEFAULT_STEP,
-    solver_eps: float = FD_SOLVER_EPS,
 ) -> np.ndarray:
     """Central differences of the solution map, one solver run per signed
-    perturbation, each taken to solver_eps."""
+    perturbation, each taken to FD_SOLVER_EPS."""
     if step <= 0:
         raise ValueError("step must be positive")
     validate(p)
-    cfg = replace(cfg or SolverConfig(), eps=solver_eps)
+    cfg = replace(cfg or SolverConfig(), eps=FD_SOLVER_EPS)
     m_theta = theta_partials(p, sel).m_theta
     jac = np.zeros((p.n, m_theta))
     for j in range(m_theta):

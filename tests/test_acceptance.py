@@ -204,8 +204,7 @@ def test_criterion_7_layer_correctness():
     x_pt = np.array([0.6, 0.4])
     f_spec = ad.specialized_hessian_factor(smk, x_pt, rho)
     prob_sm = ad.build(smk)
-    f_gen = ad.factorize(prob_sm.objective.hessian(x_pt) + penalty_matrix(prob_sm, rho),
-                         spd_hint=True)
+    f_gen = ad.factorize(prob_sm.objective.hessian(x_pt) + penalty_matrix(prob_sm, rho))
     probe = np.eye(2)
     softmax_hessian_err = float(np.abs(f_spec.solve(probe) - f_gen.solve(probe)).max())
 

@@ -400,7 +400,7 @@ def _reference_sweeps(p, sel, cfg):
     con = p.constraints
     fact = None
     if isinstance(p.objective, ad.QuadraticObjective):
-        fact = ad.factorize(p.objective.P.T + forward.penalty_matrix(p, cfg.rho), spd_hint=True)
+        fact = ad.factorize(p.objective.P.T + forward.penalty_matrix(p, cfg.rho))
     pt = theta_partials(p, sel) if sel is not None else None
     polishable = (fact is not None and con.n_eq + con.n_ineq > 0
                   and (pt is None or not pt.matrix))

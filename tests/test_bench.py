@@ -47,6 +47,22 @@ def test_case_validation():
         bench.BenchCase(name="bad", n=4, m_ineq=1, p_eq=1, kind="lp")
 
 
+@pytest.mark.parametrize("setting, message", [
+    ({"n": True}, "n must be an integer"), ({"n": 2.5}, "n must be an integer"),
+    ({"m_ineq": True}, "m_ineq must be an integer"), ({"m_ineq": 2.5}, "m_ineq must be an integer"),
+    ({"p_eq": True}, "p_eq must be an integer"), ({"p_eq": 2.5}, "p_eq must be an integer"),
+    ({"seed": True}, "seed must be an integer"), ({"seed": 1.5}, "seed must be an integer"),
+    ({"seed": -1}, "seed must be nonnegative"),
+])
+def test_case_rejects_bad_integers(setting, message):
+    """Counts and the seed are integers (not bools) when the case is made, so
+    run_case never meets numpy's TypeError or ValueError for them."""
+    fields = {"name": "bad", "n": 4, "m_ineq": 2, "p_eq": 1, **setting}
+    with pytest.raises(ValueError, match=message):
+        bench.BenchCase(**fields)
+    bench.BenchCase(**{**fields, **{k: np.int64(2) for k in setting}})
+
+
 @pytest.mark.parametrize("setting", [{"eps": -1.0}, {"eps": 0.0}, {"eps": math.inf},
                                      {"eps": math.nan}, {"rho": -1.0}, {"rho": math.inf}])
 def test_case_rejects_bad_solver_settings(setting, tmp_path):

@@ -231,10 +231,17 @@ def test_cli_bad_inputs_are_usage_errors(argv, flag, message, tmp_path, capsys):
     ('{"n": 1, "objective": {"type": "quadratic", "P": [[1]], "q": [0]}, "h": [1], "G": [[1, 2]]}',
      "cannot reshape"),
     ('{"n": 1, "objective": {"type": "sparsemax", "y": [1], "u": [-1]}}', "strictly positive"),
-], ids=["missing", "unreadable", "not-json", "no-objective", "wrong-block-size", "bad-layer"])
+    ('{"n": 2, "objective": {"type": "quadratic", "P": [[1, 0], [0, 1]], "q": [0, 0, 0]}}',
+     "q has shape (3,), expected (2,)"),
+    ('{"n": 2, "objective": {"type": "quadratic", "P": [[1, 0], [0, -1]], "q": [0, 0]}}',
+     "smallest eigenvalue -1.000e+00"),
+    ('{"n": 2, "objective": {"type": "quadratic", "P": [[1, 1], [0, 1]], "q": [0, 0]}}',
+     "not symmetric"),
+], ids=["missing", "unreadable", "not-json", "no-objective", "wrong-block-size", "bad-layer",
+        "q-length", "not-psd", "not-symmetric"])
 def test_cli_check_bad_problem_file_is_usage_error(content, message, tmp_path, capsys):
-    """A problem file that cannot be loaded ends in a one-line usage error
-    (exit code 2), not a traceback."""
+    """A problem file that cannot be loaded, or loads but fails validation,
+    ends in a one-line usage error (exit code 2), not a traceback."""
     path = tmp_path / "p.json"
     if content == "directory":
         path.mkdir()

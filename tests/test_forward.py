@@ -226,7 +226,7 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         ad.SolverConfig(max_outer_iters=0)
     for bad in ({"rho": np.nan}, {"eps": np.nan}, {"rho": np.inf}, {"eps": np.inf},
-                {"max_outer_iters": 2.5}):
+                {"max_outer_iters": 2.5}, {"max_outer_iters": True}):
         with pytest.raises(ValueError):
             ad.SolverConfig(**bad)
 
@@ -295,7 +295,7 @@ def test_xstep_factor_is_the_factor_of_the_summed_hessian(n, m, p, rho):
                                     A=rng.standard_normal((p, n)), b=np.zeros(p),
                                     G=rng.standard_normal((m, n)), h=np.ones(m))
     got = forward.xstep_factor(prob, rho)
-    want = forward.factorize(prob.objective.P.T + forward.penalty_matrix(prob, rho), spd_hint=True)
-    assert got.n == want.n == n and got.spd
+    want = forward.factorize(prob.objective.P.T + forward.penalty_matrix(prob, rho))
+    assert got.n == want.n == n
     assert [np.asarray(a).tobytes() for a in got.factors] == \
         [np.asarray(a).tobytes() for a in want.factors]

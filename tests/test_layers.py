@@ -124,7 +124,7 @@ def test_sparsemax_factor_equals_generic_matrix():
     closed = (2.0 + 2.0 * rho) * np.eye(3) + rho * np.ones((3, 3))
     assert np.array_equal(generic, closed)
     f = ad.specialized_hessian_factor(kind, None, rho)
-    g = ad.factorize(generic, spd_hint=True)
+    g = ad.factorize(generic)
     rhs = np.eye(3)
     assert np.array_equal(f.solve(rhs), g.solve(rhs))
 

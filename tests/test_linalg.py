@@ -18,7 +18,7 @@ def test_factorize_diagonal():
 
 def test_factorize_2x2_cramer():
     # Cramer on [[4,1],[1,3]] x = (1,2): det 11, x = (3*1-1*2)/11, y = (4*2-1*1)/11.
-    f = linalg.factorize(np.array([[4.0, 1.0], [1.0, 3.0]]), spd_hint=True)
+    f = linalg.factorize(np.array([[4.0, 1.0], [1.0, 3.0]]))
     x = f.solve(np.array([1.0, 2.0]))
     assert np.allclose(x, [1.0 / 11.0, 7.0 / 11.0], atol=1e-14)
 
@@ -50,14 +50,10 @@ def test_singular_matrix_detected():
         linalg.factorize(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
-def test_spd_hint_rejects_indefinite_matrix():
+def test_factorize_rejects_indefinite_matrix():
     m = np.array([[0.0, 1.0], [1.0, 0.0]])  # indefinite, Cholesky must fail
     with pytest.raises(SingularMatrix, match="Cholesky factorization failed"):
-        linalg.factorize(m, spd_hint=True)
-    # The same matrix without the hint takes pivoted LU.
-    f = linalg.factorize(m, spd_hint=False)
-    assert not f.spd
-    assert np.allclose(f.solve(np.array([1.0, 2.0])), [2.0, 1.0])
+        linalg.factorize(m)
 
 
 def test_factorize_rejects_nonfinite():
@@ -67,10 +63,12 @@ def test_factorize_rejects_nonfinite():
 
 @pytest.mark.parametrize("seed", range(10))
 def test_solve_residual_well_conditioned(seed):
-    # Random SPD-shifted matrices are well inside the 1e6 condition budget.
+    # Random symmetric, diagonally dominant matrices are well inside the 1e6
+    # condition budget.
     rng = np.random.default_rng(seed)
     n = 30
-    m = rng.standard_normal((n, n)) + 3 * n * np.eye(n)
+    a = rng.standard_normal((n, n))
+    m = a + a.T + 3 * n * np.eye(n)
     b = rng.standard_normal(n)
     f = linalg.factorize(m)
     x = f.solve(b)
@@ -84,13 +82,14 @@ def test_solve_residual_moderately_conditioned():
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     m = q @ np.diag(np.logspace(0, 5, n)) @ q.T
     b = rng.standard_normal(n)
-    x = linalg.factorize(m, spd_hint=True).solve(b)
+    x = linalg.factorize(m).solve(b)
     assert np.linalg.norm(m @ x - b) / np.linalg.norm(b) <= 1e-8
 
 
 def test_factorize_deterministic():
     rng = np.random.default_rng(7)
-    m = rng.standard_normal((20, 20)) + 40 * np.eye(20)
+    a = rng.standard_normal((20, 20))
+    m = a + a.T + 40 * np.eye(20)
     b = rng.standard_normal(20)
     x1 = linalg.factorize(m.copy()).solve(b.copy())
     x2 = linalg.factorize(m.copy()).solve(b.copy())
@@ -122,8 +121,7 @@ def _spd(n, seed=0):
 
 @pytest.mark.parametrize("n", [1, 2, 30])
 def test_inverse_from_cholesky_matches_solve(n):
-    f = linalg.factorize(_spd(n), spd_hint=True)
-    assert f.spd
+    f = linalg.factorize(_spd(n))
     inv = f.inverse()
     np.testing.assert_allclose(inv, f.solve(np.eye(n)), rtol=1e-12, atol=0)
     assert np.array_equal(inv, inv.T)
@@ -132,7 +130,7 @@ def test_inverse_from_cholesky_matches_solve(n):
 
 def test_inverse_from_lower_cholesky_factor():
     m = _spd(6, seed=1)
-    f = linalg.Factorization(n=6, spd=True, factors=scipy.linalg.cho_factor(m, lower=True))
+    f = linalg.Factorization(n=6, factors=scipy.linalg.cho_factor(m, lower=True))
     inv = f.inverse()
     np.testing.assert_allclose(inv, np.linalg.inv(m), rtol=1e-12, atol=1e-15)
     assert np.array_equal(inv, inv.T)
@@ -149,35 +147,33 @@ def test_inverse_mirror_matches_row_copies(lower):
     tri = ref if lower else ref.T
     for i in range(1, 40):
         tri[:i, i] = tri[i, :i]
-    inv = linalg.Factorization(n=40, spd=True, factors=factors).inverse()
+    inv = linalg.Factorization(n=40, factors=factors).inverse()
     assert np.array_equal(inv, ref.T)
     assert np.array_equal(inv, inv.T)
 
 
 def test_factorize_scale_is_max_row_sum():
-    # Row sums 6 and 6 + 1e-13, column sums 2 and 10 + 1e-13; the second LU
-    # pivot, 1e-13, falls below 1e-12 times the largest row sum.
-    with pytest.raises(SingularMatrix, match=r"max row norm 6\.000e\+00"):
-        linalg.factorize(np.array([[1.0, -5.0], [-1.0, 5.0 + 1e-13]]))
+    # Row sums 2 and 2 + 1e-13, largest entry 1 + 1e-13; the second squared
+    # Cholesky pivot, about 1e-13, passes potrf but falls below 1e-12 times
+    # the largest row sum.
+    with pytest.raises(SingularMatrix, match=r"max row norm 2\.000e\+00"):
+        linalg.factorize(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]]))
 
 
-def test_inverse_from_lu_factor():
-    rng = np.random.default_rng(2)
-    m = rng.standard_normal((8, 8)) + 16 * np.eye(8)  # nonsymmetric
-    f = linalg.factorize(m, spd_hint=False)
-    assert not f.spd
-    with pytest.raises(ValueError, match="Cholesky"):
-        f.inverse()
+def test_check_pivots_threshold_is_relative_to_scale():
+    linalg.check_pivots(np.array([3.0, -2.1e-12]), 2.0)
+    linalg.check_pivots(np.zeros(0), 1.0)  # an empty matrix has no pivot to fail
+    with pytest.raises(SingularMatrix, match=r"pivot magnitude below 2\.000e-12"):
+        linalg.check_pivots(np.array([3.0, -2e-12]), 2.0)
 
 
 def test_inverse_of_empty_matrix():
-    for spd in (True, False):
-        inv = linalg.factorize(np.zeros((0, 0)), spd_hint=spd).inverse()
-        assert inv.shape == (0, 0)
+    inv = linalg.factorize(np.zeros((0, 0))).inverse()
+    assert inv.shape == (0, 0)
 
 
 def test_inverse_makes_no_factorization():
-    f = linalg.factorize(_spd(5), spd_hint=True)
+    f = linalg.factorize(_spd(5))
     before = linalg.factorization_count()
     f.inverse()
     assert linalg.factorization_count() == before
@@ -187,20 +183,25 @@ def _factor_bytes(f):
     return [np.asarray(a).tobytes(order="A") for a in f.factors]
 
 
-@pytest.mark.parametrize("spd", [True, False])
+@pytest.mark.parametrize("lower_differs", [True, False])
 @pytest.mark.parametrize("n", [0, 1, 7, 40])
-def test_factorize_reads_c_and_f_order_alike(n, spd):
+def test_factorize_reads_c_and_f_order_alike(n, lower_differs):
     """factorize copies its input column-major, so the same matrix in C and
     in F order gives the same factor and solves, byte for byte, and both are
-    the factors scipy's cho_factor / lu_factor give for the C-ordered array."""
+    the factor scipy's cho_factor gives for the C-ordered array. potrf reads
+    the upper triangle only, so a strict lower triangle that differs from it
+    changes no byte of the solves."""
     a = _spd(n, seed=n)
-    fc, ff = linalg.factorize(a, spd_hint=spd), linalg.factorize(np.asfortranarray(a), spd_hint=spd)
+    if lower_differs:
+        a = a + np.tril(np.random.default_rng(n + 1).standard_normal((n, n)), k=-1)
+    fc, ff = linalg.factorize(a), linalg.factorize(np.asfortranarray(a))
     assert _factor_bytes(fc) == _factor_bytes(ff)
     rhs = np.random.default_rng(n).standard_normal((n, 3))
     for b in (rhs, rhs[:, 0], np.asfortranarray(rhs)):
         assert fc.solve(b).tobytes() == ff.solve(b).tobytes()
+        assert fc.solve(b).tobytes() == linalg.factorize(np.triu(a)).solve(b).tobytes()
     if n:
-        ref = scipy.linalg.cho_factor(a, check_finite=False) if spd else scipy.linalg.lu_factor(a)
+        ref = scipy.linalg.cho_factor(a, check_finite=False)
         assert _factor_bytes(fc) == [np.asarray(v).tobytes(order="A") for v in ref]
         assert fc.factors[0].flags.f_contiguous
 
@@ -208,6 +209,5 @@ def test_factorize_reads_c_and_f_order_alike(n, spd):
 def test_factorize_leaves_its_input_unchanged():
     a = _spd(6)
     for m in (a.copy(), np.asfortranarray(a)):
-        for spd in (True, False):
-            linalg.factorize(m, spd_hint=spd)
-            assert np.array_equal(m, a)
+        linalg.factorize(m)
+        assert np.array_equal(m, a)

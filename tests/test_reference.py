@@ -46,6 +46,22 @@ def test_implicit_diff_guards_degenerate():
         ad.implicit_diff_solve(p, [0.0], [], [0.0], ad.IneqRhs())
 
 
+def test_implicit_diff_pivot_check_raises_singular_kkt():
+    # Strictly complementary (no inequality rows) but A repeats a row, so the
+    # KKT matrix is singular; its largest row sum is 3.
+    p = ad.ProblemSpec.quadratic(P=np.eye(2), q=np.zeros(2), A=[[1.0, 1.0], [1.0, 1.0]],
+                                 b=[1.0, 1.0])
+    with pytest.raises(SingularKkt, match=r"pivot magnitude below 3\.000e-12"):
+        ad.implicit_diff_solve(p, [0.5, 0.5], [-0.25, -0.25], [], ad.EqRhs())
+
+
+def test_implicit_diff_rejects_nonfinite_hessian():
+    p = ad.ProblemSpec.general(1, lambda x: 0.5 * float(x @ x), lambda x: x,
+                               lambda x: np.full((1, 1), np.nan))
+    with pytest.raises(ValueError):
+        ad.implicit_diff_solve(p, [0.0], [], [], ad.LinearCost())
+
+
 def test_implicit_diff_rejects_non_optimal_point():
     with pytest.raises(ValueError):
         ad.implicit_diff_solve(_toy_active(), [2.0], [], [1.0], ad.IneqRhs())

@@ -9,7 +9,9 @@ only can show which kinds moved:
 
 It prints one line per category of solve, then one line over every solve,
 then one line over every solve's eq_residual and ineq_residual (the residual
-norms at the returned point), which no earlier line hashes.
+norms at the returned point), then one line over the oracle,
+implicit_diff_solve, at each random QP's admm_solve(eps=1e-8) point under
+the three vector selectors; no earlier line hashes the last two.
 The categories: polished QPs under q; polished QPs under b or h; unpolished
 QPs (and QP solves that raise); vector Directions; matrix Directions;
 SoftmaxLayer problems.
@@ -109,6 +111,16 @@ def cases():
             yield CATEGORIES[5], p, sel
 
 
+def oracle_bytes(p, sel):
+    """implicit_diff_solve's bytes at p's admm_solve(eps=1e-8) point, or the
+    name of the exception type where the solve or the oracle raises."""
+    try:
+        st = ad.admm_solve(p, ad.SolverConfig(eps=1e-8)).state
+        return ad.implicit_diff_solve(p, st.x, st.lam, st.nu, sel).tobytes()
+    except ad.AltdiffError as exc:
+        return type(exc).__name__.encode()
+
+
 def category(kind, sel, rep):
     if kind != "qp":
         return kind
@@ -151,3 +163,9 @@ for name, (cat_digest, count) in per_category.items():
     print(f"{cat_digest.hexdigest()}  ({count} solves)  {name}")
 print(f"{digest.hexdigest()}  ({solves} solves)")
 print(f"{residuals.hexdigest()}  ({solves} solves)  eq_residual, ineq_residual")
+oracle, points = hashlib.sha256(), 0
+for qp in problems():
+    for sel in (ad.LinearCost(), ad.EqRhs(), ad.IneqRhs()):
+        oracle.update(oracle_bytes(qp, sel))
+        points += 1
+print(f"{oracle.hexdigest()}  ({points} points)  implicit_diff_solve")

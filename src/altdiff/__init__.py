@@ -11,6 +11,7 @@ energy-scheduling training demo, and a benchmark CLI.
 from .backward import (
     DiffReport,
     JacobianState,
+    admm_solve,
     differentiate,
     vjp,
 )
@@ -32,7 +33,6 @@ from .forward import (
     AdmmState,
     ForwardReport,
     SolverConfig,
-    admm_solve,
     dual_update,
     primal_update,
     slack_update,

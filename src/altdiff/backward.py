@@ -50,7 +50,7 @@ d[A; G], so no sweep splits them; only the oracle reads their rows apart.
 Every solve runs one loop (_solve) over one of two sweeps, picked at
 set-up: the one above for a quadratic objective, and _GeneralSweep for a
 callback one, whose damped Newton x-step factorizes H(x) every sweep. Both
-share one slack and dual step (_Sweep). forward.admm_solve is the same
+share one slack and dual step (_Sweep). admm_solve is the same
 loop with a zero-width parameter: it builds no Jacobian half and no
 JacobianState.
 
@@ -138,7 +138,7 @@ from .forward import (
     relaxation,
     xstep_factor,
 )
-from .linalg import NORM_FLOOR, Factorization
+from .linalg import NORM_FLOOR, Factorization, factorization_count
 from .problem import (
     ParamSelector,
     Polyhedron,
@@ -598,10 +598,8 @@ def _solve(
     the polish's forward half, jacobian_ms the Jacobian steps (where they
     are replayed), the polish's Jacobian half and finish(), which run at
     width only."""
-    from . import linalg
-
     st = initial_state(p)
-    count0 = linalg.factorization_count()
+    count0 = factorization_count()
     perf = time.perf_counter
 
     t0 = perf()
@@ -685,9 +683,8 @@ def _solve(
     r, p_eq = p.constraints.residual(st.x, st.s), p.constraints.n_eq
     fwd.eq_residual, fwd.ineq_residual = _norm(r[:p_eq]), _norm(r[p_eq:])
     fwd.hessian_factorization = sweep.fact
-    fwd.num_factorizations = linalg.factorization_count() - count0
+    fwd.num_factorizations = factorization_count() - count0
     fwd.polish_factorizations = sweep.polish_factorizations
-    report.weakly_active_warning = _weakly_active(p, st)
     if trace:
         report.x_errors = _distances_to_last(x_hist)
         report.jac_errors = _distances_to_last(jx_hist) if jx_hist else np.zeros(len(x_hist))
@@ -722,7 +719,22 @@ def differentiate(
     report = _solve(p, theta_partials(p, sel), cfg or SolverConfig(), trace=trace)
     if report.jac is None:  # zero width: empty blocks
         report.jac = JacobianState.zeros(p.n, p.constraints.n_ineq, p.constraints.n_eq, 0)
+    report.weakly_active_warning = _weakly_active(p, report.forward.state)
     return report
+
+
+def admm_solve(p: ProblemSpec, cfg: Optional[SolverConfig] = None) -> ForwardReport:
+    """Iterate the splitting until the relative x-step falls below cfg.eps.
+
+    This is differentiate's loop with a zero-width parameter: it builds no
+    Jacobian half and no JacobianState, and the x-step rule alone stops it,
+    or for a quadratic objective the polish (module docstring) on the gate
+    of the new slack, at a sweep whose x step is below eps. Never raises on
+    slow convergence: the report carries converged=False when
+    max_outer_iters is exhausted.
+    """
+    validate(p)
+    return _solve(p, ThetaPartials(m_theta=0), cfg or SolverConfig()).forward
 
 
 def vjp(report: DiffReport, dR_dx) -> np.ndarray:

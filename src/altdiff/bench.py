@@ -18,15 +18,18 @@ from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 
-from .backward import differentiate
+from .backward import admm_solve, differentiate
 from .errors import AltdiffError
-from .forward import SolverConfig, admm_solve, penalty_matrix
+from .forward import SolverConfig, penalty_matrix
 from .layers import SoftmaxLayer, SparsemaxLayer, build
 from .linalg import factorize
 from .problem import EqRhs, ProblemSpec
 from .reference import implicit_diff_solve
 
 REPEATS = 5
+
+# _timed_factorization_ms repeats its set-up until the repeats take about this long.
+SETUP_TIMING_MS = 20.0
 
 
 @dataclass(frozen=True)
@@ -158,7 +161,7 @@ class ScalingRecord:
     backward_ratio: float = float("nan")
 
 
-def _timed_factorization_ms(H: np.ndarray, target_ms: float = 20.0) -> float:
+def _timed_factorization_ms(H: np.ndarray) -> float:
     """Wall time of factorize plus inverse formation, the cubic set-up model
     behind the set-up ratio of criterion 5, amortized over enough repeats
     that the sample is not swamped by timer resolution or call overhead.
@@ -173,7 +176,7 @@ def _timed_factorization_ms(H: np.ndarray, target_ms: float = 20.0) -> float:
     t0 = time.perf_counter()
     setup()
     single = (time.perf_counter() - t0) * 1e3
-    reps = max(3, int(target_ms / max(single, 1e-3)))
+    reps = max(3, int(SETUP_TIMING_MS / max(single, 1e-3)))
     t0 = time.perf_counter()
     for _ in range(reps):
         setup()

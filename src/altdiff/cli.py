@@ -19,10 +19,10 @@ import sys
 import numpy as np
 
 from . import bench
-from .backward import differentiate
+from .backward import admm_solve, differentiate
 from .energy import synth_demand, train, write_training_log
 from .errors import AltdiffError
-from .forward import SolverConfig, admm_solve
+from .forward import SolverConfig
 from .io import load_problem
 from .problem import EqRhs, IneqRhs, LinearCost, validate
 from .reference import finite_diff_jacobian, implicit_diff_solve
@@ -212,7 +212,7 @@ def _cmd_bench_scaling(args) -> int:
 
 def _cmd_demo_energy(args) -> int:
     dataset = synth_demand(args.seed, args.days)
-    log = train(dataset, SolverConfig(), epochs=args.epochs,
+    log = train(dataset, epochs=args.epochs,
                 tolerance_list=args.tolerances, lr=args.lr, seed=args.seed, ramp=args.ramp)
     write_training_log(log, args.out)
     for tol in args.tolerances:
@@ -268,7 +268,13 @@ def main(argv=None) -> int:
         validate(prob)
     except (OSError, ValueError, AltdiffError) as exc:
         parser.error(f"argument --problem: cannot load {args.problem!r}: {exc}")
-    return _cmd_check(args, prob)
+    # A problem the solve or an oracle rejects (a degenerate active set, a
+    # solve that does not converge) ends in one error line, not a traceback.
+    try:
+        return _cmd_check(args, prob)
+    except AltdiffError as exc:
+        print(f"{parser.prog}: error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

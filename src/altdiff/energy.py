@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .backward import differentiate, vjp
+from .backward import admm_solve, differentiate, vjp
 from .errors import AltdiffError, DimensionMismatch
 from .forward import SolverConfig
 from .problem import LinearCost, ProblemSpec
@@ -30,6 +30,14 @@ from .problem import LinearCost, ProblemSpec
 HORIZON = 24
 HISTORY = 72
 DEFAULT_RAMP = 20.0
+
+# Adam's moment decay rates and denominator guard (Kingma and Ba's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+# train() keeps the demand gradient of this many first steps per tolerance.
+GRAD_LOG_STEPS = 50
 
 
 def energy_problem(demand, ramp: float = DEFAULT_RAMP) -> ProblemSpec:
@@ -77,9 +85,6 @@ class AdamState:
     m: dict
     v: dict
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @staticmethod
     def for_params(params: dict) -> "AdamState":
@@ -92,7 +97,7 @@ class AdamState:
 def adam_step(state: AdamState, params: dict, grads: dict, lr: float) -> tuple[dict, AdamState]:
     """One bias-corrected update; parameter arrays are updated in place."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for k, p in params.items():
         g = grads[k]
         if g.shape != p.shape:
@@ -101,7 +106,7 @@ def adam_step(state: AdamState, params: dict, grads: dict, lr: float) -> tuple[d
         state.v[k] = b2 * state.v[k] + (1 - b2) * g * g
         m_hat = state.m[k] / (1 - b1 ** state.t)
         v_hat = state.v[k] / (1 - b2 ** state.t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params, state
 
 
@@ -203,33 +208,32 @@ class TrainingLog:
 
 def train(
     dataset,
-    cfg: Optional[SolverConfig] = None,
     epochs: int = 10,
     tolerance_list: Sequence[float] = (1e-1, 1e-3),
     lr: float = 1e-3,
     seed: int = 0,
     ramp: float = DEFAULT_RAMP,
-    grad_log_steps: int = 50,
 ) -> TrainingLog:
     """Train one network per tolerance with shared initialization and data order.
 
     The schedules for the true demand are precomputed at a tight tolerance;
     each training step solves and differentiates the scheduling layer at the
     run's tolerance, pulls the loss gradient back through the network, and
-    applies one Adam update per sample.
+    applies one Adam update per sample. The solver takes SolverConfig's rho
+    and sweep budget.
     """
     X, Y = dataset
     if X.shape[0] == 0:
         raise ValueError("dataset is empty")
-    cfg = cfg or SolverConfig()
     log = TrainingLog()
 
+    tight = SolverConfig(eps=1e-8)
     x_true_cache = [
-        _schedule(Y[i], ramp, replace(cfg, eps=1e-8)) for i in range(Y.shape[0])
+        admm_solve(energy_problem(Y[i], ramp), tight).state.x for i in range(Y.shape[0])
     ]
 
     for tol in tolerance_list:
-        run_cfg = replace(cfg, eps=float(tol))
+        run_cfg = SolverConfig(eps=float(tol))
         mlp = Mlp.init(seed)
         params = mlp.params()
         adam = AdamState.for_params(params)
@@ -251,7 +255,7 @@ def train(
                 losses.append(spo_loss(report.x, x_true_cache[i]))
                 iters.append(report.forward.iterations)
                 g_theta = spo_grad_theta(report, x_true_cache[i])
-                if step < grad_log_steps:
+                if step < GRAD_LOG_STEPS:
                     log.step_grads[float(tol)].append(g_theta.copy())
                 if lr != 0.0:
                     grads = mlp.backward(cache, g_theta)
@@ -265,12 +269,6 @@ def train(
                 (time.perf_counter() - t0) * 1e3,
             ))
     return log
-
-
-def _schedule(demand, ramp: float, cfg: SolverConfig) -> np.ndarray:
-    from .forward import admm_solve
-
-    return admm_solve(energy_problem(demand, ramp), cfg).state.x
 
 
 def write_training_log(log: TrainingLog, path) -> None:

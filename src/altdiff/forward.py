@@ -30,10 +30,10 @@ residuals a report keeps are those of the returned, unrelaxed iterate.
 
 The update steps here are the reference form of the splitting, which the
 tests run. The solver loop (backward) takes primal_update's damped Newton
-step for callback objectives, and its own slack and dual step. admm_solve
-runs that loop with a zero-width parameter, so a quadratic objective gets
-differentiate's folded x-step: one solve at set-up, then one matvec for x
-and no triangular solve per sweep.
+step for callback objectives, and its own slack and dual step; its
+admm_solve runs that loop with a zero-width parameter, so a quadratic
+objective gets differentiate's folded x-step: one solve at set-up, then one
+matvec for x and no triangular solve per sweep.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import NewtonDiverged
 from .linalg import Factorization, factorize
-from .problem import ProblemSpec, QuadraticObjective, ThetaPartials, validate
+from .problem import ProblemSpec, QuadraticObjective
 
 # Damped Newton on callback objectives: stop at this gradient norm or step
 # count; Armijo backtracking from the full step. Quadratic x-steps are exact.
@@ -266,19 +266,3 @@ def initial_state(p: ProblemSpec) -> AdmmState:
     x0 = np.zeros(p.n)
     s0 = np.maximum(0.0, con.h - con.G @ x0) if con.n_ineq else np.zeros(0)
     return AdmmState(x=x0, s=s0, lam=np.zeros(con.n_eq), nu=np.zeros(con.n_ineq), k=0)
-
-
-def admm_solve(p: ProblemSpec, cfg: Optional[SolverConfig] = None) -> ForwardReport:
-    """Iterate the splitting until the relative x-step falls below cfg.eps.
-
-    This is differentiate's loop with a zero-width parameter: it builds no
-    Jacobian half and no JacobianState, and the x-step rule alone stops it,
-    or for a quadratic objective the polish (backward's module docstring)
-    on the gate of the new slack, at a sweep whose x step is below eps.
-    Never raises on slow convergence: the report carries converged=False
-    when max_outer_iters is exhausted.
-    """
-    from .backward import _solve  # backward imports this module
-
-    validate(p)
-    return _solve(p, ThetaPartials(m_theta=0), cfg or SolverConfig()).forward

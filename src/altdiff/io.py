@@ -62,11 +62,11 @@ def problem_from_dict(doc: dict) -> ProblemSpec:
         try:
             a = np.array(value, dtype=float)
             return a if shape is None else a.reshape(shape)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:  # TypeError: an object where numbers belong
             raise ValueError(f"malformed problem document: {key}: {exc}") from exc
 
     # Row counts from b and h, not inferred: numpy cannot infer them for n = 0.
-    b, h = doc.get("b", []), doc.get("h", [])
+    b, h = (reshaped(key, doc.get(key, []), None) for key in ("b", "h"))
     constraints = Polyhedron.build(
         n,
         A=reshaped("A", doc.get("A", []), (np.size(b), n)),

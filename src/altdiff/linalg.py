@@ -62,11 +62,12 @@ def as_vector(v, size: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Factorization:
-    """Cholesky factor (c, lower) of a symmetric positive-definite matrix,
-    reusable across many right-hand sides."""
+    """Upper Cholesky factor U (M = U'U) of a symmetric positive-definite
+    matrix M, reusable across many right-hand sides. U is column-major; its
+    strict lower triangle holds leftovers of M, which nothing reads."""
 
     n: int
-    factors: tuple
+    factor: np.ndarray
 
     def solve(self, b) -> np.ndarray:
         """Solve M x = b column-wise with this factorization of M."""
@@ -77,22 +78,19 @@ class Factorization:
             )
         if self.n == 0:
             return np.zeros_like(rhs)
-        return scipy.linalg.cho_solve(self.factors, rhs, check_finite=False)
+        return scipy.linalg.cho_solve((self.factor, False), rhs, check_finite=False)
 
     def inverse(self) -> np.ndarray:
         """M^-1 from this Cholesky factor of M, through LAPACK potri, which
-        fills one triangle; the other is mirrored from it in one masked copy,
-        so the result is exactly symmetric."""
+        fills the upper triangle; the strict lower one is mirrored from it in
+        one masked copy, so the result is exactly symmetric."""
         n = self.n
         if n == 0:
             return np.zeros((0, 0))
-        c, lower = self.factors
-        inv, info = scipy.linalg.lapack.dpotri(c, lower=lower)
+        inv, info = scipy.linalg.lapack.dpotri(self.factor)
         if info:
             raise SingularMatrix(f"potri found a zero pivot (info={info})")
-        # Mirror the filled triangle, tri's lower one, into its strict upper one.
-        tri = inv if lower else inv.T
-        np.copyto(tri, tri.T, where=np.tri(n, k=-1, dtype=bool).T)
+        np.copyto(inv.T, inv, where=np.tri(n, k=-1, dtype=bool).T)
         # potri's result is column-major; its transpose is the same matrix, row-major.
         return inv.T
 
@@ -120,7 +118,7 @@ def factorize(m) -> Factorization:
     _counts.factorize = factorization_count() + 1
     n = a.shape[0]
     if n == 0:
-        return Factorization(n=0, factors=())
+        return Factorization(n=0, factor=np.zeros((0, 0)))
     scale = float(scipy.linalg.lapack.dlange("I", a))  # the largest absolute row sum
     c, info = scipy.linalg.lapack.dpotrf(a, overwrite_a=True, clean=False)
     if info:
@@ -128,4 +126,4 @@ def factorize(m) -> Factorization:
                              f"of the array is not positive definite")
     # Cholesky pivots are the squared diagonal of the factor.
     check_pivots(np.diagonal(c) ** 2, scale)
-    return Factorization(n=n, factors=(c, False))
+    return Factorization(n=n, factor=c)

@@ -17,7 +17,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NotConverged, NotOptimal, SingularKkt, SingularMatrix
-from .forward import SolverConfig, admm_solve
+from .backward import admm_solve
+from .forward import SolverConfig
 from .linalg import as_vector, check_pivots
 from .problem import ParamSelector, ProblemSpec, ThetaPartials, perturb, theta_partials, validate
 
@@ -29,9 +30,10 @@ STRICT_COMPLEMENTARITY_TOL = 1e-8
 # before implicit differentiation at it is meaningful.
 KKT_POINT_RTOL = 1e-6
 
-FD_DEFAULT_STEP = 1e-5
-# Central differences divide two solver errors by 2*step; the inner solves
-# must land well below step^2 for entrywise relative agreement at 1e-4.
+# Central differences take this step in theta and divide two solver errors
+# by 2*step; the inner solves must land well below step^2 for entrywise
+# relative agreement at 1e-4.
+FD_STEP = 1e-5
 FD_SOLVER_EPS = 1e-10
 
 
@@ -136,25 +138,20 @@ def implicit_diff_solve(
 
 
 def finite_diff_jacobian(
-    p: ProblemSpec,
-    sel: ParamSelector,
-    cfg: Optional[SolverConfig] = None,
-    step: float = FD_DEFAULT_STEP,
+    p: ProblemSpec, sel: ParamSelector, cfg: Optional[SolverConfig] = None
 ) -> np.ndarray:
-    """Central differences of the solution map, one solver run per signed
-    perturbation, each taken to FD_SOLVER_EPS."""
-    if step <= 0:
-        raise ValueError("step must be positive")
+    """Central differences of the solution map with step FD_STEP, one solver
+    run per signed perturbation, each taken to FD_SOLVER_EPS."""
     validate(p)
     cfg = replace(cfg or SolverConfig(), eps=FD_SOLVER_EPS)
     m_theta = theta_partials(p, sel).m_theta
     jac = np.zeros((p.n, m_theta))
     for j in range(m_theta):
         e = np.zeros(m_theta)
-        e[j] = step
+        e[j] = FD_STEP
         x_plus = _solved(perturb(p, sel, e), cfg)
         x_minus = _solved(perturb(p, sel, -e), cfg)
-        jac[:, j] = (x_plus - x_minus) / (2.0 * step)
+        jac[:, j] = (x_plus - x_minus) / (2.0 * FD_STEP)
     return jac
 
 

@@ -981,7 +981,7 @@ def test_direction_all_blocks_matches_reference(suite):
     st = suite.tight_state(9)
     ref = ad.implicit_diff_solve(p, st.x, st.lam, st.nu, sel)
     assert np.abs(rep.Jx - ref).max() <= 1e-5 * (1 + np.abs(ref).max())
-    fd = ad.finite_diff_jacobian(p, sel, ad.SolverConfig(rho=SUITE_RHO), step=1e-6)
+    fd = ad.finite_diff_jacobian(p, sel, ad.SolverConfig(rho=SUITE_RHO))
     assert np.abs(rep.Jx - fd).max() <= 1e-4 * (1 + np.abs(fd).max())
 
 
@@ -1140,8 +1140,8 @@ def test_infeasible_qp_is_never_polished(p):
 def test_infeasible_equality_and_bound_is_not_polished():
     # x1 = 1 and x1 <= 0: the closed gate has two active rows on one
     # variable (M + D singular, no LU made), the open one gives s = -1. The
-    # step rule still stops this solve and reports converged (ROADMAP item
-    # 3), but the polish certifies nothing.
+    # step rule still stops this solve and reports converged (the ROADMAP
+    # item on certifying every converged), but the polish certifies nothing.
     p = ad.ProblemSpec.quadratic(P=[[1.0]], q=[0.0], A=[[1.0]], b=[1.0], G=[[1.0]], h=[0.0])
     rep = ad.admm_solve(p)
     assert not rep.polished and rep.polish_factorizations == 0

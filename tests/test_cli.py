@@ -106,6 +106,13 @@ def test_problem_json_reports_wrong_block_size(doc, match):
         io.problem_from_dict(doc)
 
 
+def test_problem_json_rejects_callback_objective():
+    p = ad.ProblemSpec.general(n=1, value=lambda x: float(x @ x), gradient=lambda x: 2 * x,
+                               hessian=lambda x: 2 * np.eye(1))
+    with pytest.raises(ValueError, match="only quadratic and entropy-layer objectives"):
+        io.problem_to_dict(p)
+
+
 def test_problem_json_linear_cost_length_is_validated():
     p = io.problem_from_dict({"n": 2, "objective": {"type": "quadratic", "P": np.eye(2).tolist(),
                                                     "q": [1.0, 2.0, 3.0]}})
@@ -237,8 +244,14 @@ def test_cli_bad_inputs_are_usage_errors(argv, flag, message, tmp_path, capsys):
      "smallest eigenvalue -1.000e+00"),
     ('{"n": 2, "objective": {"type": "quadratic", "P": [[1, 1], [0, 1]], "q": [0, 0]}}',
      "not symmetric"),
+    ('{"n": 1, "objective": {"type": "quadratic", "P": [[1]], "q": {"a": 1}}}',
+     "malformed problem document: q: float() argument"),
+    ('{"n": 2, "objective": {"type": "quadratic", "P": [[1, 0], [0, 1]], "q": [0, 0]}, '
+     '"A": [[1, 1]], "b": {"a": 1}}', "malformed problem document: b: float() argument"),
+    ('{"n": 1, "objective": {"type": "sparsemax", "y": {"a": 1}, "u": [1]}}',
+     "malformed problem document: y: float() argument"),
 ], ids=["missing", "unreadable", "not-json", "no-objective", "wrong-block-size", "bad-layer",
-        "q-length", "not-psd", "not-symmetric"])
+        "q-length", "not-psd", "not-symmetric", "q-object", "b-object", "sparsemax-y-object"])
 def test_cli_check_bad_problem_file_is_usage_error(content, message, tmp_path, capsys):
     """A problem file that cannot be loaded, or loads but fails validation,
     ends in a one-line usage error (exit code 2), not a traceback."""
@@ -254,6 +267,34 @@ def test_cli_check_bad_problem_file_is_usage_error(content, message, tmp_path, c
     assert err.startswith("usage: altdiff") and "Traceback" not in err
     (line,) = [ln for ln in err.splitlines() if "error:" in ln]
     assert "--problem" in line and str(path) in line and message in line
+
+
+def _check_bound_toy(tmp_path, q):
+    """cli.main's exit code on check --sel h of min x^2 + q x s.t. x <= 0."""
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"n": 1, "objective": {"type": "quadratic", "P": [[2.0]],
+                                                      "q": [q]}, "G": [[1.0]], "h": [0.0]}))
+    return cli.main(["check", "--problem", str(path), "--sel", "h"])
+
+
+def test_cli_check_solve_error_is_one_error_line(tmp_path, capsys):
+    """At q = 0 the bound x <= 0 is active with a zero multiplier; the oracle
+    raises SingularKkt, which ends in one error line (exit code 1), not a
+    traceback."""
+    assert _check_bound_toy(tmp_path, 0.0) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("altdiff: error: SingularKkt: strict complementarity fails on "
+                            "constraints [0]\n")
+    assert captured.out == ""
+
+
+def test_cli_check_warns_on_weak_activity(tmp_path, capsys):
+    # At q = -2e-7 the bound is active with multiplier 2e-7: within the solver's
+    # weak-activity tolerance, outside the oracle's strict-complementarity one.
+    assert _check_bound_toy(tmp_path, -2e-7) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("warning: weakly active constraint detected; derivatives may be "
+                        "one-sided\n")
 
 
 def test_cli_demo_energy(tmp_path, capsys):

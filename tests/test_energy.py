@@ -5,7 +5,7 @@ import pytest
 
 import altdiff as ad
 from altdiff import cli, energy
-from altdiff.errors import DimensionMismatch
+from altdiff.errors import AltdiffError, DimensionMismatch, NewtonDiverged
 
 
 def test_energy_problem_slack_ramp_tracks_demand():
@@ -34,6 +34,11 @@ def test_energy_problem_rejects_negative_ramp(ramp, tmp_path):
                   "--out", str(tmp_path / "e.csv")])
     assert exc.value.code == 2
     assert not (tmp_path / "e.csv").exists()
+
+
+def test_energy_problem_needs_two_slots():
+    with pytest.raises(DimensionMismatch, match="at least two time slots"):
+        energy.energy_problem([5.0])
 
 
 def test_energy_problem_flat_demand():
@@ -161,10 +166,29 @@ def test_train_loss_decreases():
 def test_train_shared_seed_grad_log():
     X, Y = energy.synth_demand(2, 5)
     log = energy.train((X[:10], Y[:10]), epochs=1, tolerance_list=[1e-1, 1e-3],
-                       lr=1e-3, seed=0, grad_log_steps=10)
+                       lr=1e-3, seed=0)
     cos = log.grad_cosines(1e-1, 1e-3)
     assert len(cos) == 10
     assert cos.mean() >= 0.98
+
+
+def test_train_names_the_step_a_solve_fails_at(monkeypatch):
+    """An AltdiffError from a training solve is raised again with the epoch,
+    sample and tolerance it stopped at, chained to the original."""
+    calls = []
+
+    def fails_on_the_sixth_call(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 6:
+            raise NewtonDiverged("injected")
+        return ad.differentiate(*args, **kwargs)
+
+    monkeypatch.setattr(energy, "differentiate", fails_on_the_sixth_call)
+    X, Y = energy.synth_demand(0, 5)
+    with pytest.raises(AltdiffError) as exc:
+        energy.train((X[:4], Y[:4]), epochs=2, tolerance_list=[1e-2])
+    assert str(exc.value) == "epoch 1 aborted at sample 1 (tolerance 0.01): injected"
+    assert isinstance(exc.value.__cause__, NewtonDiverged)
 
 
 def test_training_log_csv_round_trip(tmp_path):

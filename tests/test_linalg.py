@@ -128,26 +128,17 @@ def test_inverse_from_cholesky_matches_solve(n):
     assert inv.flags.c_contiguous
 
 
-def test_inverse_from_lower_cholesky_factor():
-    m = _spd(6, seed=1)
-    f = linalg.Factorization(n=6, factors=scipy.linalg.cho_factor(m, lower=True))
-    inv = f.inverse()
-    np.testing.assert_allclose(inv, np.linalg.inv(m), rtol=1e-12, atol=1e-15)
-    assert np.array_equal(inv, inv.T)
-
-
-@pytest.mark.parametrize("lower", [False, True])
-def test_inverse_mirror_matches_row_copies(lower):
-    """The masked mirror writes potri's triangle over the other one exactly as
-    copying it row by row does; the other triangle of cho_factor's output
-    holds the input's entries, which must not leak through."""
+def test_inverse_mirror_matches_row_copies():
+    """The masked mirror writes potri's upper triangle over the lower one
+    exactly as copying it row by row does; the lower triangle of
+    cho_factor's output holds the input's entries, which must not leak
+    through."""
     m = _spd(40, seed=3)
-    factors = scipy.linalg.cho_factor(m, lower=lower)
-    ref, _ = scipy.linalg.lapack.dpotri(*factors)
-    tri = ref if lower else ref.T
+    c, _ = scipy.linalg.cho_factor(m)
+    ref, _ = scipy.linalg.lapack.dpotri(c)
     for i in range(1, 40):
-        tri[:i, i] = tri[i, :i]
-    inv = linalg.Factorization(n=40, factors=factors).inverse()
+        ref[i, :i] = ref[:i, i]
+    inv = linalg.Factorization(n=40, factor=c).inverse()
     assert np.array_equal(inv, ref.T)
     assert np.array_equal(inv, inv.T)
 
@@ -180,7 +171,7 @@ def test_inverse_makes_no_factorization():
 
 
 def _factor_bytes(f):
-    return [np.asarray(a).tobytes(order="A") for a in f.factors]
+    return f.factor.tobytes(order="A")
 
 
 @pytest.mark.parametrize("lower_differs", [True, False])
@@ -201,9 +192,9 @@ def test_factorize_reads_c_and_f_order_alike(n, lower_differs):
         assert fc.solve(b).tobytes() == ff.solve(b).tobytes()
         assert fc.solve(b).tobytes() == linalg.factorize(np.triu(a)).solve(b).tobytes()
     if n:
-        ref = scipy.linalg.cho_factor(a, check_finite=False)
-        assert _factor_bytes(fc) == [np.asarray(v).tobytes(order="A") for v in ref]
-        assert fc.factors[0].flags.f_contiguous
+        ref, lower = scipy.linalg.cho_factor(a, check_finite=False)
+        assert not lower and _factor_bytes(fc) == ref.tobytes(order="A")
+        assert fc.factor.flags.f_contiguous
 
 
 def test_factorize_leaves_its_input_unchanged():

@@ -71,6 +71,25 @@ def test_validate_gradient_probe():
         ad.validate(bad)
 
 
+def test_validate_rejects_wrong_hessian_shape():
+    # ProblemSpec.quadratic checks P's shape; a spec built directly leaves it to validate.
+    p = ad.ProblemSpec(n=2, objective=ad.QuadraticObjective(P=np.eye(3), q=np.zeros(2)),
+                       constraints=ad.Polyhedron.build(2))
+    with pytest.raises(DimensionMismatch, match=r"P has shape \(3, 3\), expected \(2, 2\)"):
+        ad.validate(p)
+
+
+def test_validate_rejects_wrong_gradient_length():
+    p = ad.ProblemSpec.general(
+        n=2,
+        value=lambda x: float(np.sum(x ** 2)),
+        gradient=lambda x: 2 * x[:1],
+        hessian=lambda x: 2 * np.eye(2),
+    )
+    with pytest.raises(DimensionMismatch, match="gradient callback returned length 1, expected 2"):
+        ad.validate(p)
+
+
 def test_theta_dim():
     p = ad.ProblemSpec.quadratic(
         P=np.eye(24), q=np.zeros(24),

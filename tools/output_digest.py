@@ -11,7 +11,9 @@ It prints one line per category of solve, then one line over every solve,
 then one line over every solve's eq_residual and ineq_residual (the residual
 norms at the returned point), then one line over the oracle,
 implicit_diff_solve, at each random QP's admm_solve(eps=1e-8) point under
-the three vector selectors; no earlier line hashes the last two.
+the three vector selectors, then one line over every solve's
+weakly_active_warning and that of the weak_toys solves; no earlier line
+hashes the last three.
 The categories: polished QPs under q; polished QPs under b or h; unpolished
 QPs (and QP solves that raise); vector Directions; matrix Directions;
 SoftmaxLayer problems.
@@ -92,6 +94,14 @@ def softmax_layers():
         yield ad.build(ad.SoftmaxLayer(y=y, u=u))
 
 
+def weak_toys():
+    """min x^2 + q x s.t. x <= 0: at q = -2e-7 and q = 0 the bound is active
+    with a multiplier of at most 2e-7, a weakly active constraint, which no
+    solve of the set above flags; at q = -1 and q = 1 it is not."""
+    for q in (-1.0, -2e-7, 0.0, 1.0):
+        yield ad.ProblemSpec.quadratic(P=[[2.0]], q=[q], G=[[1.0]], h=[0.0])
+
+
 CATEGORIES = ("polished QP under q", "polished QP under b or h", "unpolished QP",
               "vector Direction", "matrix Direction", "SoftmaxLayer")
 
@@ -130,31 +140,35 @@ def category(kind, sel, rep):
 
 
 def solve_bytes(p, sel, cfg, trace):
-    """The solve's report, or None where it raises, the bytes it hashes and
-    the bytes of its two residual norms (the exception's name where it raises)."""
+    """The solve's report, or None where it raises, the bytes it hashes, the
+    bytes of its two residual norms and of its weak-activity flag (the
+    exception's name where it raises)."""
     try:
         rep = ad.differentiate(p, sel, cfg, trace=trace)
     except ad.AltdiffError as exc:
-        return None, type(exc).__name__.encode(), type(exc).__name__.encode()
+        name = type(exc).__name__.encode()
+        return None, name, name, name
     fwd, jac = rep.forward, rep.jac
     parts = [np.ascontiguousarray(a, dtype=np.float64).tobytes()
              for a in (rep.x, jac.Jx, jac.Js, jac.Jlam, jac.Jnu,
                        fwd.step_norms, rep.jac_step_norms)]
     parts.append(repr((fwd.iterations, fwd.polished, fwd.converged,
                        rep.jacobian_sweeps)).encode())
-    return rep, b"".join(parts), np.array([fwd.eq_residual, fwd.ineq_residual]).tobytes()
+    return (rep, b"".join(parts), np.array([fwd.eq_residual, fwd.ineq_residual]).tobytes(),
+            repr(rep.weakly_active_warning).encode())
 
 
-digest, residuals, solves = hashlib.sha256(), hashlib.sha256(), 0
+digest, residuals, weak, solves = hashlib.sha256(), hashlib.sha256(), hashlib.sha256(), 0
 per_category = {name: [hashlib.sha256(), 0] for name in CATEGORIES}
 for kind, p, sel in cases():
     for eps in (1e-1, 1e-3, 1e-6):
         for iters in (3, 10000):
             for trace in (False, True):
                 cfg = ad.SolverConfig(eps=eps, max_outer_iters=iters)
-                rep, data, res = solve_bytes(p, sel, cfg, trace)
+                rep, data, res, flag = solve_bytes(p, sel, cfg, trace)
                 digest.update(data)
                 residuals.update(res)
+                weak.update(flag)
                 solves += 1
                 entry = per_category[category(kind, sel, rep)]
                 entry[0].update(data)
@@ -169,3 +183,10 @@ for qp in problems():
         oracle.update(oracle_bytes(qp, sel))
         points += 1
 print(f"{oracle.hexdigest()}  ({points} points)  implicit_diff_solve")
+toys = 0
+for p in weak_toys():
+    for sel in (ad.LinearCost(), ad.IneqRhs()):
+        for eps in (1e-1, 1e-3, 1e-6):
+            weak.update(solve_bytes(p, sel, ad.SolverConfig(eps=eps), False)[3])
+            toys += 1
+print(f"{weak.hexdigest()}  ({solves} solves, {toys} toys)  weakly_active_warning")

@@ -146,7 +146,6 @@ from .problem import (
     QuadraticObjective,
     ThetaPartials,
     theta_partials,
-    validate,
 )
 
 # Constraints with both a tiny multiplier and a tiny slack make the solution
@@ -715,7 +714,6 @@ def differentiate(
     point of the splitting on the slack's sign gate, and if it is a KKT
     point returns it and its exact Jacobian with forward.polished = True.
     """
-    validate(p)
     report = _solve(p, theta_partials(p, sel), cfg or SolverConfig(), trace=trace)
     if report.jac is None:  # zero width: empty blocks
         report.jac = JacobianState.zeros(p.n, p.constraints.n_ineq, p.constraints.n_eq, 0)
@@ -733,7 +731,6 @@ def admm_solve(p: ProblemSpec, cfg: Optional[SolverConfig] = None) -> ForwardRep
     slow convergence: the report carries converged=False when
     max_outer_iters is exhausted.
     """
-    validate(p)
     return _solve(p, ThetaPartials(m_theta=0), cfg or SolverConfig()).forward
 
 

@@ -2,7 +2,7 @@
 
 Schema:
 
-    {"n": int,
+    {"n": int >= 0,
      "objective": {"type": "quadratic", "P": [[...]], "q": [...]}
                 | {"type": "sparsemax", "y": [...], "u": [...]}
                 | {"type": "softmax_entropy", "y": [...], "u": [...]},
@@ -47,11 +47,13 @@ def problem_to_dict(p: ProblemSpec) -> dict:
 
 def problem_from_dict(doc: dict) -> ProblemSpec:
     try:
-        n = int(doc["n"])
+        n = doc["n"]
         obj_doc = doc["objective"]
         kind = obj_doc["type"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed problem document: {exc}") from exc
+    if type(n) is not int or n < 0:  # a JSON integer: not a float, a bool or a string
+        raise ValueError(f"malformed problem document: n must be an integer >= 0, got {n!r}")
 
     def field(key, *shape):
         if key not in obj_doc:

@@ -136,11 +136,15 @@ Objective = Union[QuadraticObjective, GeneralConvexObjective]
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A validated problem instance: dimensions, objective, constraints."""
+    """A problem instance: dimensions, objective, constraints. It is checked
+    (validate) when it is built, however it is built."""
 
     n: int
     objective: Objective
     constraints: Polyhedron
+
+    def __post_init__(self):
+        validate(self)
 
     @staticmethod
     def quadratic(P, q, A=None, b=None, G=None, h=None) -> "ProblemSpec":
@@ -203,7 +207,12 @@ def _check_quadratic(obj: QuadraticObjective, n: int) -> None:
         raise DimensionMismatch(f"P has shape {P.shape}, expected ({n}, {n})")
     if obj.q.shape != (n,):
         raise DimensionMismatch(f"q has shape {obj.q.shape}, expected ({n},)")
+    as_vector(obj.q)  # finite, else ValueError
     scale = np.linalg.norm(P)
+    # A finite norm proves every entry finite; an infinite one may be an
+    # overflow of finite entries, so only then are the entries tested.
+    if not np.isfinite(scale):
+        as_matrix(P)
     if np.linalg.norm(P - P.T) > 1e-10 * scale:
         raise NotSymmetric("quadratic cost matrix is not symmetric")
     if n <= PSD_CHECK_MAX_DIM and n > 0:
@@ -246,23 +255,23 @@ def _check_gradient(obj: GeneralConvexObjective, n: int) -> None:
 
 
 def validate(p: ProblemSpec) -> None:
-    """Check every structural invariant of the problem, or raise.
-
-    Validation of a given instance runs once; repeated calls are no-ops.
-    """
-    if getattr(p, "_validated", False):
-        return
+    """Check every structural invariant of the problem, finite data
+    included, or raise. A ProblemSpec is checked when it is built; a call
+    re-checks it on demand."""
     n = p.n
     con = p.constraints
     k = con.rhs.shape[0]
     if con.C.shape != (k, n) or not 0 <= con.n_eq <= k:
         raise DimensionMismatch(f"C = [A; G] has shape {con.C.shape} and {con.n_eq} equality "
                                 f"rows; [b; h] has length {k} and x {n}")
+    as_matrix(con.C)  # finite, else ValueError
+    as_vector(con.rhs)
     if isinstance(p.objective, QuadraticObjective):
         _check_quadratic(p.objective, n)
     else:
+        if p.objective.lin is not None:
+            as_vector(p.objective.lin)
         _check_gradient(p.objective, n)
-    object.__setattr__(p, "_validated", True)
 
 
 @dataclass(frozen=True)
@@ -340,9 +349,4 @@ def perturb(p: ProblemSpec, sel: ParamSelector, delta) -> ProblemSpec:
         obj = (replace(obj, q=obj.q + dq) if isinstance(obj, QuadraticObjective) else
                GeneralConvexObjective(obj.value_fn, obj.gradient_fn, obj.hessian_fn,
                                       dq if obj.lin is None else obj.lin + dq))
-    out = replace(p, objective=obj, constraints=Polyhedron(C=C, rhs=rhs, n_eq=con.n_eq))
-    # Moved in anything but P, a validated problem stays valid; skip
-    # re-probing callback objectives on every finite-difference solve.
-    if getattr(p, "_validated", False) and pt.dP is None:
-        object.__setattr__(out, "_validated", True)
-    return out
+    return replace(p, objective=obj, constraints=Polyhedron(C=C, rhs=rhs, n_eq=con.n_eq))

@@ -20,7 +20,7 @@ from .errors import NotConverged, NotOptimal, SingularKkt, SingularMatrix
 from .backward import admm_solve
 from .forward import SolverConfig
 from .linalg import as_vector, check_pivots
-from .problem import ParamSelector, ProblemSpec, ThetaPartials, perturb, theta_partials, validate
+from .problem import ParamSelector, ProblemSpec, ThetaPartials, perturb, theta_partials
 
 # Strict complementarity guard: below this, a constraint is simultaneously
 # active and multiplier-free and the linearized system is (near) singular.
@@ -40,7 +40,6 @@ FD_SOLVER_EPS = 1e-10
 def kkt_residual(p: ProblemSpec, x, lam, nu) -> np.ndarray:
     """Stacked optimality residual: stationarity, equality feasibility, and
     complementary slackness diag(nu)(Gx - h)."""
-    validate(p)
     con = p.constraints
     x = as_vector(x, size=p.n)
     lam = as_vector(lam, size=con.n_eq)
@@ -89,7 +88,6 @@ def implicit_diff_solve(
     are handled as directional contractions, never materializing the large
     Kronecker-structured Jacobians.
     """
-    validate(p)
     con = p.constraints
     x = as_vector(x_star, size=p.n)
     lam = as_vector(lam_star, size=con.n_eq)
@@ -142,7 +140,6 @@ def finite_diff_jacobian(
 ) -> np.ndarray:
     """Central differences of the solution map with step FD_STEP, one solver
     run per signed perturbation, each taken to FD_SOLVER_EPS."""
-    validate(p)
     cfg = replace(cfg or SolverConfig(), eps=FD_SOLVER_EPS)
     m_theta = theta_partials(p, sel).m_theta
     jac = np.zeros((p.n, m_theta))

@@ -114,10 +114,9 @@ def test_problem_json_rejects_callback_objective():
 
 
 def test_problem_json_linear_cost_length_is_validated():
-    p = io.problem_from_dict({"n": 2, "objective": {"type": "quadratic", "P": np.eye(2).tolist(),
-                                                    "q": [1.0, 2.0, 3.0]}})
     with pytest.raises(DimensionMismatch, match=r"q has shape \(3,\)"):
-        ad.validate(p)
+        io.problem_from_dict({"n": 2, "objective": {"type": "quadratic", "P": np.eye(2).tolist(),
+                                                    "q": [1.0, 2.0, 3.0]}})
 
 
 def test_cli_check_command(tmp_path, capsys):
@@ -200,6 +199,9 @@ def test_cli_bad_solver_settings_are_usage_errors(argv, flag, tmp_path, capsys):
     (["demo", "energy", "--days", "3"], "--days", "an integer of at least 4"),
     (["demo", "energy", "--ramp", "-1"], "--ramp", "a nonnegative finite number"),
     (["demo", "energy", "--lr", "-1"], "--lr", "a nonnegative finite number"),
+    (["demo", "energy", "--lr", "abc"], "--lr", "a nonnegative finite number"),
+    (["demo", "energy", "--epochs", "1.5"], "--epochs", "an integer of at least 1"),
+    (["bench", "qp", "--seed", "abc"], "--seed", "an integer of at least 0"),
     (["bench", "qp", "--sizes", "10:5:20"], "--sizes", "p_eq <= n"),
     (["bench", "qp", "--sizes", "abc"], "--sizes", "n[:m_ineq[:p_eq]] in integers"),
     (["bench", "truncation", "--case", "0"], "--case", "positive counts"),
@@ -213,7 +215,8 @@ def test_cli_bad_solver_settings_are_usage_errors(argv, flag, tmp_path, capsys):
     (["demo", "energy", "--tolerances", ","], "--tolerances", "at least one value"),
     (["bench", "truncation", "--eps-list", ","], "--eps-list", "at least one value"),
     (["bench", "truncation", "--eps-list", "1e-3,1e-1"], "--eps-list", "loosest first"),
-], ids=["energy-epochs", "energy-days", "energy-ramp", "energy-lr", "qp-sizes-p",
+], ids=["energy-epochs", "energy-days", "energy-ramp", "energy-lr", "energy-lr-text",
+        "energy-epochs-fraction", "qp-seed-text", "qp-sizes-p",
         "qp-sizes-text", "truncation-case", "scaling-sizes-order", "qp-seed",
         "truncation-seed", "scaling-seed", "energy-seed", "qp-sizes-empty",
         "scaling-sizes-empty", "energy-tolerances-empty", "truncation-eps-list-empty",
@@ -250,8 +253,21 @@ def test_cli_bad_inputs_are_usage_errors(argv, flag, message, tmp_path, capsys):
      '"A": [[1, 1]], "b": {"a": 1}}', "malformed problem document: b: float() argument"),
     ('{"n": 1, "objective": {"type": "sparsemax", "y": {"a": 1}, "u": [1]}}',
      "malformed problem document: y: float() argument"),
+    ('{"n": 1.7, "objective": {"type": "quadratic", "P": [[1]], "q": [0]}}',
+     "malformed problem document: n must be an integer >= 0, got 1.7"),
+    ('{"n": true, "objective": {"type": "quadratic", "P": [[1]], "q": [0]}}',
+     "malformed problem document: n must be an integer >= 0, got True"),
+    ('{"n": "1", "objective": {"type": "quadratic", "P": [[1]], "q": [0]}}',
+     "malformed problem document: n must be an integer >= 0, got '1'"),
+    ('{"n": -1, "objective": {"type": "quadratic", "P": [[1]], "q": [0]}}',
+     "malformed problem document: n must be an integer >= 0, got -1"),
+    ('{"n": 2, "objective": {"type": "quadratic", "P": [[1, 0], [0, 1]], "q": [0, NaN]}}',
+     "vector entries must be finite"),
+    ('{"n": 2, "objective": {"type": "quadratic", "P": [[1, 0], [0, Infinity]], "q": [0, 0]}}',
+     "matrix entries must be finite"),
 ], ids=["missing", "unreadable", "not-json", "no-objective", "wrong-block-size", "bad-layer",
-        "q-length", "not-psd", "not-symmetric", "q-object", "b-object", "sparsemax-y-object"])
+        "q-length", "not-psd", "not-symmetric", "q-object", "b-object", "sparsemax-y-object",
+        "n-float", "n-bool", "n-string", "n-negative", "q-nan", "P-inf"])
 def test_cli_check_bad_problem_file_is_usage_error(content, message, tmp_path, capsys):
     """A problem file that cannot be loaded, or loads but fails validation,
     ends in a one-line usage error (exit code 2), not a traceback."""
@@ -267,6 +283,24 @@ def test_cli_check_bad_problem_file_is_usage_error(content, message, tmp_path, c
     assert err.startswith("usage: altdiff") and "Traceback" not in err
     (line,) = [ln for ln in err.splitlines() if "error:" in ln]
     assert "--problem" in line and str(path) in line and message in line
+
+
+@pytest.mark.parametrize("argv", [["--sel", "h"], ["--sel", "b"], ["--sel", "b", "--fd"]],
+                         ids=["h", "b", "b-fd"])
+def test_cli_check_empty_jacobian(argv, tmp_path, capsys):
+    """min x^2 / 2 has no b and no h: the Jacobians are 1 x 0 and their
+    largest difference reads 0."""
+    path = tmp_path / "p.json"
+    path.write_text('{"n": 1, "objective": {"type": "quadratic", "P": [[1]], "q": [0]}}')
+    assert cli.main(["check", "--problem", str(path)] + argv) == 0
+    out = capsys.readouterr().out
+    assert "max |alternating - linearized| = 0.000e+00" in out
+    assert ("max |alternating - finite difference| = 0.000e+00" in out) == ("--fd" in argv)
+
+
+def test_cli_energy_rates_parse():
+    args = cli.build_parser().parse_args(["demo", "energy", "--lr", "0.5", "--ramp", "0"])
+    assert args.lr == 0.5 and args.ramp == 0.0
 
 
 def _check_bound_toy(tmp_path, q):

@@ -155,6 +155,12 @@ def test_train_zero_lr_keeps_loss_constant():
     assert losses[0] == pytest.approx(losses[1]) == pytest.approx(losses[2])
 
 
+def test_train_rejects_empty_dataset():
+    X, Y = energy.synth_demand(0, 4)
+    with pytest.raises(ValueError, match="dataset is empty"):
+        energy.train((X[:0], Y[:0]), epochs=1, tolerance_list=[1e-1])
+
+
 def test_train_loss_decreases():
     X, Y = energy.synth_demand(3, 8)
     log = energy.train((X[:40], Y[:40]), epochs=3, tolerance_list=[1e-2],

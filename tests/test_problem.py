@@ -18,9 +18,8 @@ def test_validate_minimal_qp():
 
 
 def test_validate_rejects_asymmetric():
-    p = ad.ProblemSpec.quadratic(P=[[1.0, 2.0], [0.0, 1.0]], q=[0.0, 0.0])
     with pytest.raises(NotSymmetric):
-        ad.validate(p)
+        ad.ProblemSpec.quadratic(P=[[1.0, 2.0], [0.0, 1.0]], q=[0.0, 0.0])
 
 
 def test_validate_rejects_wrong_columns():
@@ -29,9 +28,8 @@ def test_validate_rejects_wrong_columns():
 
 
 def test_validate_rejects_indefinite():
-    p = ad.ProblemSpec.quadratic(P=[[1.0, 0.0], [0.0, -1.0]], q=[0.0, 0.0])
     with pytest.raises(NotPSD):
-        ad.validate(p)
+        ad.ProblemSpec.quadratic(P=[[1.0, 0.0], [0.0, -1.0]], q=[0.0, 0.0])
 
 
 @pytest.mark.parametrize("P, psd", [
@@ -40,12 +38,11 @@ def test_validate_rejects_indefinite():
     (np.diag([1.0, 0.0]), True),
 ], ids=["below_tol", "within_tol", "singular"])
 def test_validate_psd_boundary(P, psd):
-    p = ad.ProblemSpec.quadratic(P=P, q=np.zeros(2))
     if psd:
-        ad.validate(p)
+        ad.validate(ad.ProblemSpec.quadratic(P=P, q=np.zeros(2)))
     else:
         with pytest.raises(NotPSD, match="-1.000e-07"):
-            ad.validate(p)
+            ad.ProblemSpec.quadratic(P=P, q=np.zeros(2))
 
 
 def test_validate_accepts_rank_deficient_gram():
@@ -61,33 +58,59 @@ def test_validate_gradient_probe():
         hessian=lambda x: 2 * np.eye(2),
     )
     ad.validate(good)
-    bad = ad.ProblemSpec.general(
-        n=2,
-        value=lambda x: float(np.sum(x ** 2)),
-        gradient=lambda x: 3 * x,  # inconsistent with the value
-        hessian=lambda x: 2 * np.eye(2),
-    )
     with pytest.raises(GradientMismatch):
-        ad.validate(bad)
+        ad.ProblemSpec.general(
+            n=2,
+            value=lambda x: float(np.sum(x ** 2)),
+            gradient=lambda x: 3 * x,  # inconsistent with the value
+            hessian=lambda x: 2 * np.eye(2),
+        )
 
 
 def test_validate_rejects_wrong_hessian_shape():
-    # ProblemSpec.quadratic checks P's shape; a spec built directly leaves it to validate.
-    p = ad.ProblemSpec(n=2, objective=ad.QuadraticObjective(P=np.eye(3), q=np.zeros(2)),
-                       constraints=ad.Polyhedron.build(2))
+    # A spec built directly is checked by its constructor, as ProblemSpec.quadratic's is.
     with pytest.raises(DimensionMismatch, match=r"P has shape \(3, 3\), expected \(2, 2\)"):
-        ad.validate(p)
+        ad.ProblemSpec(n=2, objective=ad.QuadraticObjective(P=np.eye(3), q=np.zeros(2)),
+                       constraints=ad.Polyhedron.build(2))
 
 
 def test_validate_rejects_wrong_gradient_length():
-    p = ad.ProblemSpec.general(
-        n=2,
-        value=lambda x: float(np.sum(x ** 2)),
-        gradient=lambda x: 2 * x[:1],
-        hessian=lambda x: 2 * np.eye(2),
-    )
     with pytest.raises(DimensionMismatch, match="gradient callback returned length 1, expected 2"):
-        ad.validate(p)
+        ad.ProblemSpec.general(
+            n=2,
+            value=lambda x: float(np.sum(x ** 2)),
+            gradient=lambda x: 2 * x[:1],
+            hessian=lambda x: 2 * np.eye(2),
+        )
+
+
+def _spec(P=np.eye(2), q=np.zeros(2), C=np.ones((1, 2)), rhs=np.ones(1)):
+    return ad.ProblemSpec(n=2, objective=ad.QuadraticObjective(P=np.asarray(P), q=np.asarray(q)),
+                          constraints=ad.Polyhedron(C=np.asarray(C), rhs=np.asarray(rhs), n_eq=1))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: _spec(q=[0.0, np.nan]), "vector entries must be finite"),
+    (lambda: _spec(P=[[1.0, 0.0], [0.0, np.inf]]), "matrix entries must be finite"),
+    (lambda: _spec(P=[[np.nan, 0.0], [0.0, 1.0]]), "matrix entries must be finite"),
+    (lambda: _spec(C=[[1.0, -np.inf]]), "matrix entries must be finite"),
+    (lambda: _spec(rhs=[np.nan]), "vector entries must be finite"),
+    (lambda: ad.ProblemSpec(
+        n=2, constraints=ad.Polyhedron.build(2),
+        objective=ad.GeneralConvexObjective(lambda x: float(x @ x), lambda x: 2 * x,
+                                            lambda x: 2 * np.eye(2), lin=np.array([np.nan, 0.0]))),
+     "vector entries must be finite"),
+], ids=["q_nan", "P_inf", "P_nan", "C_inf", "rhs_nan", "lin_nan"])
+def test_spec_built_directly_rejects_non_finite_data(build, message):
+    # The check ProblemSpec.quadratic and Polyhedron.build make, made by the constructor.
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_spec_accepts_finite_data_whose_norm_overflows():
+    p = _spec(P=np.diag([1e200, 1e200]))
+    assert not np.isfinite(np.linalg.norm(p.objective.P))
 
 
 def test_theta_dim():
@@ -215,7 +238,7 @@ def test_validate_rejects_inconsistent_stack():
            ad.Polyhedron(C=np.ones((2, 2)), rhs=np.ones(2), n_eq=3)]
     for con in bad:
         with pytest.raises(DimensionMismatch):
-            ad.validate(ad.ProblemSpec(n=2, objective=p.objective, constraints=con))
+            ad.ProblemSpec(n=2, objective=p.objective, constraints=con)
 
 
 @pytest.mark.parametrize("sel, delta, C, rhs", [

@@ -12,8 +12,9 @@ then one line over every solve's eq_residual and ineq_residual (the residual
 norms at the returned point), then one line over the oracle,
 implicit_diff_solve, at each random QP's admm_solve(eps=1e-8) point under
 the three vector selectors, then one line over every solve's
-weakly_active_warning and that of the weak_toys solves; no earlier line
-hashes the last three.
+weakly_active_warning and that of the weak_toys solves, then one line over
+the exception types of the rejected inputs; no earlier line hashes the last
+four.
 The categories: polished QPs under q; polished QPs under b or h; unpolished
 QPs (and QP solves that raise); vector Directions; matrix Directions;
 SoftmaxLayer problems.
@@ -100,6 +101,34 @@ def weak_toys():
     solve of the set above flags; at q = -1 and q = 1 it is not."""
     for q in (-1.0, -2e-7, 0.0, 1.0):
         yield ad.ProblemSpec.quadratic(P=[[2.0]], q=[q], G=[[1.0]], h=[0.0])
+
+
+def rejected_inputs():
+    """Problems that fail validation, as functions that build them: an
+    asymmetric P, a P with eigenvalue -1e-6, a P of the wrong shape, a
+    gradient callback of the wrong length, a gradient that disagrees with its
+    value, and a Polyhedron whose C and [b; h] row counts differ."""
+    square = lambda x: float(x @ x)
+    hess = lambda x: 2.0 * np.eye(2)
+    yield lambda: ad.ProblemSpec.quadratic(P=[[1.0, 2.0], [0.0, 1.0]], q=[0.0, 0.0])
+    yield lambda: ad.ProblemSpec.quadratic(P=np.diag([1.0, -1e-6]), q=[0.0, 0.0])
+    yield lambda: ad.ProblemSpec(n=2, objective=ad.QuadraticObjective(P=np.eye(3), q=np.zeros(2)),
+                                 constraints=ad.Polyhedron.build(2))
+    yield lambda: ad.ProblemSpec.general(2, square, lambda x: 2.0 * x[:1], hess)
+    yield lambda: ad.ProblemSpec.general(2, square, lambda x: 3.0 * x, hess)
+    yield lambda: ad.ProblemSpec(n=2, objective=ad.QuadraticObjective(P=np.eye(2), q=np.zeros(2)),
+                                 constraints=ad.Polyhedron(C=np.ones((2, 2)), rhs=np.ones(3),
+                                                           n_eq=1))
+
+
+def rejected_bytes(build):
+    """The name of the exception type that building, then differentiating,
+    the problem raises."""
+    try:
+        ad.differentiate(build(), ad.LinearCost())
+    except Exception as exc:
+        return type(exc).__name__.encode()
+    return b"accepted"
 
 
 CATEGORIES = ("polished QP under q", "polished QP under b or h", "unpolished QP",
@@ -190,3 +219,8 @@ for p in weak_toys():
             weak.update(solve_bytes(p, sel, ad.SolverConfig(eps=eps), False)[3])
             toys += 1
 print(f"{weak.hexdigest()}  ({solves} solves, {toys} toys)  weakly_active_warning")
+rejected, inputs = hashlib.sha256(), 0
+for build in rejected_inputs():
+    rejected.update(rejected_bytes(build))
+    inputs += 1
+print(f"{rejected.hexdigest()}  ({inputs} inputs)  rejected inputs")

@@ -183,6 +183,15 @@ def _timed_factorization_ms(H: np.ndarray) -> float:
     return (time.perf_counter() - t0) * 1e3 / reps
 
 
+def check_sizes(sizes: Sequence[tuple[int, int, int]]) -> None:
+    """Raise ValueError unless every (n, m_ineq, p_eq) is a size BenchCase
+    takes and the sizes ascend in n, as scaling_sweep's ratios need."""
+    for n, m, p in sizes:
+        BenchCase("size", n, m, p)
+    if any(a[0] >= b[0] for a, b in zip(sizes, sizes[1:])):
+        raise ValueError("sizes must be ascending in n")
+
+
 def scaling_sweep(
     sizes: Sequence[tuple[int, int, int]],
     seed: int = 0,
@@ -199,12 +208,11 @@ def scaling_sweep(
     ratios. The default selector differentiates w.r.t. b; pass IneqRhs()
     with a fixed m_ineq across sizes to hold the Jacobian width constant.
     """
-    if any(a[0] >= b[0] for a, b in zip(sizes, sizes[1:])):
-        raise ValueError("sizes must be ascending in n")
+    check_sizes(sizes)
+    cfg = SolverConfig(rho=rho, eps=eps)
     selector = selector if selector is not None else EqRhs()
     problems = [gen_random_qp(n, m, p, seed) for (n, m, p) in sizes]
     hessians = [prob.objective.P.T + penalty_matrix(prob, rho) for prob in problems]
-    cfg = SolverConfig(rho=rho, eps=eps)
 
     fact = [[] for _ in sizes]
     fwd = [[] for _ in sizes]
@@ -250,6 +258,12 @@ class TruncationRecord:
         self.error_ratio = self.jac_error / self.x_error if self.x_error > 0 else float("nan")
 
 
+def check_eps_list(eps_list: Sequence[float]) -> None:
+    """Raise ValueError unless eps_list is nonempty and loosest first."""
+    if not eps_list or any(a < b for a, b in zip(eps_list, eps_list[1:])):
+        raise ValueError("eps_list must be nonempty and nonincreasing (loosest first)")
+
+
 def truncation_report(case: BenchCase, eps_list: Sequence[float]) -> list[TruncationRecord]:
     """One record per tolerance (loosest first); errors are measured against
     the tightest run's final solution and Jacobian. Each wall time is the
@@ -257,17 +271,16 @@ def truncation_report(case: BenchCase, eps_list: Sequence[float]) -> list[Trunca
     sample of a millisecond solve cannot reorder them; the errors come from
     the last round's reports."""
     eps_list = [float(e) for e in eps_list]
-    if not eps_list or any(a < b for a, b in zip(eps_list, eps_list[1:])):
-        raise ValueError("eps_list must be nonempty and nonincreasing (loosest first)")
+    check_eps_list(eps_list)
+    cfgs = [SolverConfig(rho=case.rho, eps=e) for e in eps_list]  # each checked before any solve
     prob = case_problem(case)
-    cfg = SolverConfig(rho=case.rho, eps=case.eps)
-    differentiate(prob, EqRhs(), replace(cfg, eps=eps_list[0]))  # warmup
+    differentiate(prob, EqRhs(), cfgs[0])  # warmup
     walls = [float("inf")] * len(eps_list)
     for _ in range(REPEATS):
         reports = []
-        for i, e in enumerate(eps_list):
+        for i, cfg in enumerate(cfgs):
             t0 = time.perf_counter()
-            reports.append(differentiate(prob, EqRhs(), replace(cfg, eps=e)))
+            reports.append(differentiate(prob, EqRhs(), cfg))
             walls[i] = min(walls[i], (time.perf_counter() - t0) * 1e3)
     ref = reports[-1]
     return [

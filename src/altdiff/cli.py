@@ -47,71 +47,40 @@ def _parse_size(token: str) -> tuple[int, int, int]:
     return n, m, p
 
 
-def _nonempty(values: list, text: str) -> list:
-    """The values parsed from a list argument, else a usage error if there are none."""
-    if not values:
-        raise argparse.ArgumentTypeError(f"must list at least one value, got {text!r}")
-    return values
-
-
-def _parse_sizes(text: str) -> list[tuple[int, int, int]]:
-    return _nonempty([_parse_size(tok) for tok in text.split(",") if tok], text)
-
-
-def _ascending_sizes(text: str) -> list[tuple[int, int, int]]:
-    """Sizes whose n ascend, as scaling_sweep's ratios need, else a usage error."""
-    sizes = _parse_sizes(text)
-    if any(a[0] >= b[0] for a, b in zip(sizes, sizes[1:])):
-        raise argparse.ArgumentTypeError(f"must be ascending in n, got {text!r}")
-    return sizes
-
-
-def _int_at_least(low: int):
-    """The argparse type of an integer of at least low."""
-    def parse(text: str) -> int:
+def _number(convert, what: str, ok):
+    """The argparse type of one number: convert(text), which ok must accept,
+    else a usage error saying it must be what."""
+    def parse(text: str):
         try:
-            value = int(text)
+            value = convert(text)
+            if ok(value):
+                return value
         except ValueError:
-            value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be an integer of at least {low}, got {text!r}")
-        return value
+            pass
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
     return parse
 
 
-def _positive_float(text: str) -> float:
-    """A solver tolerance or penalty: a positive finite float, else a usage error."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0 < value < math.inf:  # NaN fails too
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
-    return value
+def _listof(item, check=lambda values: None):
+    """The argparse type of a comma-separated list of at least one item.
+    check is the library's test of the whole list; its ValueError is a
+    usage error, raised before any work starts."""
+    def parse(text: str) -> list:
+        values = [item(tok) for tok in text.split(",") if tok]
+        try:
+            if not values:
+                raise ValueError("must list at least one value")
+            check(values)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{exc}, got {text!r}") from None
+        return values
+    return parse
 
 
-def _positive_floats(text: str) -> list[float]:
-    return _nonempty([_positive_float(tok) for tok in text.split(",") if tok], text)
-
-
-def _loosest_first(text: str) -> list[float]:
-    """Tolerances loosest first (nonincreasing), as truncation_report needs,
-    else a usage error."""
-    eps = _positive_floats(text)
-    if any(a < b for a, b in zip(eps, eps[1:])):
-        raise argparse.ArgumentTypeError(f"must be loosest first (nonincreasing), got {text!r}")
-    return eps
-
-
-def _nonnegative_float(text: str) -> float:
-    """A learning rate or ramp limit: a finite float >= 0, else a usage error."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0 <= value < math.inf:  # NaN fails too
-        raise argparse.ArgumentTypeError(f"must be a nonnegative finite number, got {text!r}")
-    return value
+_parse_sizes = _listof(_parse_size)
+_positive = _number(float, "a positive finite number", lambda v: 0 < v < math.inf)  # NaN fails
+_nonnegative = _number(float, "a nonnegative finite number", lambda v: 0 <= v < math.inf)
+_seed = _number(int, "an integer of at least 0", lambda v: v >= 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,24 +93,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_qp = bench_sub.add_parser("qp", help="accuracy/timing vs the one-shot route")
     p_qp.add_argument("--sizes", type=_parse_sizes,
                       default="50:20:10,100:40:20,200:70:30,400:130:50")
-    p_qp.add_argument("--seed", type=_int_at_least(0), default=0)
-    p_qp.add_argument("--eps", type=_positive_float, default=1e-3)
-    p_qp.add_argument("--rho", type=_positive_float, default=1.0)
+    p_qp.add_argument("--seed", type=_seed, default=0)
+    p_qp.add_argument("--eps", type=_positive, default=1e-3)
+    p_qp.add_argument("--rho", type=_positive, default=1.0)
     p_qp.add_argument("--kind", choices=["qp", "sparsemax", "softmax"], default="qp")
     p_qp.add_argument("--out", default="results.csv")
 
     p_tr = bench_sub.add_parser("truncation", help="tolerance sweep on one case")
     p_tr.add_argument("--case", type=_parse_size, default="50:20:10")
-    p_tr.add_argument("--seed", type=_int_at_least(0), default=0)
-    p_tr.add_argument("--eps-list", type=_loosest_first, default="1e-1,1e-2,1e-3")
-    p_tr.add_argument("--rho", type=_positive_float, default=1.0)
+    p_tr.add_argument("--seed", type=_seed, default=0)
+    p_tr.add_argument("--eps-list", type=_listof(_positive, bench.check_eps_list),
+                      default="1e-1,1e-2,1e-3")
+    p_tr.add_argument("--rho", type=_positive, default=1.0)
     p_tr.add_argument("--out", default="truncation.csv")
 
     p_sc = bench_sub.add_parser("scaling", help="empirical complexity ratios")
-    p_sc.add_argument("--sizes", type=_ascending_sizes, default="100:60:50,200:60:100")
-    p_sc.add_argument("--seed", type=_int_at_least(0), default=0)
-    p_sc.add_argument("--eps", type=_positive_float, default=1e-6)
-    p_sc.add_argument("--rho", type=_positive_float, default=1.0)
+    p_sc.add_argument("--sizes", type=_listof(_parse_size, bench.check_sizes),
+                      default="100:60:50,200:60:100")
+    p_sc.add_argument("--seed", type=_seed, default=0)
+    p_sc.add_argument("--eps", type=_positive, default=1e-6)
+    p_sc.add_argument("--rho", type=_positive, default=1.0)
     p_sc.add_argument("--sel", choices=sorted(SELECTORS), default="h",
                       help="parameter the Jacobian is taken against")
     p_sc.add_argument("--out", default="scaling.csv")
@@ -149,30 +120,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo = sub.add_parser("demo", help="training demos")
     demo_sub = p_demo.add_subparsers(dest="demo_command", required=True)
     p_en = demo_sub.add_parser("energy", help="predict-then-optimize scheduling")
-    p_en.add_argument("--epochs", type=_int_at_least(1), default=10)
-    p_en.add_argument("--tolerances", type=_positive_floats, default="1e-1,1e-3")
+    p_en.add_argument("--epochs", default=10,
+                      type=_number(int, "an integer of at least 1", lambda v: v >= 1))
+    p_en.add_argument("--tolerances", type=_listof(_positive), default="1e-1,1e-3")
     # synth_demand needs four days for one training window
-    p_en.add_argument("--days", type=_int_at_least(4), default=30)
-    p_en.add_argument("--seed", type=_int_at_least(0), default=0)
-    p_en.add_argument("--lr", type=_nonnegative_float, default=1e-3)
-    p_en.add_argument("--ramp", type=_nonnegative_float, default=20.0)
+    p_en.add_argument("--days", default=30,
+                      type=_number(int, "an integer of at least 4", lambda v: v >= 4))
+    p_en.add_argument("--seed", type=_seed, default=0)
+    p_en.add_argument("--lr", type=_nonnegative, default=1e-3)
+    p_en.add_argument("--ramp", type=_nonnegative, default=20.0)
     p_en.add_argument("--out", default="training.csv")
 
     p_check = sub.add_parser("check", help="compare Jacobian routes on a problem file")
     p_check.add_argument("--problem", required=True)
     p_check.add_argument("--sel", choices=sorted(SELECTORS), required=True)
     p_check.add_argument("--fd", action="store_true", help="also run finite differences")
-    p_check.add_argument("--eps", type=_positive_float, default=1e-6)
-    p_check.add_argument("--rho", type=_positive_float, default=1.0)
+    p_check.add_argument("--eps", type=_positive, default=1e-6)
+    p_check.add_argument("--rho", type=_positive, default=1.0)
     return parser
 
 
 def _cmd_bench_qp(args) -> int:
-    cases = [
-        bench.BenchCase(name=f"{args.kind}-{n}", n=n, m_ineq=m, p_eq=p,
-                        seed=args.seed, kind=args.kind, eps=args.eps, rho=args.rho)
-        for (n, m, p) in args.sizes
-    ]
+    cases = [bench.BenchCase(name=f"{args.kind}-{n}", n=n, m_ineq=m, p_eq=p, seed=args.seed,
+                             kind=args.kind, eps=args.eps, rho=args.rho)
+             for (n, m, p) in args.sizes]
     records = [bench.run_case(c) for c in cases]  # one after another: timings do not compete
     bench.write_csv(args.out, bench.BenchRecord, records)
     for r in records:
@@ -186,8 +157,7 @@ def _cmd_bench_qp(args) -> int:
 
 def _cmd_bench_truncation(args) -> int:
     n, m, p = args.case
-    case = bench.BenchCase(name=f"trunc-{n}", n=n, m_ineq=m, p_eq=p,
-                           seed=args.seed, rho=args.rho)
+    case = bench.BenchCase(name=f"trunc-{n}", n=n, m_ineq=m, p_eq=p, seed=args.seed, rho=args.rho)
     records = bench.truncation_report(case, args.eps_list)
     bench.write_csv(args.out, bench.TruncationRecord, records)
     for r in records:
@@ -198,8 +168,7 @@ def _cmd_bench_truncation(args) -> int:
 
 
 def _cmd_bench_scaling(args) -> int:
-    records = bench.scaling_sweep(args.sizes, seed=args.seed,
-                                  eps=args.eps, rho=args.rho,
+    records = bench.scaling_sweep(args.sizes, seed=args.seed, eps=args.eps, rho=args.rho,
                                   selector=SELECTORS[args.sel]())
     bench.write_csv(args.out, bench.ScalingRecord, records)
     for r in records:
@@ -227,8 +196,7 @@ def _cmd_check(args, prob) -> int:
     sel = SELECTORS[args.sel]()
     cfg = SolverConfig(rho=args.rho, eps=args.eps)
     report = differentiate(prob, sel, cfg)
-    tight = admm_solve(prob, SolverConfig(rho=args.rho, eps=1e-8, max_outer_iters=200000))
-    st = tight.state
+    st = admm_solve(prob, SolverConfig(rho=args.rho, eps=1e-8, max_outer_iters=200000)).state
     kkt = implicit_diff_solve(prob, st.x, st.lam, st.nu, sel)
 
     np.set_printoptions(precision=6, suppress=True, linewidth=120)

@@ -15,6 +15,7 @@ to activate the constraint path.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -220,11 +221,19 @@ def train(
     each training step solves and differentiates the scheduling layer at the
     run's tolerance, pulls the loss gradient back through the network, and
     applies one Adam update per sample. The solver takes SolverConfig's rho
-    and sweep budget.
+    and sweep budget. Before any solve it checks for at least one epoch, a
+    finite lr >= 0 and one or more tolerances, each a valid SolverConfig eps.
     """
     X, Y = dataset
     if X.shape[0] == 0:
         raise ValueError("dataset is empty")
+    if epochs < 1:
+        raise ValueError(f"epochs must be at least 1, got {epochs}")
+    if not 0 <= lr < math.inf:  # NaN fails too
+        raise ValueError(f"lr must be nonnegative and finite, got {lr}")
+    run_cfgs = [SolverConfig(eps=float(tol)) for tol in tolerance_list]
+    if not run_cfgs:
+        raise ValueError("tolerance_list must list at least one tolerance")
     log = TrainingLog()
 
     tight = SolverConfig(eps=1e-8)
@@ -232,12 +241,12 @@ def train(
         admm_solve(energy_problem(Y[i], ramp), tight).state.x for i in range(Y.shape[0])
     ]
 
-    for tol in tolerance_list:
-        run_cfg = SolverConfig(eps=float(tol))
+    for run_cfg in run_cfgs:
+        tol = run_cfg.eps
         mlp = Mlp.init(seed)
         params = mlp.params()
         adam = AdamState.for_params(params)
-        log.step_grads[float(tol)] = []
+        log.step_grads[tol] = []
         step = 0
         for epoch in range(epochs):
             t0 = time.perf_counter()
@@ -256,14 +265,14 @@ def train(
                 iters.append(report.forward.iterations)
                 g_theta = spo_grad_theta(report, x_true_cache[i])
                 if step < GRAD_LOG_STEPS:
-                    log.step_grads[float(tol)].append(g_theta.copy())
+                    log.step_grads[tol].append(g_theta.copy())
                 if lr != 0.0:
                     grads = mlp.backward(cache, g_theta)
                     adam_step(adam, params, grads, lr)
                 step += 1
             log.rows.append((
                 epoch,
-                float(tol),
+                tol,
                 float(np.mean(losses)),
                 float(np.mean(iters)),
                 (time.perf_counter() - t0) * 1e3,

@@ -21,7 +21,8 @@ from typing import Union
 
 import numpy as np
 
-from .layers import SoftmaxEntropyObjective, SoftmaxLayer, SparsemaxLayer, build
+from .layers import (SoftmaxEntropyObjective, SoftmaxLayer, SparsemaxLayer,
+                     box_layer_objective, build)
 from .problem import Polyhedron, ProblemSpec, QuadraticObjective
 
 
@@ -79,16 +80,14 @@ def problem_from_dict(doc: dict) -> ProblemSpec:
     if kind == "quadratic":
         objective = QuadraticObjective(P=field("P", n, n), q=field("q"))
         return ProblemSpec(n=n, objective=objective, constraints=constraints)
-    if kind == "sparsemax":
-        p = build(SparsemaxLayer(y=field("y", n), u=field("u", n)))
-    elif kind == "softmax_entropy":
-        p = build(SoftmaxLayer(y=field("y", n), u=field("u", n)))
-    else:
+    if kind not in ("sparsemax", "softmax_entropy"):
         raise ValueError(f"unknown objective type {kind!r}")
-    # Explicit blocks in the file win over the implied box/simplex.
-    if constraints.n_eq or constraints.n_ineq:
-        return ProblemSpec(n=n, objective=p.objective, constraints=constraints)
-    return p
+    layer_kind = SparsemaxLayer if kind == "sparsemax" else SoftmaxLayer
+    layer = layer_kind(y=field("y", n), u=field("u", n))
+    if not (constraints.n_eq or constraints.n_ineq):
+        return build(layer)
+    # Explicit blocks in the file win over the implied box/simplex; one spec, checked once.
+    return ProblemSpec(n=n, objective=box_layer_objective(layer)[0], constraints=constraints)
 
 
 def save_problem(p: ProblemSpec, path: Union[str, Path]) -> None:

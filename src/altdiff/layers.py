@@ -26,6 +26,7 @@ from .forward import SolverConfig, xstep_factor
 from .linalg import Factorization, as_matrix, as_vector
 from .problem import (
     GeneralConvexObjective,
+    Objective,
     ParamSelector,
     Polyhedron,
     ProblemSpec,
@@ -66,18 +67,6 @@ def _box_simplex(n: int, u: np.ndarray) -> Polyhedron:
     return Polyhedron.build(n, A=np.ones((1, n)), b=np.ones(1), G=G, h=h)
 
 
-def _check_box(y: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    y = as_vector(y)
-    u = as_vector(u, size=y.shape[0])
-    if np.any(u <= 0):
-        raise InfeasibleLayer("box upper bounds must be strictly positive")
-    if float(np.sum(u)) < 1.0:
-        raise InfeasibleLayer(
-            f"sum of upper bounds {np.sum(u):.6g} cannot reach the simplex"
-        )
-    return y, u
-
-
 @dataclass(frozen=True)
 class SoftmaxEntropyObjective(GeneralConvexObjective):
     """-y'x + sum_i x_i log x_i, with iterates clipped to the domain."""
@@ -95,6 +84,23 @@ class SoftmaxEntropyObjective(GeneralConvexObjective):
         object.__setattr__(self, "y", y)
 
 
+def box_layer_objective(kind: Union[SparsemaxLayer, SoftmaxLayer]) -> tuple[Objective, np.ndarray]:
+    """The objective of a sparsemax or softmax layer and its box bounds u,
+    each checked; build() sets the objective over the box simplex of u."""
+    y = as_vector(kind.y)
+    u = as_vector(kind.u, size=y.shape[0])
+    if np.any(u <= 0):
+        raise InfeasibleLayer("box upper bounds must be strictly positive")
+    if float(np.sum(u)) < 1.0:
+        raise InfeasibleLayer(
+            f"sum of upper bounds {np.sum(u):.6g} cannot reach the simplex"
+        )
+    if isinstance(kind, SparsemaxLayer):
+        # ||x - y||^2 drops its constant: P = 2I, q = -2y.
+        return QuadraticObjective(P=2.0 * np.eye(y.shape[0]), q=-2.0 * y), u
+    return SoftmaxEntropyObjective(y), u
+
+
 def build(kind: LayerKind) -> ProblemSpec:
     """Explicit problem data for a layer kind."""
     if isinstance(kind, QuadraticLayer):
@@ -104,18 +110,10 @@ def build(kind: LayerKind) -> ProblemSpec:
             objective=QuadraticObjective(P=as_matrix(kind.P), q=q),
             constraints=kind.constraints,
         )
-    if isinstance(kind, SparsemaxLayer):
-        y, u = _check_box(kind.y, kind.u)
-        n = y.shape[0]
-        # ||x - y||^2 drops its constant: P = 2I, q = -2y.
-        obj = QuadraticObjective(P=2.0 * np.eye(n), q=-2.0 * y)
+    if isinstance(kind, (SparsemaxLayer, SoftmaxLayer)):
+        obj, u = box_layer_objective(kind)
+        n = u.shape[0]
         return ProblemSpec(n=n, objective=obj, constraints=_box_simplex(n, u))
-    if isinstance(kind, SoftmaxLayer):
-        y, u = _check_box(kind.y, kind.u)
-        n = y.shape[0]
-        return ProblemSpec(
-            n=n, objective=SoftmaxEntropyObjective(y), constraints=_box_simplex(n, u)
-        )
     raise TypeError(f"unknown layer kind {kind!r}")
 
 

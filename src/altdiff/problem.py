@@ -48,6 +48,11 @@ class Polyhedron:
     rhs: np.ndarray
     n_eq: int
 
+    def __post_init__(self):
+        # List data reads as float arrays; a float64 array is kept, with no pass over it.
+        object.__setattr__(self, "C", np.asarray(self.C, dtype=float))
+        object.__setattr__(self, "rhs", np.asarray(self.rhs, dtype=float))
+
     @staticmethod
     def build(n: int, A=None, b=None, G=None, h=None) -> "Polyhedron":
         A = as_matrix(A if A is not None else np.zeros((0, n)), cols=n)
@@ -89,6 +94,10 @@ class QuadraticObjective:
 
     P: np.ndarray
     q: np.ndarray
+
+    def __post_init__(self):  # as Polyhedron's
+        object.__setattr__(self, "P", np.asarray(self.P, dtype=float))
+        object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
 
     def value(self, x: np.ndarray) -> float:
         return float(0.5 * x @ self.P @ x + self.q @ x)

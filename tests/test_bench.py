@@ -202,6 +202,15 @@ def test_truncation_report_rejects_bad_eps_list(eps_list):
         bench.truncation_report(case, eps_list)
 
 
+def test_truncation_report_checks_every_eps_before_solving(monkeypatch):
+    case = bench.BenchCase(name="tr1", n=10, m_ineq=4, p_eq=2, seed=0)
+    calls = []
+    monkeypatch.setattr(bench, "differentiate", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        bench.truncation_report(case, [1e-1, -1.0])
+    assert calls == []
+
+
 def test_truncation_report_singleton():
     case = bench.BenchCase(name="tr1", n=10, m_ineq=4, p_eq=2, seed=0)
     (only,) = bench.truncation_report(case, [1e-2])
@@ -213,6 +222,17 @@ def test_truncation_report_singleton():
 def test_scaling_sweep_requires_ascending():
     with pytest.raises(ValueError):
         bench.scaling_sweep([(20, 4, 4), (10, 4, 4)])
+
+
+@pytest.mark.parametrize("sizes, message", [
+    ([(10, 4, 20)], "more equality rows than variables"),
+    ([(10, 0, 2)], "dimensions must be positive"),
+    ([(10.0, 4, 2)], "n must be an integer"),
+], ids=["p-over-n", "zero-rows", "float-n"])
+def test_scaling_sweep_checks_each_size_as_bench_case_does(sizes, message, monkeypatch):
+    monkeypatch.setattr(bench, "differentiate", None)  # a solve would raise TypeError
+    with pytest.raises(ValueError, match=message):
+        bench.scaling_sweep(sizes)
 
 
 def test_scaling_sweep_single_size():

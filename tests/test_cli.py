@@ -1,11 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import altdiff as ad
-from altdiff import cli, io
+from altdiff import backward, cli, io, problem
 from altdiff.errors import DimensionMismatch
 
 
@@ -65,6 +69,23 @@ def test_problem_json_sparsemax_dict():
     assert np.array_equal(p.objective.q, -2.0 * np.array([0.6, 0.4]))
     assert np.array_equal(p.objective.P, 2.0 * np.eye(2))
     assert np.array_equal(p.constraints.h, [0.0, 0.0, 0.9, 0.9])
+
+
+@pytest.mark.parametrize("blocks", [{}, {"A": [[1.0, 1.0, 1.0]], "b": [1.0]}],
+                         ids=["implied-box", "explicit-blocks"])
+def test_problem_json_checks_a_layer_problem_once(blocks, monkeypatch):
+    calls, validate = [], problem.validate
+
+    def counted(p):
+        calls.append(p)
+        validate(p)
+
+    monkeypatch.setattr(problem, "validate", counted)
+    doc = {"n": 3, "objective": {"type": "softmax_entropy", "y": [0.2, -0.1, 0.4],
+                                 "u": [2.0, 2.0, 2.0]}, **blocks}
+    p = io.problem_from_dict(doc)
+    assert len(calls) == 1 and calls[0] is p
+    assert p.constraints.n_ineq == (6 if not blocks else 0)
 
 
 def test_problem_json_rejects_unknown_type():
@@ -171,7 +192,7 @@ def test_cli_bench_scaling(tmp_path):
     assert len(rows) == 3
 
 
-@pytest.mark.parametrize("argv, flag", [
+_BAD_SETTINGS = [
     (["bench", "qp", "--sizes", "4:1:1", "--eps", "-1"], "--eps"),
     (["check", "--problem", "{path}", "--sel", "h", "--rho", "inf"], "--rho"),
     (["check", "--problem", "{path}", "--sel", "h", "--eps", "nan"], "--eps"),
@@ -179,8 +200,12 @@ def test_cli_bench_scaling(tmp_path):
     (["bench", "truncation", "--case", "20:8:4", "--eps-list", "1e-1,-1"], "--eps-list"),
     (["bench", "truncation", "--case", "20:8:4", "--rho", "abc"], "--rho"),
     (["demo", "energy", "--tolerances", "1e-1,0"], "--tolerances"),
-], ids=["qp-eps", "check-rho", "check-eps", "scaling-eps", "truncation-eps-list",
-        "truncation-rho", "energy-tolerances"])
+]
+_BAD_SETTINGS_IDS = ["qp-eps", "check-rho", "check-eps", "scaling-eps", "truncation-eps-list",
+                     "truncation-rho", "energy-tolerances"]
+
+
+@pytest.mark.parametrize("argv, flag", _BAD_SETTINGS, ids=_BAD_SETTINGS_IDS)
 def test_cli_bad_solver_settings_are_usage_errors(argv, flag, tmp_path, capsys):
     """A non-positive or non-finite eps or rho ends in argparse's usage error
     (exit code 2), before any file is read or solve is run."""
@@ -194,7 +219,7 @@ def test_cli_bad_solver_settings_are_usage_errors(argv, flag, tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
-@pytest.mark.parametrize("argv, flag, message", [
+_BAD_INPUTS = [
     (["demo", "energy", "--epochs", "0"], "--epochs", "an integer of at least 1"),
     (["demo", "energy", "--days", "3"], "--days", "an integer of at least 4"),
     (["demo", "energy", "--ramp", "-1"], "--ramp", "a nonnegative finite number"),
@@ -215,12 +240,16 @@ def test_cli_bad_solver_settings_are_usage_errors(argv, flag, tmp_path, capsys):
     (["demo", "energy", "--tolerances", ","], "--tolerances", "at least one value"),
     (["bench", "truncation", "--eps-list", ","], "--eps-list", "at least one value"),
     (["bench", "truncation", "--eps-list", "1e-3,1e-1"], "--eps-list", "loosest first"),
-], ids=["energy-epochs", "energy-days", "energy-ramp", "energy-lr", "energy-lr-text",
-        "energy-epochs-fraction", "qp-seed-text", "qp-sizes-p",
-        "qp-sizes-text", "truncation-case", "scaling-sizes-order", "qp-seed",
-        "truncation-seed", "scaling-seed", "energy-seed", "qp-sizes-empty",
-        "scaling-sizes-empty", "energy-tolerances-empty", "truncation-eps-list-empty",
-        "truncation-eps-list-order"])
+]
+_BAD_INPUTS_IDS = ["energy-epochs", "energy-days", "energy-ramp", "energy-lr", "energy-lr-text",
+                   "energy-epochs-fraction", "qp-seed-text", "qp-sizes-p",
+                   "qp-sizes-text", "truncation-case", "scaling-sizes-order", "qp-seed",
+                   "truncation-seed", "scaling-seed", "energy-seed", "qp-sizes-empty",
+                   "scaling-sizes-empty", "energy-tolerances-empty", "truncation-eps-list-empty",
+                   "truncation-eps-list-order"]
+
+
+@pytest.mark.parametrize("argv, flag, message", _BAD_INPUTS, ids=_BAD_INPUTS_IDS)
 def test_cli_bad_inputs_are_usage_errors(argv, flag, message, tmp_path, capsys):
     """Inputs the demo or the bench cannot run end in argparse's usage error
     (exit code 2) with no traceback, before any solve is run."""
@@ -231,6 +260,21 @@ def test_cli_bad_inputs_are_usage_errors(argv, flag, message, tmp_path, capsys):
     assert err.startswith("usage: altdiff") and flag in err and message in err
     assert "Traceback" not in err
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [a for a, _ in _BAD_SETTINGS] + [a for a, _, _ in _BAD_INPUTS],
+                         ids=_BAD_SETTINGS_IDS + _BAD_INPUTS_IDS)
+def test_cli_usage_errors_come_before_any_solve(argv, tmp_path, monkeypatch):
+    """Every usage error fires at parse time, so a solve never runs first: a
+    solve here raises an error that is not a usage error."""
+    def no_solve(*args, **kwargs):
+        raise RuntimeError("a solve ran before the usage error")
+
+    monkeypatch.setattr(backward, "_solve", no_solve)
+    argv = [a.format(path=tmp_path / "missing.json") for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv if argv[0] == "check" else argv + ["--out", str(tmp_path / "r.csv")])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("content, message", [
@@ -344,3 +388,21 @@ def test_cli_size_parsing():
     assert cli._parse_size("100:40:20") == (100, 40, 20)
     assert cli._parse_size("90") == (90, 30, 11)
     assert cli._parse_sizes("10:4:2,20:8:4") == [(10, 4, 2), (20, 8, 4)]
+
+
+@pytest.mark.parametrize("q, extra, code", [
+    (-1.0, [], 0), (0.0, [], 1), (-1.0, ["--eps", "-1"], 2),
+], ids=["ok", "solve-error", "usage-error"])
+def test_cli_module_exit_codes(q, extra, code, tmp_path):
+    """python -m altdiff.cli exits 0 on a run, 1 on a problem the oracle
+    rejects and 2 on a usage error, with no traceback."""
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"n": 1, "objective": {"type": "quadratic", "P": [[2.0]],
+                                                      "q": [q]}, "G": [[1.0]], "h": [0.0]}))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-m", "altdiff.cli", "check", "--problem", str(path),
+                          "--sel", "h"] + extra, capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == code
+    assert "Traceback" not in run.stderr
+    assert (run.stderr == "") == (code == 0)

@@ -161,6 +161,21 @@ def test_train_rejects_empty_dataset():
         energy.train((X[:0], Y[:0]), epochs=1, tolerance_list=[1e-1])
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"epochs": 0}, "epochs must be at least 1"),
+    ({"lr": -1.0}, "lr must be nonnegative and finite"),
+    ({"lr": float("nan")}, "lr must be nonnegative and finite"),
+    ({"lr": float("inf")}, "lr must be nonnegative and finite"),
+    ({"tolerance_list": []}, "tolerance_list must list at least one tolerance"),
+    ({"tolerance_list": [1e-1, 0.0]}, "eps must be positive and finite"),
+], ids=["epochs-0", "lr-negative", "lr-nan", "lr-inf", "tolerances-empty", "tolerance-zero"])
+def test_train_checks_its_arguments_before_any_solve(kwargs, message, monkeypatch):
+    monkeypatch.setattr(energy, "admm_solve", None)  # a solve would raise TypeError
+    X, Y = energy.synth_demand(0, 4)
+    with pytest.raises(ValueError, match=message):
+        energy.train((X[:2], Y[:2]), **kwargs)
+
+
 def test_train_loss_decreases():
     X, Y = energy.synth_demand(3, 8)
     log = energy.train((X[:40], Y[:40]), epochs=3, tolerance_list=[1e-2],

@@ -107,6 +107,28 @@ def test_spec_built_directly_rejects_non_finite_data(build, message):
         build()
 
 
+def test_spec_built_directly_reads_list_data_as_arrays():
+    # A list q used to end in AttributeError: 'list' object has no attribute 'shape'.
+    p = ad.ProblemSpec(n=2, objective=ad.QuadraticObjective(P=np.eye(2), q=[0.0, 1.0]),
+                       constraints=ad.Polyhedron.build(2))
+    assert isinstance(p.objective.q, np.ndarray) and p.objective.q.dtype == float
+    lists = ad.ProblemSpec(n=2, objective=ad.QuadraticObjective(P=[[1, 0], [0, 1]], q=[0, 1]),
+                           constraints=ad.Polyhedron(C=[[1.0, 1.0]], rhs=[1.0], n_eq=1))
+    arrays = _spec(q=[0.0, 1.0])
+    assert np.array_equal(ad.differentiate(lists, ad.EqRhs()).Jx,
+                          ad.differentiate(arrays, ad.EqRhs()).Jx)
+    with pytest.raises(DimensionMismatch, match=r"q has shape \(3,\), expected \(2,\)"):
+        ad.ProblemSpec(n=2, objective=ad.QuadraticObjective(P=np.eye(2), q=[0.0, 1.0, 2.0]),
+                       constraints=ad.Polyhedron.build(2))
+
+
+def test_spec_data_keeps_float_arrays_as_given():
+    # No copy, so the reading as arrays adds no pass over P to ProblemSpec.quadratic.
+    P, q, C, rhs = np.eye(3), np.zeros(3), np.ones((1, 3)), np.ones(1)
+    obj, con = ad.QuadraticObjective(P=P, q=q), ad.Polyhedron(C=C, rhs=rhs, n_eq=1)
+    assert obj.P is P and obj.q is q and con.C is C and con.rhs is rhs
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_spec_accepts_finite_data_whose_norm_overflows():
     p = _spec(P=np.diag([1e200, 1e200]))

@@ -17,6 +17,7 @@ from .backward import (
 )
 from .errors import (
     AltdiffError,
+    BadArgument,
     DimensionMismatch,
     DomainError,
     GradientMismatch,

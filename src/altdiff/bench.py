@@ -9,7 +9,6 @@ wall-clock numbers are the only nondeterministic fields.
 from __future__ import annotations
 
 import csv
-import math
 import time
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import reduce
@@ -19,7 +18,7 @@ from typing import Optional, Sequence, get_type_hints
 import numpy as np
 
 from .backward import admm_solve, differentiate
-from .errors import AltdiffError
+from .errors import AltdiffError, BadArgument, check_integer
 from .forward import SolverConfig, penalty_matrix
 from .layers import SoftmaxLayer, SparsemaxLayer, build
 from .linalg import factorize
@@ -46,21 +45,14 @@ class BenchCase:
     rho: float = 1.0
 
     def __post_init__(self):
-        for name in ("n", "m_ineq", "p_eq", "seed"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer")
-        if min(self.n, self.m_ineq, self.p_eq) <= 0:
-            raise ValueError("dimensions must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        for name in ("n", "m_ineq", "p_eq"):
+            check_integer(name, getattr(self, name), 1)
+        check_integer("seed", self.seed, 0)
         if self.p_eq > self.n:
-            raise ValueError("more equality rows than variables")
+            raise BadArgument(f"more equality rows than variables: p_eq {self.p_eq} > n {self.n}")
         if self.kind not in ("qp", "sparsemax", "softmax"):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        for name in ("eps", "rho"):
-            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
-                raise ValueError(f"{name} must be positive and finite")
+            raise BadArgument(f"unknown kind {self.kind!r}")
+        SolverConfig(rho=self.rho, eps=self.eps)  # checks both
 
 
 @dataclass
@@ -183,13 +175,13 @@ def _timed_factorization_ms(H: np.ndarray) -> float:
     return (time.perf_counter() - t0) * 1e3 / reps
 
 
-def check_sizes(sizes: Sequence[tuple[int, int, int]]) -> None:
-    """Raise ValueError unless every (n, m_ineq, p_eq) is a size BenchCase
-    takes and the sizes ascend in n, as scaling_sweep's ratios need."""
+def check_sizes(sizes: Sequence[tuple[int, int, int]], seed: int) -> None:
+    """Raise BadArgument unless every (n, m_ineq, p_eq) with seed makes a
+    BenchCase and the sizes ascend in n, as scaling_sweep's ratios need."""
     for n, m, p in sizes:
-        BenchCase("size", n, m, p)
+        BenchCase("size", n, m, p, seed)
     if any(a[0] >= b[0] for a, b in zip(sizes, sizes[1:])):
-        raise ValueError("sizes must be ascending in n")
+        raise BadArgument(f"sizes must be ascending in n, got n = {[s[0] for s in sizes]}")
 
 
 def scaling_sweep(
@@ -208,7 +200,7 @@ def scaling_sweep(
     ratios. The default selector differentiates w.r.t. b; pass IneqRhs()
     with a fixed m_ineq across sizes to hold the Jacobian width constant.
     """
-    check_sizes(sizes)
+    check_sizes(sizes, seed)
     cfg = SolverConfig(rho=rho, eps=eps)
     selector = selector if selector is not None else EqRhs()
     problems = [gen_random_qp(n, m, p, seed) for (n, m, p) in sizes]
@@ -259,9 +251,10 @@ class TruncationRecord:
 
 
 def check_eps_list(eps_list: Sequence[float]) -> None:
-    """Raise ValueError unless eps_list is nonempty and loosest first."""
+    """Raise BadArgument unless eps_list is nonempty and loosest first."""
     if not eps_list or any(a < b for a, b in zip(eps_list, eps_list[1:])):
-        raise ValueError("eps_list must be nonempty and nonincreasing (loosest first)")
+        raise BadArgument("eps_list must be nonempty and nonincreasing (loosest first), "
+                          f"got {list(eps_list)}")
 
 
 def truncation_report(case: BenchCase, eps_list: Sequence[float]) -> list[TruncationRecord]:

@@ -15,7 +15,6 @@ to activate the constraint path.
 from __future__ import annotations
 
 import csv
-import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .backward import admm_solve, differentiate, vjp
-from .errors import AltdiffError, DimensionMismatch
+from .errors import AltdiffError, BadArgument, DimensionMismatch, check_finite, check_integer
 from .forward import SolverConfig
 from .problem import LinearCost, ProblemSpec
 
@@ -43,8 +42,7 @@ GRAD_LOG_STEPS = 50
 
 def energy_problem(demand, ramp: float = DEFAULT_RAMP) -> ProblemSpec:
     """Scheduling problem for one day: track demand under a ramp limit."""
-    if not ramp >= 0:  # a negative limit |x_{k+1} - x_k| <= ramp is infeasible
-        raise ValueError(f"ramp must be nonnegative, got {ramp}")
+    check_finite("ramp", ramp, allow_zero=True)  # |x_{k+1} - x_k| <= -1 has no solution
     d = np.asarray(demand, dtype=float).reshape(-1)
     T = d.shape[0]
     if T < 2:
@@ -167,8 +165,8 @@ def synth_demand(seed: int, days: int):
     [0, 100]; the half-daily component makes hourly ramps regularly exceed
     the default ramp limit.
     """
-    if days < 4:
-        raise ValueError("need at least 4 days to form one window")
+    check_integer("seed", seed, 0)
+    check_integer("days", days, 4)  # one window of HISTORY + HORIZON hours
     rng = np.random.default_rng(seed)
     t = np.arange(days * 24, dtype=float)
     phase = rng.uniform(0, 2 * np.pi)
@@ -221,19 +219,20 @@ def train(
     each training step solves and differentiates the scheduling layer at the
     run's tolerance, pulls the loss gradient back through the network, and
     applies one Adam update per sample. The solver takes SolverConfig's rho
-    and sweep budget. Before any solve it checks for at least one epoch, a
-    finite lr >= 0 and one or more tolerances, each a valid SolverConfig eps.
+    and sweep budget. Before any solve it raises BadArgument unless the
+    dataset has a sample, epochs is an integer >= 1, lr is finite and >= 0,
+    seed is an integer >= 0 and tolerance_list holds one or more valid
+    SolverConfig eps; energy_problem checks ramp before the first solve.
     """
     X, Y = dataset
     if X.shape[0] == 0:
-        raise ValueError("dataset is empty")
-    if epochs < 1:
-        raise ValueError(f"epochs must be at least 1, got {epochs}")
-    if not 0 <= lr < math.inf:  # NaN fails too
-        raise ValueError(f"lr must be nonnegative and finite, got {lr}")
+        raise BadArgument("dataset is empty")
+    check_integer("epochs", epochs, 1)
+    check_finite("lr", lr, allow_zero=True)
+    check_integer("seed", seed, 0)
     run_cfgs = [SolverConfig(eps=float(tol)) for tol in tolerance_list]
     if not run_cfgs:
-        raise ValueError("tolerance_list must list at least one tolerance")
+        raise BadArgument("tolerance_list must list at least one tolerance")
     log = TrainingLog()
 
     tight = SolverConfig(eps=1e-8)

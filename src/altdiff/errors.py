@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the range checks that
+raise BadArgument."""
+
+import math
+import numbers
 
 
 class AltdiffError(Exception):
@@ -47,3 +51,23 @@ class InfeasibleLayer(AltdiffError):
 
 class DomainError(AltdiffError):
     """An iterate left the domain of the objective."""
+
+
+class BadArgument(AltdiffError, ValueError):
+    """A caller passed a value outside the range its parameter takes. The
+    library object that uses the value raises it; the CLI reports it as a
+    usage error."""
+
+
+def check_integer(name: str, value, low: int) -> None:
+    """Raise BadArgument unless value is an integer (a bool is not) >= low."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise BadArgument(f"{name} must be an integer of at least {low}, got {value!r}")
+
+
+def check_finite(name: str, value, allow_zero: bool = False) -> None:
+    """Raise BadArgument unless 0 < value < inf (0 <= value with allow_zero);
+    NaN fails both tests."""
+    if not ((0 <= value) if allow_zero else (0 < value)) or not value < math.inf:
+        sign = "nonnegative" if allow_zero else "positive"
+        raise BadArgument(f"{name} must be {sign} and finite, got {value!r}")

@@ -44,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NewtonDiverged
+from .errors import NewtonDiverged, check_finite, check_integer
 from .linalg import Factorization, factorize
 from .problem import ProblemSpec, QuadraticObjective
 
@@ -74,15 +74,9 @@ class SolverConfig:
     max_outer_iters: int = 10000
 
     def __post_init__(self):
-        # `not 0 < x < inf` so that NaN fails too
-        for name in ("rho", "eps"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        iters = self.max_outer_iters
-        if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)):
-            raise ValueError("max_outer_iters must be an integer")
-        if iters < 1:
-            raise ValueError("max_outer_iters must be at least 1")
+        check_finite("rho", self.rho)
+        check_finite("eps", self.eps)
+        check_integer("max_outer_iters", self.max_outer_iters, 1)
 
 
 @dataclass

@@ -6,6 +6,7 @@ import pytest
 
 import altdiff as ad
 from altdiff import bench, cli
+from altdiff.errors import BadArgument
 
 
 def test_gen_random_qp_deterministic():
@@ -52,7 +53,7 @@ def test_case_validation():
     ({"m_ineq": True}, "m_ineq must be an integer"), ({"m_ineq": 2.5}, "m_ineq must be an integer"),
     ({"p_eq": True}, "p_eq must be an integer"), ({"p_eq": 2.5}, "p_eq must be an integer"),
     ({"seed": True}, "seed must be an integer"), ({"seed": 1.5}, "seed must be an integer"),
-    ({"seed": -1}, "seed must be nonnegative"),
+    ({"seed": -1}, "seed must be an integer of at least 0"),
 ])
 def test_case_rejects_bad_integers(setting, message):
     """Counts and the seed are integers (not bools) when the case is made, so
@@ -226,13 +227,19 @@ def test_scaling_sweep_requires_ascending():
 
 @pytest.mark.parametrize("sizes, message", [
     ([(10, 4, 20)], "more equality rows than variables"),
-    ([(10, 0, 2)], "dimensions must be positive"),
+    ([(10, 0, 2)], "m_ineq must be an integer of at least 1, got 0"),
     ([(10.0, 4, 2)], "n must be an integer"),
 ], ids=["p-over-n", "zero-rows", "float-n"])
 def test_scaling_sweep_checks_each_size_as_bench_case_does(sizes, message, monkeypatch):
     monkeypatch.setattr(bench, "differentiate", None)  # a solve would raise TypeError
     with pytest.raises(ValueError, match=message):
         bench.scaling_sweep(sizes)
+
+
+def test_scaling_sweep_checks_its_seed_before_solving(monkeypatch):
+    monkeypatch.setattr(bench, "differentiate", None)  # a solve would raise TypeError
+    with pytest.raises(BadArgument, match="seed must be an integer of at least 0, got -1"):
+        bench.scaling_sweep([(10, 4, 2)], seed=-1)
 
 
 def test_scaling_sweep_single_size():

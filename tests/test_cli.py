@@ -193,53 +193,70 @@ def test_cli_bench_scaling(tmp_path):
 
 
 _BAD_SETTINGS = [
-    (["bench", "qp", "--sizes", "4:1:1", "--eps", "-1"], "--eps"),
-    (["check", "--problem", "{path}", "--sel", "h", "--rho", "inf"], "--rho"),
-    (["check", "--problem", "{path}", "--sel", "h", "--eps", "nan"], "--eps"),
-    (["bench", "scaling", "--sizes", "20:8:8", "--eps", "0"], "--eps"),
-    (["bench", "truncation", "--case", "20:8:4", "--eps-list", "1e-1,-1"], "--eps-list"),
-    (["bench", "truncation", "--case", "20:8:4", "--rho", "abc"], "--rho"),
-    (["demo", "energy", "--tolerances", "1e-1,0"], "--tolerances"),
+    (["bench", "qp", "--sizes", "4:1:1", "--eps", "-1"],
+     "eps must be positive and finite, got -1.0"),
+    (["check", "--problem", "{path}", "--sel", "h", "--rho", "inf"],
+     "rho must be positive and finite, got inf"),
+    (["check", "--problem", "{path}", "--sel", "h", "--eps", "nan"],
+     "eps must be positive and finite, got nan"),
+    (["bench", "scaling", "--sizes", "20:8:8", "--eps", "0"],
+     "eps must be positive and finite, got 0.0"),
+    (["bench", "truncation", "--case", "20:8:4", "--eps-list", "1e-1,-1"],
+     "eps must be positive and finite, got -1.0"),
+    (["bench", "truncation", "--case", "20:8:4", "--rho", "abc"],
+     "argument --rho: invalid float value: 'abc'"),
+    (["demo", "energy", "--tolerances", "1e-1,0"], "eps must be positive and finite, got 0.0"),
 ]
 _BAD_SETTINGS_IDS = ["qp-eps", "check-rho", "check-eps", "scaling-eps", "truncation-eps-list",
                      "truncation-rho", "energy-tolerances"]
 
 
-@pytest.mark.parametrize("argv, flag", _BAD_SETTINGS, ids=_BAD_SETTINGS_IDS)
-def test_cli_bad_solver_settings_are_usage_errors(argv, flag, tmp_path, capsys):
-    """A non-positive or non-finite eps or rho ends in argparse's usage error
-    (exit code 2), before any file is read or solve is run."""
+@pytest.mark.parametrize("argv, message", _BAD_SETTINGS, ids=_BAD_SETTINGS_IDS)
+def test_cli_bad_solver_settings_are_usage_errors(argv, message, tmp_path, capsys):
+    """An eps or rho that SolverConfig rejects, or text that is not a number,
+    ends in the command's usage error (exit code 2), before any file is read
+    or solve is run."""
     argv = [a.format(path=tmp_path / "missing.json") for a in argv]
     with pytest.raises(SystemExit) as exc:
         cli.main(argv if argv[0] == "check" else argv + ["--out", str(tmp_path / "r.csv")])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("usage: altdiff") and flag in err
-    assert "must be a positive finite number" in err
+    assert err.startswith(f"usage: altdiff {argv[0]}") and "Traceback" not in err
+    (line,) = [ln for ln in err.splitlines() if "error:" in ln]
+    assert line.endswith(message)
     assert not (tmp_path / "r.csv").exists()
 
 
+# (argv, the flag or parameter the error names, the rest of its message)
 _BAD_INPUTS = [
-    (["demo", "energy", "--epochs", "0"], "--epochs", "an integer of at least 1"),
-    (["demo", "energy", "--days", "3"], "--days", "an integer of at least 4"),
-    (["demo", "energy", "--ramp", "-1"], "--ramp", "a nonnegative finite number"),
-    (["demo", "energy", "--lr", "-1"], "--lr", "a nonnegative finite number"),
-    (["demo", "energy", "--lr", "abc"], "--lr", "a nonnegative finite number"),
-    (["demo", "energy", "--epochs", "1.5"], "--epochs", "an integer of at least 1"),
-    (["bench", "qp", "--seed", "abc"], "--seed", "an integer of at least 0"),
-    (["bench", "qp", "--sizes", "10:5:20"], "--sizes", "p_eq <= n"),
-    (["bench", "qp", "--sizes", "abc"], "--sizes", "n[:m_ineq[:p_eq]] in integers"),
-    (["bench", "truncation", "--case", "0"], "--case", "positive counts"),
-    (["bench", "scaling", "--sizes", "200:20:40,100:20:40"], "--sizes", "ascending in n"),
-    (["bench", "qp", "--seed", "-1"], "--seed", "an integer of at least 0"),
-    (["bench", "truncation", "--seed", "-1"], "--seed", "an integer of at least 0"),
-    (["bench", "scaling", "--seed", "-1"], "--seed", "an integer of at least 0"),
-    (["demo", "energy", "--seed", "-1"], "--seed", "an integer of at least 0"),
-    (["bench", "qp", "--sizes", ","], "--sizes", "at least one value"),
-    (["bench", "scaling", "--sizes", ","], "--sizes", "at least one value"),
-    (["demo", "energy", "--tolerances", ","], "--tolerances", "at least one value"),
-    (["bench", "truncation", "--eps-list", ","], "--eps-list", "at least one value"),
-    (["bench", "truncation", "--eps-list", "1e-3,1e-1"], "--eps-list", "loosest first"),
+    (["demo", "energy", "--epochs", "0"], "epochs", "must be an integer of at least 1, got 0"),
+    (["demo", "energy", "--days", "3"], "days", "must be an integer of at least 4, got 3"),
+    (["demo", "energy", "--ramp", "-1"], "ramp", "must be nonnegative and finite, got -1.0"),
+    (["demo", "energy", "--lr", "-1"], "lr", "must be nonnegative and finite, got -1.0"),
+    (["demo", "energy", "--lr", "abc"], "argument --lr:", "invalid float value: 'abc'"),
+    (["demo", "energy", "--epochs", "1.5"], "argument --epochs:", "invalid int value: '1.5'"),
+    (["bench", "qp", "--seed", "abc"], "argument --seed:", "invalid int value: 'abc'"),
+    (["bench", "qp", "--sizes", "10:5:20"], "more equality rows than variables:",
+     "p_eq 20 > n 10"),
+    (["bench", "qp", "--sizes", "abc"], "argument --sizes:",
+     "must be n[:m_ineq[:p_eq]] in integers, got 'abc'"),
+    (["bench", "truncation", "--case", "0"], "n", "must be an integer of at least 1, got 0"),
+    (["bench", "scaling", "--sizes", "200:20:40,100:20:40"], "sizes",
+     "must be ascending in n, got n = [200, 100]"),
+    (["bench", "qp", "--seed", "-1"], "seed", "must be an integer of at least 0, got -1"),
+    (["bench", "truncation", "--seed", "-1"], "seed", "must be an integer of at least 0, got -1"),
+    (["bench", "scaling", "--seed", "-1"], "seed", "must be an integer of at least 0, got -1"),
+    (["demo", "energy", "--seed", "-1"], "seed", "must be an integer of at least 0, got -1"),
+    (["bench", "qp", "--sizes", ","], "argument --sizes:",
+     "must list at least one value, got ','"),
+    (["bench", "scaling", "--sizes", ","], "argument --sizes:",
+     "must list at least one value, got ','"),
+    (["demo", "energy", "--tolerances", ","], "argument --tolerances:",
+     "must list at least one value, got ','"),
+    (["bench", "truncation", "--eps-list", ","], "argument --eps-list:",
+     "must list at least one value, got ','"),
+    (["bench", "truncation", "--eps-list", "1e-3,1e-1"], "eps_list",
+     "must be nonempty and nonincreasing (loosest first), got [0.001, 0.1]"),
 ]
 _BAD_INPUTS_IDS = ["energy-epochs", "energy-days", "energy-ramp", "energy-lr", "energy-lr-text",
                    "energy-epochs-fraction", "qp-seed-text", "qp-sizes-p",
@@ -251,14 +268,17 @@ _BAD_INPUTS_IDS = ["energy-epochs", "energy-days", "energy-ramp", "energy-lr", "
 
 @pytest.mark.parametrize("argv, flag, message", _BAD_INPUTS, ids=_BAD_INPUTS_IDS)
 def test_cli_bad_inputs_are_usage_errors(argv, flag, message, tmp_path, capsys):
-    """Inputs the demo or the bench cannot run end in argparse's usage error
-    (exit code 2) with no traceback, before any solve is run."""
+    """Inputs the demo or the bench cannot run end in the command's usage
+    error (exit code 2) with no traceback, before any solve is run: argparse
+    names the flag of text it cannot parse, the library the parameter whose
+    value it rejects."""
     with pytest.raises(SystemExit) as exc:
         cli.main(argv + ["--out", str(tmp_path / "r.csv")])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("usage: altdiff") and flag in err and message in err
-    assert "Traceback" not in err
+    assert err.startswith(f"usage: altdiff {argv[0]} {argv[1]}") and "Traceback" not in err
+    (line,) = [ln for ln in err.splitlines() if "error:" in ln]
+    assert line == f"altdiff {argv[0]} {argv[1]}: error: {flag} {message}"
     assert not (tmp_path / "r.csv").exists()
 
 
@@ -275,6 +295,26 @@ def test_cli_usage_errors_come_before_any_solve(argv, tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv if argv[0] == "check" else argv + ["--out", str(tmp_path / "r.csv")])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "qp", "--sizes", "20:8:4", "--out", "{dir}/r.csv"],
+    ["check", "--problem", "{dir}/p.json", "--sel", "h"],
+    ["demo", "energy", "--epochs", "1", "--days", "4", "--out", "{dir}/r.csv"],
+], ids=["bench-qp", "check", "demo-energy"])
+def test_cli_solve_value_error_is_not_a_usage_error(argv, tmp_path, monkeypatch):
+    """Only the library's BadArgument is a usage error: a plain ValueError
+    raised inside a solve propagates, so a solver fault never reads as a
+    usage error (exit code 2)."""
+    def faulty_solve(*args, **kwargs):
+        raise ValueError("a solver fault")
+
+    io.save_problem(ad.ProblemSpec.quadratic(P=[[2.0]], q=[-1.0], G=[[1.0]], h=[0.0]),
+                    tmp_path / "p.json")
+    monkeypatch.setattr(backward, "_solve", faulty_solve)
+    with pytest.raises(ValueError, match="a solver fault"):
+        cli.main([a.format(dir=tmp_path) for a in argv])
+    assert not (tmp_path / "r.csv").exists()
 
 
 @pytest.mark.parametrize("content, message", [

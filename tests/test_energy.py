@@ -5,7 +5,7 @@ import pytest
 
 import altdiff as ad
 from altdiff import cli, energy
-from altdiff.errors import AltdiffError, DimensionMismatch, NewtonDiverged
+from altdiff.errors import AltdiffError, BadArgument, DimensionMismatch, NewtonDiverged
 
 
 def test_energy_problem_slack_ramp_tracks_demand():
@@ -23,11 +23,12 @@ def test_energy_problem_two_slot_ramp():
     assert rep.state.x == pytest.approx([3.0, 7.0], abs=1e-6)
 
 
-@pytest.mark.parametrize("ramp", [-5.0, -1e-9, float("nan")])
+@pytest.mark.parametrize("ramp", [-5.0, -1e-9, float("nan"), float("inf")])
 def test_energy_problem_rejects_negative_ramp(ramp, tmp_path):
-    # |x_{k+1} - x_k| <= ramp has no solution for ramp < 0; the demo's --ramp
-    # refuses it as a usage error (exit code 2) before any training.
-    with pytest.raises(ValueError, match="ramp"):
+    # |x_{k+1} - x_k| <= ramp has no solution for ramp < 0, and an infinite
+    # limit is no number the solver can take; the demo's --ramp refuses both
+    # as a usage error (exit code 2) before any training.
+    with pytest.raises(BadArgument, match=f"ramp must be nonnegative and finite, got {ramp}"):
         energy.energy_problem([1.0, 2.0, 3.0], ramp=ramp)
     with pytest.raises(SystemExit) as exc:
         cli.main(["demo", "energy", "--epochs", "1", "--days", "4", f"--ramp={ramp}",
@@ -142,6 +143,15 @@ def test_synth_demand_window_count():
         energy.synth_demand(0, 3)
 
 
+@pytest.mark.parametrize("seed, days, message", [
+    (-1, 8, "seed must be an integer of at least 0, got -1"),
+    (0, 4.0, "days must be an integer of at least 4, got 4.0"),
+], ids=["seed-negative", "days-float"])
+def test_synth_demand_checks_seed_and_days(seed, days, message):
+    with pytest.raises(BadArgument, match=message):
+        energy.synth_demand(seed, days)
+
+
 def test_synth_demand_exercises_ramp_limit():
     X, Y = energy.synth_demand(0, 10)
     series = np.concatenate([X[0], Y[0]])
@@ -162,17 +172,19 @@ def test_train_rejects_empty_dataset():
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    ({"epochs": 0}, "epochs must be at least 1"),
+    ({"epochs": 0}, "epochs must be an integer of at least 1, got 0"),
     ({"lr": -1.0}, "lr must be nonnegative and finite"),
     ({"lr": float("nan")}, "lr must be nonnegative and finite"),
     ({"lr": float("inf")}, "lr must be nonnegative and finite"),
     ({"tolerance_list": []}, "tolerance_list must list at least one tolerance"),
     ({"tolerance_list": [1e-1, 0.0]}, "eps must be positive and finite"),
-], ids=["epochs-0", "lr-negative", "lr-nan", "lr-inf", "tolerances-empty", "tolerance-zero"])
+    ({"seed": -1}, "seed must be an integer of at least 0, got -1"),
+], ids=["epochs-0", "lr-negative", "lr-nan", "lr-inf", "tolerances-empty", "tolerance-zero",
+        "seed-negative"])
 def test_train_checks_its_arguments_before_any_solve(kwargs, message, monkeypatch):
     monkeypatch.setattr(energy, "admm_solve", None)  # a solve would raise TypeError
     X, Y = energy.synth_demand(0, 4)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(BadArgument, match=message):
         energy.train((X[:2], Y[:2]), **kwargs)
 
 

@@ -17,9 +17,9 @@ the previous z_in = nu + rho s: 1 on rows whose slack was 0 on the previous
 sweep and alpha - 1 on the others, so 0 there on the plain first sweep;
 equality rows take 1 and alpha rho. The sweeps keep sg = sigma g' and
 rs = alpha rho sigma. Y starts at the derivative of the initial z: rho d h
-on the rows whose initial slack max(0, h - G x0) is positive, where sigma
-starts at -1, so a Jx stopped after any sweep is the derivative of that
-sweep's x. Y is the only dual-side state; at the end Jlam = Y_eq, a closed
+on the rows whose initial slack max(0, h) is positive, where sigma starts
+at -1, so a Jx stopped after any sweep is the derivative of that sweep's
+x. Y is the only dual-side state; at the end Jlam = Y_eq, a closed
 row has Jnu = Y_in and Js = 0, an open one Js = Y_in / rho and Jnu = 0.
 The recursion keeps a single Jacobian state (previous iterates are
 overwritten) and converges to the derivative of the optimality system, so
@@ -262,9 +262,9 @@ def _norm(v: np.ndarray) -> float:
 class _Sweep:
     """The protocol of the solver loop. Per iteration: step(st), the solver
     sweep, returns (x, s, lam, nu), every sweep through slack_dual(). At
-    nonzero width, run(s) is the Jacobian sweep: it gates on the new slack
-    (or its mask s > 0), writes the new Jx to self.jx_next and steps Y
-    (k x m_theta), in n-space through dual_tail().
+    nonzero width, run(opened) is the Jacobian sweep: it gates on the mask
+    opened = s_new > 0 of the new slack, writes the new Jx to self.jx_next
+    and steps Y (k x m_theta), in n-space through dual_tail().
     The loop appends each sweep's gate to self.gates, and replay(), the only
     caller of run(), runs the kept ones in order and swaps each new Jx in as
     self.jx; jac_step() then gives the last one's Jacobian step, which the
@@ -301,7 +301,6 @@ class _Sweep:
         self.sigma, self.sg = np.ones(k), np.ones(k)
         self.sigma[self.p_eq:][s0 > 0.0] = -1.0
         self.rs = np.empty(k)  # gate() writes all of it
-        self.alpha = 1.0  # this sweep's relaxation, set by slack_dual()
         self.gates = []  # masks s_new > 0 of the sweeps whose run() waits
 
     def slack_dual(self, st: AdmmState, x: np.ndarray) -> tuple:
@@ -309,11 +308,11 @@ class _Sweep:
         r = C x - [b; h] relaxed to r_hat = alpha r - (1 - alpha) [0; s_prev]:
         lam + rho r_hat_eq, and with u = nu + rho r_hat_in the new
         nu = max(u, 0) and s = (nu - u) / rho. Returns step()'s tuple.
-        Keeps alpha, u, x and the pre-update st, where a Direction's terms
-        in x are taken."""
+        Keeps u, x and the pre-update st, where a Direction's terms in x
+        are taken."""
         rho, p_eq = self.rho, self.p_eq
         self.st, self.x = st, x
-        self.alpha = a = relaxation(st.k)
+        a = relaxation(st.k)
         r = self.C @ x
         r -= self.con.rhs
         # r_hat as r + (alpha - 1)(r + [0; s_prev]), r where r + [0; s_prev] = 0
@@ -331,8 +330,8 @@ class _Sweep:
     def _init_dual_side(self, n: int) -> None:
         """What dual_tail() steps: Y, c, Jx. Y starts at the derivative of
         the initial z = [0; rho s0]: rho d h on the rows where
-        s0 = max(0, h - G x0) is open, which sigma still holds before the
-        first run()."""
+        s0 = max(0, h) is open, which sigma still holds before the first
+        run()."""
         pt = self.pt
         k, mt, p = self.C.shape[0], pt.m_theta, self.p_eq
         self.y, self.c = np.zeros((k, mt)), np.empty((k, mt))
@@ -340,28 +339,28 @@ class _Sweep:
         self.y[p:][open0] = self.rho * pt.d_rhs[p:][open0]
         self.jx, self.jx_next = np.zeros((n, mt)), np.empty((n, mt))
 
-    def gate(self, s_new: np.ndarray) -> None:
-        """sigma from the new slack, or from its mask s_new > 0, which reads
-        alike; g' from the previous sweep's sigma, 1 on rows closed there
-        and alpha - 1 on open ones; rs = alpha rho sigma, alpha rho on
-        equality rows."""
+    def gate(self, opened: np.ndarray) -> None:
+        """sigma from the mask opened = s_new > 0 of the new slack; g' from
+        the previous sweep's sigma, 1 on rows closed there and alpha - 1 on
+        open ones; rs = alpha rho sigma, alpha rho on equality rows. alpha
+        is the one replay() sets."""
         p, a = self.p_eq, self.alpha
         sigma = self.sigma[p:]
         closed = sigma > 0.0
-        sigma[...] = np.where(s_new > 0.0, -1.0, 1.0)
+        sigma[...] = np.where(opened, -1.0, 1.0)
         np.multiply(sigma, np.where(closed, 1.0, a - 1.0), out=self.sg[p:])
         np.multiply(sigma, a * self.rho, out=self.rs[p:])
         self.rs[:p] = a * self.rho
 
-    def dual_step(self, c: np.ndarray, s_new: np.ndarray) -> None:
-        """Gate on s_new, then Y <- sigma (g' Y + alpha rho c) rowwise, from
-        c = d(C x - [b; h]), which is overwritten."""
-        self.gate(s_new)
+    def dual_step(self, c: np.ndarray, opened: np.ndarray) -> None:
+        """Gate on opened, then Y <- sigma (g' Y + alpha rho c) rowwise,
+        from c = d(C x - [b; h]), which is overwritten."""
+        self.gate(opened)
         c *= self.rs[:, None]
         self.y *= self.sg[:, None]
         self.y += c
 
-    def dual_tail(self, s_new: np.ndarray) -> None:
+    def dual_tail(self, opened: np.ndarray) -> None:
         """The dual side of a Jacobian sweep from the new Jx (self.jx_next):
         c = C Jx + dC x - d[b; h], then dual_step()."""
         c = self.c
@@ -369,7 +368,7 @@ class _Sweep:
         if self.pt.dC is not None:
             c += (self.pt.dC @ self.x).reshape(-1, 1)
         c -= self.pt.d_rhs
-        self.dual_step(c, s_new)
+        self.dual_step(c, opened)
 
     def replay(self) -> None:
         """Run the kept Jacobian sweeps in order, each as it would have run
@@ -443,12 +442,9 @@ class _QuadraticSweep(_Sweep):
         """The recursion's Hd = H^-1 dq - rho W d[b; h], -W and buffers, at
         the first run(): a polished solve that ran none builds none."""
         self.built = True
-        if self.pt.eye:
-            self.Hd = self.Hq  # d[b; h] = 0
-        else:
-            self.Hd = -self.rho * _times_d_rhs(self.W, self.pt.d_rhs)
-            if self.Hq is not None:
-                self.Hd += self.Hq
+        self.Hd = -self.rho * _times_d_rhs(self.W, self.pt.d_rhs)
+        if self.Hq is not None:
+            self.Hd += self.Hq
         # -W, so that Jx = -(Hd + W Y) takes no negation pass
         self.Wn = np.negative(self.W)
         self._init_dual_side(self.W.shape[0])
@@ -522,7 +518,7 @@ class _QuadraticSweep(_Sweep):
             self.jx -= self.Hq
         self.y = np.negative(yp, out=yp) if pt.eye else self.rho * pt.d_rhs - yp
 
-    def run(self, s_new: np.ndarray) -> None:
+    def run(self, opened: np.ndarray) -> None:
         """One Jacobian sweep: the new Jx into the spare buffer, then Y."""
         if not self.built:
             self._build()
@@ -533,7 +529,7 @@ class _QuadraticSweep(_Sweep):
             terms = np.zeros((jx.shape[0], 1))
             jx -= self.fact.solve(_direction_terms(self.con, self.pt, self.st, self.x, self.rho,
                                                    terms))
-        self.dual_tail(s_new)
+        self.dual_tail(opened)
 
 
 class _GeneralSweep(_Sweep):
@@ -556,11 +552,11 @@ class _GeneralSweep(_Sweep):
         x, self.fact = primal_update(self.p, st, self.cfg, penalty=self.penalty)
         return self.slack_dual(st, x)
 
-    def run(self, s_new: np.ndarray) -> None:
+    def run(self, opened: np.ndarray) -> None:
         mixed = self.direct + self.C.T @ self.y
         _direction_terms(self.con, self.pt, self.st, self.x, self.rho, mixed)
         np.negative(self.fact.solve(mixed), out=self.jx_next)
-        self.dual_tail(s_new)
+        self.dual_tail(opened)
 
 
 def _make_sweep(p: ProblemSpec, pt: ThetaPartials, cfg: SolverConfig,

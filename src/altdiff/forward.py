@@ -24,9 +24,9 @@ so a fixed point of the splitting stays one in floating point:
 which is OSQP's relaxation (Stellato et al., 2020) and converges for any
 alpha in (0, 2) (Eckstein and Bertsekas, 1992). It costs no
 refactorization. The first sweep stays plain: its previous slack is the
-initial max(0, h - G x0), not an iterate, and relaxing against it made the
-Newton x-step of callback objectives diverge on the next sweep. The
-residuals a report keeps are those of the returned, unrelaxed iterate.
+initial max(0, h) (x starts at 0), not an iterate, and relaxing against it
+made the Newton x-step of callback objectives diverge on the next sweep.
+The residuals a report keeps are those of the returned, unrelaxed iterate.
 
 The update steps here are the reference form of the splitting, which the
 tests run. The solver loop (backward) takes primal_update's damped Newton
@@ -255,8 +255,7 @@ def dual_update(st: AdmmState, A, b, G, h, x_new, s_new, cfg: SolverConfig):
 
 
 def initial_state(p: ProblemSpec) -> AdmmState:
-    """Zero primal/duals; slack starts at the positive part of h - G x0."""
+    """Zero primal/duals; slack starts at max(0, h - G x) = max(0, h) at x = 0."""
     con = p.constraints
-    x0 = np.zeros(p.n)
-    s0 = np.maximum(0.0, con.h - con.G @ x0) if con.n_ineq else np.zeros(0)
-    return AdmmState(x=x0, s=s0, lam=np.zeros(con.n_eq), nu=np.zeros(con.n_ineq), k=0)
+    return AdmmState(x=np.zeros(p.n), s=np.maximum(0.0, con.h), lam=np.zeros(con.n_eq),
+                     nu=np.zeros(con.n_ineq), k=0)

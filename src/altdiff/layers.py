@@ -23,7 +23,7 @@ import numpy as np
 from .backward import DiffReport, differentiate
 from .errors import DomainError, InfeasibleLayer
 from .forward import SolverConfig, xstep_factor
-from .linalg import Factorization, as_matrix, as_vector
+from .linalg import Factorization, as_vector
 from .problem import (
     GeneralConvexObjective,
     Objective,
@@ -107,7 +107,7 @@ def build(kind: LayerKind) -> ProblemSpec:
         q = as_vector(kind.q)
         return ProblemSpec(
             n=q.shape[0],
-            objective=QuadraticObjective(P=as_matrix(kind.P), q=q),
+            objective=QuadraticObjective(P=kind.P, q=q),
             constraints=kind.constraints,
         )
     if isinstance(kind, (SparsemaxLayer, SoftmaxLayer)):

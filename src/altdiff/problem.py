@@ -27,8 +27,6 @@ import scipy.linalg.lapack
 from .errors import DimensionMismatch, GradientMismatch, NotPSD, NotSymmetric
 from .linalg import as_matrix, as_vector
 
-# PSD checks cost O(n^3); above this size the quadratic form is trusted.
-PSD_CHECK_MAX_DIM = 500
 # Smallest eigenvalue the symmetric part of P may have: -PSD_TOL.
 PSD_TOL = 1e-8
 
@@ -159,8 +157,8 @@ class ProblemSpec:
     def quadratic(P, q, A=None, b=None, G=None, h=None) -> "ProblemSpec":
         q = as_vector(q)
         n = q.shape[0]
-        obj = QuadraticObjective(P=as_matrix(P, rows=n, cols=n), q=q)
-        return ProblemSpec(n=n, objective=obj, constraints=Polyhedron.build(n, A, b, G, h))
+        return ProblemSpec(n=n, objective=QuadraticObjective(P=P, q=q),
+                           constraints=Polyhedron.build(n, A, b, G, h))
 
     @staticmethod
     def general(n, value, gradient, hessian, A=None, b=None, G=None, h=None) -> "ProblemSpec":
@@ -224,20 +222,19 @@ def _check_quadratic(obj: QuadraticObjective, n: int) -> None:
         as_matrix(P)
     if np.linalg.norm(P - P.T) > 1e-10 * scale:
         raise NotSymmetric("quadratic cost matrix is not symmetric")
-    if n <= PSD_CHECK_MAX_DIM and n > 0:
-        # sym(P) + PSD_TOL I is positive definite exactly when the smallest
-        # eigenvalue of sym(P) exceeds -PSD_TOL, and a Cholesky factorization
-        # tests that at a sixth of the cost of the eigenvalues. Only a failed
-        # factorization computes them, to decide the boundary case and name
-        # the smallest one. P + P' is symmetric, so its transpose is the
-        # Fortran-ordered array LAPACK factorizes in place.
-        S = P + P.T
-        S.flat[:: n + 1] += 2.0 * PSD_TOL
-        _, info = scipy.linalg.lapack.dpotrf(S.T, lower=True, overwrite_a=True, clean=False)
-        if info != 0:
-            lam_min = float(np.linalg.eigvalsh(0.5 * (P + P.T))[0])
-            if lam_min < -PSD_TOL:
-                raise NotPSD(f"smallest eigenvalue {lam_min:.3e} is below -1e-8")
+    # sym(P) + PSD_TOL I is positive definite exactly when the smallest
+    # eigenvalue of sym(P) exceeds -PSD_TOL, and a Cholesky factorization
+    # tests that at a sixth of the cost of the eigenvalues, at every size.
+    # Only a failed factorization computes them, to decide the boundary case
+    # and name the smallest one. P + P' is symmetric, so its transpose is
+    # the Fortran-ordered array LAPACK factorizes in place.
+    S = P + P.T
+    S.flat[:: n + 1] += 2.0 * PSD_TOL
+    _, info = scipy.linalg.lapack.dpotrf(S.T, lower=True, overwrite_a=True, clean=False)
+    if info != 0:
+        lam_min = float(np.linalg.eigvalsh(0.5 * (P + P.T))[0])
+        if lam_min < -PSD_TOL:
+            raise NotPSD(f"smallest eigenvalue {lam_min:.3e} is below -1e-8")
 
 
 def _check_gradient(obj: GeneralConvexObjective, n: int) -> None:

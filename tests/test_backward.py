@@ -61,10 +61,10 @@ def _gated(jlam, jnu, d, s, rho, js=None, closed_before=True, alpha=1.6):
     con = ad.Polyhedron.build(0, A=np.zeros((p_eq, 0)), b=np.zeros(p_eq),
                               G=np.zeros((m, 0)), h=np.zeros(m))
     sweep = backward._Sweep(con, rho, np.zeros(m))
-    sweep.gate(np.full(m, 0.0 if closed_before else 1.0))
-    sweep.alpha = alpha
+    sweep.alpha = alpha  # as replay() sets it
+    sweep.gate(np.full(m, not closed_before))
     sweep.y, sweep.jx = np.vstack([jlam, jnu + rho * js]), np.zeros((0, jnu.shape[1]))
-    sweep.dual_step(np.array(d, float), np.array(s, float))
+    sweep.dual_step(np.array(d, float), np.array(s, float) > 0.0)
     jac = sweep.finish()
     return jac.Jlam, jac.Js, jac.Jnu
 

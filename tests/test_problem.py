@@ -30,6 +30,11 @@ def test_validate_rejects_wrong_columns():
 def test_validate_rejects_indefinite():
     with pytest.raises(NotPSD):
         ad.ProblemSpec.quadratic(P=[[1.0, 0.0], [0.0, -1.0]], q=[0.0, 0.0])
+    # The PSD test runs at every size, here n = 501.
+    P = np.eye(501)
+    P[-1, -1] = -1.0
+    with pytest.raises(NotPSD, match=r"smallest eigenvalue -1.000e\+00"):
+        ad.ProblemSpec.quadratic(P=P, q=np.zeros(501))
 
 
 @pytest.mark.parametrize("P, psd", [
